@@ -69,8 +69,6 @@ from .parametric import (
 from .punto import (
     PuntoReport,
     mandated_banker_strategy,
-    punto_edges,
-    punto_probabilities,
     punto_report,
     unfulfilled_demand,
 )
@@ -113,8 +111,6 @@ __all__ = [
     "mandated_player_action",
     "oracle_payoff_entry",
     "play_coup",
-    "punto_edges",
-    "punto_probabilities",
     "punto_report",
     "simulate",
     "solve_variant",

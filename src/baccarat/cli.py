@@ -439,3 +439,7 @@ def run(argv=None) -> int:
 
 def main() -> None:  # pragma: no cover - thin wrapper
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -54,10 +54,12 @@ from .rules import (
     STARRED_CELLS,
     Variant,
     _coerce_rational,
+    _commission_rate,
     mandated_player_action,
     play_coup,
     tableau_action,
 )
+from .solver import MixedStrategy
 
 __all__ = [
     "value_distribution",
@@ -191,9 +193,7 @@ def info_set_stats(info: InfoSet, row: PlayerRow, alpha=0) -> InfoSetStats:
     """Exact per-cell statistics; ``alpha`` must be exact (no floats)."""
     if info not in set(ALL_INFO_SETS):
         raise ValueError(f"not a Banker information set: {info!r}")
-    a = _coerce_rational(alpha, "alpha")
-    if not 0 <= a < 1:
-        raise ValueError(f"alpha must satisfy 0 <= alpha < 1, got {a}")
+    a = _commission_rate(alpha)
     occurrence, stand, draw = _cell_data(info, row)
     return InfoSetStats(
         info=info,
@@ -346,12 +346,7 @@ def build_reduced_game(variant: Variant, alpha=0, *, enforce_bound=True) -> Redu
     ``enforce_bound=False`` builds the matrices anyway, which is useful
     exactly once -- when probing where the analysis breaks down.
     """
-    if enforce_bound:
-        a = variant.check_alpha(alpha)
-    else:
-        a = _coerce_rational(alpha, "alpha")
-        if not 0 <= a < 1:
-            raise ValueError(f"alpha must satisfy 0 <= alpha < 1, got {a}")
+    a = variant.check_alpha(alpha) if enforce_bound else _commission_rate(alpha)
 
     cells = variant.optional_cells
     fixed = _variant_fixed_actions(variant)
@@ -474,7 +469,7 @@ def oracle_payoff_entry(
     row: PlayerRow, strategy: BankerStrategy, alpha=0
 ) -> tuple[Fraction, Fraction]:
     """(player EV, banker EV) for one pure profile, by brute force only."""
-    a = _coerce_rational(alpha, "alpha")
+    a = _commission_rate(alpha)
     p_win, p_loss, _tie = oracle_outcome_distribution(row, strategy)
     return p_win - p_loss, (1 - a) * p_loss - p_win
 
@@ -498,12 +493,9 @@ class BestResponse:
 
 
 def _as_weights(mix, n: int) -> tuple[Fraction, ...]:
-    w = getattr(mix, "weights", mix)
-    ws = tuple(Fraction(x) for x in w)
+    ws = MixedStrategy(getattr(mix, "weights", mix)).weights
     if len(ws) != n:
         raise ValueError(f"opponent mix must have {n} weights, got {len(ws)}")
-    if any(x < 0 for x in ws) or sum(ws) != 1:
-        raise ValueError("mix weights must be nonnegative and sum to 1")
     return ws
 
 

@@ -34,8 +34,6 @@ __all__ = [
     "PuntoReport",
     "mandated_banker_strategy",
     "punto_report",
-    "punto_probabilities",
-    "punto_edges",
     "unfulfilled_demand",
 ]
 
@@ -84,16 +82,6 @@ def punto_report() -> PuntoReport:
         edge_banker=p_win - Fraction(19, 20) * b_win,
         edge_chemin=Fraction(1, 20) * b_win,
     )
-
-
-def punto_probabilities() -> PuntoReport:
-    """Outcome probabilities of the fixed-rule game (full report)."""
-    return punto_report()
-
-
-def punto_edges() -> PuntoReport:
-    """House edges of the three wagers (full report)."""
-    return punto_report()
 
 
 def unfulfilled_demand(

@@ -34,6 +34,7 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 __all__ = [
@@ -189,6 +190,14 @@ def _coerce_rational(x, name: str) -> Fraction:
     return Fraction(x)
 
 
+def _commission_rate(alpha) -> Fraction:
+    """An exact commission rate in ``[0, 1)``; floats are rejected."""
+    a = _coerce_rational(alpha, "alpha")
+    if not 0 <= a < 1:
+        raise ValueError(f"alpha must satisfy 0 <= alpha < 1, got {a}")
+    return a
+
+
 @dataclass(frozen=True)
 class Variant:
     """A rule set: which starred cells Banker may choose, and which are
@@ -196,18 +205,23 @@ class Variant:
 
     ``optional_cells`` lists the starred cells left to Banker's judgment,
     in canonical order; ``fixed_actions`` pins the remaining starred
-    cells.  ``alpha_bound`` is the exclusive upper end of the commission
-    rates for which the variant's analysis is valid (the tableau's
-    determined cells, and the modern mandates, are only justified below
-    it).
+    cells, held as a read-only copy of the mapping given.
+    ``alpha_bound`` is the exclusive upper end of the commission rates
+    for which the variant's analysis is valid (the tableau's determined
+    cells, and the modern mandates, are only justified below it).
     """
 
     name: str
     optional_cells: tuple[InfoSet, ...]
-    fixed_actions: Mapping[InfoSet, Action]
+    # A mapping proxy is unhashable; the other fields hash consistently
+    # with equality, which still compares the mappings by content.
+    fixed_actions: Mapping[InfoSet, Action] = field(hash=False)
     alpha_bound: Fraction
 
     def __post_init__(self):
+        object.__setattr__(
+            self, "fixed_actions", MappingProxyType(dict(self.fixed_actions))
+        )
         seen = set(self.optional_cells) | set(self.fixed_actions)
         if seen != set(STARRED_CELLS) or len(self.optional_cells) + len(
             self.fixed_actions
@@ -228,23 +242,11 @@ class Variant:
         return a
 
 
-def _frozen_map(d: dict) -> Mapping:
-    # dataclass fields want something hashable; a tuple-backed mapping works
-    class _FM(dict):
-        def __hash__(self):  # pragma: no cover - identity only
-            return hash(tuple(sorted(self.items())))
-
-        def __setitem__(self, *a):
-            raise TypeError("immutable mapping")
-
-    return _FM(d)
-
-
 #: No commission; both sides choose freely at every starred cell.
 PARLOR = Variant(
     name="parlor",
     optional_cells=STARRED_CELLS,
-    fixed_actions=_frozen_map({}),
+    fixed_actions={},
     alpha_bound=Fraction(1, 15),
 )
 
@@ -252,7 +254,7 @@ PARLOR = Variant(
 CLASSIC = Variant(
     name="classic",
     optional_cells=STARRED_CELLS,
-    fixed_actions=_frozen_map({}),
+    fixed_actions={},
     alpha_bound=Fraction(1, 15),
 )
 
@@ -261,9 +263,7 @@ CLASSIC = Variant(
 MODERN = Variant(
     name="modern",
     optional_cells=(InfoSet(3, 9), InfoSet(5, 4)),
-    fixed_actions=_frozen_map(
-        {InfoSet(4, 1): Action.STAND, InfoSet(6, None): Action.STAND}
-    ),
+    fixed_actions={InfoSet(4, 1): Action.STAND, InfoSet(6, None): Action.STAND},
     alpha_bound=Fraction(2, 5),
 )
 
@@ -282,7 +282,7 @@ def custom_variant(
     return Variant(
         name=name,
         optional_cells=tuple(optional_cells),
-        fixed_actions=_frozen_map(dict(fixed_actions)),
+        fixed_actions=fixed_actions,
         alpha_bound=_coerce_rational(alpha_bound, "alpha_bound"),
     )
 
@@ -380,9 +380,7 @@ _MINUS_ONE = Fraction(-1)
 @lru_cache(maxsize=None)
 def _commission_payoffs(alpha) -> tuple[Fraction, Fraction]:
     """Validated ``(alpha, 1 - alpha)`` pair, cached per commission rate."""
-    a = _coerce_rational(alpha, "alpha")
-    if not 0 <= a < 1:
-        raise ValueError(f"alpha must satisfy 0 <= alpha < 1, got {a}")
+    a = _commission_rate(alpha)
     return a, 1 - a
 
 

@@ -4,18 +4,24 @@ Conventions: ``A[r][j]`` is the row player's payoff and ``B[r][j]`` the
 column player's when row ``r`` meets column ``j``.  Zero-sum games are
 handled as the special case ``B = -A``.  All arithmetic is over exact
 rationals; floats in inputs are rejected rather than silently rounded.
+Every routine here takes games with exactly two rows.
 
-The module offers:
+With two rows, each column is a line over the row mix (1 - p, p), and
+every question the solvers ask is answered by one upper envelope of
+those lines (:func:`_envelope`): its breakpoints are the ends of the
+p-range and the pairwise crossings inside it, and between breakpoints
+the envelope is linear.
 
 * :func:`eliminate_strictly_dominated` -- iterated elimination with a
-  full audit log.  Columns are tested against pure *and* two-point mixed
-  dominators, which is a complete test when the opponent has two pure
-  strategies (the payoff vectors live in the plane, so any dominating
-  mixture can be thinned to at most two support points).
+  full audit log.  A column is strictly dominated by a mixture exactly
+  when it is a best reply to no row mix (Pearce, 1984), so one envelope
+  pass decides every column at once.  Each removal is logged with a pure
+  or two-point dominator over the survivors, which always exists when
+  the payoff vectors live in the plane.
 
 * :func:`solve_zero_sum_2xn` -- the lower-envelope method: the optimal
   row mix maximizes ``min_j`` of the column lines, evaluated only at
-  exact pairwise intersection points, so the value is exact.
+  the envelope's breakpoints, so the value is exact.
 
 * :func:`enumerate_nash_2xn` -- support enumeration for bimatrix games,
   with a degeneracy check.  On a nondegenerate game the enumeration is
@@ -30,10 +36,9 @@ The module offers:
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
 
 __all__ = [
     "MixedStrategy",
@@ -164,13 +169,46 @@ class EliminationStep:
     dominator_weights: tuple[Fraction, ...]
 
 
+def _require_two_rows(A):
+    if len(A) != 2:
+        raise ValueError(f"this solver handles exactly 2 rows, got {len(A)}")
+
+
+def _envelope(M, cols, lo=0, hi=1):
+    """The upper envelope of the 2-row column lines over ``[lo, hi]``.
+
+    Column j is the line ``(1 - p) * M[0][j] + p * M[1][j]`` in the
+    weight p on row 1.  The breakpoints are ``lo``, ``hi`` and every
+    pairwise crossing strictly between them; the envelope is linear
+    between consecutive breakpoints, so a column is a best reply
+    somewhere in ``[lo, hi]`` exactly when it is one at a breakpoint.
+    Returns ``(p, height, best)`` for each breakpoint in increasing p,
+    ``best`` being the columns of ``cols`` on top there, in index order.
+    """
+    lines = {j: (M[0][j], M[1][j] - M[0][j]) for j in cols}
+    ps = {Fraction(lo), Fraction(hi)}
+    for (a1, s1), (a2, s2) in combinations(lines.values(), 2):
+        if s1 != s2:
+            p = (a2 - a1) / (s1 - s2)
+            if lo < p < hi:
+                ps.add(p)
+    points = []
+    for p in sorted(ps):
+        values = {j: a + s * p for j, (a, s) in lines.items()}
+        height = max(values.values())
+        points.append((p, height, tuple(j for j in cols if values[j] == height)))
+    return points
+
+
 def _find_dominator(vectors, j, alive):
     """A pure or two-point mixed strict dominator of ``vectors[j]``.
 
     ``vectors[i]`` is pure strategy i's payoff against each opposing
     pure strategy in turn.  Returns (indices, weights) or None.  The
     two-point search is exhaustive over exact candidate mixing weights,
-    so for two-dimensional payoff vectors it is a complete test.
+    so for payoff vectors of length one or two it is a complete test.
+    Elimination decides which columns fall by the envelope and calls
+    this only to build each removal's certificate, and to test rows.
     """
     vj = vectors[j]
     others = [k for k in alive if k != j]
@@ -200,53 +238,54 @@ def eliminate_strictly_dominated(game):
     """Iterated strict-dominance elimination; returns (reduced, log).
 
     ``game`` is any dataclass with fields ``A`` and ``B`` (and
-    optionally ``row_labels`` / ``column_labels`` / ``columns``); the
-    reduction is returned as the same type with those fields sliced.
-    Rows are tested against the row player's matrix ``A``, columns
-    against the column player's ``B``.  Strict elimination never removes
-    any equilibrium strategy, so solving the reduction solves the game.
+    optionally ``row_labels`` / ``column_labels`` / ``columns``) with
+    exactly two rows; the reduction is returned as the same type with
+    those fields sliced.  The columns that are a best reply under ``B``
+    at no breakpoint of the alive rows' envelope fall together, logged
+    in index order, each with a dominator found among the survivors.  A
+    row falls when the other row is strictly better under ``A`` on every
+    surviving column; the columns are then decided once more against
+    the remaining row.  Strict elimination never removes any equilibrium
+    strategy, so solving the reduction solves the game.
     """
     A, B = _matrix(game.A), _matrix(game.B)
-    m, n = len(A), len(A[0])
-    rows_alive = list(range(m))
+    _require_two_rows(A)
+    n = len(A[0])
+    rows_alive = [0, 1]
     cols_alive = list(range(n))
-    row_labels = getattr(game, "row_labels", tuple(range(m)))
+    row_labels = getattr(game, "row_labels", (0, 1))
     col_labels = getattr(game, "column_labels", tuple(range(n)))
     log: list[EliminationStep] = []
 
+    def record(side, idx, dominator):
+        labels = col_labels if side == "column" else row_labels
+        dom_idx, dom_w = dominator
+        log.append(EliminationStep(side, idx, labels[idx], dom_idx, dom_w))
+
     while True:
+        points = _envelope(B, cols_alive, rows_alive[0], rows_alive[-1])
+        best = {j for _, _, top in points for j in top}
+        survivors = [j for j in cols_alive if j in best]
         col_vectors = {
             j: tuple(B[r][j] for r in rows_alive) for j in cols_alive
         }
-        hit = None
         for j in cols_alive:
-            dom = _find_dominator(col_vectors, j, cols_alive)
+            if j not in best:
+                dom = _find_dominator(col_vectors, j, survivors)
+                if dom is None:  # pragma: no cover - Pearce's lemma forbids it
+                    raise AssertionError(f"column {j} fell without a dominator")
+                record("column", j, dom)
+        cols_alive = survivors
+
+        row_vectors = {r: tuple(A[r][j] for j in cols_alive) for r in rows_alive}
+        for r in rows_alive:
+            dom = _find_dominator(row_vectors, r, rows_alive)
             if dom is not None:
-                hit = ("column", j, dom)
+                record("row", r, dom)
+                rows_alive.remove(r)
                 break
-        if hit is None:
-            row_vectors = {
-                r: tuple(A[r][j] for j in cols_alive) for r in rows_alive
-            }
-            for r in rows_alive:
-                dom = _find_dominator(row_vectors, r, rows_alive)
-                if dom is not None:
-                    hit = ("row", r, dom)
-                    break
-        if hit is None:
+        else:
             break
-        side, idx, (dom_idx, dom_w) = hit
-        labels = col_labels if side == "column" else row_labels
-        log.append(
-            EliminationStep(
-                side=side,
-                index=idx,
-                label=labels[idx],
-                dominator_indices=tuple(dom_idx),
-                dominator_weights=tuple(dom_w),
-            )
-        )
-        (cols_alive if side == "column" else rows_alive).remove(idx)
 
     new_A = tuple(tuple(A[r][j] for j in cols_alive) for r in rows_alive)
     new_B = tuple(tuple(B[r][j] for j in cols_alive) for r in rows_alive)
@@ -262,41 +301,25 @@ def eliminate_strictly_dominated(game):
     return reduced, tuple(log)
 
 
-def _require_two_rows(A):
-    if len(A) != 2:
-        raise ValueError(f"this solver handles exactly 2 rows, got {len(A)}")
-
-
 def solve_zero_sum_2xn(A) -> EquilibriumReport:
     """Exact optimal strategies and value of a zero-sum 2 x n game.
 
     The row player maximizes.  Writing p for the weight on the second
     row, each column j contributes the line ``A[0][j] + p*(A[1][j] -
     A[0][j])``; the game's value is the maximum over p in [0,1] of the
-    lower envelope of those lines, attained at p = 0, p = 1, or an
-    exact pairwise intersection.
+    lower envelope of those lines, attained at a breakpoint of the
+    column player's envelope of ``-A``.
     """
     A = _matrix(A)
     _require_two_rows(A)
     n = len(A[0])
-    lines = [(A[0][j], A[1][j] - A[0][j]) for j in range(n)]
+    slopes = [A[1][j] - A[0][j] for j in range(n)]
+    points = _envelope(tuple(tuple(-x for x in row) for row in A), range(n))
+    value = -min(height for _, height, _ in points)
+    optima = [(p, cols) for p, height, cols in points if height == -value]
+    p, support_cols = optima[0]
+    row_unique = len(optima) == 1
 
-    candidates = {Fraction(0), Fraction(1)}
-    for (a1, s1), (a2, s2) in combinations(lines, 2):
-        if s1 != s2:
-            p = (a2 - a1) / (s1 - s2)
-            if 0 < p < 1:
-                candidates.add(p)
-
-    def envelope(p: Fraction) -> Fraction:
-        return min(a + s * p for a, s in lines)
-
-    value = max(envelope(p) for p in candidates)
-    best_ps = sorted(p for p in candidates if envelope(p) == value)
-    p = best_ps[0]
-    row_unique = len(best_ps) == 1
-
-    support_cols = [j for j, (a, s) in enumerate(lines) if a + s * p == value]
     if p == 0 or p == 1:
         # Saddle side: among the envelope-active columns, valid optima
         # are those that also hold the *other* row down to the value.
@@ -316,13 +339,13 @@ def solve_zero_sum_2xn(A) -> EquilibriumReport:
         else:
             col_unique = len(valid) == 1 and A[other][valid[0]] == value
     else:
-        zeros = [j for j in support_cols if lines[j][1] == 0]
-        negs = [j for j in support_cols if lines[j][1] < 0]
-        poss = [j for j in support_cols if lines[j][1] > 0]
+        zeros = [j for j in support_cols if slopes[j] == 0]
+        negs = [j for j in support_cols if slopes[j] < 0]
+        poss = [j for j in support_cols if slopes[j] > 0]
         col_weights = [Fraction(0)] * n
         if negs and poss:
             j_neg, j_pos = negs[0], poss[0]
-            s_neg, s_pos = lines[j_neg][1], lines[j_pos][1]
+            s_neg, s_pos = slopes[j_neg], slopes[j_pos]
             w_neg = s_pos / (s_pos - s_neg)
             col_weights[j_neg] = w_neg
             col_weights[j_pos] = 1 - w_neg
@@ -369,7 +392,9 @@ def is_nondegenerate(A, B) -> tuple[bool, DegeneracyWitness | None]:
     s has more than s pure best responses.  With two rows this reduces
     to three finite checks: no pure column leaves both rows tied as best
     replies, no pure row has two best-reply columns tied, and no
-    interior row mix has three or more best-reply columns tied.
+    interior row mix has three or more best-reply columns tied.  The
+    last two are read off the envelope's breakpoints, the only row mixes
+    where columns can tie on top.
     """
     A, B = _matrix(A), _matrix(B)
     _require_two_rows(A)
@@ -377,24 +402,12 @@ def is_nondegenerate(A, B) -> tuple[bool, DegeneracyWitness | None]:
     for c in range(n):
         if A[0][c] == A[1][c]:
             return False, DegeneracyWitness("column", c, (0, 1))
-    for r in range(2):
-        best = max(B[r])
-        tied = tuple(j for j in range(n) if B[r][j] == best)
-        if len(tied) > 1:
-            return False, DegeneracyWitness("row", r, tied)
-    lines = [(B[0][j], B[1][j] - B[0][j]) for j in range(n)]
-    for (j, (a1, s1)), (k, (a2, s2)) in combinations(enumerate(lines), 2):
-        if s1 == s2:
-            continue
-        p = (a1 - a2) / (s2 - s1)
-        if not 0 < p < 1:
-            continue
-        top = max(a + s * p for a, s in lines)
-        tied = tuple(
-            c for c, (a, s) in enumerate(lines) if a + s * p == top
-        )
-        if len(tied) > 2:
-            return False, DegeneracyWitness("row mix", p, tied)
+    for p, _, best in _envelope(B, range(n)):
+        if p in (0, 1):
+            if len(best) > 1:
+                return False, DegeneracyWitness("row", int(p), best)
+        elif len(best) > 2:
+            return False, DegeneracyWitness("row mix", p, best)
     return True, None
 
 
@@ -406,10 +419,6 @@ class NashEnumeration:
     equilibria: tuple[EquilibriumReport, ...]
     complete: bool
     witness: DegeneracyWitness | None = None
-
-
-def _support_from(weights) -> tuple[int, ...]:
-    return tuple(i for i, w in enumerate(weights) if w > 0)
 
 
 def enumerate_nash_2xn(A, B) -> NashEnumeration:
@@ -430,77 +439,54 @@ def enumerate_nash_2xn(A, B) -> NashEnumeration:
         key = (tuple(rw), tuple(cw))
         found.setdefault(key, (kind, note))
 
+    points = _envelope(B, range(n))
+    best_to_row = (points[0][2], points[-1][2])  # p = 0 is row 0, p = 1 row 1
+
     # Pure x pure.
     for r in range(2):
-        for c in range(n):
-            if A[r][c] >= A[1 - r][c] and B[r][c] == max(B[r]):
+        for c in best_to_row[r]:
+            if A[r][c] >= A[1 - r][c]:
                 rw = [Fraction(int(i == r)) for i in range(2)]
                 cw = [Fraction(int(j == c)) for j in range(n)]
                 record(rw, cw, "pure")
 
-    def col_line(j, p):
-        return (1 - p) * B[0][j] + p * B[1][j]
-
-    # Mixed row, two-column support.
-    for c1, c2 in combinations(range(n), 2):
-        d0 = B[0][c1] - B[0][c2]
-        d1 = B[1][c1] - B[1][c2]
-        if d0 == d1:
-            # Parallel payoff lines never cross (d0 != 0); identical ones
-            # (d0 == 0) give continua handled via the degeneracy flag.
-            continue
-        p = d0 / (d0 - d1)  # row mix (1-p, p) equalizing the two columns
-        if not 0 < p < 1:
-            continue
-        top = max(col_line(j, p) for j in range(n))
-        if col_line(c1, p) != top or col_line(c2, p) != top:
-            continue
-        u = A[0][c1] - A[1][c1]
-        w = A[0][c2] - A[1][c2]
-        if u == w:
-            continue  # no interior column mix equalizes the rows
-        q1 = w / (w - u)  # weight on c1 equalizing the two rows
-        if not 0 < q1 < 1:
-            continue
-        rw = [1 - p, p]
-        cw = [Fraction(0)] * n
-        cw[c1], cw[c2] = q1, 1 - q1
-        record(rw, cw, "mixed")
+    # Mixed row, two-column support: two columns tied on top at an
+    # interior breakpoint p, where their lines cross.
+    for p, _, best in points[1:-1]:
+        for c1, c2 in combinations(best, 2):
+            if B[0][c1] == B[0][c2] and B[1][c1] == B[1][c2]:
+                # Identical lines give continua handled via the
+                # degeneracy flag.
+                continue
+            u = A[0][c1] - A[1][c1]
+            w = A[0][c2] - A[1][c2]
+            if u == w:
+                continue  # no interior column mix equalizes the rows
+            q1 = w / (w - u)  # weight on c1 equalizing the two rows
+            if not 0 < q1 < 1:
+                continue
+            rw = [1 - p, p]
+            cw = [Fraction(0)] * n
+            cw[c1], cw[c2] = q1, 1 - q1
+            record(rw, cw, "mixed")
 
     # Degenerate families: row mixes against one pure column.
     for c in range(n):
         if A[0][c] != A[1][c]:
             continue
-        # Every p keeps Player indifferent; find where column c is a
-        # best reply and report the midpoint of that p-interval.
-        lo, hi = Fraction(0), Fraction(1)
-        ok = True
-        for j in range(n):
-            if j == c:
-                continue
-            diff0 = B[0][c] - B[0][j]
-            slope = (B[1][c] - B[1][j]) - diff0
-            if slope == 0:
-                if diff0 < 0:
-                    ok = False
-                    break
-            elif slope > 0:
-                lo = max(lo, -diff0 / slope)
-            else:
-                hi = min(hi, -diff0 / slope)
-        if ok and lo <= hi:
-            p = (lo + hi) / 2
+        # Every p keeps Player indifferent; column c is a best reply on
+        # the p-interval between the first and last breakpoints where it
+        # is on top.  Report that interval's midpoint.
+        on_top = [p for p, _, best in points if c in best]
+        if on_top:
+            p = (on_top[0] + on_top[-1]) / 2
             rw = [1 - p, p]
             cw = [Fraction(int(j == c)) for j in range(n)]
             record(rw, cw, "mixed", "represents a continuum of row mixes")
 
     # Degenerate families: pure row against mixes of tied best columns.
     for r in range(2):
-        best = max(B[r])
-        tied = [j for j in range(n) if B[r][j] == best]
-        if len(tied) < 2:
-            continue
-        for c1, c2 in combinations(tied, 2):
+        for c1, c2 in combinations(best_to_row[r], 2):
             # Row r must stay a best reply: find a feasible column mix.
             g1 = A[r][c1] - A[1 - r][c1]
             g2 = A[r][c2] - A[1 - r][c2]

@@ -3,10 +3,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import baccarat
 from baccarat.cli import run
 
 F = Fraction
@@ -81,6 +86,21 @@ def test_punto_values(cli):
     assert F(results["P"]) == F(2153464, 4826809)
     assert F(results["edge_chemin"]) == F(553186, 24134045)
     assert results["edges_sum_identity"] is True
+
+
+def test_module_entry_point_runs_the_cli():
+    """``python -m baccarat.cli`` runs a command instead of only importing."""
+    src = str(Path(baccarat.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "baccarat.cli", "punto", "--format", "json"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert get_json(proc.stdout)["command"] == "punto"
 
 
 def test_alpha_star_width_honors_tolerance(cli):

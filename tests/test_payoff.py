@@ -183,6 +183,15 @@ def test_oracle_agrees_on_spot_entries():
             assert be == game.B[r][j]
 
 
+@pytest.mark.parametrize(
+    "alpha, error",
+    [(5, ValueError), (-1, ValueError), (F(3, 2), ValueError), (0.05, TypeError)],
+)
+def test_oracle_entry_rejects_bad_alpha(alpha, error):
+    with pytest.raises(error):
+        oracle_payoff_entry(D5, mandated_banker_strategy(), alpha)
+
+
 def test_oracle_distribution_is_a_distribution():
     pw, bw, tie = oracle_outcome_distribution(D5, mandated_banker_strategy())
     assert pw + bw + tie == 1
@@ -210,3 +219,11 @@ class TestBestResponse:
             best_response("dealer", (1, 0), CLASSIC)
         with pytest.raises(ValueError):
             best_response("banker", (F(1, 2), F(1, 3)), CLASSIC)
+        with pytest.raises(ValueError):
+            best_response("banker", (F(1, 2), F(1, 2), 0), CLASSIC)
+
+    def test_float_weights_rejected(self):
+        with pytest.raises(TypeError):
+            best_response("banker", (0.5, 0.5), CLASSIC, F(1, 20))
+        with pytest.raises(TypeError):
+            best_response("player", (1.0,) + (0,) * 15, CLASSIC)

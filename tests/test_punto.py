@@ -9,8 +9,6 @@ from baccarat import (
     InfoSet,
     MODERN,
     mandated_banker_strategy,
-    punto_edges,
-    punto_probabilities,
     punto_report,
     solve_variant,
     tableau_action,
@@ -22,7 +20,7 @@ D6 = 13**6
 
 
 def test_outcome_probabilities():
-    rep = punto_probabilities()
+    rep = punto_report()
     assert rep.P == F(2153464, D6)
     assert rep.B == F(2212744, D6)
     assert rep.T == F(460601, D6)
@@ -30,7 +28,7 @@ def test_outcome_probabilities():
 
 
 def test_edges():
-    rep = punto_edges()
+    rep = punto_report()
     assert rep.edge_player == rep.B - rep.P
     assert rep.edge_player == F(4560, 371293)
     assert rep.edge_banker == F(256786, 24134045)
@@ -44,10 +42,6 @@ def test_edge_banker_includes_the_commission():
     rep = punto_report()
     a = F(1, 20)
     assert rep.edge_banker == rep.P - (1 - a) * rep.B
-
-
-def test_report_variants_are_one_object():
-    assert punto_report() == punto_probabilities() == punto_edges()
 
 
 def test_fixed_rules_mirror_the_strategic_solution():

@@ -122,6 +122,28 @@ class TestVariants:
             CLASSIC.check_alpha(Fraction(1, 10))
         assert MODERN.check_alpha(Fraction(1, 3)) == Fraction(1, 3)
 
+    @pytest.mark.parametrize("variant", [PARLOR, CLASSIC, MODERN], ids=lambda v: v.name)
+    def test_fixed_actions_are_read_only(self, variant):
+        before = dict(variant.fixed_actions)
+        cell = InfoSet(4, 1)
+        with pytest.raises((AttributeError, TypeError)):
+            variant.fixed_actions.pop(cell)
+        with pytest.raises((AttributeError, TypeError)):
+            variant.fixed_actions.update({cell: D})
+        with pytest.raises(TypeError):
+            variant.fixed_actions[cell] = D
+        with pytest.raises(TypeError):
+            del variant.fixed_actions[cell]
+        assert variant.fixed_actions == before
+
+    def test_custom_variant_copies_fixed_actions(self):
+        fixed = {InfoSet(4, 1): S, InfoSet(6, None): S}
+        v = custom_variant("modern", MODERN.optional_cells, fixed, MODERN.alpha_bound)
+        fixed[InfoSet(4, 1)] = D
+        del fixed[InfoSet(6, None)]
+        assert v.fixed_actions == {InfoSet(4, 1): S, InfoSet(6, None): S}
+        assert v == MODERN and hash(v) == hash(MODERN)
+
     def test_custom_variant_must_partition_starred_cells(self):
         v = custom_variant(
             "house",

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from baccarat import CLASSIC, MODERN, build_reduced_game
 from baccarat.solver import (
     EquilibriumReport,
     Game,
@@ -97,6 +98,75 @@ class TestElimination:
         game, log = eliminate_strictly_dominated(g)
         assert log == ()
         assert game.A == g.A
+
+    def test_requires_two_rows(self):
+        with pytest.raises(ValueError):
+            eliminate_strictly_dominated(Game([[1, 2], [3, 4], [5, 6]]))
+
+    @pytest.mark.parametrize(
+        "variant, log_labels, survivors",
+        [
+            (
+                CLASSIC,
+                ["SSSD", "SSDD", "SDSS", "SDSD", "SDDS", "SDDD",
+                 "DSSS", "DSSD", "DDSS", "DDSD", "DDDS"],
+                ("SSSS", "SSDS", "DSDS", "DSDD", "DDDD"),
+            ),
+            (MODERN, ["DS", "StandOn5", "SS", "SD"], ("DD",)),
+        ],
+        ids=["classic", "modern"],
+    )
+    def test_variant_logs_at_one_twentieth(self, variant, log_labels, survivors):
+        game, log = eliminate_strictly_dominated(build_reduced_game(variant, F(1, 20)))
+        assert [str(step.label) for step in log] == log_labels
+        assert game.column_labels == survivors
+
+    def test_random_games_certificates_and_survivors(self):
+        """Every logged dominator strictly beats what it removed on the
+        opponent strategies alive at that step, and every survivor is a
+        best reply to some mix of the surviving rows."""
+        rng = random.Random(20261017)
+        for _ in range(300):
+            n = rng.randint(2, 6)
+            A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(2)]
+            B = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(2)]
+            game, log = eliminate_strictly_dominated(Game(A, B=B))
+            rows, cols = [0, 1], list(range(n))
+            for step in log:
+                mix = dict(zip(step.dominator_indices, step.dominator_weights))
+                if step.side == "column":
+                    assert set(mix) <= set(cols) - {step.index}
+                    for r in rows:
+                        beat = sum(w * B[r][k] for k, w in mix.items())
+                        assert beat > B[r][step.index], (A, B, step)
+                    cols.remove(step.index)
+                else:
+                    assert set(mix) <= set(rows) - {step.index}
+                    for c in cols:
+                        beat = sum(w * A[k][c] for k, w in mix.items())
+                        assert beat > A[step.index][c], (A, B, step)
+                    rows.remove(step.index)
+            assert game.column_labels == tuple(f"C{j}" for j in cols)
+            assert game.row_labels == tuple(f"R{r}" for r in rows)
+            for j in cols:
+                assert _best_reply_somewhere(B, j, cols, rows), (A, B, j)
+
+
+def _best_reply_somewhere(B, j, cols, rows):
+    """Whether column j is a best reply among ``cols`` to some row mix
+    (1 - p, p) with p in the span of ``rows`` (0 for row 0, 1 for row 1).
+    Each rival k cuts the p-interval by the half-line where j >= k."""
+    lo, hi = F(rows[0]), F(rows[-1])
+    for k in cols:
+        gap0 = B[0][j] - B[0][k]
+        slope = (B[1][j] - B[1][k]) - gap0
+        if slope > 0:
+            lo = max(lo, -gap0 / slope)
+        elif slope < 0:
+            hi = min(hi, -gap0 / slope)
+        elif gap0 < 0:
+            return False
+    return lo <= hi
 
 
 class TestZeroSumSolver:
