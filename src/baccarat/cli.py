@@ -260,11 +260,11 @@ def _cmd_sweep(ns) -> dict:
 def _cmd_simulate(ns) -> dict:
     variant = _VARIANTS[ns.variant]
     alpha = ns.alpha if ns.alpha is not None else _DEFAULT_ALPHA[ns.variant]
-    row_mix, banker_mix = montecarlo.equilibrium_profile(variant, alpha)
+    sol = parametric.solve_variant(variant, alpha)
+    row_mix, banker_mix = montecarlo.equilibrium_profile(sol)
     if ns.player_p is not None:
         p = Fraction(ns.player_p)
         row_mix = MixedStrategy((1 - p, p))
-    sol = parametric.solve_variant(variant, alpha)
     result = montecarlo.simulate(
         variant, row_mix, banker_mix, alpha, ns.hands, ns.seed
     )

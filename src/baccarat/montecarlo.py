@@ -36,7 +36,7 @@ from fractions import Fraction
 from math import ceil, sqrt
 from typing import Mapping
 
-from .parametric import solve_variant
+from .parametric import VariantSolution, solve_variant
 from .rules import (
     ALL_INFO_SETS,
     Action,
@@ -58,6 +58,8 @@ __all__ = [
 ]
 
 _RNG_IDENTITY = "python-random-mt19937"
+#: Largest run accepted: 10^7 hands take over a minute.
+_MAX_HANDS = 10**7
 
 
 @dataclass(frozen=True)
@@ -191,8 +193,10 @@ def simulate(
     per-coup payoffs.
     """
     a = variant.check_alpha(alpha)
-    if not isinstance(n_hands, int) or n_hands <= 0:
-        raise ValueError(f"n_hands must be a positive integer, got {n_hands!r}")
+    if not isinstance(n_hands, int) or not 0 < n_hands <= _MAX_HANDS:
+        raise ValueError(
+            f"n_hands must be an integer from 1 to {_MAX_HANDS}, got {n_hands!r}"
+        )
     p_draw = _row_mix_weight(row_mix)
     table = _draw_probabilities(banker_strategy_or_mix, variant)
     banker = _BehavioralBanker(table)
@@ -250,18 +254,24 @@ def simulate(
 
 
 def equilibrium_profile(
-    variant: Variant, alpha=0
+    variant: Variant | VariantSolution, alpha=0
 ) -> tuple[MixedStrategy, Mapping[InfoSet, Fraction]]:
     """The solved equilibrium in the form :func:`simulate` consumes.
 
-    Returns Player's row mix (stand-on-5 weight first) and Banker's
-    per-cell draw probabilities at the variant's optional cells.
+    ``variant`` is a Variant, solved here at ``alpha``, or a
+    :class:`~baccarat.parametric.VariantSolution` already at hand, whose
+    own rate then applies.  Returns Player's row mix (stand-on-5 weight
+    first) and Banker's per-cell draw probabilities at the variant's
+    optional cells.
     """
-    sol = solve_variant(variant, alpha)
+    if isinstance(variant, VariantSolution):
+        sol = variant
+    else:
+        sol = solve_variant(variant, alpha)
     p = sol.player_draw_probability
     row = MixedStrategy((1 - p, p))
     mix = {
         cell: sol.banker_draw_probability(cell)
-        for cell in variant.optional_cells
+        for cell in sol.variant.optional_cells
     }
     return row, mix

@@ -31,10 +31,10 @@ Everything here is exact rational arithmetic.  The central objects:
 
 * ``oracle_outcome_distribution`` / ``oracle_payoff_entry`` -- a second,
   deliberately independent route to the same numbers: direct enumeration
-  of all six card slots of a coup, resolved through
-  :func:`baccarat.rules.play_coup` with integer weights.  The
-  decomposition above is never consulted, so agreement between the two
-  routes is a real check.
+  of every pair of two-card totals and every third card they lead to,
+  each branch resolved through :func:`baccarat.rules.play_coup` and
+  tallied with integer card-count weights.  The decomposition above is
+  never consulted, so agreement between the two routes is a real check.
 """
 
 from __future__ import annotations
@@ -295,7 +295,7 @@ def _accumulate(total: list[Fraction], triple: _WLT, weight: Fraction) -> None:
         total[i] += weight * triple[i]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _row_outcome_profile(
     row: PlayerRow, fixed: tuple[tuple[InfoSet, Action], ...]
 ) -> tuple[_WLT, tuple[tuple[InfoSet, _WLT, _WLT], ...]]:
@@ -389,76 +389,55 @@ def build_reduced_game(variant: Variant, alpha=0, *, enforce_bound=True) -> Redu
 # ---------------------------------------------------------------------------
 # Brute-force oracle.
 #
-# Enumerates the six card slots of a coup (two Player cards, two Banker
-# cards, and the two potential third cards) with integer weights -- value
-# 0 counts 4, every other value 1 -- and resolves each branch through
-# play_coup.  Slots that the rules never consume are integrated out by
-# multiplying with 13 (one card) or 169 (two cards).  The per-branch
-# resolution is memoized on the totals actually seen, which is harmless
-# because play_coup depends on the cards only through those totals.
+# Walks the 10 x 10 pairs of two-card totals, each weighted by its number
+# of card pairs out of 169 (value 0 counts 4 cards, every other value 1),
+# then the potential third cards with the same integer card weights, and
+# resolves every branch through play_coup on the representative hands
+# (0, total).  play_coup depends on the first two cards only through
+# their total, so each (Player total, Banker total, third cards) leaf is
+# resolved exactly once.  Slots that the rules never consume are
+# integrated out by multiplying with 13 (one card) or 169 (two cards);
+# the tallies are integers out of 13^6.
 # ---------------------------------------------------------------------------
 
 _SCALE = 13**6
 _W = tuple(4 if v == 0 else 1 for v in range(10))
+#: Card pairs, out of 169, behind each two-card total.
+_PAIRS = tuple(
+    sum(_W[a] * _W[b] for a in range(10) for b in range(10) if (a + b) % 10 == t)
+    for t in range(10)
+)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def oracle_outcome_distribution(
     row: PlayerRow, strategy: BankerStrategy
 ) -> tuple[Fraction, Fraction, Fraction]:
     """(P(player wins), P(banker wins), P(tie)) by direct enumeration."""
     win = 0  # player wins, weighted count out of 13^6
     loss = 0
-    memo: dict[tuple, int] = {}
-
-    def resolve(p_cards, b_cards, draws) -> int:
-        key = (
-            (p_cards[0] + p_cards[1]) % 10,
-            (b_cards[0] + b_cards[1]) % 10,
-            tuple(draws),
-        )
-        sign = memo.get(key)
-        if sign is None:
-            sign = play_coup(p_cards, b_cards, draws, row, strategy).player_payoff
-            memo[key] = sign
-        return sign
-
-    def tally(sign: int, weight: int):
-        nonlocal win, loss
-        if sign > 0:
-            win += weight
-        elif sign < 0:
-            loss += weight
-
-    for p1 in range(10):
-        for p2 in range(10):
-            wp = _W[p1] * _W[p2]
-            pt = (p1 + p2) % 10
-            for b1 in range(10):
-                for b2 in range(10):
-                    w0 = wp * _W[b1] * _W[b2]
-                    bt = (b1 + b2) % 10
-                    pc = (p1, p2)
-                    bc = (b1, b2)
-                    if pt >= 8 or bt >= 8:
-                        tally(resolve(pc, bc, ()), w0 * 169)
-                        continue
-                    if mandated_player_action(pt, row) is Action.DRAW:
-                        for p3 in range(10):
-                            w1 = w0 * _W[p3]
-                            if strategy[InfoSet(bt, p3)] is Action.DRAW:
-                                for b3 in range(10):
-                                    tally(
-                                        resolve(pc, bc, (p3, b3)), w1 * _W[b3]
-                                    )
-                            else:
-                                tally(resolve(pc, bc, (p3,)), w1 * 13)
+    for pt in range(10):
+        for bt in range(10):
+            if pt >= 8 or bt >= 8:
+                leaves = [((), 169)]
+            elif mandated_player_action(pt, row) is Action.DRAW:
+                leaves = []
+                for p3 in range(10):
+                    if strategy[InfoSet(bt, p3)] is Action.DRAW:
+                        leaves += [((p3, b3), _W[p3] * _W[b3]) for b3 in range(10)]
                     else:
-                        if strategy[InfoSet(bt, None)] is Action.DRAW:
-                            for b3 in range(10):
-                                tally(resolve(pc, bc, (b3,)), w0 * 13 * _W[b3])
-                        else:
-                            tally(resolve(pc, bc, ()), w0 * 169)
+                        leaves.append(((p3,), _W[p3] * 13))
+            elif strategy[InfoSet(bt, None)] is Action.DRAW:
+                leaves = [((b3,), 13 * _W[b3]) for b3 in range(10)]
+            else:
+                leaves = [((), 169)]
+            w0 = _PAIRS[pt] * _PAIRS[bt]
+            for draws, weight in leaves:
+                sign = play_coup((0, pt), (0, bt), draws, row, strategy).player_payoff
+                if sign > 0:
+                    win += w0 * weight
+                elif sign < 0:
+                    loss += w0 * weight
 
     p_win = Fraction(win, _SCALE)
     p_loss = Fraction(loss, _SCALE)

@@ -377,7 +377,7 @@ _ZERO = Fraction(0)
 _MINUS_ONE = Fraction(-1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _commission_payoffs(alpha) -> tuple[Fraction, Fraction]:
     """Validated ``(alpha, 1 - alpha)`` pair, cached per commission rate."""
     a = _commission_rate(alpha)

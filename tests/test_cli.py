@@ -153,6 +153,21 @@ def test_simulate_player_override(cli):
     assert payload["inputs"]["player_draw_on_5"] == "1/2"
 
 
+def test_simulate_solves_once(cli, monkeypatch):
+    solve = baccarat.parametric.solve_variant
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(baccarat.parametric, "solve_variant", counting)
+    monkeypatch.setattr(baccarat.montecarlo, "solve_variant", counting)
+    code, _, _ = cli("simulate", "--variant", "classic", "--hands", "100", "--seed", "1")
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_oracle_command_cross_checks(cli):
     code, out, _ = cli("oracle", "--variant", "modern", "--alpha", "1/30")
     assert code == 0
@@ -195,6 +210,16 @@ class TestExitCodes:
         code, out, _ = cli("solve", "classic", "--alpha", "0.05", "--format", "json")
         assert code == 0
         assert get_json(out)["inputs"]["alpha"] == "1/20"
+
+    @pytest.mark.parametrize("hands", ["0", "-5", "10000001"])
+    def test_hands_out_of_range(self, cli, hands):
+        code, out, err = cli(
+            "simulate", "--variant", "modern", "--hands", hands, "--seed", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_help_exits_zero(self, cli):
         code, out, _ = cli("--help")

@@ -112,6 +112,8 @@ def test_bad_hand_counts():
     with pytest.raises(ValueError):
         run_modern(-5, 1)
     with pytest.raises(ValueError):
+        run_modern(10**7 + 1, 1)
+    with pytest.raises(ValueError):
         run_modern(F(1, 2), 1)
 
 
@@ -132,6 +134,13 @@ def test_equilibrium_profiles():
     row_m, mix_m = equilibrium_profile(MODERN, A)
     assert row_m.weights == (F(0), F(1))
     assert mix_m == {InfoSet(3, 9): 1, InfoSet(5, 4): 1}
+
+
+def test_equilibrium_profile_of_a_solution():
+    """A solution already at hand gives the same profile, with no solve."""
+    assert equilibrium_profile(solve_variant(MODERN, A)) == equilibrium_profile(
+        MODERN, A
+    )
 
 
 def test_batch_seeds_are_stable_and_distinct():

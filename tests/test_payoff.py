@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from baccarat import (
     CLASSIC,
@@ -15,6 +16,7 @@ from baccarat import (
     best_response,
     build_reduced_game,
     classify_info_sets,
+    custom_variant,
     improvement_at_info_set,
     info_set_stats,
     mandated_banker_strategy,
@@ -22,11 +24,13 @@ from baccarat import (
     tableau_action,
 )
 from baccarat.payoff import (
+    _row_outcome_profile,
     natural_probability,
     oracle_outcome_distribution,
     two_card_total_distribution,
     value_distribution,
 )
+from baccarat.rules import _commission_payoffs
 
 F = Fraction
 S5, D5 = PlayerRow.STAND_ON_5, PlayerRow.DRAW_ON_5
@@ -196,6 +200,52 @@ def test_oracle_distribution_is_a_distribution():
     pw, bw, tie = oracle_outcome_distribution(D5, mandated_banker_strategy())
     assert pw + bw + tie == 1
     assert 0 < pw < bw < 1  # the drawing game favors Banker's side
+
+
+@pytest.mark.parametrize(
+    "row, counts",
+    [(D5, (2153464, 2212744, 460601)), (S5, (2154360, 2227384, 445065))],
+)
+def test_oracle_counts_for_the_fixed_rules(row, counts):
+    """Player-win / Banker-win / tie counts out of 13^6, exactly."""
+    dist = oracle_outcome_distribution(row, mandated_banker_strategy())
+    assert tuple(x * 13**6 for x in dist) == counts
+
+
+@pytest.mark.parametrize(
+    "cached", [_commission_payoffs, oracle_outcome_distribution, _row_outcome_profile]
+)
+def test_caches_keyed_on_user_input_are_bounded(cached):
+    assert cached.cache_info().maxsize is not None
+
+
+@st.composite
+def _custom_games(draw):
+    optional = [c for c in STARRED_CELLS if draw(st.booleans())]
+    fixed = {
+        c: draw(st.sampled_from(Action)) for c in STARRED_CELLS if c not in optional
+    }
+    alpha = draw(
+        st.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(
+            lambda a: a < 1
+        )
+    )
+    return custom_variant("drawn", optional, fixed), alpha
+
+
+@settings(max_examples=50, deadline=None)
+@given(_custom_games())
+def test_oracle_agrees_on_custom_variants(variant_and_alpha):
+    """Every reduced-game entry of a drawn variant equals the oracle's."""
+    variant, alpha = variant_and_alpha
+    game = build_reduced_game(variant, alpha)
+    for j in range(len(game.column_labels)):
+        strategy = game.banker_strategy(j)
+        for r, row in enumerate(game.row_labels):
+            assert oracle_payoff_entry(row, strategy, alpha) == (
+                game.A[r][j],
+                game.B[r][j],
+            )
 
 
 class TestBestResponse:
