@@ -14,7 +14,7 @@ Module map:
 * :mod:`baccarat.payoff` -- occurrence/conditional decomposition,
   reduced games, the enumeration oracle, best responses.
 * :mod:`baccarat.solver` -- exact 2 x n game solvers: dominance,
-  zero-sum envelope, Nash enumeration, verification.
+  Nash enumeration, verification.
 * :mod:`baccarat.parametric` -- commission sweeps, the break-even rate,
   validity bounds of the fixed rules.
 * :mod:`baccarat.punto` -- fixed-rule probabilities, house edges,
@@ -57,7 +57,6 @@ from .solver import (
     eliminate_strictly_dominated,
     enumerate_nash_2xn,
     is_nondegenerate,
-    solve_zero_sum_2xn,
     verify_equilibrium,
 )
 from .parametric import (
@@ -114,7 +113,6 @@ __all__ = [
     "punto_report",
     "simulate",
     "solve_variant",
-    "solve_zero_sum_2xn",
     "tableau_action",
     "table_validity_bound",
     "unfulfilled_demand",

@@ -162,6 +162,14 @@ class _BehavioralBanker:
         return Action.STAND
 
 
+def _check_hands(n_hands) -> None:
+    """Reject a hand count outside 1 to ``_MAX_HANDS``."""
+    if not isinstance(n_hands, int) or not 0 < n_hands <= _MAX_HANDS:
+        raise ValueError(
+            f"n_hands must be an integer from 1 to {_MAX_HANDS}, got {n_hands!r}"
+        )
+
+
 def _row_mix_weight(row_mix) -> Fraction:
     """Weight on drawing-on-5, from a row, weights, or MixedStrategy."""
     if isinstance(row_mix, PlayerRow):
@@ -193,10 +201,7 @@ def simulate(
     per-coup payoffs.
     """
     a = variant.check_alpha(alpha)
-    if not isinstance(n_hands, int) or not 0 < n_hands <= _MAX_HANDS:
-        raise ValueError(
-            f"n_hands must be an integer from 1 to {_MAX_HANDS}, got {n_hands!r}"
-        )
+    _check_hands(n_hands)
     p_draw = _row_mix_weight(row_mix)
     table = _draw_probabilities(banker_strategy_or_mix, variant)
     banker = _BehavioralBanker(table)
@@ -221,8 +226,9 @@ def simulate(
                 x = getrandbits(4)
             cards.append(0 if x < 4 else x - 3)
         row = draw_on_5 if u_row * _TWO53 < row_threshold else stand_on_5
+        # alpha never changes the sign read here; the means below apply it.
         out = play_coup(
-            cards[0:2], cards[2:4], cards[4:6], row, banker, a
+            cards[0:2], cards[2:4], cards[4:6], row, banker, 0
         )
         if out.player_payoff > 0:
             wins += 1

@@ -7,8 +7,9 @@ of rates, locates the break-even rate at which Banker's seat stops being
 worth more than Player's, and finds the exact rate at which each
 variant's fixed drawing rules lose their justification.
 
-Closed forms worth naming (all verified against the solver, which never
-uses them):
+Closed forms worth naming (all verified against the solver; the
+break-even bracket is located from Banker's value and then certified by
+two solves):
 
 * The parlor game (no commission) has value -679568 / (11 * 13^6) to
   Player, with Player drawing on 5 with probability 9/11 and Banker
@@ -24,6 +25,7 @@ uses them):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -94,10 +96,16 @@ def classic_draw_probability(alpha) -> Fraction:
     return (9 - a) / (11 - 6 * a)
 
 
+#: Constant, linear and quadratic coefficients of ``num(alpha)`` in
+#: Banker's classic value ``8 / 13^6 * num(alpha) / (11 - 6*alpha)``.
+_BANKER_NUM = (84946, -3099233, 1668708)
+
+
 def classic_banker_value(alpha) -> Fraction:
     """Banker's equilibrium expected payoff at commission alpha."""
     a = _coerce_rational(alpha, "alpha")
-    num = 84946 - 3099233 * a + 1668708 * a * a
+    c0, c1, c2 = _BANKER_NUM
+    num = c0 + c1 * a + c2 * a * a
     return Fraction(8, _D6) * num / (11 - 6 * a)
 
 
@@ -236,7 +244,8 @@ def solve_variant(variant: Variant, alpha=0) -> VariantSolution:
     )
 
 
-#: Commission rates swept by default (clipped to each variant's bound).
+#: Commission rates swept by default (clipped to each variant's bound;
+#: the commission-free parlor game is swept at 0 only).
 DEFAULT_ALPHA_GRID = (
     Fraction(0),
     Fraction(1, 100),
@@ -272,7 +281,11 @@ def equilibrium_curve(variant: Variant, alpha_grid=None) -> CommissionSweep:
     these raises rather than returning quietly wrong data.
     """
     if alpha_grid is None:
-        grid = [a for a in DEFAULT_ALPHA_GRID if a < variant.alpha_bound]
+        grid = (
+            [Fraction(0)]
+            if variant == PARLOR
+            else [a for a in DEFAULT_ALPHA_GRID if a < variant.alpha_bound]
+        )
     else:
         grid = [variant.check_alpha(a) for a in alpha_grid]
     samples = []
@@ -328,6 +341,9 @@ class AlphaStarBracket:
     Banker's equilibrium value exceeds Player's below the rate and falls
     short above it; ``lo`` and ``hi`` are exact rationals with
     ``hi - lo <= tolerance`` and a sign change between them.
+    ``iterations`` is the number of halvings of ``[0, 33/500]`` that
+    reach that width: the bracket is the cell of that dyadic grid which
+    holds the rate, the same one bisection would return.
     """
 
     lo: Fraction
@@ -342,36 +358,41 @@ class AlphaStarBracket:
 
 
 def find_alpha_star(tolerance=Fraction(1, 10**9)) -> AlphaStarBracket:
-    """Bisect for the commission rate equalizing the two seats' values.
+    """Bracket the commission rate equalizing the two seats' values.
 
     The classic game's Player value is constant in alpha while Banker's
-    value falls, so the premium ``banker_value(alpha) - player_value``
-    has exactly one root in the validity interval; plain bisection on
-    exact rationals brackets it to within ``tolerance``.
+    falls, and scaled by ``11 * 13^6 * (11 - 6*alpha) / 8`` the premium
+    ``classic_banker_value(alpha) - PARLOR_PLAYER_VALUE`` is a quadratic
+    whose smaller root is the rate.  That root is an irrational surd, so
+    the cell of the halved ``[0, 33/500]`` grid holding it follows
+    exactly from one integer square root.  The closed form only locates
+    the bracket: two solves certify it, Banker's solved value being above
+    Player's at ``lo`` and below it at ``hi``.
     """
     tol = _coerce_rational(tolerance, "tolerance")
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     target = PARLOR_PLAYER_VALUE
-
-    def premium(a: Fraction) -> Fraction:
-        return solve_variant(CLASSIC, a).banker_value - target
-
-    lo, hi = Fraction(0), Fraction(33, 500)
-    if premium(lo) <= 0 or premium(hi) >= 0:
-        raise AssertionError("break-even bracket assumptions violated")
-    iterations = 0
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        iterations += 1
-        g = premium(mid)
-        if g > 0:
-            lo = mid
-        elif g < 0:
-            hi = mid
-        else:  # pragma: no cover - the root is irrational
-            lo = hi = mid
-            break
+    # The game is zero-sum at alpha = 0, so PARLOR_PLAYER_VALUE is
+    # -8 * c0 / (11 * 13^6) and the scaled premium is qa*a^2 + qb*a + qc.
+    c0, c1, c2 = _BANKER_NUM
+    qa, qb, qc = 11 * c2, 11 * c1 - 6 * c0, 22 * c0
+    disc = qb * qb - 4 * qa * qc
+    iterations = (math.ceil(Fraction(33, 500) / tol) - 1).bit_length()
+    scale = 500 << iterations
+    # The root times scale/33 is (-qb*scale - sqrt(disc*scale^2)) / (66*qa).
+    # disc is not a square, so that numerator lies strictly between
+    # ``numerator`` and ``numerator + 1``; dividing either floors alike.
+    numerator = -qb * scale - math.isqrt(disc * scale * scale) - 1
+    width = Fraction(33, scale)
+    lo = numerator // (66 * qa) * width
+    hi = lo + width
+    at_lo = solve_variant(CLASSIC, lo).banker_value
+    at_hi = solve_variant(CLASSIC, hi).banker_value
+    if not at_lo > target > at_hi:
+        raise AssertionError(
+            f"solved values do not change sign across [{lo}, {hi}]"
+        )
     return AlphaStarBracket(
         lo=lo,
         hi=hi,

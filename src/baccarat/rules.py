@@ -95,10 +95,14 @@ class InfoSet(NamedTuple):
 
 
 def _check_card(value: int) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"card value must be an integer 0-9, got {value!r}")
-    if not 0 <= value <= 9:
-        raise ValueError(f"card value must be in 0..9, got {value}")
+    """Return a card value, rejecting anything but an int in 0..9."""
+    # Plain in-range ints take the fast path; anything else (including
+    # bools and int subclasses) goes through the full check.
+    if type(value) is not int or not 0 <= value <= 9:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"card value must be an integer 0-9, got {value!r}")
+        if not 0 <= value <= 9:
+            raise ValueError(f"card value must be in 0..9, got {value}")
     return value
 
 
@@ -108,11 +112,7 @@ def hand_total(cards: Sequence[int]) -> int:
         raise ValueError(f"a hand holds 2 or 3 cards, got {len(cards)}")
     total = 0
     for c in cards:
-        # Plain in-range ints take the fast path; anything else (including
-        # bools and int subclasses) goes through the full check.
-        if type(c) is not int or not 0 <= c <= 9:
-            _check_card(c)
-        total += c
+        total += _check_card(c)
     return total % 10
 
 
@@ -232,8 +232,17 @@ class Variant:
             )
 
     def check_alpha(self, alpha) -> Fraction:
-        """Validate and return an exact commission rate for this variant."""
+        """Validate and return an exact commission rate for this variant.
+
+        The parlor game is the commission-free game, so it accepts only
+        alpha = 0; the same game with a commission is the classic one.
+        """
         a = _coerce_rational(alpha, "alpha")
+        if self == PARLOR and a != 0:
+            raise ValueError(
+                f"parlor is the commission-free game: alpha must be 0, got {a}"
+                " (use classic for a commission)"
+            )
         if not 0 <= a < self.alpha_bound:
             raise ValueError(
                 f"{self.name} analysis requires 0 <= alpha < "
@@ -242,7 +251,8 @@ class Variant:
         return a
 
 
-#: No commission; both sides choose freely at every starred cell.
+#: No commission (alpha = 0 only); both sides choose freely at every
+#: starred cell.  ``alpha_bound`` is the tableau's validity bound.
 PARLOR = Variant(
     name="parlor",
     optional_cells=STARRED_CELLS,
@@ -402,8 +412,10 @@ def play_coup(
     a, banker_win = _commission_payoffs(alpha)
     if len(player_cards) != 2 or len(banker_cards) != 2:
         raise ValueError("player_cards and banker_cards must each hold 2 cards")
-    pt = hand_total(player_cards)
-    bt = hand_total(banker_cards)
+    p1, p2 = player_cards
+    b1, b2 = banker_cards
+    pt = (_check_card(p1) + _check_card(p2)) % 10
+    bt = (_check_card(b1) + _check_card(b2)) % 10
     p3: int | None = None
     b3: int | None = None
 
@@ -413,17 +425,13 @@ def play_coup(
         if mandated_player_action(pt, row) is Action.DRAW:
             if len(draw_cards) < 1:
                 raise ValueError("player draws but draw_cards is exhausted")
-            p3 = draw_cards[0]
-            if type(p3) is not int or not 0 <= p3 <= 9:
-                _check_card(p3)
+            p3 = _check_card(draw_cards[0])
             pt = (pt + p3) % 10
             used = 1
         if banker_strategy[InfoSet(bt, p3)] is Action.DRAW:
             if len(draw_cards) < used + 1:
                 raise ValueError("banker draws but draw_cards is exhausted")
-            b3 = draw_cards[used]
-            if type(b3) is not int or not 0 <= b3 <= 9:
-                _check_card(b3)
+            b3 = _check_card(draw_cards[used])
             bt = (bt + b3) % 10
 
     if pt > bt:

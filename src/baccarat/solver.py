@@ -19,10 +19,6 @@ the envelope is linear.
   or two-point dominator over the survivors, which always exists when
   the payoff vectors live in the plane.
 
-* :func:`solve_zero_sum_2xn` -- the lower-envelope method: the optimal
-  row mix maximizes ``min_j`` of the column lines, evaluated only at
-  the envelope's breakpoints, so the value is exact.
-
 * :func:`enumerate_nash_2xn` -- support enumeration for bimatrix games,
   with a degeneracy check.  On a nondegenerate game the enumeration is
   exhaustive and ``complete`` is True; on a degenerate one isolated
@@ -46,7 +42,6 @@ __all__ = [
     "Game",
     "EliminationStep",
     "eliminate_strictly_dominated",
-    "solve_zero_sum_2xn",
     "NashEnumeration",
     "enumerate_nash_2xn",
     "DegeneracyWitness",
@@ -299,76 +294,6 @@ def eliminate_strictly_dominated(game):
         kwargs["columns"] = tuple(game.columns[j] for j in cols_alive)
     reduced = dataclasses.replace(game, **kwargs)
     return reduced, tuple(log)
-
-
-def solve_zero_sum_2xn(A) -> EquilibriumReport:
-    """Exact optimal strategies and value of a zero-sum 2 x n game.
-
-    The row player maximizes.  Writing p for the weight on the second
-    row, each column j contributes the line ``A[0][j] + p*(A[1][j] -
-    A[0][j])``; the game's value is the maximum over p in [0,1] of the
-    lower envelope of those lines, attained at a breakpoint of the
-    column player's envelope of ``-A``.
-    """
-    A = _matrix(A)
-    _require_two_rows(A)
-    n = len(A[0])
-    slopes = [A[1][j] - A[0][j] for j in range(n)]
-    points = _envelope(tuple(tuple(-x for x in row) for row in A), range(n))
-    value = -min(height for _, height, _ in points)
-    optima = [(p, cols) for p, height, cols in points if height == -value]
-    p, support_cols = optima[0]
-    row_unique = len(optima) == 1
-
-    if p == 0 or p == 1:
-        # Saddle side: among the envelope-active columns, valid optima
-        # are those that also hold the *other* row down to the value.
-        other = 1 if p == 0 else 0
-        valid = [j for j in support_cols if A[other][j] <= value]
-        if not valid:  # cannot happen for a true optimum
-            raise AssertionError("no optimal column at boundary optimum")
-        col_weights = [Fraction(0)] * n
-        col_weights[valid[0]] = Fraction(1)
-        # Optimal column mixes are the simplex over the envelope-active
-        # columns cut by "other row held <= value"; that set is a single
-        # point only when one column is active, or when exactly one is
-        # playable and it pins the other row at the value exactly (any
-        # weight elsewhere would push the average above it).
-        if len(support_cols) == 1:
-            col_unique = True
-        else:
-            col_unique = len(valid) == 1 and A[other][valid[0]] == value
-    else:
-        zeros = [j for j in support_cols if slopes[j] == 0]
-        negs = [j for j in support_cols if slopes[j] < 0]
-        poss = [j for j in support_cols if slopes[j] > 0]
-        col_weights = [Fraction(0)] * n
-        if negs and poss:
-            j_neg, j_pos = negs[0], poss[0]
-            s_neg, s_pos = slopes[j_neg], slopes[j_pos]
-            w_neg = s_pos / (s_pos - s_neg)
-            col_weights[j_neg] = w_neg
-            col_weights[j_pos] = 1 - w_neg
-            col_unique = len(negs) == 1 and len(poss) == 1 and not zeros
-        elif zeros:
-            col_weights[zeros[0]] = Fraction(1)
-            col_unique = len(zeros) == 1 and not negs and not poss
-        else:  # pragma: no cover - interior optimum needs balancing slopes
-            raise AssertionError("interior optimum without balancing columns")
-
-    row = MixedStrategy((1 - p, p))
-    col = MixedStrategy(tuple(col_weights))
-    kind = "pure" if len(row.support) == 1 and len(col.support) == 1 else "mixed"
-    return EquilibriumReport(
-        row_strategy=row,
-        column_strategy=col,
-        row_value=value,
-        column_value=-value,
-        row_support=row.support,
-        column_support=col.support,
-        kind=kind,
-        unique=row_unique and col_unique,
-    )
 
 
 @dataclass(frozen=True)

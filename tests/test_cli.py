@@ -153,7 +153,9 @@ def test_simulate_player_override(cli):
     assert payload["inputs"]["player_draw_on_5"] == "1/2"
 
 
-def test_simulate_solves_once(cli, monkeypatch):
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """The argument tuples of every ``solve_variant`` call made."""
     solve = baccarat.parametric.solve_variant
     calls = []
 
@@ -163,9 +165,13 @@ def test_simulate_solves_once(cli, monkeypatch):
 
     monkeypatch.setattr(baccarat.parametric, "solve_variant", counting)
     monkeypatch.setattr(baccarat.montecarlo, "solve_variant", counting)
+    return calls
+
+
+def test_simulate_solves_once(cli, solve_calls):
     code, _, _ = cli("simulate", "--variant", "classic", "--hands", "100", "--seed", "1")
     assert code == 0
-    assert len(calls) == 1
+    assert len(solve_calls) == 1
 
 
 def test_oracle_command_cross_checks(cli):
@@ -212,7 +218,7 @@ class TestExitCodes:
         assert get_json(out)["inputs"]["alpha"] == "1/20"
 
     @pytest.mark.parametrize("hands", ["0", "-5", "10000001"])
-    def test_hands_out_of_range(self, cli, hands):
+    def test_hands_out_of_range(self, cli, solve_calls, hands):
         code, out, err = cli(
             "simulate", "--variant", "modern", "--hands", hands, "--seed", "1"
         )
@@ -220,6 +226,24 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert solve_calls == []  # rejected before any solve
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("solve", "parlor", "--alpha", "1/20"),
+            ("simulate", "--variant", "parlor", "--alpha", "1/20",
+             "--hands", "100", "--seed", "1"),
+            ("sweep", "--variant", "parlor", "--grid", "0,1/20"),
+        ],
+        ids=["solve", "simulate", "sweep"],
+    )
+    def test_parlor_rejects_a_commission(self, cli, argv):
+        code, out, err = cli(*argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "commission-free" in err
 
     def test_help_exits_zero(self, cli):
         code, out, _ = cli("--help")

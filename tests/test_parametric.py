@@ -1,9 +1,11 @@
 """Unit tests for commission sweeps, the break-even rate, and validity bounds."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
+import baccarat
 from baccarat import (
     CLASSIC,
     InfoSet,
@@ -59,6 +61,8 @@ class TestSolveVariant:
             solve_variant(MODERN, F(2, 5))
         with pytest.raises(TypeError):
             solve_variant(CLASSIC, 0.05)
+        with pytest.raises(ValueError, match="commission-free"):
+            solve_variant(PARLOR, F(1, 20))
 
 
 class TestClosedForms:
@@ -108,6 +112,13 @@ class TestEquilibriumCurve:
         with pytest.raises(ValueError):
             equilibrium_curve(CLASSIC, (0, F(1, 14)))
 
+    def test_parlor_sweeps_zero_only(self):
+        sweep = equilibrium_curve(PARLOR)
+        assert [a for a, _ in sweep.samples] == [0]
+        assert sweep.validity_bound == F(1, 15)
+        with pytest.raises(ValueError):
+            equilibrium_curve(PARLOR, (0, F(1, 20)))
+
 
 class TestAlphaStar:
     def test_default_bracket(self):
@@ -132,6 +143,48 @@ class TestAlphaStar:
             find_alpha_star(0)
         with pytest.raises(TypeError):
             find_alpha_star(1e-9)
+
+    @pytest.mark.parametrize(
+        "tol, lo, hi, iterations",
+        [
+            (F(1, 10**9), F(1867406673, 33554432000), F(933703353, 16777216000), 26),
+            (F(1, 10**4), F(28479, 512000), F(891, 16000), 10),
+            (F(1, 2), F(0), F(33, 500), 0),
+            (
+                F(1, 10**15),
+                F(1958117835267, 35184372088832),
+                F(1958117835267033, 35184372088832000),
+                46,
+            ),
+        ],
+    )
+    def test_bracket_is_the_bisection_cell(self, tol, lo, hi, iterations):
+        """The same cell of the halved [0, 33/500] grid that bisection
+        on the solved values returns."""
+        br = find_alpha_star(tol)
+        assert (br.lo, br.hi, br.iterations) == (lo, hi, iterations)
+
+    def test_fine_bracket_takes_two_solves(self, monkeypatch):
+        solve = baccarat.parametric.solve_variant
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(baccarat.parametric, "solve_variant", counting)
+        tol = F(1, 10**60)
+        br = find_alpha_star(tol)
+        assert [args[1] for args in calls] == [br.lo, br.hi]
+        assert 0 < br.hi - br.lo <= tol
+        # The root (34601239 - sqrt(D)) / 36711576, sandwiched between
+        # consecutive scaled integers as in acceptance criterion 7.
+        disc = 34601239**2 - 4 * 18355788 * 1868812
+        scale = 10**80
+        s = isqrt(disc * scale * scale)
+        surd_lo = F(34601239 * scale - (s + 1), 36711576 * scale)
+        surd_hi = F(34601239 * scale - s, 36711576 * scale)
+        assert br.lo < surd_lo and surd_hi < br.hi
 
 
 class TestValidityBounds:

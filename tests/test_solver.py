@@ -1,16 +1,14 @@
 """Unit tests for the exact 2 x n game machinery.
 
-Toy games with known answers exercise each solver path; a seeded sweep of
-random bimatrix games cross-checks the support enumeration against a
-direct scan, and a hypothesis property certifies the zero-sum solution
-as a genuine guarantee for both sides.
+Toy games with known answers exercise each solver path, and seeded
+sweeps of random bimatrix games check the elimination certificates and
+cross-check the support enumeration against a direct scan.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
 from baccarat import CLASSIC, MODERN, build_reduced_game
 from baccarat.solver import (
@@ -20,7 +18,6 @@ from baccarat.solver import (
     eliminate_strictly_dominated,
     enumerate_nash_2xn,
     is_nondegenerate,
-    solve_zero_sum_2xn,
     verify_equilibrium,
 )
 
@@ -169,39 +166,6 @@ def _best_reply_somewhere(B, j, cols, rows):
     return lo <= hi
 
 
-class TestZeroSumSolver:
-    def test_matching_pennies(self):
-        rep = solve_zero_sum_2xn([[1, -1], [-1, 1]])
-        assert rep.row_value == 0
-        assert rep.row_strategy.weights == (F(1, 2), F(1, 2))
-        assert rep.column_strategy.weights == (F(1, 2), F(1, 2))
-        assert rep.kind == "mixed"
-        assert rep.unique
-
-    def test_interior_crossing(self):
-        rep = solve_zero_sum_2xn([[2, -1], [-1, 1]])
-        assert rep.row_value == F(1, 5)
-        assert rep.row_strategy.weights == (F(2, 5), F(3, 5))
-        assert verify_equilibrium([[2, -1], [-1, 1]], neg([[2, -1], [-1, 1]]), rep)
-
-    def test_saddle_point(self):
-        rep = solve_zero_sum_2xn([[1, 2], [0, 3]])
-        assert rep.kind == "pure"
-        assert rep.row_value == 1
-        assert rep.row_strategy.weights == (1, 0)
-        assert rep.column_strategy.weights == (1, 0)
-        assert rep.unique
-
-    def test_tied_columns_break_uniqueness(self):
-        rep = solve_zero_sum_2xn([[1, 1], [0, 2]])
-        assert rep.row_value == 1
-        assert not rep.unique
-
-    def test_requires_two_rows(self):
-        with pytest.raises(ValueError):
-            solve_zero_sum_2xn([[1, 2, 3]])
-
-
 class TestNondegeneracy:
     def test_clean_game(self):
         ok, witness = is_nondegenerate([[1, -1], [-1, 1]], neg([[1, -1], [-1, 1]]))
@@ -273,24 +237,3 @@ def test_verify_rejects_non_equilibrium():
         kind="mixed",
     )
     assert not verify_equilibrium(A, neg(A), bad)
-
-
-@given(
-    st.lists(
-        st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
-        min_size=2,
-        max_size=5,
-    )
-)
-def test_zero_sum_solution_is_a_guarantee(cols):
-    """The reported value is simultaneously a floor for the row player
-    and a ceiling for the column player, against every pure reply."""
-    A = [[a for a, _ in cols], [b for _, b in cols]]
-    rep = solve_zero_sum_2xn(A)
-    p = rep.row_strategy
-    v = rep.row_value
-    for j in range(len(cols)):
-        assert p[0] * A[0][j] + p[1] * A[1][j] >= v
-    q = rep.column_strategy
-    for r in range(2):
-        assert sum(q[j] * A[r][j] for j in range(len(cols))) <= v
