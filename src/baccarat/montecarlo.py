@@ -1,10 +1,12 @@
 """Monte Carlo validation of the solved games.
 
 Simulation exists here to check the exact results, not to replace them:
-hands are sampled from the card-value law and resolved through
-:func:`baccarat.rules.play_coup` -- the same resolver the brute-force
-oracle uses -- so a simulated mean drifting from a solved value by more
-than a few standard errors indicts the engine, not the dice.
+hands are sampled from the card-value law and resolved through a table
+built once per process from :func:`baccarat.rules.play_coup` on the
+representative hands ``(0, total)`` -- the same resolver, on the same
+hands, that the brute-force oracle uses -- so a simulated mean drifting
+from a solved value by more than a few standard errors indicts the
+engine, not the dice.
 
 Sampling notes:
 
@@ -33,6 +35,8 @@ import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 from math import ceil, sqrt
 from typing import Mapping
 
@@ -44,6 +48,7 @@ from .rules import (
     InfoSet,
     PlayerRow,
     Variant,
+    _CELL_INDEX,
     _coerce_rational,
     play_coup,
     tableau_action,
@@ -58,7 +63,7 @@ __all__ = [
 ]
 
 _RNG_IDENTITY = "python-random-mt19937"
-#: Largest run accepted: 10^7 hands take over a minute.
+#: Largest run accepted: 10^7 hands take about 12 s (2-vCPU Xeon, Python 3.11).
 _MAX_HANDS = 10**7
 
 
@@ -145,21 +150,52 @@ def _exact_threshold(p: Fraction) -> float:
     return float(ceil(p * (1 << 53)))
 
 
-class _BehavioralBanker:
-    """Dict-like strategy view resolving mixed cells with one uniform."""
+#: Player's rows in table order: stand-on-5 first, as in a row mix.
+_ROWS = (PlayerRow.STAND_ON_5, PlayerRow.DRAW_ON_5)
+#: Table cell of a natural, where Banker reaches no information set.
+_NO_CELL = len(ALL_INFO_SETS)
+#: Card value of each accepted 4-bit draw 0..12: four ranks count 0.
+_CARD_VALUE = (0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
 
-    __slots__ = ("thresholds", "u_scaled")
 
-    def __init__(self, table):
-        self.thresholds = {
-            info: _exact_threshold(p) for info, p in table.items()
-        }
-        self.u_scaled = 0.0
+@lru_cache(maxsize=1)
+def _outcome_table() -> tuple[memoryview, memoryview, memoryview]:
+    """Every hand's Banker cell and Player's sign, resolved by play_coup.
 
-    def __getitem__(self, info):
-        if self.u_scaled < self.thresholds[info]:
-            return Action.DRAW
-        return Action.STAND
+    Entry ``row * 10000 + pt * 1000 + bt * 100 + c4 * 10 + c5`` is the
+    hand with Player two-card total ``pt``, Banker two-card total ``bt``
+    and third cards ``c4, c5`` in dealing order, under ``_ROWS[row]``.
+    It is resolved as the oracle resolves it, through ``play_coup`` on
+    the hands ``(0, pt)`` and ``(0, bt)``, once with Banker standing
+    everywhere and, unless a natural ends the coup, once with Banker
+    drawing everywhere.  Returns the index in ``ALL_INFO_SETS`` of the
+    cell Banker decides at (``_NO_CELL`` on a natural), then Player's
+    payoff + 1 if Banker stands, then the same if Banker draws.  The
+    commission never changes that sign, so the table is built at
+    alpha = 0; :func:`simulate` applies alpha in the means.
+
+    The three byte arrays are filled in place and handed out as
+    read-only views, not copied to ``bytes``: a copy would double the
+    table's memory while it is built, and that moves peak RSS.
+    """
+    all_stand = BankerStrategy((Action.STAND,) * len(ALL_INFO_SETS))
+    all_draw = BankerStrategy((Action.DRAW,) * len(ALL_INFO_SETS))
+    size = len(_ROWS) * 10**4
+    cells, stand_signs, draw_signs = (bytearray(size) for _ in range(3))
+    hands = product(_ROWS, range(10), range(10), range(10), range(10))
+    for key, (row, pt, bt, c4, c5) in enumerate(hands):
+        hand = ((0, pt), (0, bt), (c4, c5), row)
+        stood = play_coup(*hand, all_stand, 0)
+        if stood.natural:
+            cells[key], drew = _NO_CELL, stood
+        else:
+            cells[key] = _CELL_INDEX[InfoSet(bt, stood.player_third)]
+            drew = play_coup(*hand, all_draw, 0)
+        stand_signs[key] = stood.player_payoff + 1
+        draw_signs[key] = drew.player_payoff + 1
+    return tuple(
+        memoryview(t).toreadonly() for t in (cells, stand_signs, draw_signs)
+    )
 
 
 def _check_hands(n_hands) -> None:
@@ -204,38 +240,52 @@ def simulate(
     _check_hands(n_hands)
     p_draw = _row_mix_weight(row_mix)
     table = _draw_probabilities(banker_strategy_or_mix, variant)
-    banker = _BehavioralBanker(table)
+    # A natural reaches no cell, so its extra threshold never draws.
+    thresholds = [_exact_threshold(table[info]) for info in ALL_INFO_SETS]
+    thresholds.append(0.0)
+    row_threshold = _exact_threshold(p_draw)
+    cells, stand_signs, draw_signs = _outcome_table()
 
     rng = random.Random(seed)
     rand = rng.random
     getrandbits = rng.getrandbits
-    row_threshold = _exact_threshold(p_draw)
-    draw_on_5 = PlayerRow.DRAW_ON_5
-    stand_on_5 = PlayerRow.STAND_ON_5
-    wins = losses = ties = 0
+    card = _CARD_VALUE
+    counts = [0, 0, 0]  # losses, ties, wins: Player's payoff + 1
     for _ in range(n_hands):
-        u_row = rand()
-        banker.u_scaled = rand() * _TWO53
-        # Card draw = randrange(13) spelled out as its underlying 4-bit
+        key = 10000 if rand() * _TWO53 < row_threshold else 0
+        u_banker = rand() * _TWO53
+        # Each card is randrange(13) spelled out as its underlying 4-bit
         # rejection loop; the bit stream consumed is identical, but this
         # form does not depend on randrange internals staying stable.
-        cards = []
-        for _ in range(6):
+        # The six cards are dealt Player, Player, Banker, Banker, then
+        # the two third cards; written out, not looped, as this is the
+        # hot path.
+        x = getrandbits(4)
+        while x >= 13:
             x = getrandbits(4)
-            while x >= 13:
-                x = getrandbits(4)
-            cards.append(0 if x < 4 else x - 3)
-        row = draw_on_5 if u_row * _TWO53 < row_threshold else stand_on_5
-        # alpha never changes the sign read here; the means below apply it.
-        out = play_coup(
-            cards[0:2], cards[2:4], cards[4:6], row, banker, 0
-        )
-        if out.player_payoff > 0:
-            wins += 1
-        elif out.player_payoff < 0:
-            losses += 1
+        y = getrandbits(4)
+        while y >= 13:
+            y = getrandbits(4)
+        key += (card[x] + card[y]) % 10 * 1000
+        x = getrandbits(4)
+        while x >= 13:
+            x = getrandbits(4)
+        y = getrandbits(4)
+        while y >= 13:
+            y = getrandbits(4)
+        key += (card[x] + card[y]) % 10 * 100
+        x = getrandbits(4)
+        while x >= 13:
+            x = getrandbits(4)
+        y = getrandbits(4)
+        while y >= 13:
+            y = getrandbits(4)
+        key += card[x] * 10 + card[y]
+        if u_banker < thresholds[cells[key]]:
+            counts[draw_signs[key]] += 1
         else:
-            ties += 1
+            counts[stand_signs[key]] += 1
+    losses, ties, wins = counts
 
     n = n_hands
     mean_p = Fraction(wins - losses, n)

@@ -329,7 +329,7 @@ def equilibrium_curve(variant: Variant, alpha_grid=None) -> CommissionSweep:
         variant=variant,
         samples=tuple(samples),
         validity_bound=table_validity_bound(variant)
-        if variant in (CLASSIC, MODERN)
+        if variant in (PARLOR, CLASSIC, MODERN)
         else variant.alpha_bound,
     )
 
@@ -448,7 +448,8 @@ def table_validity_bound(variant: Variant) -> Fraction:
             )
     else:
         raise ValueError(
-            "validity bound is defined for the classic and modern variants"
+            "validity bound is defined for the parlor, classic and modern "
+            "variants"
         )
 
     roots = set()

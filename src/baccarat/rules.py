@@ -252,7 +252,7 @@ class Variant:
 
 
 #: No commission (alpha = 0 only); both sides choose freely at every
-#: starred cell.  ``alpha_bound`` is the tableau's validity bound.
+#: starred cell.  ``alpha_bound`` only bounds the rate, as classic's does.
 PARLOR = Variant(
     name="parlor",
     optional_cells=STARRED_CELLS,
