@@ -47,7 +47,6 @@ from .payoff import (
     best_response,
     build_reduced_game,
     classify_info_sets,
-    improvement_at_info_set,
     info_set_stats,
     oracle_payoff_entry,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "equilibrium_profile",
     "find_alpha_star",
     "hand_total",
-    "improvement_at_info_set",
     "info_set_stats",
     "is_natural",
     "is_nondegenerate",

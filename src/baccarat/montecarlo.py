@@ -1,12 +1,12 @@
 """Monte Carlo validation of the solved games.
 
 Simulation exists here to check the exact results, not to replace them:
-hands are sampled from the card-value law and resolved through a table
-built once per process from :func:`baccarat.rules.play_coup` on the
-representative hands ``(0, total)`` -- the same resolver, on the same
-hands, that the brute-force oracle uses -- so a simulated mean drifting
-from a solved value by more than a few standard errors indicts the
-engine, not the dice.
+hands are sampled from the card-value law and looked up in the outcome
+table of :mod:`baccarat.payoff`, built once per process from
+:func:`baccarat.rules.play_coup` on the representative hands
+``(0, total)`` -- the table whose folded counts are the brute-force
+oracle -- so a simulated mean drifting from a solved value by more than
+a few standard errors indicts the engine, not the dice.
 
 Sampling notes:
 
@@ -35,12 +35,11 @@ import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
 from math import ceil, sqrt
 from typing import Mapping
 
 from .parametric import VariantSolution, solve_variant
+from .payoff import _outcome_table
 from .rules import (
     ALL_INFO_SETS,
     Action,
@@ -50,7 +49,6 @@ from .rules import (
     Variant,
     _CELL_INDEX,
     _coerce_rational,
-    play_coup,
     tableau_action,
 )
 from .solver import MixedStrategy
@@ -111,10 +109,10 @@ def _draw_probabilities(
         specified = banker.items()
     else:
         specified = []
-        for info, p in dict(banker).items():
-            if not isinstance(info, InfoSet):
-                info = InfoSet(*info)
-            specified.append((info, p))
+        for key, p in dict(banker).items():
+            if key not in _CELL_INDEX:
+                raise ValueError(f"not a Banker information set: {key!r}")
+            specified.append((InfoSet(*key), p))
     for info, given in specified:
         if isinstance(given, Action):
             prob = Fraction(int(given is Action.DRAW))
@@ -150,52 +148,8 @@ def _exact_threshold(p: Fraction) -> float:
     return float(ceil(p * (1 << 53)))
 
 
-#: Player's rows in table order: stand-on-5 first, as in a row mix.
-_ROWS = (PlayerRow.STAND_ON_5, PlayerRow.DRAW_ON_5)
-#: Table cell of a natural, where Banker reaches no information set.
-_NO_CELL = len(ALL_INFO_SETS)
 #: Card value of each accepted 4-bit draw 0..12: four ranks count 0.
 _CARD_VALUE = (0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
-
-
-@lru_cache(maxsize=1)
-def _outcome_table() -> tuple[memoryview, memoryview, memoryview]:
-    """Every hand's Banker cell and Player's sign, resolved by play_coup.
-
-    Entry ``row * 10000 + pt * 1000 + bt * 100 + c4 * 10 + c5`` is the
-    hand with Player two-card total ``pt``, Banker two-card total ``bt``
-    and third cards ``c4, c5`` in dealing order, under ``_ROWS[row]``.
-    It is resolved as the oracle resolves it, through ``play_coup`` on
-    the hands ``(0, pt)`` and ``(0, bt)``, once with Banker standing
-    everywhere and, unless a natural ends the coup, once with Banker
-    drawing everywhere.  Returns the index in ``ALL_INFO_SETS`` of the
-    cell Banker decides at (``_NO_CELL`` on a natural), then Player's
-    payoff + 1 if Banker stands, then the same if Banker draws.  The
-    commission never changes that sign, so the table is built at
-    alpha = 0; :func:`simulate` applies alpha in the means.
-
-    The three byte arrays are filled in place and handed out as
-    read-only views, not copied to ``bytes``: a copy would double the
-    table's memory while it is built, and that moves peak RSS.
-    """
-    all_stand = BankerStrategy((Action.STAND,) * len(ALL_INFO_SETS))
-    all_draw = BankerStrategy((Action.DRAW,) * len(ALL_INFO_SETS))
-    size = len(_ROWS) * 10**4
-    cells, stand_signs, draw_signs = (bytearray(size) for _ in range(3))
-    hands = product(_ROWS, range(10), range(10), range(10), range(10))
-    for key, (row, pt, bt, c4, c5) in enumerate(hands):
-        hand = ((0, pt), (0, bt), (c4, c5), row)
-        stood = play_coup(*hand, all_stand, 0)
-        if stood.natural:
-            cells[key], drew = _NO_CELL, stood
-        else:
-            cells[key] = _CELL_INDEX[InfoSet(bt, stood.player_third)]
-            drew = play_coup(*hand, all_draw, 0)
-        stand_signs[key] = stood.player_payoff + 1
-        draw_signs[key] = drew.player_payoff + 1
-    return tuple(
-        memoryview(t).toreadonly() for t in (cells, stand_signs, draw_signs)
-    )
 
 
 def _check_hands(n_hands) -> None:

@@ -30,11 +30,16 @@ Everything here is exact rational arithmetic.  The central objects:
   expected payoff (alpha-free), ``B`` is Banker's (affine in alpha).
 
 * ``oracle_outcome_distribution`` / ``oracle_payoff_entry`` -- a second,
-  deliberately independent route to the same numbers: direct enumeration
-  of every pair of two-card totals and every third card they lead to,
-  each branch resolved through :func:`baccarat.rules.play_coup` and
-  tallied with integer card-count weights.  The decomposition above is
-  never consulted, so agreement between the two routes is a real check.
+  deliberately independent route to the same numbers.  Every leaf of the
+  deal -- a row, a pair of two-card totals and the two third cards -- is
+  resolved once through :func:`baccarat.rules.play_coup` into an outcome
+  table, which is folded into an integer ledger of Player's loss, tie and
+  win counts out of 13^6 for each (row, cell, Banker action), plus one
+  slot for the naturals.  An entry is the sum of 89 ledger slots: the
+  naturals and, at each of the 88 cells, the action the strategy takes.
+  The decomposition above is never consulted, so agreement between the
+  two routes is a real check.  The same outcome table resolves every
+  hand of :func:`baccarat.montecarlo.simulate`.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 from .rules import (
     ALL_INFO_SETS,
@@ -53,9 +58,9 @@ from .rules import (
     PlayerRow,
     STARRED_CELLS,
     Variant,
+    _CELL_INDEX,
     _coerce_rational,
     _commission_rate,
-    mandated_player_action,
     play_coup,
     tableau_action,
 )
@@ -67,7 +72,6 @@ __all__ = [
     "natural_probability",
     "InfoSetStats",
     "info_set_stats",
-    "improvement_at_info_set",
     "Classification",
     "classify_info_sets",
     "ReducedGame",
@@ -191,7 +195,7 @@ class InfoSetStats:
 
 def info_set_stats(info: InfoSet, row: PlayerRow, alpha=0) -> InfoSetStats:
     """Exact per-cell statistics; ``alpha`` must be exact (no floats)."""
-    if info not in set(ALL_INFO_SETS):
+    if info not in _CELL_INDEX:
         raise ValueError(f"not a Banker information set: {info!r}")
     a = _commission_rate(alpha)
     occurrence, stand, draw = _cell_data(info, row)
@@ -203,11 +207,6 @@ def info_set_stats(info: InfoSet, row: PlayerRow, alpha=0) -> InfoSetStats:
         e_stand=_banker_value(stand, a),
         e_draw=_banker_value(draw, a),
     )
-
-
-def improvement_at_info_set(info: InfoSet, row: PlayerRow, alpha=0) -> Fraction:
-    """``e_draw - e_stand`` for one cell; affine in alpha."""
-    return info_set_stats(info, row, alpha).improvement
 
 
 @dataclass(frozen=True)
@@ -389,15 +388,16 @@ def build_reduced_game(variant: Variant, alpha=0, *, enforce_bound=True) -> Redu
 # ---------------------------------------------------------------------------
 # Brute-force oracle.
 #
-# Walks the 10 x 10 pairs of two-card totals, each weighted by its number
-# of card pairs out of 169 (value 0 counts 4 cards, every other value 1),
-# then the potential third cards with the same integer card weights, and
-# resolves every branch through play_coup on the representative hands
-# (0, total).  play_coup depends on the first two cards only through
-# their total, so each (Player total, Banker total, third cards) leaf is
-# resolved exactly once.  Slots that the rules never consume are
-# integrated out by multiplying with 13 (one card) or 169 (two cards);
-# the tallies are integers out of 13^6.
+# play_coup depends on the first two cards only through their total, so
+# a deal is fixed, as far as the rules can tell, by the row, the two
+# two-card totals and the two third cards: 2 x 10^4 leaves.
+# _outcome_table resolves each leaf once through play_coup on the hands
+# (0, total); _leaf_ledger weights it by its number of six-card deals
+# out of 13^6 and files it under the Banker cell it reaches.  A coup
+# reaches at most one cell, so an oracle entry is the natural slot plus,
+# per cell, the slot of the action the strategy takes there.  Nothing
+# here reads the decomposition above, so agreement between the two
+# routes is a real check.
 # ---------------------------------------------------------------------------
 
 _SCALE = 13**6
@@ -407,41 +407,92 @@ _PAIRS = tuple(
     sum(_W[a] * _W[b] for a in range(10) for b in range(10) if (a + b) % 10 == t)
     for t in range(10)
 )
+#: Table cell of a natural, where Banker reaches no information set; in
+#: the ledger, the slot of the naturals.
+_NO_CELL = len(ALL_INFO_SETS)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1)
+def _outcome_table() -> tuple[memoryview, memoryview, memoryview]:
+    """Every leaf's Banker cell and Player's sign, resolved by play_coup.
+
+    Entry ``row * 10000 + pt * 1000 + bt * 100 + c4 * 10 + c5`` is the
+    hand with Player two-card total ``pt``, Banker two-card total ``bt``
+    and third cards ``c4, c5`` in dealing order, under ``_ROWS[row]``.
+    It is resolved through ``play_coup`` on the hands ``(0, pt)`` and
+    ``(0, bt)``, once with Banker standing everywhere and, unless a
+    natural ends the coup, once with Banker drawing everywhere.  Returns
+    the index in ``ALL_INFO_SETS`` of the cell Banker decides at
+    (``_NO_CELL`` on a natural), then Player's payoff + 1 if Banker
+    stands, then the same if Banker draws.  The commission never changes
+    that sign, so the table is built at alpha = 0.
+
+    The three byte arrays are filled in place and handed out as
+    read-only views, not copied to ``bytes``: a copy would double the
+    table's memory while it is built, and that moves peak RSS.
+    """
+    all_stand = BankerStrategy((Action.STAND,) * len(ALL_INFO_SETS))
+    all_draw = BankerStrategy((Action.DRAW,) * len(ALL_INFO_SETS))
+    size = len(_ROWS) * 10**4
+    cells, stand_signs, draw_signs = (bytearray(size) for _ in range(3))
+    hands = itertools.product(_ROWS, range(10), range(10), range(10), range(10))
+    for key, (row, pt, bt, c4, c5) in enumerate(hands):
+        hand = ((0, pt), (0, bt), (c4, c5), row)
+        stood = play_coup(*hand, all_stand, 0)
+        if stood.natural:
+            cells[key], drew = _NO_CELL, stood
+        else:
+            cells[key] = _CELL_INDEX[InfoSet(bt, stood.player_third)]
+            drew = play_coup(*hand, all_draw, 0)
+        stand_signs[key] = stood.player_payoff + 1
+        draw_signs[key] = drew.player_payoff + 1
+    return tuple(
+        memoryview(t).toreadonly() for t in (cells, stand_signs, draw_signs)
+    )
+
+
+_Counts = tuple[int, int, int]
+
+
+@lru_cache(maxsize=1)
+def _leaf_ledger() -> tuple[tuple[tuple[_Counts, _Counts], ...], ...]:
+    """The outcome table folded into Player's counts out of 13^6.
+
+    ``_leaf_ledger()[r][k]`` holds, against ``_ROWS[r]``, the
+    (loss, tie, win) counts of Player over the deals in which Banker
+    decides at ``ALL_INFO_SETS[k]``: first if Banker stands there, then
+    if Banker draws.  Slot ``_NO_CELL`` holds the naturals, the same
+    counts twice.  Each leaf weighs ``_PAIRS[pt] * _PAIRS[bt] * _W[c4] *
+    _W[c5]``; a third card the rules never consume is integrated out, as
+    its weights sum to 13.  So the counts of one row, over the natural
+    slot and one action per cell, sum to 13^6.
+    """
+    cells, stand_signs, draw_signs = _outcome_table()
+    ledger = []
+    for r in range(len(_ROWS)):
+        slots = [([0, 0, 0], [0, 0, 0]) for _ in range(_NO_CELL + 1)]
+        leaves = itertools.product(range(10), repeat=4)
+        for key, (pt, bt, c4, c5) in enumerate(leaves, r * 10**4):
+            weight = _PAIRS[pt] * _PAIRS[bt] * _W[c4] * _W[c5]
+            stand, draw = slots[cells[key]]
+            stand[stand_signs[key]] += weight
+            draw[draw_signs[key]] += weight
+        ledger.append(tuple((tuple(s), tuple(d)) for s, d in slots))
+    return tuple(ledger)
+
+
 def oracle_outcome_distribution(
     row: PlayerRow, strategy: BankerStrategy
 ) -> tuple[Fraction, Fraction, Fraction]:
     """(P(player wins), P(banker wins), P(tie)) by direct enumeration."""
-    win = 0  # player wins, weighted count out of 13^6
-    loss = 0
-    for pt in range(10):
-        for bt in range(10):
-            if pt >= 8 or bt >= 8:
-                leaves = [((), 169)]
-            elif mandated_player_action(pt, row) is Action.DRAW:
-                leaves = []
-                for p3 in range(10):
-                    if strategy[InfoSet(bt, p3)] is Action.DRAW:
-                        leaves += [((p3, b3), _W[p3] * _W[b3]) for b3 in range(10)]
-                    else:
-                        leaves.append(((p3,), _W[p3] * 13))
-            elif strategy[InfoSet(bt, None)] is Action.DRAW:
-                leaves = [((b3,), 13 * _W[b3]) for b3 in range(10)]
-            else:
-                leaves = [((), 169)]
-            w0 = _PAIRS[pt] * _PAIRS[bt]
-            for draws, weight in leaves:
-                sign = play_coup((0, pt), (0, bt), draws, row, strategy).player_payoff
-                if sign > 0:
-                    win += w0 * weight
-                elif sign < 0:
-                    loss += w0 * weight
-
-    p_win = Fraction(win, _SCALE)
-    p_loss = Fraction(loss, _SCALE)
-    return p_win, p_loss, 1 - p_win - p_loss
+    if row not in _ROWS:
+        raise ValueError(f"row must be a PlayerRow, got {row!r}")
+    slots = _leaf_ledger()[_ROWS.index(row)]
+    chosen = (
+        slot[action is Action.DRAW] for slot, action in zip(slots, strategy.actions)
+    )
+    loss, tie, win = map(sum, zip(slots[_NO_CELL][0], *chosen))
+    return Fraction(win, _SCALE), Fraction(loss, _SCALE), Fraction(tie, _SCALE)
 
 
 def oracle_payoff_entry(

@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import isqrt
 
 from baccarat import (
+    ALL_INFO_SETS,
     CLASSIC,
     MODERN,
     PARLOR,
@@ -26,13 +27,20 @@ from baccarat import (
     classify_info_sets,
     equilibrium_profile,
     find_alpha_star,
-    improvement_at_info_set,
+    info_set_stats,
     oracle_payoff_entry,
     punto_report,
     simulate,
     solve_variant,
     table_validity_bound,
     tableau_action,
+)
+from baccarat.payoff import (
+    _NO_CELL,
+    _ROWS,
+    _cell_data,
+    _leaf_ledger,
+    _natural_phase,
 )
 from baccarat.solver import is_nondegenerate
 
@@ -175,10 +183,10 @@ def test_criterion_07_breakeven_commission_bracket():
 def test_criterion_08_improvement_values():
     with criterion(8, "draw improvements at (6,-) and (4,1), alpha=1/20"):
         a = F(1, 20)
-        imp6 = improvement_at_info_set(InfoSet(6, None), D5, a)
+        imp6 = info_set_stats(InfoSet(6, None), D5, a).improvement
         assert imp6 == F(7, 104)
         assert abs(float(imp6) - 0.0673077) <= 1e-7
-        imp41 = improvement_at_info_set(InfoSet(4, 1), D5, a)
+        imp41 = info_set_stats(InfoSet(4, 1), D5, a).improvement
         assert imp41 == F(1, 390)
         assert abs(float(imp41) - 0.0025641) <= 1e-6
 
@@ -200,7 +208,8 @@ def test_criterion_09_punto_banco_report():
 
 
 def test_criterion_10_oracle_equivalence():
-    with criterion(10, "brute-force oracle vs decomposition, 32 pairs x 2 alphas"):
+    label = "brute-force oracle vs decomposition, 32 pairs x 2 alphas, 352 cells"
+    with criterion(10, label):
         start = time.perf_counter()
         for alpha in (0, F(1, 20)):
             game = build_reduced_game(CLASSIC, alpha)
@@ -211,6 +220,22 @@ def test_criterion_10_oracle_equivalence():
                     pe, be = oracle_payoff_entry(row, strategy, alpha)
                     assert pe == game.A[r][j], (alpha, r, j)
                     assert be == game.B[r][j], (alpha, r, j)
+        # Both routes add up over cells, so equal slots mean equal
+        # entries for every Banker strategy, not only the 32 above.
+        # A ledger slot counts Player's (loss, tie, win), a triple is
+        # Banker's (win, loss, tie).
+        checked = 0
+        for row, slots in zip(_ROWS, _leaf_ledger()):
+            for info, cell_slots in zip(ALL_INFO_SETS, slots):
+                occurrence, *triples = _cell_data(info, row)
+                for (loss, tie, win), (bw, pw, t) in zip(cell_slots, triples):
+                    assert F(loss, D6) == occurrence * bw, (row, info)
+                    assert F(win, D6) == occurrence * pw, (row, info)
+                    assert F(tie, D6) == occurrence * t, (row, info)
+                    checked += 1
+            for loss, tie, win in slots[_NO_CELL]:
+                assert (F(loss, D6), F(win, D6), F(tie, D6)) == _natural_phase()
+        assert checked == 352
         assert time.perf_counter() - start < 60.0
 
 

@@ -2,6 +2,7 @@
 
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -110,6 +111,17 @@ def test_probability_validation():
         run_modern(100, 1, mix={InfoSet(3, 9): F(3, 2)})
     with pytest.raises(TypeError):
         run_modern(100, 1, mix={InfoSet(3, 9): 0.5})
+
+
+@pytest.mark.parametrize(
+    "key", [(9, 1), (3, 10), (-1, None), (3, "9"), (3,), 3, (3, 9, 1)]
+)
+def test_keys_that_are_not_cells_are_rejected(key):
+    """A mistyped cell is an error, not an entry silently dropped."""
+    mix = {(3, 9): 1, (5, 4): 1}
+    assert simulate(MODERN, PlayerRow.DRAW_ON_5, mix, 0, 100, 1)
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        simulate(MODERN, PlayerRow.DRAW_ON_5, {**mix, key: 1}, 0, 100, 1)
 
 
 def test_tableau_cells_may_deviate():
@@ -331,18 +343,29 @@ def test_deviant_mix_tallies_are_pinned(seed, counts):
 
 
 def test_outcome_table_is_built_lazily_once():
-    """Importing the package builds nothing; the first simulate builds it."""
+    """Importing builds nothing; simulate builds the table, not the ledger.
+
+    The oracle then folds the table it finds into the ledger once, and
+    punto reads that same ledger.
+    """
     src = str(Path(baccarat.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     code = (
+        "import contextlib, io\n"
         "import baccarat\n"
-        "from baccarat.montecarlo import _outcome_table\n"
-        "print(_outcome_table.cache_info().currsize)\n"
+        "from baccarat.cli import run\n"
+        "from baccarat.payoff import _leaf_ledger, _outcome_table\n"
+        "print(_outcome_table.cache_info().currsize,"
+        " _leaf_ledger.cache_info().currsize)\n"
         "for seed in (1, 2):\n"
         "    baccarat.simulate(baccarat.MODERN, baccarat.PlayerRow.DRAW_ON_5,\n"
         "                      baccarat.mandated_banker_strategy(), 0, 10, seed)\n"
-        "info = _outcome_table.cache_info()\n"
-        "print(info.misses, info.hits)\n"
+        "table = _outcome_table.cache_info()\n"
+        "print(table.misses, table.hits, _leaf_ledger.cache_info().currsize)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert run(['oracle', '--variant', 'modern', '--alpha', '1/20']) == 0\n"
+        "    assert run(['punto']) == 0\n"
+        "print(_outcome_table.cache_info().misses, _leaf_ledger.cache_info().misses)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -352,4 +375,4 @@ def test_outcome_table_is_built_lazily_once():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:2] == ["0", "1 1"]
+    assert proc.stdout.split("\n")[:3] == ["0 0", "1 1 0", "1 1"]

@@ -197,12 +197,12 @@ class TestValidityBounds:
         # At the modern bound the forced stand at (6,-) ceases to be a
         # restriction: drawing there stops being strictly better for
         # Banker against Player's drawing row.
-        from baccarat import improvement_at_info_set
+        from baccarat import info_set_stats
 
         bound = table_validity_bound(MODERN)
-        below = improvement_at_info_set(
+        below = info_set_stats(
             InfoSet(6, None), PlayerRow.DRAW_ON_5, bound - F(1, 100)
-        )
-        at = improvement_at_info_set(InfoSet(6, None), PlayerRow.DRAW_ON_5, bound)
+        ).improvement
+        at = info_set_stats(InfoSet(6, None), PlayerRow.DRAW_ON_5, bound).improvement
         assert below > 0
         assert at == 0

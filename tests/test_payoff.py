@@ -1,11 +1,14 @@
 """Unit tests for the occurrence/conditional decomposition and the oracle."""
 
+import types
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from baccarat import (
+    ALL_INFO_SETS,
+    BankerStrategy,
     CLASSIC,
     InfoSet,
     MODERN,
@@ -17,13 +20,16 @@ from baccarat import (
     build_reduced_game,
     classify_info_sets,
     custom_variant,
-    improvement_at_info_set,
     info_set_stats,
     mandated_banker_strategy,
+    mandated_player_action,
     oracle_payoff_entry,
+    play_coup,
     tableau_action,
 )
 from baccarat.payoff import (
+    _leaf_ledger,
+    _outcome_table,
     _row_outcome_profile,
     natural_probability,
     oracle_outcome_distribution,
@@ -74,15 +80,15 @@ class TestInfoSetStats:
     def test_improvement_is_affine_in_alpha(self):
         info = InfoSet(5, 4)
         for row in (S5, D5):
-            f0 = improvement_at_info_set(info, row, 0)
-            f1 = improvement_at_info_set(info, row, F(1, 30))
-            f2 = improvement_at_info_set(info, row, F(1, 15))
+            f0 = info_set_stats(info, row, 0).improvement
+            f1 = info_set_stats(info, row, F(1, 30)).improvement
+            f2 = info_set_stats(info, row, F(1, 15)).improvement
             assert f2 - f1 == f1 - f0  # equal steps, equal increments
 
     def test_known_improvements(self):
-        assert improvement_at_info_set(InfoSet(6, None), D5, 0) == F(1, 13)
-        assert improvement_at_info_set(InfoSet(6, None), D5, F(1, 20)) == F(7, 104)
-        assert improvement_at_info_set(InfoSet(4, 1), D5, F(1, 20)) == F(1, 390)
+        assert info_set_stats(InfoSet(6, None), D5, 0).improvement == F(1, 13)
+        assert info_set_stats(InfoSet(6, None), D5, F(1, 20)).improvement == F(7, 104)
+        assert info_set_stats(InfoSet(4, 1), D5, F(1, 20)).improvement == F(1, 390)
 
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
@@ -101,7 +107,7 @@ class TestClassification:
         cls = classify_info_sets(F(1, 20))
         for info, action in cls.determined.items():
             for row in (S5, D5):
-                imp = improvement_at_info_set(info, row, F(1, 20))
+                imp = info_set_stats(info, row, F(1, 20)).improvement
                 assert (imp > 0) == (action is Action.DRAW), (info, row)
 
     def test_starred_cells_split_by_row(self):
@@ -110,10 +116,10 @@ class TestClassification:
         cls = classify_info_sets()
         for info in cls.starred:
             signs = {
-                improvement_at_info_set(info, row, 0) > 0 for row in (S5, D5)
+                info_set_stats(info, row, 0).improvement > 0 for row in (S5, D5)
             }
             zero = any(
-                improvement_at_info_set(info, row, 0) == 0 for row in (S5, D5)
+                info_set_stats(info, row, 0).improvement == 0 for row in (S5, D5)
             )
             assert len(signs) == 2 or zero, info
 
@@ -212,11 +218,100 @@ def test_oracle_counts_for_the_fixed_rules(row, counts):
     assert tuple(x * 13**6 for x in dist) == counts
 
 
-@pytest.mark.parametrize(
-    "cached", [_commission_payoffs, oracle_outcome_distribution, _row_outcome_profile]
-)
+@pytest.mark.parametrize("cached", [_commission_payoffs, _row_outcome_profile])
 def test_caches_keyed_on_user_input_are_bounded(cached):
     assert cached.cache_info().maxsize is not None
+
+
+def test_oracle_rejects_a_row_that_is_not_a_player_row():
+    with pytest.raises(ValueError, match="row must be a PlayerRow"):
+        oracle_outcome_distribution("DrawOn5", mandated_banker_strategy())
+
+
+# ---------------------------------------------------------------------------
+# The ledger oracle against the walk over two-card totals it replaced, and
+# the independence of its builders from the decomposition.
+# ---------------------------------------------------------------------------
+
+_CARD_W = tuple(4 if v == 0 else 1 for v in range(10))
+_TOTAL_PAIRS = tuple(
+    sum(_CARD_W[a] * _CARD_W[(t - a) % 10] for a in range(10)) for t in range(10)
+)
+
+
+def _walk_outcome_distribution(row, strategy):
+    """The per-profile walk over pairs of two-card totals, as a reference."""
+    win = loss = 0
+    for pt in range(10):
+        for bt in range(10):
+            if pt >= 8 or bt >= 8:
+                leaves = [((), 169)]
+            elif mandated_player_action(pt, row) is Action.DRAW:
+                leaves = []
+                for p3 in range(10):
+                    if strategy[InfoSet(bt, p3)] is Action.DRAW:
+                        leaves += [
+                            ((p3, b3), _CARD_W[p3] * _CARD_W[b3]) for b3 in range(10)
+                        ]
+                    else:
+                        leaves.append(((p3,), _CARD_W[p3] * 13))
+            elif strategy[InfoSet(bt, None)] is Action.DRAW:
+                leaves = [((b3,), 13 * _CARD_W[b3]) for b3 in range(10)]
+            else:
+                leaves = [((), 169)]
+            w0 = _TOTAL_PAIRS[pt] * _TOTAL_PAIRS[bt]
+            for draws, weight in leaves:
+                sign = play_coup((0, pt), (0, bt), draws, row, strategy).player_payoff
+                if sign > 0:
+                    win += w0 * weight
+                elif sign < 0:
+                    loss += w0 * weight
+    p_win, p_loss = F(win, 13**6), F(loss, 13**6)
+    return p_win, p_loss, 1 - p_win - p_loss
+
+
+_STRATEGIES = st.lists(
+    st.sampled_from(Action), min_size=len(ALL_INFO_SETS), max_size=len(ALL_INFO_SETS)
+).map(lambda actions: BankerStrategy(tuple(actions)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_STRATEGIES)
+def test_ledger_oracle_equals_the_walk_over_totals(strategy):
+    """Any 88-cell Banker strategy, deviating at determined cells too."""
+    for row in (S5, D5):
+        assert oracle_outcome_distribution(row, strategy) == (
+            _walk_outcome_distribution(row, strategy)
+        )
+
+
+def _names_in(code):
+    """Every global or attribute name a code object and its nested code use."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _names_in(const)
+    return names
+
+
+@pytest.mark.parametrize(
+    "builder, source",
+    [
+        (_outcome_table, "play_coup"),
+        (_leaf_ledger, "_outcome_table"),
+        (oracle_outcome_distribution, "_leaf_ledger"),
+    ],
+)
+def test_oracle_builders_never_read_the_decomposition(builder, source):
+    names = _names_in(getattr(builder, "__wrapped__", builder).__code__)
+    assert source in names
+    forbidden = {
+        "_cell_data",
+        "value_distribution",
+        "two_card_total_distribution",
+        "_natural_phase",
+    }
+    assert not names & forbidden
 
 
 @st.composite
