@@ -70,7 +70,7 @@ from .punto import (
     punto_report,
     unfulfilled_demand,
 )
-from .montecarlo import SimResult, derive_batch_seed, equilibrium_profile, simulate
+from .montecarlo import SimResult, equilibrium_profile, simulate
 
 __version__ = "0.1.0"
 
@@ -94,7 +94,6 @@ __all__ = [
     "build_reduced_game",
     "classify_info_sets",
     "custom_variant",
-    "derive_batch_seed",
     "eliminate_strictly_dominated",
     "enumerate_nash_2xn",
     "equilibrium_curve",

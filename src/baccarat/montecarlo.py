@@ -24,14 +24,10 @@ Sampling notes:
   information set, so a behavioral sample with the right per-cell
   marginals has exactly the outcome law of the corresponding mixture of
   pure strategies.
-
-* For parallel runs, derive each batch's seed with
-  :func:`derive_batch_seed`; never share one stream across batches.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,7 +53,6 @@ __all__ = [
     "SimResult",
     "simulate",
     "equilibrium_profile",
-    "derive_batch_seed",
 ]
 
 _RNG_IDENTITY = "python-random-mt19937"
@@ -82,12 +77,6 @@ class SimResult:
     mean_banker: float
     std_error: float
     std_error_banker: float
-
-
-def derive_batch_seed(seed: int, batch_index: int) -> int:
-    """A reproducible, independent seed for one parallel batch."""
-    digest = hashlib.sha256(f"{seed}:{batch_index}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
 
 
 def _draw_probabilities(

@@ -32,6 +32,7 @@ from typing import Mapping, Sequence
 
 from .payoff import (
     ReducedGame,
+    _improvement_line,
     build_reduced_game,
     classify_info_sets,
     info_set_stats,
@@ -402,13 +403,6 @@ def find_alpha_star(tolerance=Fraction(1, 10**9)) -> AlphaStarBracket:
     )
 
 
-def _improvement_affine(info: InfoSet, row: PlayerRow) -> tuple[Fraction, Fraction]:
-    """(constant, slope) of the cell's draw-minus-stand value in alpha."""
-    at0 = info_set_stats(info, row, 0).improvement
-    at_half = info_set_stats(info, row, Fraction(1, 2)).improvement
-    return at0, 2 * (at_half - at0)
-
-
 def table_validity_bound(variant: Variant) -> Fraction:
     """Smallest commission rate at which the variant's fixed drawing
     rules lose their game-theoretic justification.
@@ -455,7 +449,7 @@ def table_validity_bound(variant: Variant) -> Fraction:
     roots = set()
     for info in ALL_INFO_SETS:
         for row in (PlayerRow.STAND_ON_5, PlayerRow.DRAW_ON_5):
-            const, slope = _improvement_affine(info, row)
+            const, slope = _improvement_line(info, row)
             if slope != 0:
                 r = -const / slope
                 if 0 < r < 1:

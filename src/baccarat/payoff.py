@@ -118,19 +118,29 @@ class _WLT(NamedTuple):
     tie: Fraction
 
 
+@lru_cache(maxsize=None)
+def _card_counts() -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The laws nu and tau as integer counts, out of 13 and out of 169."""
+    nu, tau = value_distribution(), two_card_total_distribution()
+    return (
+        tuple(int(nu[v] * 13) for v in range(10)),
+        tuple(int(tau[t] * 169) for t in range(10)),
+    )
+
+
 def _player_final_totals(info: InfoSet, row: PlayerRow):
     """Weighted final Player totals, conditioned on Banker facing ``info``.
 
-    Yields (final_total, weight) pairs; weights sum to the probability
-    that Player's side of the condition occurs (drew card c, or stood).
+    Yields (final_total, weight) pairs, the weights being counts out of
+    169 * 13 (two cards, then a third); they sum to the count of Player's
+    side of the condition (drew card c, or stood).
     """
-    tau = two_card_total_distribution()
-    nu = value_distribution()
+    nu, tau = _card_counts()
     c = info.player_third
     if c is None:
         stand_totals = (6, 7) if row is PlayerRow.DRAW_ON_5 else (5, 6, 7)
         for t in stand_totals:
-            yield t, tau[t]
+            yield t, tau[t] * 13
     else:
         draw_totals = range(6) if row is PlayerRow.DRAW_ON_5 else range(5)
         for t in draw_totals:
@@ -151,24 +161,35 @@ def _cell_data(info: InfoSet, row: PlayerRow) -> tuple[Fraction, _WLT, _WLT]:
     """Occurrence probability and conditional triples for one cell.
 
     Returns ``(occurrence, stand_triple, draw_triple)`` where the triples
-    are conditioned on the cell occurring.
+    are conditioned on the cell occurring.  The tallies are integer card
+    counts, divided once per triple.
     """
-    tau = two_card_total_distribution()
-    nu = value_distribution()
+    nu, tau = _card_counts()
     b = info.banker_total
     finals = list(_player_final_totals(info, row))
     mass = sum(w for _, w in finals)
-    occurrence = tau[b] * mass
+    occurrence = Fraction(tau[b] * mass, 169 * 169 * 13)  # tau(b) * mass
 
-    bins_stand = [Fraction(0)] * 3  # index 0: bw, 1: pw, 2: tie
-    bins_draw = [Fraction(0)] * 3
+    bins_stand = [0] * 3  # index 0: bw, 1: pw, 2: tie
+    bins_draw = [0] * 3
     for pf, w in finals:
         bins_stand[_bin(_compare(pf, b))] += w
-        for d, wd in nu.items():
+        for d, wd in enumerate(nu):
             bins_draw[_bin(_compare(pf, (b + d) % 10))] += w * wd
-    stand = _WLT(*(x / mass for x in bins_stand))
-    draw = _WLT(*(x / mass for x in bins_draw))
+    stand = _WLT(*(Fraction(x, mass) for x in bins_stand))
+    draw = _WLT(*(Fraction(x, 13 * mass) for x in bins_draw))
     return occurrence, stand, draw
+
+
+def _improvement_line(info: InfoSet, row: PlayerRow) -> tuple[Fraction, Fraction]:
+    """(constant, slope) in alpha of the cell's draw-minus-stand value.
+
+    Banker's value of a triple is ``(1 - alpha) * bw - pw``, so the line
+    is read straight off the two conditional triples.
+    """
+    _, stand, draw = _cell_data(info, row)
+    gain = draw.banker_win - stand.banker_win
+    return gain - (draw.player_win - stand.player_win), -gain
 
 
 def _banker_value(triple: _WLT, alpha: Fraction) -> Fraction:
@@ -197,6 +218,8 @@ def info_set_stats(info: InfoSet, row: PlayerRow, alpha=0) -> InfoSetStats:
     """Exact per-cell statistics; ``alpha`` must be exact (no floats)."""
     if info not in _CELL_INDEX:
         raise ValueError(f"not a Banker information set: {info!r}")
+    if row not in _ROWS:
+        raise ValueError(f"row must be a PlayerRow, got {row!r}")
     a = _commission_rate(alpha)
     occurrence, stand, draw = _cell_data(info, row)
     return InfoSetStats(

@@ -9,8 +9,12 @@ Every routine here takes games with exactly two rows.
 With two rows, each column is a line over the row mix (1 - p, p), and
 every question the solvers ask is answered by one upper envelope of
 those lines (:func:`_envelope`): its breakpoints are the ends of the
-p-range and the pairwise crossings inside it, and between breakpoints
-the envelope is linear.
+p-range and the envelope's vertices inside it, and between breakpoints
+the envelope is linear.  Each public routine scales its matrices once
+to integers, by the lcm of their denominators; a positive scale moves
+no breakpoint, best reply or dominator weight, so the vertices are
+found by a hull walk on integer lines and only the reported values are
+built as fractions.
 
 * :func:`eliminate_strictly_dominated` -- iterated elimination with a
   full audit log.  A column is strictly dominated by a mixture exactly
@@ -32,6 +36,7 @@ the envelope is linear.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -39,7 +44,6 @@ from itertools import combinations
 __all__ = [
     "MixedStrategy",
     "EquilibriumReport",
-    "Game",
     "EliminationStep",
     "eliminate_strictly_dominated",
     "NashEnumeration",
@@ -119,41 +123,6 @@ class EquilibriumReport:
 
 
 @dataclass(frozen=True)
-class Game:
-    """A lightweight bimatrix container for the elimination routine.
-
-    ``B`` defaults to ``-A`` (zero-sum); labels default to R0.. / C0..
-    Objects with the same field names (for instance the reduced games
-    built by :mod:`baccarat.payoff`) work interchangeably.
-    """
-
-    A: tuple[tuple[Fraction, ...], ...]
-    B: tuple[tuple[Fraction, ...], ...] | None = None
-    row_labels: tuple = ()
-    column_labels: tuple = ()
-
-    def __post_init__(self):
-        A = _matrix(self.A)
-        object.__setattr__(self, "A", A)
-        B = (
-            tuple(tuple(-x for x in row) for row in A)
-            if self.B is None
-            else _matrix(self.B)
-        )
-        if len(B) != len(A) or len(B[0]) != len(A[0]):
-            raise ValueError("A and B must have identical shape")
-        object.__setattr__(self, "B", B)
-        if not self.row_labels:
-            object.__setattr__(
-                self, "row_labels", tuple(f"R{i}" for i in range(len(A)))
-            )
-        if not self.column_labels:
-            object.__setattr__(
-                self, "column_labels", tuple(f"C{j}" for j in range(len(A[0])))
-            )
-
-
-@dataclass(frozen=True)
 class EliminationStep:
     """Audit record: which strategy fell, and what dominated it."""
 
@@ -169,41 +138,57 @@ def _require_two_rows(A):
         raise ValueError(f"this solver handles exactly 2 rows, got {len(A)}")
 
 
+def _integral(M) -> tuple[tuple[int, ...], ...]:
+    """An exact matrix times the lcm of its denominators, as integers."""
+    scale = math.lcm(*(x.denominator for row in M for x in row))
+    return tuple(
+        tuple(x.numerator * (scale // x.denominator) for x in row) for row in M
+    )
+
+
 def _envelope(M, cols, lo=0, hi=1):
     """The upper envelope of the 2-row column lines over ``[lo, hi]``.
 
-    Column j is the line ``(1 - p) * M[0][j] + p * M[1][j]`` in the
-    weight p on row 1.  The breakpoints are ``lo``, ``hi`` and every
-    pairwise crossing strictly between them; the envelope is linear
-    between consecutive breakpoints, so a column is a best reply
-    somewhere in ``[lo, hi]`` exactly when it is one at a breakpoint.
-    Returns ``(p, height, best)`` for each breakpoint in increasing p,
-    ``best`` being the columns of ``cols`` on top there, in index order.
+    ``M`` is an integer matrix (see :func:`_integral`).  Column j is the
+    line ``(1 - p) * M[0][j] + p * M[1][j]`` in the weight p on row 1,
+    and ``lo`` and ``hi`` are each 0 or 1.  The breakpoints are ``lo``,
+    ``hi`` and the envelope's vertices between them, found by a hull
+    walk: from each breakpoint follow the steepest line on top; the next
+    breakpoint is the nearest crossing to the right by a steeper line.
+    The envelope is linear between consecutive breakpoints, so a column
+    is a best reply somewhere in ``[lo, hi]`` exactly when it is one at
+    a breakpoint.  Returns ``(p, best)`` for each breakpoint in
+    increasing p, ``best`` being the columns of ``cols`` on top there,
+    in index order.
     """
-    lines = {j: (M[0][j], M[1][j] - M[0][j]) for j in cols}
-    ps = {Fraction(lo), Fraction(hi)}
-    for (a1, s1), (a2, s2) in combinations(lines.values(), 2):
-        if s1 != s2:
-            p = (a2 - a1) / (s1 - s2)
-            if lo < p < hi:
-                ps.add(p)
+    lines = [(j, M[0][j], M[1][j] - M[0][j]) for j in cols]
     points = []
-    for p in sorted(ps):
-        values = {j: a + s * p for j, (a, s) in lines.items()}
-        height = max(values.values())
-        points.append((p, height, tuple(j for j in cols if values[j] == height)))
-    return points
+    num, den = lo, 1  # the breakpoint p = num / den, with den > 0
+    while True:
+        values = [a * den + s * num for _, a, s in lines]
+        height = max(values)
+        top = [line for line, v in zip(lines, values) if v == height]
+        points.append((Fraction(num, den), tuple(j for j, _, _ in top)))
+        if num == hi * den:
+            return points
+        _, a0, s0 = max(top, key=lambda line: line[2])
+        num, den = hi, 1
+        for _, a, s in lines:
+            # A steeper line lies below the top here, so it crosses to the right.
+            if s > s0 and (a0 - a) * den < num * (s - s0):
+                num, den = a0 - a, s - s0
 
 
 def _find_dominator(vectors, j, alive):
     """A pure or two-point mixed strict dominator of ``vectors[j]``.
 
-    ``vectors[i]`` is pure strategy i's payoff against each opposing
-    pure strategy in turn.  Returns (indices, weights) or None.  The
-    two-point search is exhaustive over exact candidate mixing weights,
-    so for payoff vectors of length one or two it is a complete test.
-    Elimination decides which columns fall by the envelope and calls
-    this only to build each removal's certificate, and to test rows.
+    ``vectors[i]`` is pure strategy i's integer payoff against each
+    opposing pure strategy in turn.  Returns (indices, weights) or None.
+    The two-point search is exhaustive over exact candidate mixing
+    weights, so for payoff vectors of length one or two it is a complete
+    test.  Elimination decides which columns fall by the envelope and
+    calls this only to build each removal's certificate, and to test
+    rows.
     """
     vj = vectors[j]
     others = [k for k in alive if k != j]
@@ -213,18 +198,16 @@ def _find_dominator(vectors, j, alive):
     for k, l in combinations(others, 2):
         vk, vl = vectors[k], vectors[l]
         cuts = {Fraction(0), Fraction(1)}
-        for x in range(len(vj)):
-            slope = vk[x] - vl[x]
-            if slope != 0:
-                t = (vj[x] - vl[x]) / slope
+        for x, y, z in zip(vj, vk, vl):
+            if y != z:
+                t = Fraction(x - z, y - z)
                 if 0 < t < 1:
                     cuts.add(t)
         pts = sorted(cuts)
         probes = pts + [(a + b) / 2 for a, b in zip(pts, pts[1:])]
         for t in probes:
-            if all(
-                t * vk[x] + (1 - t) * vl[x] > vj[x] for x in range(len(vj))
-            ):
+            n, d = t.numerator, t.denominator
+            if all(n * y + (d - n) * z > d * x for x, y, z in zip(vj, vk, vl)):
                 return (k, l), (t, 1 - t)
     return None
 
@@ -245,6 +228,7 @@ def eliminate_strictly_dominated(game):
     """
     A, B = _matrix(game.A), _matrix(game.B)
     _require_two_rows(A)
+    int_A, int_B = _integral(A), _integral(B)
     n = len(A[0])
     rows_alive = [0, 1]
     cols_alive = list(range(n))
@@ -258,11 +242,11 @@ def eliminate_strictly_dominated(game):
         log.append(EliminationStep(side, idx, labels[idx], dom_idx, dom_w))
 
     while True:
-        points = _envelope(B, cols_alive, rows_alive[0], rows_alive[-1])
-        best = {j for _, _, top in points for j in top}
+        points = _envelope(int_B, cols_alive, rows_alive[0], rows_alive[-1])
+        best = {j for _, top in points for j in top}
         survivors = [j for j in cols_alive if j in best]
         col_vectors = {
-            j: tuple(B[r][j] for r in rows_alive) for j in cols_alive
+            j: tuple(int_B[r][j] for r in rows_alive) for j in cols_alive
         }
         for j in cols_alive:
             if j not in best:
@@ -272,7 +256,9 @@ def eliminate_strictly_dominated(game):
                 record("column", j, dom)
         cols_alive = survivors
 
-        row_vectors = {r: tuple(A[r][j] for j in cols_alive) for r in rows_alive}
+        row_vectors = {
+            r: tuple(int_A[r][j] for j in cols_alive) for r in rows_alive
+        }
         for r in rows_alive:
             dom = _find_dominator(row_vectors, r, rows_alive)
             if dom is not None:
@@ -318,8 +304,9 @@ def is_nondegenerate(A, B) -> tuple[bool, DegeneracyWitness | None]:
     to three finite checks: no pure column leaves both rows tied as best
     replies, no pure row has two best-reply columns tied, and no
     interior row mix has three or more best-reply columns tied.  The
-    last two are read off the envelope's breakpoints, the only row mixes
-    where columns can tie on top.
+    last two are read off the envelope's breakpoints: distinct lines tie
+    on top only at a vertex, and identical ones also at the ends of the
+    stretch they top.
     """
     A, B = _matrix(A), _matrix(B)
     _require_two_rows(A)
@@ -327,7 +314,7 @@ def is_nondegenerate(A, B) -> tuple[bool, DegeneracyWitness | None]:
     for c in range(n):
         if A[0][c] == A[1][c]:
             return False, DegeneracyWitness("column", c, (0, 1))
-    for p, _, best in _envelope(B, range(n)):
+    for p, best in _envelope(_integral(B), range(n)):
         if p in (0, 1):
             if len(best) > 1:
                 return False, DegeneracyWitness("row", int(p), best)
@@ -364,8 +351,8 @@ def enumerate_nash_2xn(A, B) -> NashEnumeration:
         key = (tuple(rw), tuple(cw))
         found.setdefault(key, (kind, note))
 
-    points = _envelope(B, range(n))
-    best_to_row = (points[0][2], points[-1][2])  # p = 0 is row 0, p = 1 row 1
+    points = _envelope(_integral(B), range(n))
+    best_to_row = (points[0][1], points[-1][1])  # p = 0 is row 0, p = 1 row 1
 
     # Pure x pure.
     for r in range(2):
@@ -377,7 +364,7 @@ def enumerate_nash_2xn(A, B) -> NashEnumeration:
 
     # Mixed row, two-column support: two columns tied on top at an
     # interior breakpoint p, where their lines cross.
-    for p, _, best in points[1:-1]:
+    for p, best in points[1:-1]:
         for c1, c2 in combinations(best, 2):
             if B[0][c1] == B[0][c2] and B[1][c1] == B[1][c2]:
                 # Identical lines give continua handled via the
@@ -402,7 +389,7 @@ def enumerate_nash_2xn(A, B) -> NashEnumeration:
         # Every p keeps Player indifferent; column c is a best reply on
         # the p-interval between the first and last breakpoints where it
         # is on top.  Report that interval's midpoint.
-        on_top = [p for p, _, best in points if c in best]
+        on_top = [p for p, best in points if c in best]
         if on_top:
             p = (on_top[0] + on_top[-1]) / 2
             rw = [1 - p, p]

@@ -28,7 +28,11 @@ from baccarat import (
     tableau_action,
 )
 from baccarat.payoff import (
+    _card_counts,
+    _cell_data,
+    _improvement_line,
     _leaf_ledger,
+    _player_final_totals,
     _outcome_table,
     _row_outcome_profile,
     natural_probability,
@@ -93,6 +97,26 @@ class TestInfoSetStats:
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             info_set_stats(InfoSet(6, None), D5, 0.05)
+
+    @pytest.mark.parametrize("row", ["DrawOn5", 1], ids=["string", "int"])
+    def test_row_must_be_a_player_row(self, row):
+        with pytest.raises(ValueError, match="row must be a PlayerRow, got"):
+            info_set_stats(InfoSet(6, None), row)
+
+    def test_bad_rows_add_no_cache_keys(self):
+        for bad in range(1000):
+            with pytest.raises(ValueError):
+                info_set_stats(InfoSet(6, None), bad)
+        assert _cell_data.cache_info().currsize <= 2 * len(ALL_INFO_SETS)
+
+    def test_improvement_line_is_read_off_the_triples(self):
+        """The validity bound's (constant, slope) against the stats."""
+        for info in ALL_INFO_SETS:
+            for row in (S5, D5):
+                const, slope = _improvement_line(info, row)
+                for a in (F(0), F(1, 2)):
+                    improvement = info_set_stats(info, row, a).improvement
+                    assert const + slope * a == improvement, (info, row, a)
 
 
 class TestClassification:
@@ -311,6 +335,53 @@ def test_oracle_builders_never_read_the_decomposition(builder, source):
         "two_card_total_distribution",
         "_natural_phase",
     }
+    assert not names & forbidden
+
+
+# ---------------------------------------------------------------------------
+# The decomposition's integer tallies against the fraction arithmetic they
+# replaced, and their independence from the oracle.
+# ---------------------------------------------------------------------------
+
+
+def _fraction_cell_data(info, row):
+    """Occurrence and conditional (bw, pw, tie) triples, summed in fractions."""
+    tau, nu = two_card_total_distribution(), value_distribution()
+    b, c = info
+    if c is None:
+        finals = [(t, tau[t]) for t in ((6, 7) if row is D5 else (5, 6, 7))]
+    else:
+        finals = [((t + c) % 10, tau[t] * nu[c]) for t in range(6 if row is D5 else 5)]
+    mass = sum(w for _, w in finals)
+
+    def triple(outcomes):
+        bins = [F(0)] * 3
+        for pf, bf, w in outcomes:
+            bins[0 if bf > pf else (1 if bf < pf else 2)] += w
+        return tuple(x / mass for x in bins)
+
+    stand = triple((pf, b, w) for pf, w in finals)
+    draw = triple(
+        (pf, (b + d) % 10, w * wd) for pf, w in finals for d, wd in nu.items()
+    )
+    return tau[b] * mass, stand, draw
+
+
+def test_integer_cell_data_equals_the_fraction_sums():
+    for info in ALL_INFO_SETS:
+        for row in (S5, D5):
+            occurrence, stand, draw = _cell_data(info, row)
+            assert (occurrence, tuple(stand), tuple(draw)) == _fraction_cell_data(
+                info, row
+            ), (info, row)
+
+
+@pytest.mark.parametrize(
+    "function", [_cell_data, _player_final_totals, _card_counts]
+)
+def test_decomposition_never_reads_the_oracle(function):
+    names = _names_in(getattr(function, "__wrapped__", function).__code__)
+    forbidden = {"_W", "_PAIRS", "_outcome_table", "_leaf_ledger", "play_coup"}
     assert not names & forbidden
 
 

@@ -6,15 +6,20 @@ cross-check the support enumeration against a direct scan.
 """
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from baccarat import CLASSIC, MODERN, build_reduced_game
 from baccarat.solver import (
     EquilibriumReport,
-    Game,
     MixedStrategy,
+    _envelope,
+    _integral,
+    _matrix,
     eliminate_strictly_dominated,
     enumerate_nash_2xn,
     is_nondegenerate,
@@ -22,6 +27,34 @@ from baccarat.solver import (
 )
 
 F = Fraction
+
+
+@dataclass(frozen=True)
+class Game:
+    """A bimatrix for the elimination routine, which takes any dataclass
+    with fields ``A`` and ``B`` (the reduced games of the package among
+    them).  ``B`` defaults to ``-A``; labels default to R0.. / C0.."""
+
+    A: tuple
+    B: tuple | None = None
+    row_labels: tuple = ()
+    column_labels: tuple = ()
+
+    def __post_init__(self):
+        A = _matrix(self.A)
+        B = neg(A) if self.B is None else _matrix(self.B)
+        if len(B) != len(A) or len(B[0]) != len(A[0]):
+            raise ValueError("A and B must have identical shape")
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", tuple(map(tuple, B)))
+        if not self.row_labels:
+            object.__setattr__(
+                self, "row_labels", tuple(f"R{i}" for i in range(len(A)))
+            )
+        if not self.column_labels:
+            object.__setattr__(
+                self, "column_labels", tuple(f"C{j}" for j in range(len(A[0])))
+            )
 
 
 def neg(M):
@@ -101,52 +134,87 @@ class TestElimination:
             eliminate_strictly_dominated(Game([[1, 2], [3, 4], [5, 6]]))
 
     @pytest.mark.parametrize(
-        "variant, log_labels, survivors",
+        "variant, log_labels, survivors, dominators",
         [
             (
                 CLASSIC,
                 ["SSSD", "SSDD", "SDSS", "SDSD", "SDDS", "SDDD",
                  "DSSS", "DSSD", "DDSS", "DDSD", "DDDS"],
                 ("SSSS", "SSDS", "DSDS", "DSDD", "DDDD"),
+                [((0, 11), (F(10255387, 74046491), F(63791104, 74046491))),
+                 ((0, 11), (F(9177044, 74046491), F(64869447, 74046491))),
+                 ((2,), (1,)), ((11,), (1,)), ((10,), (1,)), ((11,), (1,)),
+                 ((0, 10), (F(10331, 134815), F(124484, 134815))),
+                 ((0, 11), (F(1078343, 74046491), F(72968148, 74046491))),
+                 ((10,), (1,)), ((11,), (1,)),
+                 ((10, 11), (F(4499, 4654), F(155, 4654)))],
             ),
-            (MODERN, ["DS", "StandOn5", "SS", "SD"], ("DD",)),
+            (
+                MODERN,
+                ["DS", "StandOn5", "SS", "SD"],
+                ("DD",),
+                [((0, 3), (F(10331, 134815), F(124484, 134815))),
+                 ((1,), (1,)), ((3,), (1,)), ((3,), (1,))],
+            ),
         ],
         ids=["classic", "modern"],
     )
-    def test_variant_logs_at_one_twentieth(self, variant, log_labels, survivors):
+    def test_variant_logs_at_one_twentieth(
+        self, variant, log_labels, survivors, dominators
+    ):
         game, log = eliminate_strictly_dominated(build_reduced_game(variant, F(1, 20)))
         assert [str(step.label) for step in log] == log_labels
         assert game.column_labels == survivors
+        assert [(s.dominator_indices, s.dominator_weights) for s in log] == dominators
 
     def test_random_games_certificates_and_survivors(self):
         """Every logged dominator strictly beats what it removed on the
         opponent strategies alive at that step, and every survivor is a
-        best reply to some mix of the surviving rows."""
+        best reply to some mix of the surviving rows -- on integer games
+        and on games with mixed denominators, which the solver scales to
+        integers."""
         rng = random.Random(20261017)
         for _ in range(300):
             n = rng.randint(2, 6)
             A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(2)]
             B = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(2)]
-            game, log = eliminate_strictly_dominated(Game(A, B=B))
-            rows, cols = [0, 1], list(range(n))
-            for step in log:
-                mix = dict(zip(step.dominator_indices, step.dominator_weights))
-                if step.side == "column":
-                    assert set(mix) <= set(cols) - {step.index}
-                    for r in rows:
-                        beat = sum(w * B[r][k] for k, w in mix.items())
-                        assert beat > B[r][step.index], (A, B, step)
-                    cols.remove(step.index)
-                else:
-                    assert set(mix) <= set(rows) - {step.index}
-                    for c in cols:
-                        beat = sum(w * A[k][c] for k, w in mix.items())
-                        assert beat > A[step.index][c], (A, B, step)
-                    rows.remove(step.index)
-            assert game.column_labels == tuple(f"C{j}" for j in cols)
-            assert game.row_labels == tuple(f"R{r}" for r in rows)
-            for j in cols:
-                assert _best_reply_somewhere(B, j, cols, rows), (A, B, j)
+            _check_certificates_and_survivors(A, B)
+        rng = random.Random(20261018)
+        for _ in range(300):
+            n = rng.randint(2, 8)
+            A, B = (
+                [[_mixed_fraction(rng) for _ in range(n)] for _ in range(2)]
+                for _ in range(2)
+            )
+            _check_certificates_and_survivors(A, B)
+
+
+def _mixed_fraction(rng):
+    return F(rng.randint(-12, 12), rng.choice((1, 2, 3, 7, 12)))
+
+
+def _check_certificates_and_survivors(A, B):
+    n = len(A[0])
+    game, log = eliminate_strictly_dominated(Game(A, B=B))
+    rows, cols = [0, 1], list(range(n))
+    for step in log:
+        mix = dict(zip(step.dominator_indices, step.dominator_weights))
+        if step.side == "column":
+            assert set(mix) <= set(cols) - {step.index}
+            for r in rows:
+                beat = sum(w * B[r][k] for k, w in mix.items())
+                assert beat > B[r][step.index], (A, B, step)
+            cols.remove(step.index)
+        else:
+            assert set(mix) <= set(rows) - {step.index}
+            for c in cols:
+                beat = sum(w * A[k][c] for k, w in mix.items())
+                assert beat > A[step.index][c], (A, B, step)
+            rows.remove(step.index)
+    assert game.column_labels == tuple(f"C{j}" for j in cols)
+    assert game.row_labels == tuple(f"R{r}" for r in rows)
+    for j in cols:
+        assert _best_reply_somewhere(B, j, cols, rows), (A, B, j)
 
 
 def _best_reply_somewhere(B, j, cols, rows):
@@ -164,6 +232,65 @@ def _best_reply_somewhere(B, j, cols, rows):
         elif gap0 < 0:
             return False
     return lo <= hi
+
+
+def _pairwise_envelope(M, cols, lo=0, hi=1):
+    """The envelope before the hull walk: ``lo``, ``hi`` and every
+    pairwise crossing between them, each with the columns on top there."""
+    lines = {j: (M[0][j], M[1][j] - M[0][j]) for j in cols}
+    ps = {F(lo), F(hi)}
+    for (a1, s1), (a2, s2) in combinations(lines.values(), 2):
+        if s1 != s2:
+            p = (a2 - a1) / (s1 - s2)
+            if lo < p < hi:
+                ps.add(p)
+    points = []
+    for p in sorted(ps):
+        values = {j: a + s * p for j, (a, s) in lines.items()}
+        height = max(values.values())
+        points.append((p, tuple(j for j in cols if values[j] == height)))
+    return points
+
+
+_entries = st.builds(F, st.integers(-12, 12), st.sampled_from((1, 2, 3, 7, 12)))
+
+
+@st.composite
+def _line_sets(draw):
+    """Columns of a 2-row matrix, some free, some copies of earlier ones and
+    some through a shared point, so that several lines tie on top; plus a
+    subset of them and a p-range."""
+    cols = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(("free", "copy", "pencil")))
+        if kind == "copy" and cols:
+            cols.append(draw(st.sampled_from(cols)))
+        elif kind == "pencil":
+            p, s = draw(st.sampled_from((F(0), F(1, 3), F(1, 2), F(1)))), draw(_entries)
+            a = F(1, 2) - s * p  # the line through (p, 1/2) with slope s
+            cols.append((a, a + s))
+        else:
+            cols.append((draw(_entries), draw(_entries)))
+    M = tuple(tuple(c[r] for c in cols) for r in range(2))
+    alive = draw(st.sets(st.integers(0, len(cols) - 1), min_size=1))
+    lo, hi = draw(st.sampled_from(((0, 1), (0, 0), (1, 1))))
+    return M, sorted(alive), lo, hi
+
+
+@settings(max_examples=400, deadline=None)
+@given(_line_sets())
+def test_hull_walk_vertices_are_pairwise_breakpoints(case):
+    """Every vertex the walk returns is a pairwise breakpoint with the same
+    columns on top, and both find the same best replies overall."""
+    M, cols, lo, hi = case
+    walked = _envelope(_integral(M), cols, lo, hi)
+    reference = dict(_pairwise_envelope(M, cols, lo, hi))
+    assert walked[0][0] == lo and walked[-1][0] == hi
+    for p, best in walked:
+        assert reference[p] == best, (p, best)
+    assert {j for _, best in walked for j in best} == {
+        j for best in reference.values() for j in best
+    }
 
 
 class TestNondegeneracy:
