@@ -184,9 +184,9 @@ def _cmd_solve(ns) -> dict:
     alpha = ns.alpha if ns.alpha is not None else _DEFAULT_ALPHA[ns.variant]
     sol = parametric.solve_variant(variant, alpha)
     results = _strategy_summary(sol)
-    results["p"] = sol.player_draw_probability
-    if InfoSet(6, None) in variant.optional_cells:
-        results["q"] = sol.banker_draw_probability(InfoSet(6, None))
+    results["p"] = results["player_draw_on_5"]
+    if "banker_draw_at_6_stand" in results:
+        results["q"] = results["banker_draw_at_6_stand"]
     results["eliminated_columns"] = [
         str(step.label) for step in sol.elimination_log if step.side == "column"
     ]

@@ -45,7 +45,6 @@ from .rules import (
     Variant,
     _CELL_INDEX,
     _coerce_rational,
-    tableau_action,
 )
 from .solver import MixedStrategy
 
@@ -89,11 +88,10 @@ def _draw_probabilities(
     the tableau -- that is what deviation experiments are for -- but
     never from a mandate the variant writes into law.
     """
-    table: dict[InfoSet, Fraction] = {}
-    for info in ALL_INFO_SETS:
-        action = variant.fixed_actions.get(info, tableau_action(info))
-        if action is not None:
-            table[info] = Fraction(int(action is Action.DRAW))
+    table = {
+        info: Fraction(int(action is Action.DRAW))
+        for info, action in variant.fixed_cell_actions()
+    }
     if isinstance(banker, BankerStrategy):
         specified = banker.items()
     else:

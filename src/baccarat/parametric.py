@@ -25,6 +25,7 @@ two solves):
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,9 +44,7 @@ from .rules import (
     CLASSIC,
     InfoSet,
     MODERN,
-    PARLOR,
     PlayerRow,
-    STARRED_CELLS,
     Variant,
     _coerce_rational,
 )
@@ -164,9 +163,9 @@ class VariantSolution:
         )
 
 
-def _expand_weights(weights, sub_labels, full_labels) -> MixedStrategy:
+def _expand_weights(strategy, sub_labels, full_labels) -> MixedStrategy:
     out = [Fraction(0)] * len(full_labels)
-    for w, lab in zip(weights, sub_labels):
+    for w, lab in zip(strategy.weights, sub_labels):
         out[full_labels.index(lab)] = w
     return MixedStrategy(tuple(out))
 
@@ -186,19 +185,11 @@ def solve_variant(variant: Variant, alpha=0) -> VariantSolution:
     m = len(reduced.A)
     n = len(reduced.A[0])
     if m == 1 and n == 1:
-        row = _expand_weights((Fraction(1),), reduced.row_labels, game.row_labels)
-        col = _expand_weights(
-            (Fraction(1),), reduced.column_labels, game.column_labels
-        )
-        report = EquilibriumReport(
-            row_strategy=row,
-            column_strategy=col,
-            row_value=reduced.A[0][0],
-            column_value=reduced.B[0][0],
-            row_support=row.support,
-            column_support=col.support,
-            kind="pure",
-            unique=True,
+        one = MixedStrategy((Fraction(1),))
+        sub = EquilibriumReport(
+            row_strategy=one, column_strategy=one,
+            row_value=reduced.A[0][0], column_value=reduced.B[0][0],
+            row_support=(0,), column_support=(0,), kind="pure", unique=True,
         )
     elif m == 2:
         enum = enumerate_nash_2xn(reduced.A, reduced.B)
@@ -209,27 +200,18 @@ def solve_variant(variant: Variant, alpha=0) -> VariantSolution:
                 f"(complete={enum.complete})"
             )
         sub = enum.equilibria[0]
-        row = _expand_weights(
-            sub.row_strategy.weights, reduced.row_labels, game.row_labels
-        )
-        col = _expand_weights(
-            sub.column_strategy.weights, reduced.column_labels, game.column_labels
-        )
-        report = EquilibriumReport(
-            row_strategy=row,
-            column_strategy=col,
-            row_value=sub.row_value,
-            column_value=sub.column_value,
-            row_support=row.support,
-            column_support=col.support,
-            kind=sub.kind,
-            unique=sub.unique,
-            note=sub.note,
-        )
     else:
         raise AssertionError(
             f"unexpected residual shape {m}x{n} for {variant.name}"
         )
+    row = _expand_weights(sub.row_strategy, reduced.row_labels, game.row_labels)
+    col = _expand_weights(
+        sub.column_strategy, reduced.column_labels, game.column_labels
+    )
+    report = dataclasses.replace(
+        sub, row_strategy=row, column_strategy=col,
+        row_support=row.support, column_support=col.support,
+    )
     if not verify_equilibrium(game.A, game.B, report):
         raise AssertionError(
             f"solved profile failed verification on the full "
@@ -245,8 +227,8 @@ def solve_variant(variant: Variant, alpha=0) -> VariantSolution:
     )
 
 
-#: Commission rates swept by default (clipped to each variant's bound;
-#: the commission-free parlor game is swept at 0 only).
+#: Commission rates swept by default, less those a variant rejects (a
+#: commission-free variant is swept at 0 only).
 DEFAULT_ALPHA_GRID = (
     Fraction(0),
     Fraction(1, 100),
@@ -272,27 +254,43 @@ def _check(cond: bool, msg: str) -> None:
         raise AssertionError(msg)
 
 
+#: The stands at (4,1) and (6,None) that make a variant modern-shaped.
+_MODERN_MANDATES = MODERN.fixed_actions
+
+
+def _shape(variant: Variant) -> str | None:
+    """The solved structure a variant has, read off its mandates alone:
+    "classic" when every starred cell is optional, "modern" when it
+    mandates the modern stands, and None otherwise."""
+    if not variant.fixed_actions:
+        return "classic"
+    if variant.fixed_actions == _MODERN_MANDATES:
+        return "modern"
+    return None
+
+
 def equilibrium_curve(variant: Variant, alpha_grid=None) -> CommissionSweep:
     """Solve a variant across a grid of rates, asserting the closed forms.
 
-    For parlor/classic games every sample is checked against the exact
-    formulas for Player's draw probability, Banker's unchanged mix, the
-    constant Player value, and Banker's value; for the modern game, the
-    pure equilibrium and its value line.  A sample that violates any of
-    these raises rather than returning quietly wrong data.
+    ``validity_bound`` is :func:`table_validity_bound` for a variant
+    shaped like classic or modern, else its ``alpha_bound``.  Below that
+    bound each sample of a classic-shaped variant is checked against the
+    exact formulas for Player's draw probability, Banker's unchanged mix,
+    the constant Player value, and Banker's value; of a modern-shaped
+    one, against the pure equilibrium and its value line.  A violation
+    raises rather than returning quietly wrong data.
     """
+    shape = _shape(variant)
+    bound = variant.alpha_bound if shape is None else table_validity_bound(variant)
     if alpha_grid is None:
-        grid = (
-            [Fraction(0)]
-            if variant == PARLOR
-            else [a for a in DEFAULT_ALPHA_GRID if a < variant.alpha_bound]
-        )
-    else:
-        grid = [variant.check_alpha(a) for a in alpha_grid]
+        alpha_grid = [
+            a for a in DEFAULT_ALPHA_GRID if a == 0 or a < variant.alpha_bound
+        ]
+    grid = [variant.check_alpha(a) for a in alpha_grid]
     samples = []
     for a in grid:
         sol = solve_variant(variant, a)
-        if variant in (PARLOR, CLASSIC):
+        if shape == "classic" and a < bound:
             _check(
                 sol.player_draw_probability == classic_draw_probability(a),
                 f"draw probability off closed form at alpha={a}",
@@ -310,7 +308,7 @@ def equilibrium_curve(variant: Variant, alpha_grid=None) -> CommissionSweep:
                 sol.banker_value == classic_banker_value(a),
                 f"banker value off closed form at alpha={a}",
             )
-        elif variant == MODERN:
+        elif shape == "modern" and a < bound:
             _check(
                 sol.report.kind == "pure"
                 and sol.player_draw_probability == 1
@@ -327,11 +325,7 @@ def equilibrium_curve(variant: Variant, alpha_grid=None) -> CommissionSweep:
             )
         samples.append((a, sol))
     return CommissionSweep(
-        variant=variant,
-        samples=tuple(samples),
-        validity_bound=table_validity_bound(variant)
-        if variant in (PARLOR, CLASSIC, MODERN)
-        else variant.alpha_bound,
+        variant=variant, samples=tuple(samples), validity_bound=bound
     )
 
 
@@ -407,25 +401,25 @@ def table_validity_bound(variant: Variant) -> Fraction:
     """Smallest commission rate at which the variant's fixed drawing
     rules lose their game-theoretic justification.
 
-    For the classic game that is the first rate at which some cell of
-    the 88 stops being determined the way the tableau fixes it (the
-    row-independence classification shifts).  For the modern game the
-    optional cells must keep strictly favoring a draw against Player's
-    equilibrium row, and the distinguishing mandate -- the forced stand
-    at (6, None) -- must remain a genuine restriction, i.e. Banker must
-    still strictly prefer drawing there against that row.  Each
-    condition is a finite conjunction of strict signs of cell values
-    affine in alpha, so it can only change state at one of the exact
-    crossover rates; scanning those rates in order finds the first
-    failure exactly.
+    Defined for variants shaped like classic or modern, whatever their
+    name or ``alpha_bound``.  With every starred cell optional (classic)
+    that is the first rate at which some cell of the 88 stops being
+    determined the way the tableau fixes it (the row-independence
+    classification shifts).  With the modern mandates the optional cells
+    must keep strictly favoring a draw against Player's equilibrium row,
+    and the distinguishing mandate -- the forced stand at (6, None) --
+    must remain a genuine restriction, i.e. Banker must still strictly
+    prefer drawing there against that row.  Each condition is a finite
+    conjunction of strict signs of cell values affine in alpha, so it
+    can only change state at one of the exact crossover rates; scanning
+    those rates in order finds the first failure exactly.
     """
-    if set(variant.optional_cells) == set(STARRED_CELLS):
-        # Parlor/classic structure: every starred cell is free, so the
-        # tableau is justified exactly while the classification holds.
+    shape = _shape(variant)
+    if shape == "classic":
         def holds(a: Fraction) -> bool:
             return classify_info_sets(a).agrees_with_tableau
-    elif variant == MODERN:
-        game0 = build_reduced_game(MODERN, 0)
+    elif shape == "modern":
+        game0 = build_reduced_game(variant, 0)
         d5 = game0.row_labels.index(PlayerRow.DRAW_ON_5)
         s5 = 1 - d5
         if not all(
@@ -433,7 +427,7 @@ def table_validity_bound(variant: Variant) -> Fraction:
             for j in range(len(game0.column_labels))
         ):  # pragma: no cover - structural, alpha-free
             raise AssertionError("drawing on 5 should dominate in the modern game")
-        watched = (*MODERN.optional_cells, InfoSet(6, None))
+        watched = (*variant.optional_cells, InfoSet(6, None))
 
         def holds(a: Fraction) -> bool:
             return all(
@@ -442,8 +436,8 @@ def table_validity_bound(variant: Variant) -> Fraction:
             )
     else:
         raise ValueError(
-            "validity bound is defined for the parlor, classic and modern "
-            "variants"
+            "validity bound is defined for variants shaped like classic or "
+            "modern"
         )
 
     roots = set()

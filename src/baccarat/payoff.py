@@ -347,31 +347,19 @@ def _row_outcome_profile(
     return _WLT(*base), tuple(free)
 
 
-def _variant_fixed_actions(variant: Variant) -> tuple[tuple[InfoSet, Action], ...]:
-    out = []
-    optional = set(variant.optional_cells)
-    for info in ALL_INFO_SETS:
-        if info in optional:
-            continue
-        action = variant.fixed_actions.get(info, tableau_action(info))
-        if action is None:
-            raise ValueError(f"no action fixed for non-optional cell {info}")
-        out.append((info, action))
-    return tuple(out)
-
-
-def build_reduced_game(variant: Variant, alpha=0, *, enforce_bound=True) -> ReducedGame:
+def build_reduced_game(variant: Variant, alpha=0) -> ReducedGame:
     """Assemble the variant's 2-row strategic form at rate ``alpha``.
 
-    With ``enforce_bound`` (the default), ``alpha`` must lie in the
-    variant's validity interval ``[0, alpha_bound)``; passing
-    ``enforce_bound=False`` builds the matrices anyway, which is useful
-    exactly once -- when probing where the analysis breaks down.
+    ``alpha`` must be a rate the variant accepts
+    (:meth:`~baccarat.rules.Variant.check_alpha`).  To build the matrices
+    past a bound, as when probing where an analysis breaks down, build
+    them for a variant of the same structure with a wider ``alpha_bound``
+    (:func:`~baccarat.rules.custom_variant` defaults to 1).
     """
-    a = variant.check_alpha(alpha) if enforce_bound else _commission_rate(alpha)
+    a = variant.check_alpha(alpha)
 
     cells = variant.optional_cells
-    fixed = _variant_fixed_actions(variant)
+    fixed = variant.fixed_cell_actions()
     assignments = tuple(itertools.product((Action.STAND, Action.DRAW), repeat=len(cells)))
     labels = tuple("".join(str(x) for x in asg) for asg in assignments)
 

@@ -201,14 +201,16 @@ def _commission_rate(alpha) -> Fraction:
 @dataclass(frozen=True)
 class Variant:
     """A rule set: which starred cells Banker may choose, and which are
-    fixed by law, plus the commission-rate interval the analysis covers.
+    fixed by law, plus the commission rates the variant accepts.
 
     ``optional_cells`` lists the starred cells left to Banker's judgment,
     in canonical order; ``fixed_actions`` pins the remaining starred
     cells, held as a read-only copy of the mapping given.
-    ``alpha_bound`` is the exclusive upper end of the commission rates
-    for which the variant's analysis is valid (the tableau's determined
-    cells, and the modern mandates, are only justified below it).
+    ``alpha_bound`` is an exact rate in ``[0, 1]``: the variant accepts
+    alpha = 0 and every rate in ``(0, alpha_bound)``, so a bound of 0
+    makes the game commission-free.  A positive bound is the exclusive
+    end of the rates the variant's analysis covers (where the tableau's
+    determined cells, and any mandates, are justified).
     """
 
     name: str
@@ -222,6 +224,10 @@ class Variant:
         object.__setattr__(
             self, "fixed_actions", MappingProxyType(dict(self.fixed_actions))
         )
+        bound = _coerce_rational(self.alpha_bound, "alpha_bound")
+        if not 0 <= bound <= 1:
+            raise ValueError(f"alpha_bound must be in [0, 1], got {bound}")
+        object.__setattr__(self, "alpha_bound", bound)
         seen = set(self.optional_cells) | set(self.fixed_actions)
         if seen != set(STARRED_CELLS) or len(self.optional_cells) + len(
             self.fixed_actions
@@ -232,32 +238,38 @@ class Variant:
             )
 
     def check_alpha(self, alpha) -> Fraction:
-        """Validate and return an exact commission rate for this variant.
-
-        The parlor game is the commission-free game, so it accepts only
-        alpha = 0; the same game with a commission is the classic one.
-        """
+        """Validate and return an exact commission rate for this variant:
+        0, or a rate in ``(0, alpha_bound)``."""
         a = _coerce_rational(alpha, "alpha")
-        if self == PARLOR and a != 0:
+        if a == 0 or 0 < a < self.alpha_bound:
+            return a
+        if self.alpha_bound == 0:
             raise ValueError(
-                f"parlor is the commission-free game: alpha must be 0, got {a}"
-                " (use classic for a commission)"
+                f"{self.name} is a commission-free game: alpha must be 0, got {a}"
             )
-        if not 0 <= a < self.alpha_bound:
-            raise ValueError(
-                f"{self.name} analysis requires 0 <= alpha < "
-                f"{self.alpha_bound}, got {a}"
-            )
-        return a
+        raise ValueError(
+            f"{self.name} analysis requires 0 <= alpha < "
+            f"{self.alpha_bound}, got {a}"
+        )
+
+    def fixed_cell_actions(self) -> tuple[tuple[InfoSet, Action], ...]:
+        """The action at every cell Banker may not choose, in canonical
+        order: the variant's mandate at a fixed starred cell, and the
+        tableau's action elsewhere."""
+        return tuple(
+            (info, self.fixed_actions.get(info, tableau_action(info)))
+            for info in ALL_INFO_SETS
+            if info not in self.optional_cells
+        )
 
 
-#: No commission (alpha = 0 only); both sides choose freely at every
-#: starred cell.  ``alpha_bound`` only bounds the rate, as classic's does.
+#: No commission (alpha_bound = 0, so alpha = 0 only); Banker chooses
+#: freely at every starred cell.
 PARLOR = Variant(
     name="parlor",
     optional_cells=STARRED_CELLS,
     fixed_actions={},
-    alpha_bound=Fraction(1, 15),
+    alpha_bound=0,
 )
 
 #: Commission 0 <= alpha < 1/15 on Banker wins; same freedom as parlor.
@@ -287,13 +299,14 @@ def custom_variant(
     """Build a variant with an arbitrary split of the starred cells.
 
     ``alpha_bound`` defaults to 1, i.e. any commission below 100% is
-    accepted; pass a tighter bound when one is known.
+    accepted; pass a tighter bound when one is known, or 0 for a
+    commission-free game.
     """
     return Variant(
         name=name,
         optional_cells=tuple(optional_cells),
         fixed_actions=fixed_actions,
-        alpha_bound=_coerce_rational(alpha_bound, "alpha_bound"),
+        alpha_bound=alpha_bound,
     )
 
 

@@ -310,11 +310,16 @@ def is_nondegenerate(A, B) -> tuple[bool, DegeneracyWitness | None]:
     """
     A, B = _matrix(A), _matrix(B)
     _require_two_rows(A)
-    n = len(A[0])
-    for c in range(n):
+    return _degeneracy(A, _envelope(_integral(B), range(len(A[0]))))
+
+
+def _degeneracy(A, points) -> tuple[bool, DegeneracyWitness | None]:
+    """The checks of :func:`is_nondegenerate`, given the envelope's
+    breakpoints ``points`` of ``B``'s column lines."""
+    for c in range(len(A[0])):
         if A[0][c] == A[1][c]:
             return False, DegeneracyWitness("column", c, (0, 1))
-    for p, best in _envelope(_integral(B), range(n)):
+    for p, best in points:
         if p in (0, 1):
             if len(best) > 1:
                 return False, DegeneracyWitness("row", int(p), best)
@@ -344,14 +349,14 @@ def enumerate_nash_2xn(A, B) -> NashEnumeration:
     A, B = _matrix(A), _matrix(B)
     _require_two_rows(A)
     n = len(A[0])
-    complete, witness = is_nondegenerate(A, B)
+    points = _envelope(_integral(B), range(n))
+    complete, witness = _degeneracy(A, points)
     found: dict[tuple, tuple] = {}  # (row weights, col weights) -> (k, note)
 
     def record(rw, cw, kind, note=""):
         key = (tuple(rw), tuple(cw))
         found.setdefault(key, (kind, note))
 
-    points = _envelope(_integral(B), range(n))
     best_to_row = (points[0][1], points[-1][1])  # p = 0 is row 0, p = 1 row 1
 
     # Pure x pure.

@@ -7,11 +7,14 @@ import pytest
 
 import baccarat
 from baccarat import (
+    Action,
     CLASSIC,
     InfoSet,
     MODERN,
     PARLOR,
     PlayerRow,
+    STARRED_CELLS,
+    custom_variant,
     equilibrium_curve,
     find_alpha_star,
     solve_variant,
@@ -118,6 +121,60 @@ class TestEquilibriumCurve:
         assert sweep.validity_bound == F(1, 15)
         with pytest.raises(ValueError):
             equilibrium_curve(PARLOR, (0, F(1, 20)))
+
+
+def _summary(sweep):
+    return [
+        (
+            a,
+            sol.player_value,
+            sol.banker_value,
+            sol.player_draw_probability,
+            {c: sol.banker_draw_probability(c) for c in sol.variant.optional_cells},
+        )
+        for a, sol in sweep.samples
+    ]
+
+
+class TestVariantsByStructure:
+    def test_classic_shape_under_another_name(self, monkeypatch):
+        mine = custom_variant("mine", tuple(reversed(STARRED_CELLS)), {})
+        sweep = equilibrium_curve(mine)
+        assert sweep.validity_bound == F(1, 15)
+        assert _summary(sweep) == _summary(equilibrium_curve(CLASSIC))
+        # The closed forms are asserted: a wrong one makes the sweep raise.
+        monkeypatch.setattr(baccarat.parametric, "BANKER_STAND_CELL_DRAW_Q", F(1, 2))
+        with pytest.raises(AssertionError, match="banker mix"):
+            equilibrium_curve(mine)
+
+    def test_modern_shape_under_another_name(self, monkeypatch):
+        mine = custom_variant(
+            "mine", tuple(reversed(MODERN.optional_cells)), MODERN.fixed_actions
+        )
+        assert table_validity_bound(mine) == F(2, 5)
+        sweep = equilibrium_curve(mine, (0, F(1, 20), F(1, 2)))
+        assert sweep.validity_bound == F(2, 5)
+        monkeypatch.setattr(baccarat.parametric, "MODERN_PLAYER_VALUE", F(0))
+        with pytest.raises(AssertionError, match="modern player value"):
+            equilibrium_curve(mine, (F(1, 20),))
+
+    def test_closed_forms_checked_only_below_the_validity_bound(self):
+        wide = custom_variant("wide", STARRED_CELLS, {}, alpha_bound=1)
+        sweep = equilibrium_curve(wide, (0, F(1, 10), F(1, 5)))
+        assert sweep.validity_bound == F(1, 15)
+        assert [a for a, _ in sweep.samples] == [0, F(1, 10), F(1, 5)]
+
+    def test_other_shapes_report_their_alpha_bound(self):
+        house = custom_variant(
+            "house", (InfoSet(6, None),),
+            {InfoSet(3, 9): Action.DRAW, InfoSet(4, 1): Action.STAND,
+             InfoSet(5, 4): Action.DRAW},
+            alpha_bound=F(1, 10),
+        )
+        with pytest.raises(ValueError, match="shaped like classic or modern"):
+            table_validity_bound(house)
+        sweep = equilibrium_curve(house, (0,))
+        assert sweep.validity_bound == F(1, 10)
 
 
 class TestAlphaStar:

@@ -1,5 +1,6 @@
 """Unit tests for the occurrence/conditional decomposition and the oracle."""
 
+import inspect
 import types
 from fractions import Fraction
 
@@ -40,7 +41,8 @@ from baccarat.payoff import (
     two_card_total_distribution,
     value_distribution,
 )
-from baccarat.rules import _commission_payoffs
+from baccarat.parametric import equilibrium_curve, table_validity_bound
+from baccarat.rules import Variant, _commission_payoffs
 
 F = Fraction
 S5, D5 = PlayerRow.STAND_ON_5, PlayerRow.DRAW_ON_5
@@ -201,8 +203,18 @@ class TestReducedGame:
     def test_bound_enforcement(self):
         with pytest.raises(ValueError):
             build_reduced_game(CLASSIC, F(1, 10))
-        game = build_reduced_game(CLASSIC, F(1, 10), enforce_bound=False)
+        # Past the bound, the same structure with a wider bound builds it.
+        wide = custom_variant("wide", CLASSIC.optional_cells, {}, alpha_bound=1)
+        game = build_reduced_game(wide, F(1, 10))
         assert len(game.column_labels) == 16
+        # A is alpha-free and B affine in alpha: B(1/10) = 2 B(1/20) - B(0).
+        at_0 = build_reduced_game(CLASSIC, 0)
+        at_20 = build_reduced_game(CLASSIC, F(1, 20))
+        assert game.A == at_0.A
+        assert game.B == tuple(
+            tuple(2 * x - y for x, y in zip(r20, r0))
+            for r20, r0 in zip(at_20.B, at_0.B)
+        )
 
 
 def test_oracle_agrees_on_spot_entries():
@@ -383,6 +395,20 @@ def test_decomposition_never_reads_the_oracle(function):
     names = _names_in(getattr(function, "__wrapped__", function).__code__)
     forbidden = {"_W", "_PAIRS", "_outcome_table", "_leaf_ledger", "play_coup"}
     assert not names & forbidden
+
+
+@pytest.mark.parametrize(
+    "function",
+    [Variant.check_alpha, equilibrium_curve, table_validity_bound, build_reduced_game],
+)
+def test_variant_behaviour_never_reads_a_variant_name(function):
+    """Variants differ by structure only: no rule dispatches on which
+    built-in variant it was handed."""
+    assert not _names_in(function.__code__) & {"PARLOR", "CLASSIC"}
+
+
+def test_reduced_game_has_no_bound_override():
+    assert "enforce_bound" not in inspect.signature(build_reduced_game).parameters
 
 
 @st.composite

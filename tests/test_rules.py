@@ -21,6 +21,7 @@ from baccarat import (
     mandated_player_action,
     play_coup,
     tableau_action,
+    Variant,
 )
 
 D, S = Action.DRAW, Action.STAND
@@ -111,6 +112,7 @@ class TestVariants:
         assert PARLOR.fixed_actions == {}
         assert MODERN.optional_cells == (InfoSet(3, 9), InfoSet(5, 4))
         assert MODERN.fixed_actions == {InfoSet(4, 1): S, InfoSet(6, None): S}
+        assert PARLOR.alpha_bound == 0
         assert CLASSIC.alpha_bound == Fraction(1, 15)
         assert MODERN.alpha_bound == Fraction(2, 5)
 
@@ -121,6 +123,37 @@ class TestVariants:
         with pytest.raises(ValueError):
             CLASSIC.check_alpha(Fraction(1, 10))
         assert MODERN.check_alpha(Fraction(1, 3)) == Fraction(1, 3)
+
+    def test_a_zero_bound_means_commission_free(self):
+        free = custom_variant("free", STARRED_CELLS, {}, 0)
+        assert free.check_alpha(0) == 0
+        for a in (Fraction(1, 20), Fraction(-1, 20)):
+            with pytest.raises(ValueError, match="commission-free"):
+                free.check_alpha(a)
+
+    @pytest.mark.parametrize("bound", [0, 1, "1/2", Fraction(2, 5)])
+    def test_alpha_bound_accepted(self, bound):
+        v = custom_variant("v", STARRED_CELLS, {}, bound)
+        assert v.alpha_bound == Fraction(bound)
+        assert type(v.alpha_bound) is Fraction
+        assert Variant("v", STARRED_CELLS, {}, bound) == v
+
+    def test_alpha_bound_rejected(self):
+        with pytest.raises(TypeError):
+            Variant("flt", STARRED_CELLS, {}, 0.5)
+        with pytest.raises(TypeError):
+            custom_variant("flt", STARRED_CELLS, {}, 0.5)
+        for bound in (-1, 2, "3/2"):
+            with pytest.raises(ValueError, match="alpha_bound"):
+                custom_variant("bad", STARRED_CELLS, {}, bound)
+
+    @pytest.mark.parametrize("variant", [PARLOR, CLASSIC, MODERN], ids=lambda v: v.name)
+    def test_fixed_cell_actions(self, variant):
+        fixed = dict(variant.fixed_cell_actions())
+        optional = variant.optional_cells
+        assert list(fixed) == [i for i in ALL_INFO_SETS if i not in optional]
+        for info, action in fixed.items():
+            assert action is variant.fixed_actions.get(info, tableau_action(info))
 
     @pytest.mark.parametrize("variant", [PARLOR, CLASSIC, MODERN], ids=lambda v: v.name)
     def test_fixed_actions_are_read_only(self, variant):

@@ -293,6 +293,27 @@ def test_hull_walk_vertices_are_pairwise_breakpoints(case):
     }
 
 
+@st.composite
+def _tied_games(draw):
+    """A 2 x n game whose Banker lines come from :func:`_line_sets` (ties
+    and duplicate columns), with Player's rows sometimes tied in a column."""
+    B, _, _, _ = draw(_line_sets())
+    n = len(B[0])
+    A = [[draw(st.integers(-50, 50)) for _ in range(n)] for _ in range(2)]
+    if draw(st.integers(0, 3)) == 0:
+        c = draw(st.integers(0, n - 1))
+        A[1][c] = A[0][c]
+    return A, B
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_games())
+def test_enumeration_certificate_is_the_nondegeneracy_check(game):
+    A, B = game
+    res = enumerate_nash_2xn(A, B)
+    assert (res.complete, res.witness) == is_nondegenerate(A, B)
+
+
 class TestNondegeneracy:
     def test_clean_game(self):
         ok, witness = is_nondegenerate([[1, -1], [-1, 1]], neg([[1, -1], [-1, 1]]))
