@@ -53,8 +53,10 @@ def _rational_list(text: str) -> list[Fraction]:
 
 
 def _decimal_str(x: Fraction, places: int = 10) -> str:
+    # 60 digits, or more when the integer part needs them to quantize.
+    whole = Decimal(abs(x.numerator) // x.denominator)
     with localcontext() as ctx:
-        ctx.prec = 60
+        ctx.prec = max(60, whole.adjusted() + places + 2)
         q = (Decimal(x.numerator) / Decimal(x.denominator)).quantize(
             Decimal(1).scaleb(-places)
         )

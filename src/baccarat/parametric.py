@@ -178,7 +178,8 @@ def solve_variant(variant: Variant, alpha=0) -> VariantSolution:
     single profile, strictness alone certifies it as the unique
     equilibrium.  Whatever is found is re-checked by
     :func:`baccarat.solver.verify_equilibrium` on the unreduced game
-    before being returned.
+    before being returned.  A rate the variant accepts but at which the
+    game has no unique equilibrium raises ``ValueError``.
     """
     game = build_reduced_game(variant, alpha)
     reduced, log = eliminate_strictly_dominated(game)
@@ -191,19 +192,15 @@ def solve_variant(variant: Variant, alpha=0) -> VariantSolution:
             row_value=reduced.A[0][0], column_value=reduced.B[0][0],
             row_support=(0,), column_support=(0,), kind="pure", unique=True,
         )
-    elif m == 2:
-        enum = enumerate_nash_2xn(reduced.A, reduced.B)
-        if len(enum.equilibria) != 1:
-            raise AssertionError(
-                f"{variant.name} at alpha={alpha}: expected exactly one "
-                f"equilibrium, found {len(enum.equilibria)} "
-                f"(complete={enum.complete})"
+    else:
+        enum = enumerate_nash_2xn(reduced.A, reduced.B) if m == 2 else None
+        if enum is None or len(enum.equilibria) != 1:
+            raise ValueError(
+                f"variant {variant.name!r} at alpha={game.alpha} has no "
+                f"unique equilibrium (residual game {m}x{n} after "
+                f"elimination)"
             )
         sub = enum.equilibria[0]
-    else:
-        raise AssertionError(
-            f"unexpected residual shape {m}x{n} for {variant.name}"
-        )
     row = _expand_weights(sub.row_strategy, reduced.row_labels, game.row_labels)
     col = _expand_weights(
         sub.column_strategy, reduced.column_labels, game.column_labels

@@ -32,14 +32,16 @@ Everything here is exact rational arithmetic.  The central objects:
 * ``oracle_outcome_distribution`` / ``oracle_payoff_entry`` -- a second,
   deliberately independent route to the same numbers.  Every leaf of the
   deal -- a row, a pair of two-card totals and the two third cards -- is
-  resolved once through :func:`baccarat.rules.play_coup` into an outcome
-  table, which is folded into an integer ledger of Player's loss, tie and
-  win counts out of 13^6 for each (row, cell, Banker action), plus one
-  slot for the naturals.  An entry is the sum of 89 ledger slots: the
-  naturals and, at each of the 88 cells, the action the strategy takes.
-  The decomposition above is never consulted, so agreement between the
-  two routes is a real check.  The same outcome table resolves every
-  hand of :func:`baccarat.montecarlo.simulate`.
+  resolved through :func:`baccarat.rules.play_coup` once per distinct
+  read prefix of the third cards; a result holds for every unread card.
+  The outcome table so filled is folded into an integer ledger of
+  Player's loss, tie and win counts out of 13^6 for each (row, cell,
+  Banker action), plus one slot for the naturals.  An entry is the sum
+  of 89 ledger slots: the naturals and, at each of the 88 cells, the
+  action the strategy takes.  The decomposition above is never
+  consulted, so agreement between the two routes is a real check.  The
+  same outcome table resolves every hand of
+  :func:`baccarat.montecarlo.simulate`.
 """
 
 from __future__ import annotations
@@ -402,13 +404,15 @@ def build_reduced_game(variant: Variant, alpha=0) -> ReducedGame:
 # play_coup depends on the first two cards only through their total, so
 # a deal is fixed, as far as the rules can tell, by the row, the two
 # two-card totals and the two third cards: 2 x 10^4 leaves.
-# _outcome_table resolves each leaf once through play_coup on the hands
-# (0, total); _leaf_ledger weights it by its number of six-card deals
-# out of 13^6 and files it under the Banker cell it reaches.  A coup
-# reaches at most one cell, so an oracle entry is the natural slot plus,
-# per cell, the slot of the action the strategy takes there.  Nothing
-# here reads the decomposition above, so agreement between the two
-# routes is a real check.
+# _outcome_table fills them from the hands (0, total), resolved through
+# play_coup once per distinct read prefix of the third cards; a result
+# holds for every unread card, and the outcome itself says which cards
+# were read.  _leaf_ledger weights each leaf by its number of six-card
+# deals out of 13^6 and files it under the Banker cell it reaches.  A
+# coup reaches at most one cell, so an oracle entry is the natural slot
+# plus, per cell, the slot of the action the strategy takes there.
+# Nothing here reads the decomposition above, so agreement between the
+# two routes is a real check.
 # ---------------------------------------------------------------------------
 
 _SCALE = 13**6
@@ -438,6 +442,13 @@ def _outcome_table() -> tuple[memoryview, memoryview, memoryview]:
     stands, then the same if Banker draws.  The commission never changes
     that sign, so the table is built at alpha = 0.
 
+    Each ``(row, pt, bt)`` block of 100 leaves is resolved through
+    ``play_coup`` once per distinct read prefix of the third cards; a
+    result holds for every unread card.  The outcome reports the third
+    cards the rules consumed, so a coup that read none fills the rest of
+    its block, and one that read one fills the rest of its ``c4`` row of
+    ten: 10 192 calls instead of one or two per leaf.
+
     The three byte arrays are filled in place and handed out as
     read-only views, not copied to ``bytes``: a copy would double the
     table's memory while it is built, and that moves peak RSS.
@@ -446,17 +457,31 @@ def _outcome_table() -> tuple[memoryview, memoryview, memoryview]:
     all_draw = BankerStrategy((Action.DRAW,) * len(ALL_INFO_SETS))
     size = len(_ROWS) * 10**4
     cells, stand_signs, draw_signs = (bytearray(size) for _ in range(3))
-    hands = itertools.product(_ROWS, range(10), range(10), range(10), range(10))
-    for key, (row, pt, bt, c4, c5) in enumerate(hands):
-        hand = ((0, pt), (0, bt), (c4, c5), row)
-        stood = play_coup(*hand, all_stand, 0)
+
+    def runs(base, row, pt, bt, strategy):
+        """Yield ``(start, end, outcome)`` over the block at ``base``."""
+        key = base
+        while key < base + 100:
+            c4, c5 = divmod(key - base, 10)
+            coup = play_coup((0, pt), (0, bt), (c4, c5), row, strategy, 0)
+            read = (coup.player_third is not None) + (coup.banker_third is not None)
+            end = (base + 100, key + 10 - c5, key + 1)[read]
+            yield key, end, coup
+            key = end
+
+    blocks = itertools.product(_ROWS, range(10), range(10))
+    for base, (row, pt, bt) in zip(range(0, size, 100), blocks):
+        for start, end, stood in runs(base, row, pt, bt, all_stand):
+            cell = _NO_CELL
+            if not stood.natural:
+                cell = _CELL_INDEX[InfoSet(bt, stood.player_third)]
+            cells[start:end] = bytes((cell,)) * (end - start)
+            stand_signs[start:end] = bytes((stood.player_payoff + 1,)) * (end - start)
         if stood.natural:
-            cells[key], drew = _NO_CELL, stood
-        else:
-            cells[key] = _CELL_INDEX[InfoSet(bt, stood.player_third)]
-            drew = play_coup(*hand, all_draw, 0)
-        stand_signs[key] = stood.player_payoff + 1
-        draw_signs[key] = drew.player_payoff + 1
+            draw_signs[base : base + 100] = stand_signs[base : base + 100]
+            continue
+        for start, end, drew in runs(base, row, pt, bt, all_draw):
+            draw_signs[start:end] = bytes((drew.player_payoff + 1,)) * (end - start)
     return tuple(
         memoryview(t).toreadonly() for t in (cells, stand_signs, draw_signs)
     )

@@ -112,6 +112,24 @@ def test_alpha_star_width_honors_tolerance(cli):
     assert results["midpoint_decimal"].startswith("0.05565")
 
 
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+def test_huge_rationals_render_in_every_format(fmt):
+    """A 401-digit tolerance gets its full decimal, not a traceback."""
+    src = str(Path(baccarat.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "baccarat.cli", "alpha-star", "--tol", "1e400",
+         "--format", fmt],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "1" + "0" * 400 + "." + "0" * 10 in proc.stdout
+
+
 def test_sweep_reports_each_grid_point(cli):
     code, out, _ = cli(
         "sweep", "--variant", "classic", "--grid", "0,1/30,1/20", "--format", "json"

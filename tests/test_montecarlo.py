@@ -1,5 +1,6 @@
 """Unit tests for the seeded simulator and its equilibrium adapters."""
 
+import itertools
 import os
 import random
 import re
@@ -31,7 +32,7 @@ from baccarat import (
     simulate,
     solve_variant,
 )
-from baccarat import montecarlo
+from baccarat import montecarlo, payoff
 
 F = Fraction
 A = F(1, 20)
@@ -204,6 +205,50 @@ def test_outcome_table_matches_play_coup():
                         assert cells[key] == cell
                         assert stand_signs[key] == stood.player_payoff + 1
                         assert draw_signs[key] == drew.player_payoff + 1
+
+
+def _reference_outcome_table():
+    """The builder that resolved each of the 20 000 leaves on its own:
+    one play_coup call with Banker standing and, off a natural, one with
+    Banker drawing."""
+    all_stand = BankerStrategy((Action.STAND,) * 88)
+    all_draw = BankerStrategy((Action.DRAW,) * 88)
+    cells, stand_signs, draw_signs = bytearray(), bytearray(), bytearray()
+    for row in (PlayerRow.STAND_ON_5, PlayerRow.DRAW_ON_5):
+        for pt, bt, c4, c5 in itertools.product(range(10), repeat=4):
+            hand = ((0, pt), (0, bt), (c4, c5), row)
+            stood = play_coup(*hand, all_stand, 0)
+            if stood.natural:
+                cells.append(88)
+                drew = stood
+            else:
+                cells.append(ALL_INFO_SETS.index(InfoSet(bt, stood.player_third)))
+                drew = play_coup(*hand, all_draw, 0)
+            stand_signs.append(stood.player_payoff + 1)
+            draw_signs.append(drew.player_payoff + 1)
+    return bytes(cells), bytes(stand_signs), bytes(draw_signs)
+
+
+def test_outcome_table_equals_the_per_leaf_build():
+    """Filling the leaves a coup never read gives the same bytes."""
+    table = tuple(bytes(view) for view in montecarlo._outcome_table())
+    assert table == _reference_outcome_table()
+
+
+def test_outcome_table_calls_play_coup_once_per_read_prefix(monkeypatch):
+    """Per (row, pt, bt) block: 1 call on a natural; 1 standing and 10
+    drawing when Player stands; 10 standing and 100 drawing when Player
+    draws.  Over the 72 natural, 40 Player-stands and 88 Player-draws
+    blocks of both rows, that is 10 192 calls, not 32 800."""
+    calls = []
+
+    def counting_play_coup(*args):
+        calls.append(args)
+        return play_coup(*args)
+
+    monkeypatch.setattr(payoff, "play_coup", counting_play_coup)
+    payoff._outcome_table.__wrapped__()
+    assert len(calls) == 10192
 
 
 class _BehavioralBanker:

@@ -67,6 +67,15 @@ class TestSolveVariant:
         with pytest.raises(ValueError, match="commission-free"):
             solve_variant(PARLOR, F(1, 20))
 
+    def test_accepted_rate_without_a_unique_equilibrium(self):
+        """A wide custom bound admits rates where the game is degenerate:
+        that is a ValueError about the input, not an internal assertion."""
+        wide = custom_variant("wide", STARRED_CELLS, {})
+        with pytest.raises(
+            ValueError, match=r"'wide' at alpha=2/5 has no unique equilibrium"
+        ):
+            solve_variant(wide, F(2, 5))
+
 
 class TestClosedForms:
     @pytest.mark.parametrize("alpha", [0, F(1, 100), F(1, 30), F(1, 20), F(1, 16)])

@@ -339,6 +339,8 @@ def _names_in(code):
     ],
 )
 def test_oracle_builders_never_read_the_decomposition(builder, source):
+    """Nor a second copy of the rules: which third cards a coup read, and
+    where Banker decided, come from play_coup's own outcome."""
     names = _names_in(getattr(builder, "__wrapped__", builder).__code__)
     assert source in names
     forbidden = {
@@ -346,6 +348,11 @@ def test_oracle_builders_never_read_the_decomposition(builder, source):
         "value_distribution",
         "two_card_total_distribution",
         "_natural_phase",
+        "mandated_player_action",
+        "tableau_action",
+        "_TABLEAU_ROWS",
+        "hand_total",
+        "is_natural",
     }
     assert not names & forbidden
 
