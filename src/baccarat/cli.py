@@ -8,7 +8,8 @@ identical numeric content.  Rates accept both decimal and fraction
 spellings: ``--alpha 0.05`` and ``--alpha 1/20`` are the same number.
 
 Exit codes: 0 on success, 2 on invalid input (unknown command or flag,
-malformed or out-of-range values), 1 on internal error.
+malformed or out-of-range values), 1 on internal error.  Either failure
+prints one line to stderr.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import json
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from . import montecarlo, parametric, punto
@@ -34,21 +36,48 @@ _DEFAULT_ALPHA = {"parlor": Fraction(0), "classic": Fraction(1, 20),
                   "modern": Fraction(1, 20)}
 
 
+#: Largest numerator or denominator a parsed number may have.
+_MAX_TERM = 10**1000
+#: Most digits plus exponent size a decimal may be written with: past
+#: that it is refused before its power of ten is built.
+_MAX_DECIMAL = 10_000
+#: Most rates one ``--grid`` may list.
+_MAX_GRID = 1000
+
+
 def _rational(text: str) -> Fraction:
-    """Parse '1/20', '0.05', or '1e-9' to the same exact number."""
+    """Parse '1/20', '0.05', or '1e-9' to the same exact number, with a
+    numerator and a denominator of at most 10^1000."""
     s = text.strip()
+    shown = repr(s if len(s) <= 40 else f"{s[:37]}...")
+    too_large = argparse.ArgumentTypeError(
+        f"number too large: {shown} (numerator and denominator must be at "
+        f"most 10^1000)"
+    )
     try:
         if "/" in s:
-            return Fraction(s)
-        return Fraction(Decimal(s))
+            value = Fraction(s)
+        else:
+            d = Decimal(s)
+            _, digits, exponent = d.as_tuple()
+            if d.is_finite() and len(digits) + abs(exponent) > _MAX_DECIMAL:
+                raise too_large
+            value = Fraction(d)
     except (ValueError, ArithmeticError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+        raise argparse.ArgumentTypeError(f"not a rational number: {shown}")
+    if max(abs(value.numerator), value.denominator) > _MAX_TERM:
+        raise too_large
+    return value
 
 
 def _rational_list(text: str) -> list[Fraction]:
     items = [piece for piece in text.split(",") if piece.strip()]
     if not items:
         raise argparse.ArgumentTypeError("expected a comma-separated list")
+    if len(items) > _MAX_GRID:
+        raise argparse.ArgumentTypeError(
+            f"at most {_MAX_GRID} rates, got {len(items)}"
+        )
     return [_rational(piece) for piece in items]
 
 
@@ -330,8 +359,17 @@ def _cmd_oracle(ns) -> dict:
 # --- parser ----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one ``error:`` line."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message} (see '{self.prog} --help')\n")
+
+
+@cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The command's parser, built on the first :func:`run` of a process."""
+    parser = _Parser(
         prog="baccarat",
         description="Exact solver for the drawing games of baccarat.",
     )
@@ -422,14 +460,15 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        report = ns.handler(ns)
-    except (ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        try:
+            report = ns.handler(ns)
+        except (ValueError, TypeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        text = _RENDERERS[ns.format](report)
     except Exception as exc:  # noqa: BLE001 - boundary of the process
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
-    text = _RENDERERS[ns.format](report)
     sys.stdout.write(text)
     if ns.out:
         try:

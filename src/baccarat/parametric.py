@@ -29,6 +29,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .payoff import (
@@ -45,6 +46,7 @@ from .rules import (
     InfoSet,
     MODERN,
     PlayerRow,
+    STARRED_CELLS,
     Variant,
     _coerce_rational,
 )
@@ -409,13 +411,16 @@ def table_validity_bound(variant: Variant) -> Fraction:
     prefer drawing there against that row.  Each condition is a finite
     conjunction of strict signs of cell values affine in alpha, so it
     can only change state at one of the exact crossover rates; scanning
-    those rates in order finds the first failure exactly.
+    those rates in order finds the first failure exactly.  The scan reads
+    nothing of the variant but its shape, so it runs once per shape.
     """
     shape = _shape(variant)
-    if shape == "classic":
-        def holds(a: Fraction) -> bool:
-            return classify_info_sets(a).agrees_with_tableau
-    elif shape == "modern":
+    if shape is None:
+        raise ValueError(
+            "validity bound is defined for variants shaped like classic or "
+            "modern"
+        )
+    if shape == "modern":
         game0 = build_reduced_game(variant, 0)
         d5 = game0.row_labels.index(PlayerRow.DRAW_ON_5)
         s5 = 1 - d5
@@ -424,18 +429,24 @@ def table_validity_bound(variant: Variant) -> Fraction:
             for j in range(len(game0.column_labels))
         ):  # pragma: no cover - structural, alpha-free
             raise AssertionError("drawing on 5 should dominate in the modern game")
-        watched = (*variant.optional_cells, InfoSet(6, None))
+    return _validity_bound(shape)
+
+
+@lru_cache(maxsize=2)
+def _validity_bound(shape: str) -> Fraction:
+    """The crossover scan of :func:`table_validity_bound` for one shape."""
+    if shape == "classic":
+        def holds(a: Fraction) -> bool:
+            return classify_info_sets(a).agrees_with_tableau
+    else:
+        optional = [c for c in STARRED_CELLS if c not in _MODERN_MANDATES]
+        watched = (*optional, InfoSet(6, None))
 
         def holds(a: Fraction) -> bool:
             return all(
                 info_set_stats(c, PlayerRow.DRAW_ON_5, a).improvement > 0
                 for c in watched
             )
-    else:
-        raise ValueError(
-            "validity bound is defined for variants shaped like classic or "
-            "modern"
-        )
 
     roots = set()
     for info in ALL_INFO_SETS:

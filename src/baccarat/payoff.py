@@ -19,15 +19,19 @@ Everything here is exact rational arithmetic.  The central objects:
       E[banker payoff] = (natural-phase part) + sum_I w_r(I) * e_{f(I)}(I)
 
   so each info set can be optimized cell by cell.  The commission rate
-  alpha enters only through the value of a Banker win, 1 - alpha, which
-  is why all internal tables store alpha-free win/loss/tie probability
-  triples and apply alpha at the end.
+  alpha enters only through the value of a Banker win, 1 - alpha, so
+  the decomposition is kept alpha-free, as integer counts out of 13^6
+  of Player's loss, tie and win per (row, cell, Banker action), plus
+  one slot for the naturals.  That ledger is computed from the card
+  counts of nu and tau alone and has the oracle's slot layout; alpha
+  is applied when a quantity is read off it.
 
 * ``build_reduced_game`` -- the variant's strategic form after the
   tableau's determined cells are fixed: 2 Player rows against one Banker
   column per assignment of actions to the variant's optional cells
   (16 columns for parlor/classic, 4 for modern).  ``A`` is Player's
   expected payoff (alpha-free), ``B`` is Banker's (affine in alpha).
+  Each entry is a sum of 89 integer slots, divided once.
 
 * ``oracle_outcome_distribution`` / ``oracle_payoff_entry`` -- a second,
   deliberately independent route to the same numbers.  Every leaf of the
@@ -38,9 +42,9 @@ Everything here is exact rational arithmetic.  The central objects:
   Player's loss, tie and win counts out of 13^6 for each (row, cell,
   Banker action), plus one slot for the naturals.  An entry is the sum
   of 89 ledger slots: the naturals and, at each of the 88 cells, the
-  action the strategy takes.  The decomposition above is never
-  consulted, so agreement between the two routes is a real check.  The
-  same outcome table resolves every hand of
+  action the strategy takes.  The decomposition's ledger is never
+  consulted, so agreement between the two routes, slot for slot, is a
+  real check.  The same outcome table resolves every hand of
   :func:`baccarat.montecarlo.simulate`.
 """
 
@@ -50,7 +54,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from .rules import (
     ALL_INFO_SETS,
@@ -61,7 +65,6 @@ from .rules import (
     STARRED_CELLS,
     Variant,
     _CELL_INDEX,
-    _coerce_rational,
     _commission_rate,
     play_coup,
     tableau_action,
@@ -85,6 +88,15 @@ __all__ = [
 ]
 
 _ROWS = (PlayerRow.STAND_ON_5, PlayerRow.DRAW_ON_5)
+#: Six-card deals: every ledger count is out of this many.
+_SCALE = 13**6
+#: Slot of the naturals in a ledger row, after the 88 cells' slots.
+_NO_CELL = len(ALL_INFO_SETS)
+
+#: Player's (loss, tie, win) counts out of 13^6.
+_Counts = tuple[int, int, int]
+#: Per row, per slot, the counts if Banker stands and if Banker draws.
+_Ledger = tuple[tuple[tuple[_Counts, _Counts], ...], ...]
 
 
 @lru_cache(maxsize=None)
@@ -110,14 +122,6 @@ def natural_probability() -> Fraction:
     tau = two_card_total_distribution()
     live = sum(tau[t] for t in range(8))
     return 1 - live * live
-
-
-class _WLT(NamedTuple):
-    """A (banker win, player win, tie) probability triple."""
-
-    banker_win: Fraction
-    player_win: Fraction
-    tie: Fraction
 
 
 @lru_cache(maxsize=None)
@@ -149,53 +153,67 @@ def _player_final_totals(info: InfoSet, row: PlayerRow):
             yield (t + c) % 10, tau[t] * nu[c]
 
 
-def _compare(pf: int, bf: int) -> int:
-    return (bf > pf) - (bf < pf)  # +1 banker win, -1 player win, 0 tie
+def _outcome(player_final: int, banker_final: int) -> int:
+    """Index of Player's loss (0), tie (1) or win (2) in a slot."""
+    return (player_final > banker_final) - (player_final < banker_final) + 1
 
 
-def _bin(cmp: int) -> int:
-    """Index into a (banker win, player win, tie) accumulator."""
-    return 0 if cmp > 0 else (1 if cmp < 0 else 2)
+@lru_cache(maxsize=1)
+def _analytic_ledger() -> _Ledger:
+    """The decomposition as Player's counts out of 13^6, slot by slot.
 
-
-@lru_cache(maxsize=None)
-def _cell_data(info: InfoSet, row: PlayerRow) -> tuple[Fraction, _WLT, _WLT]:
-    """Occurrence probability and conditional triples for one cell.
-
-    Returns ``(occurrence, stand_triple, draw_triple)`` where the triples
-    are conditioned on the cell occurring.  The tallies are integer card
-    counts, divided once per triple.
+    Laid out as the oracle's :func:`_leaf_ledger`:
+    ``_analytic_ledger()[r][k]`` holds, against ``_ROWS[r]``, Player's
+    (loss, tie, win) counts over the deals in which Banker decides at
+    ``ALL_INFO_SETS[k]``, first if Banker stands there, then if Banker
+    draws; slot ``_NO_CELL`` holds the naturals, the same counts twice.
+    It is read off card counts alone.  At a cell with Banker total ``b``,
+    each final Player total of weight ``w`` (out of 169 * 13) adds
+    ``13 * tau(b) * w`` to standing's bin and, for each third card
+    ``d``, ``tau(b) * w * nu(d)`` to drawing's; a natural with two-card
+    totals ``pt`` and ``bt`` adds ``tau(pt) * tau(bt) * 169``.
     """
     nu, tau = _card_counts()
-    b = info.banker_total
-    finals = list(_player_final_totals(info, row))
-    mass = sum(w for _, w in finals)
-    occurrence = Fraction(tau[b] * mass, 169 * 169 * 13)  # tau(b) * mass
+    naturals = [0, 0, 0]
+    for pt, bt in itertools.product(range(10), repeat=2):
+        if pt >= 8 or bt >= 8:
+            naturals[_outcome(pt, bt)] += tau[pt] * tau[bt] * 169
+    ledger = []
+    for row in _ROWS:
+        slots = []
+        for info in ALL_INFO_SETS:
+            b = info.banker_total
+            stand, draw = [0, 0, 0], [0, 0, 0]
+            for pf, w in _player_final_totals(info, row):
+                stand[_outcome(pf, b)] += 13 * tau[b] * w
+                for d, wd in enumerate(nu):
+                    draw[_outcome(pf, (b + d) % 10)] += tau[b] * w * wd
+            slots.append((tuple(stand), tuple(draw)))
+        slots.append((tuple(naturals),) * 2)
+        ledger.append(tuple(slots))
+    return tuple(ledger)
 
-    bins_stand = [0] * 3  # index 0: bw, 1: pw, 2: tie
-    bins_draw = [0] * 3
-    for pf, w in finals:
-        bins_stand[_bin(_compare(pf, b))] += w
-        for d, wd in enumerate(nu):
-            bins_draw[_bin(_compare(pf, (b + d) % 10))] += w * wd
-    stand = _WLT(*(Fraction(x, mass) for x in bins_stand))
-    draw = _WLT(*(Fraction(x, 13 * mass) for x in bins_draw))
-    return occurrence, stand, draw
+
+def _cell_slot(info: InfoSet, row: PlayerRow) -> tuple[_Counts, _Counts]:
+    """The (stand, draw) counts of one cell against one row."""
+    return _analytic_ledger()[_ROWS.index(row)][_CELL_INDEX[info]]
+
+
+def _banker_payoff(counts: _Counts, alpha: Fraction, total: int) -> Fraction:
+    """Banker's expectation ``((1 - alpha) * loss - win) / total`` over
+    Player's (loss, tie, win) counts."""
+    loss, _tie, win = counts
+    p, q = alpha.numerator, alpha.denominator
+    return Fraction((q - p) * loss - q * win, q * total)
 
 
 def _improvement_line(info: InfoSet, row: PlayerRow) -> tuple[Fraction, Fraction]:
-    """(constant, slope) in alpha of the cell's draw-minus-stand value.
-
-    Banker's value of a triple is ``(1 - alpha) * bw - pw``, so the line
-    is read straight off the two conditional triples.
-    """
-    _, stand, draw = _cell_data(info, row)
-    gain = draw.banker_win - stand.banker_win
-    return gain - (draw.player_win - stand.player_win), -gain
-
-
-def _banker_value(triple: _WLT, alpha: Fraction) -> Fraction:
-    return (1 - alpha) * triple.banker_win - triple.player_win
+    """(constant, slope) in alpha of the cell's draw-minus-stand value,
+    read off the differences between its two slots."""
+    stand, draw = _cell_slot(info, row)
+    loss_gain, _, win_gain = (d - s for d, s in zip(draw, stand))
+    total = sum(stand)
+    return Fraction(loss_gain - win_gain, total), Fraction(-loss_gain, total)
 
 
 @dataclass(frozen=True)
@@ -223,14 +241,15 @@ def info_set_stats(info: InfoSet, row: PlayerRow, alpha=0) -> InfoSetStats:
     if row not in _ROWS:
         raise ValueError(f"row must be a PlayerRow, got {row!r}")
     a = _commission_rate(alpha)
-    occurrence, stand, draw = _cell_data(info, row)
+    stand, draw = _cell_slot(info, row)
+    total = sum(stand)
     return InfoSetStats(
         info=info,
         row=row,
         alpha=a,
-        occurrence=occurrence,
-        e_stand=_banker_value(stand, a),
-        e_draw=_banker_value(draw, a),
+        occurrence=Fraction(total, _SCALE),
+        e_stand=_banker_payoff(stand, a, total),
+        e_draw=_banker_payoff(draw, a, total),
     )
 
 
@@ -257,12 +276,22 @@ class Classification:
 
 
 def classify_info_sets(alpha=0) -> Classification:
-    """Split the 88 cells into determined and starred at rate ``alpha``."""
-    a = _coerce_rational(alpha, "alpha")
+    """Split the 88 cells into determined and starred at rate ``alpha``.
+
+    Drawing's improvement over standing has the sign of
+    ``q * (loss gain - win gain) - p * loss gain`` for alpha = p/q, the
+    gains being the differences between a cell's draw and stand slots.
+    """
+    a = _commission_rate(alpha)
+    p, q = a.numerator, a.denominator
     determined: dict[InfoSet, Action] = {}
     starred: list[InfoSet] = []
-    for info in ALL_INFO_SETS:
-        imps = [info_set_stats(info, r, a).improvement for r in _ROWS]
+    ledger = _analytic_ledger()
+    for k, info in enumerate(ALL_INFO_SETS):
+        imps = [
+            q * (d[0] - s[0] - d[2] + s[2]) - p * (d[0] - s[0])
+            for s, d in (slots[k] for slots in ledger)
+        ]
         if all(x > 0 for x in imps):
             determined[info] = Action.DRAW
         elif all(x < 0 for x in imps):
@@ -302,53 +331,6 @@ class ReducedGame:
         )
 
 
-@lru_cache(maxsize=None)
-def _natural_phase() -> _WLT:
-    """Unconditional (bw, pw, tie) contribution of coups with a natural."""
-    tau = two_card_total_distribution()
-    bins = [Fraction(0)] * 3
-    for pt, wp in tau.items():
-        for bt, wb in tau.items():
-            if pt >= 8 or bt >= 8:
-                bins[_bin(_compare(pt, bt))] += wp * wb
-    return _WLT(*bins)
-
-
-def _accumulate(total: list[Fraction], triple: _WLT, weight: Fraction) -> None:
-    for i in range(3):
-        total[i] += weight * triple[i]
-
-
-@lru_cache(maxsize=128)
-def _row_outcome_profile(
-    row: PlayerRow, fixed: tuple[tuple[InfoSet, Action], ...]
-) -> tuple[_WLT, tuple[tuple[InfoSet, _WLT, _WLT], ...]]:
-    """Split a row's outcome law into a fixed part plus per-cell options.
-
-    ``fixed`` maps every non-optional cell to its action.  Returns the
-    unconditional (bw, pw, tie) triple of the fixed part (naturals plus
-    fixed cells) and, for each remaining cell, its occurrence-weighted
-    stand and draw triples.
-    """
-    fixed_map = dict(fixed)
-    base = list(_natural_phase())
-    free: list[tuple[InfoSet, _WLT, _WLT]] = []
-    for info in ALL_INFO_SETS:
-        occurrence, stand, draw = _cell_data(info, row)
-        if info in fixed_map:
-            chosen = stand if fixed_map[info] is Action.STAND else draw
-            _accumulate(base, chosen, occurrence)
-        else:
-            free.append(
-                (
-                    info,
-                    _WLT(*(occurrence * x for x in stand)),
-                    _WLT(*(occurrence * x for x in draw)),
-                )
-            )
-    return _WLT(*base), tuple(free)
-
-
 def build_reduced_game(variant: Variant, alpha=0) -> ReducedGame:
     """Assemble the variant's 2-row strategic form at rate ``alpha``.
 
@@ -359,33 +341,28 @@ def build_reduced_game(variant: Variant, alpha=0) -> ReducedGame:
     (:func:`~baccarat.rules.custom_variant` defaults to 1).
     """
     a = variant.check_alpha(alpha)
-
     cells = variant.optional_cells
-    fixed = variant.fixed_cell_actions()
     assignments = tuple(itertools.product((Action.STAND, Action.DRAW), repeat=len(cells)))
     labels = tuple("".join(str(x) for x in asg) for asg in assignments)
+    fixed = tuple(
+        (_CELL_INDEX[info], action is Action.DRAW)
+        for info, action in variant.fixed_cell_actions()
+    )
+    optional = tuple(_CELL_INDEX[info] for info in cells)
 
     A: list[tuple[Fraction, ...]] = []
     B: list[tuple[Fraction, ...]] = []
-    for row in _ROWS:
-        base, free = _row_outcome_profile(row, fixed)
-        per_cell = {info: (stand, draw) for info, stand, draw in free}
-        if set(per_cell) != set(cells):
-            raise AssertionError("optional-cell bookkeeping out of sync")
-        a_row = []
-        b_row = []
-        for asg in assignments:
-            total = list(base)
-            for info, action in zip(cells, asg):
-                stand, draw = per_cell[info]
-                chosen = stand if action is Action.STAND else draw
-                for i in range(3):
-                    total[i] += chosen[i]
-            bw, pw, _tie = total
-            a_row.append(pw - bw)
-            b_row.append((1 - a) * bw - pw)
-        A.append(tuple(a_row))
-        B.append(tuple(b_row))
+    for slots in _analytic_ledger():
+        base = tuple(
+            map(sum, zip(slots[_NO_CELL][0], *(slots[k][drew] for k, drew in fixed)))
+        )
+        # A slot is (stand, draw), so this runs in the order of ``assignments``.
+        totals = [
+            tuple(map(sum, zip(base, *chosen)))
+            for chosen in itertools.product(*(slots[k] for k in optional))
+        ]
+        A.append(tuple(Fraction(win - loss, _SCALE) for loss, _tie, win in totals))
+        B.append(tuple(_banker_payoff(counts, a, _SCALE) for counts in totals))
 
     return ReducedGame(
         variant=variant,
@@ -415,18 +392,12 @@ def build_reduced_game(variant: Variant, alpha=0) -> ReducedGame:
 # two routes is a real check.
 # ---------------------------------------------------------------------------
 
-_SCALE = 13**6
 _W = tuple(4 if v == 0 else 1 for v in range(10))
 #: Card pairs, out of 169, behind each two-card total.
 _PAIRS = tuple(
     sum(_W[a] * _W[b] for a in range(10) for b in range(10) if (a + b) % 10 == t)
     for t in range(10)
 )
-#: Table cell of a natural, where Banker reaches no information set; in
-#: the ledger, the slot of the naturals.
-_NO_CELL = len(ALL_INFO_SETS)
-
-
 @lru_cache(maxsize=1)
 def _outcome_table() -> tuple[memoryview, memoryview, memoryview]:
     """Every leaf's Banker cell and Player's sign, resolved by play_coup.
@@ -487,11 +458,8 @@ def _outcome_table() -> tuple[memoryview, memoryview, memoryview]:
     )
 
 
-_Counts = tuple[int, int, int]
-
-
 @lru_cache(maxsize=1)
-def _leaf_ledger() -> tuple[tuple[tuple[_Counts, _Counts], ...], ...]:
+def _leaf_ledger() -> _Ledger:
     """The outcome table folded into Player's counts out of 13^6.
 
     ``_leaf_ledger()[r][k]`` holds, against ``_ROWS[r]``, the

@@ -38,11 +38,11 @@ from baccarat import (
 from baccarat.payoff import (
     _NO_CELL,
     _ROWS,
-    _cell_data,
+    _analytic_ledger,
     _leaf_ledger,
-    _natural_phase,
 )
 from baccarat.solver import is_nondegenerate
+from fraction_reference import fraction_cell_data, fraction_natural_phase
 
 F = Fraction
 D6 = 13**6
@@ -208,7 +208,10 @@ def test_criterion_09_punto_banco_report():
 
 
 def test_criterion_10_oracle_equivalence():
-    label = "brute-force oracle vs decomposition, 32 pairs x 2 alphas, 352 cells"
+    label = (
+        "brute-force oracle vs decomposition, 32 pairs x 2 alphas, 352 cells, "
+        "both ledgers"
+    )
     with criterion(10, label):
         start = time.perf_counter()
         for alpha in (0, F(1, 20)):
@@ -222,20 +225,24 @@ def test_criterion_10_oracle_equivalence():
                     assert be == game.B[r][j], (alpha, r, j)
         # Both routes add up over cells, so equal slots mean equal
         # entries for every Banker strategy, not only the 32 above.
-        # A ledger slot counts Player's (loss, tie, win), a triple is
-        # Banker's (win, loss, tie).
+        # A ledger slot counts Player's (loss, tie, win), a triple of the
+        # decomposition summed in fractions is Banker's (win, loss, tie).
         checked = 0
         for row, slots in zip(_ROWS, _leaf_ledger()):
             for info, cell_slots in zip(ALL_INFO_SETS, slots):
-                occurrence, *triples = _cell_data(info, row)
+                occurrence, *triples = fraction_cell_data(info, row)
                 for (loss, tie, win), (bw, pw, t) in zip(cell_slots, triples):
                     assert F(loss, D6) == occurrence * bw, (row, info)
                     assert F(win, D6) == occurrence * pw, (row, info)
                     assert F(tie, D6) == occurrence * t, (row, info)
                     checked += 1
             for loss, tie, win in slots[_NO_CELL]:
-                assert (F(loss, D6), F(win, D6), F(tie, D6)) == _natural_phase()
+                assert (F(loss, D6), F(win, D6), F(tie, D6)) == (
+                    fraction_natural_phase()
+                )
         assert checked == 352
+        # The decomposition's own ledger, computed from card counts.
+        assert _analytic_ledger() == _leaf_ledger()
         assert time.perf_counter() - start < 60.0
 
 

@@ -6,12 +6,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import baccarat
+from baccarat import cli as cli_module
 from baccarat.cli import run
 
 F = Fraction
@@ -29,6 +31,19 @@ def cli(capsys):
 
 def get_json(out: str) -> dict:
     return json.loads(out)
+
+
+def fresh_process(*argv, **env):
+    """``python -m baccarat.cli`` with ``argv`` in a new interpreter."""
+    src = str(Path(baccarat.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "baccarat.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path, **env},
+        timeout=120,
+    )
 
 
 def test_table_text(cli):
@@ -90,15 +105,7 @@ def test_punto_values(cli):
 
 def test_module_entry_point_runs_the_cli():
     """``python -m baccarat.cli`` runs a command instead of only importing."""
-    src = str(Path(baccarat.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "baccarat.cli", "punto", "--format", "json"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        timeout=120,
-    )
+    proc = fresh_process("punto", "--format", "json")
     assert proc.returncode == 0, proc.stderr
     assert get_json(proc.stdout)["command"] == "punto"
 
@@ -115,16 +122,7 @@ def test_alpha_star_width_honors_tolerance(cli):
 @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
 def test_huge_rationals_render_in_every_format(fmt):
     """A 401-digit tolerance gets its full decimal, not a traceback."""
-    src = str(Path(baccarat.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "baccarat.cli", "alpha-star", "--tol", "1e400",
-         "--format", fmt],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        timeout=120,
-    )
+    proc = fresh_process("alpha-star", "--tol", "1e400", "--format", fmt)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "1" + "0" * 400 + "." + "0" * 10 in proc.stdout
@@ -267,3 +265,60 @@ class TestExitCodes:
         code, out, _ = cli("--help")
         assert code == 0
         assert "baccarat" in out
+
+
+def test_one_process_serves_many_commands(cli, monkeypatch):
+    """The parser is built on the first run and reused: a rejected flag
+    and --help in between leave every report as a fresh process gives."""
+    monkeypatch.setenv("COLUMNS", "80")
+    cli_module._build_parser.cache_clear()
+    good = ("solve", "modern", "--alpha", "1/20", "--format", "json")
+    argvs = (good, ("solve", "modern", "--bogus"), ("--help",), good)
+    results = [cli(*argv) for argv in argvs]
+    assert [code for code, _, _ in results] == [0, 2, 0, 0]
+    assert cli_module._build_parser.cache_info().misses == 1
+    for argv, result in zip(argvs, results):
+        proc = fresh_process(*argv, COLUMNS="80")
+        assert result == (proc.returncode, proc.stdout, proc.stderr), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("alpha-star", "--tol", "1e5000"),
+        ("alpha-star", "--tol", "1e-1001"),
+        ("--format", "json", "oracle", "--variant", "modern", "--alpha", "1e-5000"),
+        ("solve", "classic", "--alpha", "1e-99999999"),
+        ("solve", "classic", "--alpha", "1/" + "9" * 1001),
+        ("sweep", "--grid", ",".join(["1/100"] * 1001)),
+    ],
+    ids=["tol-huge", "tol-fine", "oracle-alpha", "alpha-exponent", "alpha-fraction",
+         "grid"],
+)
+def test_unbounded_input_is_refused(cli, argv):
+    """Past 10^1000 in a numerator or denominator, or 1000 grid rates,
+    the input is refused at once with one line."""
+    start = time.perf_counter()
+    code, out, err = cli(*argv)
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_finest_tolerance_still_runs(cli):
+    start = time.perf_counter()
+    code, out, err = cli("alpha-star", "--tol", "1e-1000", "--format", "json")
+    assert time.perf_counter() - start < 2.0
+    assert (code, err) == (0, "")
+    results = get_json(out)["results"]
+    assert F(results["hi"]) - F(results["lo"]) <= F(1, 10**1000)
+
+
+def test_rendering_failure_is_one_internal_error_line(cli, monkeypatch):
+    def broken(report):
+        raise ValueError("cannot render")
+
+    monkeypatch.setitem(cli_module._RENDERERS, "json", broken)
+    code, out, err = cli("punto", "--format", "json")
+    assert (code, out, err) == (1, "", "internal error: cannot render\n")

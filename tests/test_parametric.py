@@ -22,6 +22,7 @@ from baccarat import (
 )
 from baccarat.parametric import (
     DEFAULT_ALPHA_GRID,
+    _validity_bound,
     classic_banker_value,
     classic_draw_probability,
     modern_banker_value,
@@ -258,6 +259,23 @@ class TestValidityBounds:
         assert table_validity_bound(CLASSIC) == F(1, 15)
         assert table_validity_bound(PARLOR) == F(1, 15)
         assert table_validity_bound(MODERN) == F(2, 5)
+
+    def test_scan_runs_once_per_shape(self):
+        """Names, bounds and cell order do not key the cached scan."""
+        _validity_bound.cache_clear()
+        variants = (
+            CLASSIC,
+            PARLOR,
+            custom_variant("mine", tuple(reversed(STARRED_CELLS)), {}),
+            MODERN,
+            custom_variant(
+                "mine", tuple(reversed(MODERN.optional_cells)), MODERN.fixed_actions
+            ),
+        )
+        bounds = [table_validity_bound(v) for v in variants]
+        assert bounds == [F(1, 15)] * 3 + [F(2, 5)] * 2
+        info = _validity_bound.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 3, 2)
 
     def test_modern_bound_is_where_a_mandate_stops_binding(self):
         # At the modern bound the forced stand at (6,-) ceases to be a

@@ -29,20 +29,31 @@ from baccarat import (
     tableau_action,
 )
 from baccarat.payoff import (
+    _NO_CELL,
+    _analytic_ledger,
     _card_counts,
-    _cell_data,
+    _cell_slot,
     _improvement_line,
     _leaf_ledger,
     _player_final_totals,
     _outcome_table,
-    _row_outcome_profile,
     natural_probability,
     oracle_outcome_distribution,
     two_card_total_distribution,
     value_distribution,
 )
-from baccarat.parametric import equilibrium_curve, table_validity_bound
+from baccarat.parametric import (
+    _validity_bound,
+    equilibrium_curve,
+    table_validity_bound,
+)
 from baccarat.rules import Variant, _commission_payoffs
+from fraction_reference import (
+    fraction_cell_data,
+    fraction_info_set_stats,
+    fraction_natural_phase,
+    fraction_reduced_game,
+)
 
 F = Fraction
 S5, D5 = PlayerRow.STAND_ON_5, PlayerRow.DRAW_ON_5
@@ -109,7 +120,20 @@ class TestInfoSetStats:
         for bad in range(1000):
             with pytest.raises(ValueError):
                 info_set_stats(InfoSet(6, None), bad)
-        assert _cell_data.cache_info().currsize <= 2 * len(ALL_INFO_SETS)
+        assert _analytic_ledger.cache_info().currsize <= 1
+
+    @pytest.mark.parametrize(
+        "alpha", [F(0), F(1, 100), F(1, 20), F(33, 500), F(1, 3)]
+    )
+    def test_stats_equal_the_fraction_route(self, alpha):
+        """All 176 (cell, row) pairs, read off the ledger and summed in
+        fractions."""
+        for info in ALL_INFO_SETS:
+            for row in (S5, D5):
+                stats = info_set_stats(info, row, alpha)
+                assert (stats.occurrence, stats.e_stand, stats.e_draw) == (
+                    fraction_info_set_stats(info, row, alpha)
+                ), (info, row)
 
     def test_improvement_line_is_read_off_the_triples(self):
         """The validity bound's (constant, slope) against the stats."""
@@ -216,6 +240,27 @@ class TestReducedGame:
             for r20, r0 in zip(at_20.B, at_0.B)
         )
 
+    @pytest.mark.parametrize(
+        "variant, alpha",
+        [
+            (PARLOR, F(0)),
+            (CLASSIC, F(0)),
+            (CLASSIC, F(1, 100)),
+            (CLASSIC, F(1, 20)),
+            (CLASSIC, F(33, 500)),
+            (MODERN, F(0)),
+            (MODERN, F(1, 20)),
+            (MODERN, F(1, 3)),
+            (MODERN, F(39, 100)),
+            (custom_variant("wide", STARRED_CELLS, {}), F(9, 10)),
+        ],
+    )
+    def test_equals_the_fraction_build(self, variant, alpha):
+        """Summed slots against the fixed-part-plus-options build in
+        fractions."""
+        game = build_reduced_game(variant, alpha)
+        assert (game.A, game.B) == fraction_reduced_game(variant, alpha)
+
 
 def test_oracle_agrees_on_spot_entries():
     """Two independently computed payoffs for the same pure profiles."""
@@ -254,7 +299,9 @@ def test_oracle_counts_for_the_fixed_rules(row, counts):
     assert tuple(x * 13**6 for x in dist) == counts
 
 
-@pytest.mark.parametrize("cached", [_commission_payoffs, _row_outcome_profile])
+@pytest.mark.parametrize(
+    "cached", [_commission_payoffs, _validity_bound, _analytic_ledger]
+)
 def test_caches_keyed_on_user_input_are_bounded(cached):
     assert cached.cache_info().maxsize is not None
 
@@ -344,10 +391,12 @@ def test_oracle_builders_never_read_the_decomposition(builder, source):
     names = _names_in(getattr(builder, "__wrapped__", builder).__code__)
     assert source in names
     forbidden = {
-        "_cell_data",
+        "_analytic_ledger",
+        "_cell_slot",
+        "_card_counts",
+        "_player_final_totals",
         "value_distribution",
         "two_card_total_distribution",
-        "_natural_phase",
         "mandated_player_action",
         "tableau_action",
         "_TABLEAU_ROWS",
@@ -363,40 +412,33 @@ def test_oracle_builders_never_read_the_decomposition(builder, source):
 # ---------------------------------------------------------------------------
 
 
-def _fraction_cell_data(info, row):
-    """Occurrence and conditional (bw, pw, tie) triples, summed in fractions."""
-    tau, nu = two_card_total_distribution(), value_distribution()
-    b, c = info
-    if c is None:
-        finals = [(t, tau[t]) for t in ((6, 7) if row is D5 else (5, 6, 7))]
-    else:
-        finals = [((t + c) % 10, tau[t] * nu[c]) for t in range(6 if row is D5 else 5)]
-    mass = sum(w for _, w in finals)
-
-    def triple(outcomes):
-        bins = [F(0)] * 3
-        for pf, bf, w in outcomes:
-            bins[0 if bf > pf else (1 if bf < pf else 2)] += w
-        return tuple(x / mass for x in bins)
-
-    stand = triple((pf, b, w) for pf, w in finals)
-    draw = triple(
-        (pf, (b + d) % 10, w * wd) for pf, w in finals for d, wd in nu.items()
-    )
-    return tau[b] * mass, stand, draw
-
-
 def test_integer_cell_data_equals_the_fraction_sums():
-    for info in ALL_INFO_SETS:
-        for row in (S5, D5):
-            occurrence, stand, draw = _cell_data(info, row)
-            assert (occurrence, tuple(stand), tuple(draw)) == _fraction_cell_data(
-                info, row
-            ), (info, row)
+    """The analytic ledger's slots, as the oracle's are checked in [10]."""
+    for row, slots in zip((S5, D5), _analytic_ledger()):
+        for info, cell_slots in zip(ALL_INFO_SETS, slots):
+            occurrence, *triples = fraction_cell_data(info, row)
+            for (loss, tie, win), (bw, pw, t) in zip(cell_slots, triples):
+                assert F(loss, 13**6) == occurrence * bw, (row, info)
+                assert F(win, 13**6) == occurrence * pw, (row, info)
+                assert F(tie, 13**6) == occurrence * t, (row, info)
+        for loss, tie, win in slots[_NO_CELL]:
+            assert (F(loss, 13**6), F(win, 13**6), F(tie, 13**6)) == (
+                fraction_natural_phase()
+            )
 
 
 @pytest.mark.parametrize(
-    "function", [_cell_data, _player_final_totals, _card_counts]
+    "function",
+    [
+        _analytic_ledger,
+        _player_final_totals,
+        _card_counts,
+        _cell_slot,
+        _improvement_line,
+        info_set_stats,
+        classify_info_sets,
+        build_reduced_game,
+    ],
 )
 def test_decomposition_never_reads_the_oracle(function):
     names = _names_in(getattr(function, "__wrapped__", function).__code__)
