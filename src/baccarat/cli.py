@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -43,6 +44,9 @@ _MAX_TERM = 10**1000
 _MAX_DECIMAL = 10_000
 #: Most rates one ``--grid`` may list.
 _MAX_GRID = 1000
+#: A well-formed number: one that still fails to convert is too large,
+#: with more digits than an int takes or an exponent past Decimal's.
+_NUMERAL = re.compile(r"[+-]?(?:\d+/\d+|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)")
 
 
 def _rational(text: str) -> Fraction:
@@ -63,7 +67,9 @@ def _rational(text: str) -> Fraction:
             if d.is_finite() and len(digits) + abs(exponent) > _MAX_DECIMAL:
                 raise too_large
             value = Fraction(d)
-    except (ValueError, ArithmeticError):
+    except (ValueError, ArithmeticError) as exc:
+        if _NUMERAL.fullmatch(s) and not isinstance(exc, ZeroDivisionError):
+            raise too_large
         raise argparse.ArgumentTypeError(f"not a rational number: {shown}")
     if max(abs(value.numerator), value.denominator) > _MAX_TERM:
         raise too_large
@@ -360,7 +366,18 @@ def _cmd_oracle(ns) -> dict:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose errors are one ``error:`` line."""
+    """An argument parser whose errors are one ``error:`` line.
+
+    An argument that begins like a negative number (``-1/20``, ``-1e-3``,
+    ``-.5``) is read as a value, not as an unknown flag, so a negative
+    rate gets the same range message as any other rate.  No flag of this
+    parser begins with a digit.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern knows only "-5" and "-0.5".
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message: str):
         self.exit(2, f"error: {message} (see '{self.prog} --help')\n")

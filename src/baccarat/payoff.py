@@ -178,6 +178,14 @@ def _analytic_ledger() -> _Ledger:
     for pt, bt in itertools.product(range(10), repeat=2):
         if pt >= 8 or bt >= 8:
             naturals[_outcome(pt, bt)] += tau[pt] * tau[bt] * 169
+    # Player's (loss, tie, win) counts out of 13 when a final total pf
+    # meets Banker's total b plus one third card, keyed (pf, b).
+    against_draw = {}
+    for pf, b in itertools.product(range(10), range(8)):
+        counts = [0, 0, 0]
+        for d, wd in enumerate(nu):
+            counts[_outcome(pf, (b + d) % 10)] += wd
+        against_draw[pf, b] = counts
     ledger = []
     for row in _ROWS:
         slots = []
@@ -185,9 +193,12 @@ def _analytic_ledger() -> _Ledger:
             b = info.banker_total
             stand, draw = [0, 0, 0], [0, 0, 0]
             for pf, w in _player_final_totals(info, row):
-                stand[_outcome(pf, b)] += 13 * tau[b] * w
-                for d, wd in enumerate(nu):
-                    draw[_outcome(pf, (b + d) % 10)] += tau[b] * w * wd
+                weight = tau[b] * w
+                stand[_outcome(pf, b)] += 13 * weight
+                loss, tie, win = against_draw[pf, b]
+                draw[0] += weight * loss
+                draw[1] += weight * tie
+                draw[2] += weight * win
             slots.append((tuple(stand), tuple(draw)))
         slots.append((tuple(naturals),) * 2)
         ledger.append(tuple(slots))
@@ -398,6 +409,8 @@ _PAIRS = tuple(
     sum(_W[a] * _W[b] for a in range(10) for b in range(10) if (a + b) % 10 == t)
     for t in range(10)
 )
+
+
 @lru_cache(maxsize=1)
 def _outcome_table() -> tuple[memoryview, memoryview, memoryview]:
     """Every leaf's Banker cell and Player's sign, resolved by play_coup.
@@ -410,8 +423,8 @@ def _outcome_table() -> tuple[memoryview, memoryview, memoryview]:
     natural ends the coup, once with Banker drawing everywhere.  Returns
     the index in ``ALL_INFO_SETS`` of the cell Banker decides at
     (``_NO_CELL`` on a natural), then Player's payoff + 1 if Banker
-    stands, then the same if Banker draws.  The commission never changes
-    that sign, so the table is built at alpha = 0.
+    stands, then the same if Banker draws.  A coup carries no commission:
+    it is applied to the counts the table is folded into.
 
     Each ``(row, pt, bt)`` block of 100 leaves is resolved through
     ``play_coup`` once per distinct read prefix of the third cards; a
@@ -428,31 +441,36 @@ def _outcome_table() -> tuple[memoryview, memoryview, memoryview]:
     all_draw = BankerStrategy((Action.DRAW,) * len(ALL_INFO_SETS))
     size = len(_ROWS) * 10**4
     cells, stand_signs, draw_signs = (bytearray(size) for _ in range(3))
-
-    def runs(base, row, pt, bt, strategy):
-        """Yield ``(start, end, outcome)`` over the block at ``base``."""
-        key = base
-        while key < base + 100:
-            c4, c5 = divmod(key - base, 10)
-            coup = play_coup((0, pt), (0, bt), (c4, c5), row, strategy, 0)
-            read = (coup.player_third is not None) + (coup.banker_third is not None)
-            end = (base + 100, key + 10 - c5, key + 1)[read]
-            yield key, end, coup
-            key = end
+    # Per leaf j = c4 * 10 + c5 of a block: its third cards, and where a
+    # run starting there ends when the coup read 0, 1 or 2 of them; runs
+    # are filled from slices of 100 copies of each byte value.
+    thirds = tuple(itertools.product(range(10), repeat=2))
+    ends = tuple((100, j - j % 10 + 10, j + 1) for j in range(100))
+    fill = tuple(bytes((v,)) * 100 for v in range(_NO_CELL + 1))
 
     blocks = itertools.product(_ROWS, range(10), range(10))
     for base, (row, pt, bt) in zip(range(0, size, 100), blocks):
-        for start, end, stood in runs(base, row, pt, bt, all_stand):
-            cell = _NO_CELL
-            if not stood.natural:
-                cell = _CELL_INDEX[InfoSet(bt, stood.player_third)]
-            cells[start:end] = bytes((cell,)) * (end - start)
-            stand_signs[start:end] = bytes((stood.player_payoff + 1,)) * (end - start)
-        if stood.natural:
+        player, banker = (0, pt), (0, bt)
+        j = 0
+        while j < 100:
+            coup = play_coup(player, banker, thirds[j], row, all_stand)
+            p3 = coup.player_third
+            end = ends[j][(p3 is not None) + (coup.banker_third is not None)]
+            cell = _NO_CELL if coup.natural else _CELL_INDEX[InfoSet(bt, p3)]
+            run, n = slice(base + j, base + end), end - j
+            cells[run] = fill[cell][:n]
+            stand_signs[run] = fill[coup.player_payoff + 1][:n]
+            j = end
+        if coup.natural:
             draw_signs[base : base + 100] = stand_signs[base : base + 100]
             continue
-        for start, end, drew in runs(base, row, pt, bt, all_draw):
-            draw_signs[start:end] = bytes((drew.player_payoff + 1,)) * (end - start)
+        j = 0
+        while j < 100:
+            coup = play_coup(player, banker, thirds[j], row, all_draw)
+            read = (coup.player_third is not None) + (coup.banker_third is not None)
+            end = ends[j][read]
+            draw_signs[base + j : base + end] = fill[coup.player_payoff + 1][: end - j]
+            j = end
     return tuple(
         memoryview(t).toreadonly() for t in (cells, stand_signs, draw_signs)
     )
@@ -472,15 +490,21 @@ def _leaf_ledger() -> _Ledger:
     slot and one action per cell, sum to 13^6.
     """
     cells, stand_signs, draw_signs = _outcome_table()
+    third_weights = [_W[c4] * _W[c5] for c4 in range(10) for c5 in range(10)]
     ledger = []
     for r in range(len(_ROWS)):
         slots = [([0, 0, 0], [0, 0, 0]) for _ in range(_NO_CELL + 1)]
-        leaves = itertools.product(range(10), repeat=4)
-        for key, (pt, bt, c4, c5) in enumerate(leaves, r * 10**4):
-            weight = _PAIRS[pt] * _PAIRS[bt] * _W[c4] * _W[c5]
-            stand, draw = slots[cells[key]]
-            stand[stand_signs[key]] += weight
-            draw[draw_signs[key]] += weight
+        blocks = itertools.product(range(10), repeat=2)
+        for base, (pt, bt) in zip(range(r * 10**4, (r + 1) * 10**4, 100), blocks):
+            block = slice(base, base + 100)
+            pairs = _PAIRS[pt] * _PAIRS[bt]
+            weights = [pairs * w for w in third_weights]
+            for cell, s, d, weight in zip(
+                cells[block], stand_signs[block], draw_signs[block], weights
+            ):
+                stand, draw = slots[cell]
+                stand[s] += weight
+                draw[d] += weight
         ledger.append(tuple((tuple(s), tuple(d)) for s, d in slots))
     return tuple(ledger)
 

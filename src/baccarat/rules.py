@@ -21,11 +21,11 @@ of all the game theory in this package:
 
     (3, 9)   (4, 1)   (5, 4)   (6, None)
 
-Payoffs per unit stake: Player receives +1 / -1 / 0 for a win / loss /
-tie.  Banker receives 1 - alpha on a win, -1 on a loss, and 0 on a tie,
-where alpha is the commission rate charged on Banker wins; the house
-collects alpha exactly when Player loses.  The three payoffs sum to zero
-in every coup.
+A resolved coup reports Player's payoff per unit stake: +1 / -1 / 0 for
+a win / loss / tie.  Banker's payoff is the negative of Player's, less
+the commission alpha that the house takes on Banker wins; the coup
+carries no rate, and :mod:`baccarat.payoff` applies it to the exact
+outcome probabilities.
 """
 
 from __future__ import annotations
@@ -68,6 +68,11 @@ class Action(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
+
+
+# Module aliases: reading a member off its Enum class costs several times
+# a global lookup, and play_coup runs once per leaf of the oracle's table.
+_STAND, _DRAW = Action.STAND, Action.DRAW
 
 
 class PlayerRow(enum.Enum):
@@ -139,6 +144,8 @@ ALL_INFO_SETS: tuple[InfoSet, ...] = tuple(
     InfoSet(b, c) for b in range(8) for c in (*range(10), None)
 )
 
+_MARKS = {"S": _STAND, "D": _DRAW, "*": None}
+
 STARRED_CELLS: tuple[InfoSet, ...] = tuple(
     InfoSet(b, c)
     for b in range(8)
@@ -158,8 +165,13 @@ def tableau_action(info: InfoSet) -> Action | None:
         raise ValueError(f"banker two-card total must be in 0..7, got {b}")
     if c is not None:
         _check_card(c)
-    mark = _TABLEAU_ROWS[b][10 if c is None else c]
-    return None if mark == "*" else Action(mark)
+    return _MARKS[_TABLEAU_ROWS[b][10 if c is None else c]]
+
+
+@lru_cache(maxsize=1)
+def _tableau_actions() -> tuple[Action | None, ...]:
+    """:func:`tableau_action` at every cell, in ``ALL_INFO_SETS`` order."""
+    return tuple(map(tableau_action, ALL_INFO_SETS))
 
 
 def mandated_player_action(total: int, row: PlayerRow) -> Action:
@@ -175,10 +187,10 @@ def mandated_player_action(total: int, row: PlayerRow) -> Action:
             f"player decides only on totals 0..7 (8-9 are naturals), got {total}"
         )
     if total <= 4:
-        return Action.DRAW
+        return _DRAW
     if total >= 6:
-        return Action.STAND
-    return Action.DRAW if row is PlayerRow.DRAW_ON_5 else Action.STAND
+        return _STAND
+    return _DRAW if row is PlayerRow.DRAW_ON_5 else _STAND
 
 
 def _coerce_rational(x, name: str) -> Fraction:
@@ -257,8 +269,8 @@ class Variant:
         order: the variant's mandate at a fixed starred cell, and the
         tableau's action elsewhere."""
         return tuple(
-            (info, self.fixed_actions.get(info, tableau_action(info)))
-            for info in ALL_INFO_SETS
+            (info, self.fixed_actions.get(info, action))
+            for info, action in zip(ALL_INFO_SETS, _tableau_actions())
             if info not in self.optional_cells
         )
 
@@ -370,20 +382,21 @@ class BankerStrategy:
                 f"assignment must cover the starred cells exactly; "
                 f"missing {sorted(missing)}, extra {sorted(extra)}"
             )
-        acts = tuple(
-            chosen[cell] if cell in chosen else tableau_action(cell)
-            for cell in ALL_INFO_SETS
-        )
+        acts = list(_tableau_actions())
+        for cell, action in chosen.items():
+            acts[_CELL_INDEX[cell]] = action
         if not label:
             label = "".join(str(chosen[c]) for c in STARRED_CELLS)
-        return cls(acts, label)
+        return cls(tuple(acts), label)
 
 
 class CoupOutcome(NamedTuple):
     """Complete record of one resolved coup.
 
-    ``player_payoff`` is an integer in {-1, 0, +1}; ``banker_payoff`` and
-    ``casino_take`` are exact rationals.  The three always sum to zero.
+    ``player_payoff`` is Player's result per unit stake: +1, -1 or 0 as
+    Player's final total beats, trails or ties Banker's.  Banker's payoff
+    and the house's commission are not part of a coup; they depend on the
+    rate alpha, which :mod:`baccarat.payoff` applies.
     """
 
     player_total: int
@@ -392,19 +405,6 @@ class CoupOutcome(NamedTuple):
     banker_third: int | None
     natural: bool
     player_payoff: int
-    banker_payoff: Fraction
-    casino_take: Fraction
-
-
-_ZERO = Fraction(0)
-_MINUS_ONE = Fraction(-1)
-
-
-@lru_cache(maxsize=128)
-def _commission_payoffs(alpha) -> tuple[Fraction, Fraction]:
-    """Validated ``(alpha, 1 - alpha)`` pair, cached per commission rate."""
-    a = _commission_rate(alpha)
-    return a, 1 - a
 
 
 def play_coup(
@@ -413,16 +413,14 @@ def play_coup(
     draw_cards: Sequence[int],
     row: PlayerRow,
     banker_strategy: BankerStrategy,
-    alpha=0,
 ) -> CoupOutcome:
     """Resolve one coup exactly, given all cards that could be needed.
 
     ``draw_cards`` supplies the third cards in the order they would be
     dealt -- Player's first, then Banker's -- and is consumed only as far
     as the rules require.  On a natural neither strategy argument is
-    consulted.  ``alpha`` is the commission rate (exact; floats rejected).
+    consulted.
     """
-    a, banker_win = _commission_payoffs(alpha)
     if len(player_cards) != 2 or len(banker_cards) != 2:
         raise ValueError("player_cards and banker_cards must each hold 2 cards")
     p1, p2 = player_cards
@@ -435,22 +433,18 @@ def play_coup(
     natural = pt >= 8 or bt >= 8
     if not natural:
         used = 0
-        if mandated_player_action(pt, row) is Action.DRAW:
+        if mandated_player_action(pt, row) is _DRAW:
             if len(draw_cards) < 1:
                 raise ValueError("player draws but draw_cards is exhausted")
             p3 = _check_card(draw_cards[0])
             pt = (pt + p3) % 10
             used = 1
-        if banker_strategy[InfoSet(bt, p3)] is Action.DRAW:
+        # ALL_INFO_SETS lists 11 cells per Banker total, the stood column last.
+        info = ALL_INFO_SETS[bt * 11 + (10 if p3 is None else p3)]
+        if banker_strategy[info] is _DRAW:
             if len(draw_cards) < used + 1:
                 raise ValueError("banker draws but draw_cards is exhausted")
             b3 = _check_card(draw_cards[used])
             bt = (bt + b3) % 10
 
-    if pt > bt:
-        player, banker, casino = 1, _MINUS_ONE, _ZERO
-    elif pt < bt:
-        player, banker, casino = -1, banker_win, a
-    else:
-        player, banker, casino = 0, _ZERO, _ZERO
-    return CoupOutcome(pt, bt, p3, b3, natural, player, banker, casino)
+    return CoupOutcome(pt, bt, p3, b3, natural, (pt > bt) - (pt < bt))

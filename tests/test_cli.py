@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface via its ``run`` entry."""
 
+import contextlib
 import csv
 import io
 import json
@@ -11,6 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, seed, settings, strategies as st
 
 import baccarat
 from baccarat import cli as cli_module
@@ -322,3 +324,135 @@ def test_rendering_failure_is_one_internal_error_line(cli, monkeypatch):
     monkeypatch.setitem(cli_module._RENDERERS, "json", broken)
     code, out, err = cli("punto", "--format", "json")
     assert (code, out, err) == (1, "", "internal error: cannot render\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("solve", "classic", "--alpha", "-1e-3"), "got -1/1000"),
+        (("solve", "classic", "--alpha", "-1/20"), "got -1/20"),
+        (("solve", "classic", "--alpha=-1/20"), "got -1/20"),
+        (("solve", "classic", "--alpha", "-0.5"), "got -1/2"),
+        (("sweep", "--grid", "-1/20,0"), "got -1/20"),
+        (("alpha-star", "--tol", "-1e-3"), "tolerance must be positive"),
+        (("solve", "classic", "--alpha", "1e999999999999999999999999"),
+         "number too large"),
+        (("solve", "classic", "--alpha", "-1e999999999999999999999999"),
+         "number too large"),
+        (("solve", "classic", "--alpha", "1" * 5000 + "/3"), "number too large"),
+        (("solve", "classic", "--alpha", "1/0"), "not a rational number"),
+        (("solve", "classic", "--alpha", "-1x"), "not a rational number"),
+    ],
+    ids=["exponent", "fraction", "equals", "decimal", "grid", "tol",
+         "huge-exponent", "huge-negative-exponent", "huge-digits", "zero-denominator",
+         "malformed"],
+)
+def test_signed_and_huge_numbers_get_their_own_message(cli, argv, message):
+    """A negative number is a value, not an unknown flag, and a
+    well-formed number past the bounds is too large, not malformed."""
+    code, out, err = cli(*argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
+    assert "expected one argument" not in err
+
+
+# ---------------------------------------------------------------------------
+# A grammar over argv: subcommands, flags and numbers of every spelling.
+# ---------------------------------------------------------------------------
+
+_NUMBER = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.fractions(-1, 1, max_denominator=100).map(str),
+    st.floats(-1, 1).map(repr),
+    st.floats().map(repr),
+    st.builds("{}e{}".format, st.integers(-20, 20), st.integers(-(10**25), 10**25)),
+    st.integers(1000, 1100).map(lambda n: "1" + "0" * n),
+    st.integers(1000, 1100).map(lambda n: "-1/" + "9" * n),
+    st.text("0123456789./-+eE_x ", max_size=8),
+)
+# Half the rates drawn are ones most commands accept.
+_RATE = st.one_of(
+    st.fractions(0, F(1, 16), max_denominator=1000).map(str),
+    st.sampled_from(["0", "0.05", "1e-3", "1/" + "9" * 999]),
+    _NUMBER,
+)
+_VARIANT = st.sampled_from(["parlor", "classic", "modern", "bogus"])
+_GRID = st.lists(_RATE, min_size=0, max_size=4).map(",".join)
+
+
+def _mostly(valid, other):
+    """Draws from ``valid`` three times in four, else from ``other``."""
+    return st.integers(0, 3).flatmap(lambda k: valid if k else other)
+
+
+# At most 2 000 valid hands: ten million, the most allowed, take seconds.
+_HANDS = _mostly(
+    st.integers(1, 2000).map(str),
+    st.one_of(st.integers(-3, 0).map(str), st.integers(10**7 + 1, 10**40).map(str),
+              _NUMBER),
+)
+_INTEGER = _mostly(st.integers(-(10**30), 10**30).map(str), _NUMBER)
+
+#: Per subcommand: its positional values, and its flags with their values
+#: and whether the command requires them.
+_COMMANDS = {
+    "table": ([], {"--alpha": (_RATE, False)}),
+    "solve": ([_VARIANT], {"--alpha": (_RATE, False)}),
+    "alpha-star": ([], {"--tol": (_RATE, False)}),
+    "punto": ([], {}),
+    "sweep": ([], {"--variant": (_VARIANT, False), "--grid": (_GRID, False)}),
+    "simulate": ([], {
+        "--variant": (_VARIANT, True),
+        "--hands": (_HANDS, True),
+        "--seed": (_INTEGER, True),
+        "--alpha": (_RATE, False),
+        "--player-p": (_RATE, False),
+    }),
+    "oracle": ([], {"--variant": (_VARIANT, True), "--alpha": (_RATE, True)}),
+    "bogus": ([], {}),
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    positionals, flags = _COMMANDS[command]
+    argv = [command, *(draw(values) for values in positionals)]
+    for flag, (values, required) in flags.items():
+        # A required flag is left out now and then, an optional one half
+        # the time.
+        if draw(st.integers(0, 9)) < (9 if required else 5):
+            value = draw(values)
+            argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    if draw(st.integers(0, 9)) == 0:
+        argv.append(draw(st.sampled_from(["--bogus", "-h", "extra", "-1"])))
+    fmt = draw(st.sampled_from([None, "text", "json", "csv", "yaml"]))
+    if fmt is not None:
+        argv[draw(st.sampled_from([0, len(argv)])):0] = ["--format", fmt]
+    return argv
+
+
+@seed(20261018)
+@settings(max_examples=100, deadline=None, database=None)
+@given(_argvs())
+@example(["simulate", "--variant", "classic", "--hands", "2000", "--seed", "-7",
+          "--player-p", "1/2"])
+@example(["solve", "classic", "--alpha", "-1e-3"])
+@example(["alpha-star", "--tol", "1e-1000"])
+@example(["--format", "csv", "sweep", "--grid", "1/" + "9" * 999 + ",0"])
+def test_any_argv_exits_cleanly_and_in_time(argv):
+    """0 with a report, or 2 with one stderr line; never a traceback, an
+    internal error, or a call past 2 s."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert time.perf_counter() - start < 2.0, argv
+    if code == 0:
+        assert out.getvalue() and err.getvalue() == "", argv
+    else:
+        assert code == 2, (argv, err.getvalue())
+        assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
+        assert err.getvalue().endswith("\n"), argv

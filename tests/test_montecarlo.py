@@ -217,13 +217,13 @@ def _reference_outcome_table():
     for row in (PlayerRow.STAND_ON_5, PlayerRow.DRAW_ON_5):
         for pt, bt, c4, c5 in itertools.product(range(10), repeat=4):
             hand = ((0, pt), (0, bt), (c4, c5), row)
-            stood = play_coup(*hand, all_stand, 0)
+            stood = play_coup(*hand, all_stand)
             if stood.natural:
                 cells.append(88)
                 drew = stood
             else:
                 cells.append(ALL_INFO_SETS.index(InfoSet(bt, stood.player_third)))
-                drew = play_coup(*hand, all_draw, 0)
+                drew = play_coup(*hand, all_draw)
             stand_signs.append(stood.player_payoff + 1)
             draw_signs.append(drew.player_payoff + 1)
     return bytes(cells), bytes(stand_signs), bytes(draw_signs)
@@ -287,7 +287,7 @@ def _reference_simulate(variant, row_mix, banker_mix, alpha, n_hands, seed):
             row = PlayerRow.DRAW_ON_5
         else:
             row = PlayerRow.STAND_ON_5
-        out = play_coup(cards[0:2], cards[2:4], cards[4:6], row, banker, 0)
+        out = play_coup(cards[0:2], cards[2:4], cards[4:6], row, banker)
         if out.player_payoff > 0:
             wins += 1
         elif out.player_payoff < 0:

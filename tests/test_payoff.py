@@ -47,7 +47,7 @@ from baccarat.parametric import (
     equilibrium_curve,
     table_validity_bound,
 )
-from baccarat.rules import Variant, _commission_payoffs
+from baccarat.rules import Variant
 from fraction_reference import (
     fraction_cell_data,
     fraction_info_set_stats,
@@ -299,9 +299,7 @@ def test_oracle_counts_for_the_fixed_rules(row, counts):
     assert tuple(x * 13**6 for x in dist) == counts
 
 
-@pytest.mark.parametrize(
-    "cached", [_commission_payoffs, _validity_bound, _analytic_ledger]
-)
+@pytest.mark.parametrize("cached", [_validity_bound, _analytic_ledger])
 def test_caches_keyed_on_user_input_are_bounded(cached):
     assert cached.cache_info().maxsize is not None
 
@@ -366,6 +364,20 @@ def test_ledger_oracle_equals_the_walk_over_totals(strategy):
         assert oracle_outcome_distribution(row, strategy) == (
             _walk_outcome_distribution(row, strategy)
         )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    _STRATEGIES,
+    st.sampled_from((S5, D5)),
+    st.fractions(min_value=0, max_value=1).filter(lambda a: a < 1),
+)
+def test_oracle_entry_conserves_money(strategy, row, alpha):
+    """The commission is applied once, to the oracle's probabilities: Player,
+    Banker and the house's alpha on each Banker win sum to zero."""
+    player, banker = oracle_payoff_entry(row, strategy, alpha)
+    _p_win, p_banker_wins, _tie = oracle_outcome_distribution(row, strategy)
+    assert player + banker + alpha * p_banker_wins == 0
 
 
 def _names_in(code):

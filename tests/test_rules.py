@@ -1,5 +1,6 @@
 """Unit tests for hand arithmetic, the drawing table, and coup resolution."""
 
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from baccarat import (
     Action,
     BankerStrategy,
     CLASSIC,
+    CoupOutcome,
     InfoSet,
     MODERN,
     PARLOR,
@@ -286,18 +288,9 @@ class TestPlayCoup:
         assert out.player_third is None and out.banker_third == 8
         assert out.banker_total == 1
 
-    def test_commission_payoffs(self):
-        a = Fraction(1, 20)
-        out = play_coup([1, 1], [3, 4], [0], PlayerRow.STAND_ON_5, _MANDATED, a)
-        assert out.player_payoff == -1
-        assert out.banker_payoff == Fraction(19, 20)
-        assert out.casino_take == a
-        assert out.player_payoff + out.banker_payoff + out.casino_take == 0
-
     def test_tie_pays_nobody(self):
         out = play_coup([3, 3], [3, 3], [], PlayerRow.STAND_ON_5, _MANDATED)
         assert out.player_payoff == 0
-        assert out.banker_payoff == 0 == out.casino_take
 
     def test_exhausted_draw_pile(self):
         with pytest.raises(ValueError):
@@ -306,29 +299,108 @@ class TestPlayCoup:
             play_coup([1, 1], [1, 1], [9], PlayerRow.STAND_ON_5, _MANDATED)
 
     def test_input_validation(self):
-        with pytest.raises(TypeError):
-            play_coup([1, 1], [2, 2], [3, 3], PlayerRow.STAND_ON_5, _MANDATED, 0.05)
-        with pytest.raises(ValueError):
-            play_coup([1, 1], [2, 2], [3, 3], PlayerRow.STAND_ON_5, _MANDATED, 1)
         with pytest.raises(ValueError):
             play_coup([1, 1, 1], [2, 2], [], PlayerRow.STAND_ON_5, _MANDATED)
+
+    def test_a_coup_carries_no_commission(self):
+        assert "alpha" not in inspect.signature(play_coup).parameters
+        assert CoupOutcome._fields == (
+            "player_total",
+            "banker_total",
+            "player_third",
+            "banker_third",
+            "natural",
+            "player_payoff",
+        )
+
+
+def _with_card(position, card):
+    """Player 2 draws a 3 and Banker 4 draws at (4, 3): all six cards are
+    read, so a bad card in any position is seen."""
+    hands = [[1, 1], [2, 2], [3, 3]]
+    hands[position // 2][position % 2] = card
+    return (*hands, PlayerRow.STAND_ON_5, _MANDATED)
+
+
+_NOT_AN_INT = "card value must be an integer 0-9, got {!r}"
+_OUT_OF_RANGE = "card value must be in 0..9, got {!r}"
+_TWO_CARDS = "player_cards and banker_cards must each hold 2 cards"
+
+# Every rejection of play_coup, with its exception type and exact message.
+_REJECTIONS = [
+    *(
+        (f"card{pos}={card!r}", _with_card(pos, card), template.format(card))
+        for pos in range(6)
+        for card, template in (
+            (True, _NOT_AN_INT),
+            (False, _NOT_AN_INT),
+            (1.0, _NOT_AN_INT),
+            (-1, _OUT_OF_RANGE),
+            (10, _OUT_OF_RANGE),
+        )
+    ),
+    ("player-1", ([1], [2, 2], [3, 3], PlayerRow.STAND_ON_5, _MANDATED), _TWO_CARDS),
+    ("player-3", ([1, 1, 1], [2, 2], [3], PlayerRow.STAND_ON_5, _MANDATED), _TWO_CARDS),
+    ("banker-1", ([1, 1], [2], [3, 3], PlayerRow.STAND_ON_5, _MANDATED), _TWO_CARDS),
+    ("banker-3", ([1, 1], [2, 2, 2], [3], PlayerRow.STAND_ON_5, _MANDATED), _TWO_CARDS),
+    (
+        "player-pile",
+        ([1, 1], [1, 1], [], PlayerRow.STAND_ON_5, _MANDATED),
+        "player draws but draw_cards is exhausted",
+    ),
+    (
+        "banker-pile",
+        ([1, 1], [1, 1], [9], PlayerRow.STAND_ON_5, _MANDATED),
+        "banker draws but draw_cards is exhausted",
+    ),
+    (
+        "row-str",
+        ([1, 1], [2, 2], [3, 3], "StandOn5", _MANDATED),
+        "row must be a PlayerRow, got 'StandOn5'",
+    ),
+    (
+        "row-none",
+        ([1, 1], [2, 2], [3, 3], None, _MANDATED),
+        "row must be a PlayerRow, got None",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [case[1:] for case in _REJECTIONS],
+    ids=[case[0] for case in _REJECTIONS],
+)
+def test_play_coup_rejections_keep_their_type_and_message(args, message):
+    with pytest.raises(ValueError) as info:
+        play_coup(*args)
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
+
+
+def test_a_natural_never_reads_the_row():
+    out = play_coup([4, 4], [2, 2], [3, 3], "junk", _MANDATED)
+    assert out.natural and out.player_payoff == 1
 
 
 @given(
     cards=st.lists(st.integers(0, 9), min_size=6, max_size=6),
     row=st.sampled_from(PlayerRow),
     picks=st.tuples(*(st.sampled_from((S, D)) for _ in range(4))),
-    alpha=st.sampled_from([0, Fraction(1, 20), Fraction(1, 30), Fraction(1, 16)]),
 )
-def test_every_coup_conserves_money(cards, row, picks, alpha):
-    """Whatever the cards, strategy, and commission: payoffs sum to zero."""
+def test_every_coup_reports_consistent_fields(cards, row, picks):
+    """Whatever the cards and strategy: totals are hand totals, a natural
+    reads no third card, and Player's payoff is the sign of the totals."""
     strat = BankerStrategy.from_assignment(dict(zip(STARRED_CELLS, picks)))
-    out = play_coup(cards[0:2], cards[2:4], cards[4:6], row, strat, alpha)
-    assert out.player_payoff + out.banker_payoff + out.casino_take == 0
+    out = play_coup(cards[0:2], cards[2:4], cards[4:6], row, strat)
     assert 0 <= out.player_total <= 9 and 0 <= out.banker_total <= 9
+    assert out.natural == (
+        hand_total(cards[0:2]) >= 8 or hand_total(cards[2:4]) >= 8
+    )
     if out.natural:
         assert out.player_third is None and out.banker_third is None
-    if out.player_payoff < 0:
-        assert out.casino_take == alpha
-    else:
-        assert out.casino_take == 0
+        assert out.player_total == hand_total(cards[0:2])
+        assert out.banker_total == hand_total(cards[2:4])
+    assert out.player_payoff == (
+        (out.player_total > out.banker_total) - (out.player_total < out.banker_total)
+    )
