@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import montecarlo, parametric, punto
 from .payoff import build_reduced_game, classify_info_sets, oracle_payoff_entry
-from .rules import CLASSIC, InfoSet, MODERN, PARLOR, PlayerRow
+from .rules import _MAX_DECIMAL, CLASSIC, InfoSet, MODERN, PARLOR, PlayerRow
 from .solver import MixedStrategy
 
 __all__ = ["run", "main"]
@@ -39,9 +39,6 @@ _DEFAULT_ALPHA = {"parlor": Fraction(0), "classic": Fraction(1, 20),
 
 #: Largest numerator or denominator a parsed number may have.
 _MAX_TERM = 10**1000
-#: Most digits plus exponent size a decimal may be written with: past
-#: that it is refused before its power of ten is built.
-_MAX_DECIMAL = 10_000
 #: Most rates one ``--grid`` may list.
 _MAX_GRID = 1000
 #: A well-formed number: one that still fails to convert is too large,

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -193,12 +194,31 @@ def mandated_player_action(total: int, row: PlayerRow) -> Action:
     return _DRAW if row is PlayerRow.DRAW_ON_5 else _STAND
 
 
+#: Most digits plus exponent size a number written as a decimal string
+#: may have: past that it is refused before its power of ten is built.
+_MAX_DECIMAL = 10_000
+
+
 def _coerce_rational(x, name: str) -> Fraction:
     if isinstance(x, float):
         raise TypeError(
             f"{name} must be exact (int, Fraction, or string); floats are "
             f"rejected to keep the arithmetic exact -- got {x!r}"
         )
+    if isinstance(x, str) and "/" not in x:
+        try:
+            _, digits, exponent = Decimal(x).as_tuple()
+            too_long = (
+                isinstance(exponent, int)
+                and len(digits) + abs(exponent) > _MAX_DECIMAL
+            )
+        except ArithmeticError:  # malformed, or an exponent past Decimal's
+            too_long = "e" in x.lower()
+        if too_long:
+            raise ValueError(
+                f"{name} must be a number written with at most "
+                f"{_MAX_DECIMAL} digits and exponent together, got {x[:40]!r}"
+            )
     return Fraction(x)
 
 

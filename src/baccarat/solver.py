@@ -10,11 +10,12 @@ With two rows, each column is a line over the row mix (1 - p, p), and
 every question the solvers ask is answered by one upper envelope of
 those lines (:func:`_envelope`): its breakpoints are the ends of the
 p-range and the envelope's vertices inside it, and between breakpoints
-the envelope is linear.  Each public routine scales its matrices once
-to integers, by the lcm of their denominators; a positive scale moves
-no breakpoint, best reply or dominator weight, so the vertices are
-found by a hull walk on integer lines and only the reported values are
-built as fractions.
+the envelope is linear.  Each public routine scales its matrices, and
+any mixes it reads, once to integers by the lcm of their denominators;
+a positive scale moves no breakpoint, best reply or dominator weight.
+So the vertices are found by a hull walk on integer lines, a dominator
+weight by integer comparisons of cuts, and an equilibrium is checked by
+integer payoffs: fractions are built only for what is reported.
 
 * :func:`eliminate_strictly_dominated` -- iterated elimination with a
   full audit log.  A column is strictly dominated by a mixture exactly
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -55,6 +57,8 @@ __all__ = [
 
 
 def _exact(x) -> Fraction:
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError(
             f"matrix entries and weights must be exact rationals, got {x!r}"
@@ -133,15 +137,19 @@ class EliminationStep:
     dominator_weights: tuple[Fraction, ...]
 
 
+_ONE = Fraction(1)
+
+
 def _require_two_rows(A):
     if len(A) != 2:
         raise ValueError(f"this solver handles exactly 2 rows, got {len(A)}")
 
 
-def _integral(M) -> tuple[tuple[int, ...], ...]:
-    """An exact matrix times the lcm of its denominators, as integers."""
+def _integral(M) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The lcm of an exact matrix's denominators, and the matrix times it,
+    as integers."""
     scale = math.lcm(*(x.denominator for row in M for x in row))
-    return tuple(
+    return scale, tuple(
         tuple(x.numerator * (scale // x.denominator) for x in row) for row in M
     )
 
@@ -184,30 +192,35 @@ def _find_dominator(vectors, j, alive):
 
     ``vectors[i]`` is pure strategy i's integer payoff against each
     opposing pure strategy in turn.  Returns (indices, weights) or None.
-    The two-point search is exhaustive over exact candidate mixing
-    weights, so for payoff vectors of length one or two it is a complete
-    test.  Elimination decides which columns fall by the envelope and
-    calls this only to build each removal's certificate, and to test
-    rows.
+    A pair (k, l) mixed with weight t on k beats ``vectors[j]`` at a
+    coordinate (x, y, z) of (j, k, l) on the open half-line
+    ``t * (y - z) > x - z``, so it dominates on the open stretch between
+    the tightest lower and the tightest upper end of those half-lines,
+    within ``(0, 1)``; the first pair with a nonempty stretch is
+    returned with its midpoint.  That search is exhaustive, so for
+    payoff vectors of length one or two it is a complete test.
+    Elimination decides which columns fall by the envelope and calls
+    this only to build each removal's certificate, and to test rows.
     """
     vj = vectors[j]
     others = [k for k in alive if k != j]
     for k in others:
         if all(a > b for a, b in zip(vectors[k], vj)):
-            return (k,), (Fraction(1),)
+            return (k,), (_ONE,)
     for k, l in combinations(others, 2):
-        vk, vl = vectors[k], vectors[l]
-        cuts = {Fraction(0), Fraction(1)}
-        for x, y, z in zip(vj, vk, vl):
-            if y != z:
-                t = Fraction(x - z, y - z)
-                if 0 < t < 1:
-                    cuts.add(t)
-        pts = sorted(cuts)
-        probes = pts + [(a + b) / 2 for a, b in zip(pts, pts[1:])]
-        for t in probes:
-            n, d = t.numerator, t.denominator
-            if all(n * y + (d - n) * z > d * x for x, y, z in zip(vj, vk, vl)):
+        ln, ld, un, ud = 0, 1, 1, 1  # t lies in (ln / ld, un / ud)
+        for x, y, z in zip(vj, vectors[k], vectors[l]):
+            if y > z:  # t > (x - z) / (y - z)
+                if (x - z) * ld > ln * (y - z):
+                    ln, ld = x - z, y - z
+            elif y < z:  # t < (z - x) / (z - y)
+                if (z - x) * ud < un * (z - y):
+                    un, ud = z - x, z - y
+            elif z <= x:
+                break
+        else:
+            if ln * ud < un * ld:
+                t = Fraction(ln * ud + un * ld, 2 * ld * ud)
                 return (k, l), (t, 1 - t)
     return None
 
@@ -228,7 +241,7 @@ def eliminate_strictly_dominated(game):
     """
     A, B = _matrix(game.A), _matrix(game.B)
     _require_two_rows(A)
-    int_A, int_B = _integral(A), _integral(B)
+    (_, int_A), (_, int_B) = _integral(A), _integral(B)
     n = len(A[0])
     rows_alive = [0, 1]
     cols_alive = list(range(n))
@@ -310,7 +323,7 @@ def is_nondegenerate(A, B) -> tuple[bool, DegeneracyWitness | None]:
     """
     A, B = _matrix(A), _matrix(B)
     _require_two_rows(A)
-    return _degeneracy(A, _envelope(_integral(B), range(len(A[0]))))
+    return _degeneracy(A, _envelope(_integral(B)[1], range(len(A[0]))))
 
 
 def _degeneracy(A, points) -> tuple[bool, DegeneracyWitness | None]:
@@ -349,7 +362,9 @@ def enumerate_nash_2xn(A, B) -> NashEnumeration:
     A, B = _matrix(A), _matrix(B)
     _require_two_rows(A)
     n = len(A[0])
-    points = _envelope(_integral(B), range(n))
+    scale_A, int_A = _integral(A)
+    scale_B, int_B = _integral(B)
+    points = _envelope(int_B, range(n))
     complete, witness = _degeneracy(A, points)
     found: dict[tuple, tuple] = {}  # (row weights, col weights) -> (k, note)
 
@@ -432,11 +447,14 @@ def enumerate_nash_2xn(A, B) -> NashEnumeration:
     for (rw, cw), (kind, note) in sorted(found.items()):
         row = MixedStrategy(rw)
         col = MixedStrategy(cw)
-        rv = sum(
-            row[r] * col[c] * A[r][c] for r in range(2) for c in range(n)
-        )
-        cv = sum(
-            row[r] * col[c] * B[r][c] for r in range(2) for c in range(n)
+        row_scale, (x,) = _integral((row.weights,))
+        col_scale, (y,) = _integral((col.weights,))
+        rv, cv = (
+            Fraction(
+                sum(a * b * m for a, line in zip(x, M) for b, m in zip(y, line)),
+                row_scale * col_scale * scale,
+            )
+            for scale, M in ((scale_A, int_A), (scale_B, int_B))
         )
         reports.append(
             EquilibriumReport(
@@ -461,7 +479,10 @@ def verify_equilibrium(A, B, report: EquilibriumReport) -> bool:
 
     Confirms that the stated supports match the strategies, that every
     support strategy is a best reply to the opponent's mix, and that the
-    stated values equal the realized expected payoffs.
+    stated values equal the realized expected payoffs.  The payoffs are
+    compared as integers, with the game and both mixes scaled by the lcm
+    of their denominators; only the two realized values are built as
+    fractions.  Nothing here reads the envelope or the enumeration.
     """
     A, B = _matrix(A), _matrix(B)
     _require_two_rows(A)
@@ -472,20 +493,26 @@ def verify_equilibrium(A, B, report: EquilibriumReport) -> bool:
     if row.support != report.row_support or col.support != report.column_support:
         return False
 
-    row_payoffs = [
-        sum(col[j] * A[r][j] for j in range(n)) for r in range(2)
-    ]
+    # Every payoff below is scaled by the positive lcm of the denominators
+    # it is built from, so comparisons between them hold in integers.
+    scale_A, int_A = _integral(A)
+    scale_B, int_B = _integral(B)
+    row_scale, (int_row,) = _integral((row.weights,))
+    col_scale, (int_col,) = _integral((col.weights,))
+
+    row_payoffs = [sum(map(operator.mul, int_col, line)) for line in int_A]
     best_row = max(row_payoffs)
     if any(row_payoffs[r] != best_row for r in row.support):
         return False
 
     col_payoffs = [
-        sum(row[r] * B[r][j] for r in range(2)) for j in range(n)
+        int_row[0] * b0 + int_row[1] * b1 for b0, b1 in zip(*int_B)
     ]
     best_col = max(col_payoffs)
     if any(col_payoffs[j] != best_col for j in col.support):
         return False
 
-    rv = sum(row[r] * row_payoffs[r] for r in range(2))
-    cv = sum(col[j] * col_payoffs[j] for j in range(n))
+    scale = row_scale * col_scale
+    rv = Fraction(sum(map(operator.mul, int_row, row_payoffs)), scale * scale_A)
+    cv = Fraction(sum(map(operator.mul, int_col, col_payoffs)), scale * scale_B)
     return rv == report.row_value and cv == report.column_value

@@ -1,4 +1,4 @@
-"""Acceptance gate: the thirteen checks that define "done" for this engine.
+"""Acceptance gate: the fourteen checks that define "done" for this engine.
 
 Each test prints exactly one ``[NN] PASS/FAIL`` line (visible under
 ``pytest -s``) and enforces the stated tolerance: rational results are
@@ -43,6 +43,7 @@ from baccarat.payoff import (
 )
 from baccarat.solver import is_nondegenerate
 from fraction_reference import fraction_cell_data, fraction_natural_phase
+from solver_reference import support_equilibria
 
 F = Fraction
 D6 = 13**6
@@ -304,3 +305,26 @@ def test_criterion_13_monte_carlo():
         again = simulate(PARLOR, row, mix, 0, 10**5, seed=2024)
         assert again == simulate(PARLOR, row, mix, 0, 10**5, seed=2024)
         assert time.perf_counter() - start < 30.0
+
+
+def test_criterion_14_reference_enumeration():
+    label = "reference support enumeration on the unreduced games: one equilibrium"
+    with criterion(14, label):
+        start = time.perf_counter()
+        for variant, alpha in (
+            (PARLOR, 0),
+            (CLASSIC, F(1, 20)),
+            (CLASSIC, F(1, 100)),
+            (CLASSIC, F(37, 1234)),
+            (MODERN, F(1, 20)),
+            (MODERN, F(101, 700)),
+        ):
+            sol = solve_variant(variant, alpha)
+            # Nondegenerate, so the reference's enumeration is complete.
+            assert is_nondegenerate(sol.game.A, sol.game.B)[0], (variant.name, alpha)
+            rep = sol.report
+            assert support_equilibria(sol.game.A, sol.game.B) == {(
+                rep.row_strategy.weights, rep.column_strategy.weights,
+                rep.row_value, rep.column_value,
+            )}, (variant.name, alpha)
+        assert time.perf_counter() - start < 2.0

@@ -1,5 +1,6 @@
 """Unit tests for commission sweeps, the break-even rate, and validity bounds."""
 
+import sys
 from fractions import Fraction
 from math import isqrt
 
@@ -29,6 +30,39 @@ from baccarat.parametric import (
 )
 
 F = Fraction
+
+
+def _fractions_built(call) -> int:
+    """How many times ``call()`` enters ``Fraction.__new__``."""
+    count = 0
+    code = Fraction.__new__.__code__
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code is code:
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(previous)
+    return count
+
+
+@pytest.mark.parametrize(
+    "variant, alpha, most",
+    [(CLASSIC, F(37, 1234), 200), (MODERN, F(101, 700), 50)],
+    ids=["classic", "modern"],
+)
+def test_a_warm_solve_builds_fractions_only_for_what_it_reports(variant, alpha, most):
+    """The solver's stages work in integers: a warm solve builds the
+    game's entries and the reported quantities, and few other fractions
+    (681 and 135 when elimination, verification and the values were
+    summed in fractions)."""
+    solve_variant(variant, alpha)
+    assert _fractions_built(lambda: solve_variant(variant, alpha)) <= most
 
 
 class TestSolveVariant:

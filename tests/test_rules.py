@@ -1,6 +1,7 @@
 """Unit tests for hand arithmetic, the drawing table, and coup resolution."""
 
 import inspect
+import time
 from fractions import Fraction
 
 import pytest
@@ -125,6 +126,23 @@ class TestVariants:
         with pytest.raises(ValueError):
             CLASSIC.check_alpha(Fraction(1, 10))
         assert MODERN.check_alpha(Fraction(1, 3)) == Fraction(1, 3)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1e-1000000", "1e-10000", "0e999999999", "1e999999999999999999999999",
+         "1e" + "9" * 5000, "0." + "1" * 20_000],
+    )
+    def test_a_number_too_long_to_write_out_is_refused_at_once(self, text):
+        """A decimal string past 10 000 digits and exponent together is
+        refused before its power of ten is built, as the CLI refuses it."""
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="digits and exponent"):
+            CLASSIC.check_alpha(text)
+        assert time.perf_counter() - start < 0.01
+
+    def test_the_longest_decimal_still_reads(self):
+        assert CLASSIC.check_alpha("1e-9999") == Fraction(1, 10**9999)
+        assert CLASSIC.check_alpha(" 5e-2 ") == Fraction(1, 20)
 
     def test_a_zero_bound_means_commission_free(self):
         free = custom_variant("free", STARRED_CELLS, {}, 0)

@@ -5,19 +5,22 @@ sweeps of random bimatrix games check the elimination certificates and
 cross-check the support enumeration against a direct scan.
 """
 
+import dataclasses
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
 
 from baccarat import CLASSIC, MODERN, build_reduced_game
 from baccarat.solver import (
     EquilibriumReport,
     MixedStrategy,
     _envelope,
+    _find_dominator,
     _integral,
     _matrix,
     eliminate_strictly_dominated,
@@ -25,6 +28,7 @@ from baccarat.solver import (
     is_nondegenerate,
     verify_equilibrium,
 )
+from solver_reference import fraction_dominator, fraction_verify, support_equilibria
 
 F = Fraction
 
@@ -283,7 +287,7 @@ def test_hull_walk_vertices_are_pairwise_breakpoints(case):
     """Every vertex the walk returns is a pairwise breakpoint with the same
     columns on top, and both find the same best replies overall."""
     M, cols, lo, hi = case
-    walked = _envelope(_integral(M), cols, lo, hi)
+    walked = _envelope(_integral(M)[1], cols, lo, hi)
     reference = dict(_pairwise_envelope(M, cols, lo, hi))
     assert walked[0][0] == lo and walked[-1][0] == hi
     for p, best in walked:
@@ -385,3 +389,140 @@ def test_verify_rejects_non_equilibrium():
         kind="mixed",
     )
     assert not verify_equilibrium(A, neg(A), bad)
+
+
+# --- the integer stages against their fraction references ------------------
+
+
+@st.composite
+def _dominator_cases(draw):
+    """Integer payoff vectors of one length, some copies of earlier ones
+    and some sharing coordinates with one; most often the vector to
+    dominate is put on or just below a mix of two others, which are then
+    alive.  Pure, two-point and no dominators all occur."""
+    m = draw(st.integers(1, 6))
+    coords = st.integers(-6, 6)
+    vectors = []
+    for _ in range(draw(st.integers(3, 7))):
+        kind = draw(st.sampled_from(("free", "copy", "shared")))
+        if kind == "copy" and vectors:
+            vectors.append(draw(st.sampled_from(vectors)))
+            continue
+        v = [draw(coords) for _ in range(m)]
+        if kind == "shared" and vectors:
+            other = draw(st.sampled_from(vectors))
+            v = [o if draw(st.booleans()) else x for o, x in zip(other, v)]
+        vectors.append(tuple(v))
+    n = len(vectors)
+    j = draw(st.integers(0, n - 1))
+    alive = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    below = draw(st.sampled_from((1, 0, 2, 1, None)))  # None: leave it
+    if below is not None:
+        k, l = draw(st.lists(st.sampled_from([i for i in range(n) if i != j]),
+                             min_size=2, max_size=2, unique=True))
+        w = draw(st.sampled_from((F(1, 2), F(1, 3), F(3, 4))))
+        vectors[j] = tuple(
+            math.floor(w * y + (1 - w) * z) - below
+            for y, z in zip(vectors[k], vectors[l])
+        )
+        alive |= {k, l}
+    return dict(enumerate(vectors)), j, sorted(alive)
+
+
+@seed(20261018)
+@settings(max_examples=200, deadline=None, database=None)
+@given(_dominator_cases())
+def test_dominator_interval_is_the_cut_and_midpoint_search(case):
+    """The midpoint of the open stretch between the tightest cuts is the
+    first probe the search over sorted cuts and midpoints accepts."""
+    assert _find_dominator(*case) == fraction_dominator(*case)
+
+
+_mixed_entries = st.builds(
+    F, st.integers(-30, 30), st.sampled_from((1, 2, 3, 7, 12, 13**3))
+)
+
+
+@st.composite
+def _mixed_games(draw, max_n=8):
+    n = draw(st.integers(1, max_n))
+    A, B = (
+        [[draw(_mixed_entries) for _ in range(n)] for _ in range(2)]
+        for _ in range(2)
+    )
+    return A, B
+
+
+def _swapped(A, B, report, side, i, k):
+    """``report`` with two of one side's weights swapped and its values
+    made the ones that profile realizes, so that only a best-reply check
+    can reject it."""
+    field = f"{side}_strategy"
+    w = list(getattr(report, field).weights)
+    w[i], w[k] = w[k], w[i]
+    mix = MixedStrategy(tuple(w))
+    claim = dataclasses.replace(report, **{field: mix, f"{side}_support": mix.support})
+    row, col = claim.row_strategy, claim.column_strategy
+
+    def value(M):
+        return sum(row[r] * col[c] * M[r][c] for r in range(2) for c in range(len(col)))
+
+    return dataclasses.replace(claim, row_value=value(A), column_value=value(B))
+
+
+@seed(20261018)
+@settings(max_examples=80, deadline=None, database=None)
+@given(_mixed_games(), st.data())
+def test_integer_verification_is_the_fraction_verification(game, data):
+    """On true reports, on ones with a value off by 1/13^6, and on ones
+    with two weights swapped (and the values that profile realizes), the
+    integer verifier agrees with the fraction one."""
+    A, B = game
+    shift = F(1, 13**6)
+    n = len(A[0])
+    for report in enumerate_nash_2xn(A, B).equilibria:
+        claims = [
+            report,
+            dataclasses.replace(report, row_value=report.row_value + shift),
+            dataclasses.replace(report, column_value=report.column_value - shift),
+            _swapped(A, B, report, "row", 0, 1),
+        ]
+        if n > 1:
+            i, k = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            claims.append(_swapped(A, B, report, "column", i, k))
+        for claim in claims:
+            assert verify_equilibrium(A, B, claim) == fraction_verify(A, B, claim), claim
+
+
+def _as_tuples(equilibria):
+    return {
+        (e.row_strategy.weights, e.column_strategy.weights, e.row_value, e.column_value)
+        for e in equilibria
+    }
+
+
+@seed(20261018)
+@settings(max_examples=120, deadline=None, database=None)
+@given(_mixed_games())
+def test_enumeration_and_elimination_match_the_reference(game):
+    """On a nondegenerate game the enumeration finds exactly the
+    reference's equilibria, and so does the reference on the reduction by
+    elimination, expanded back to the full game."""
+    A, B = game
+    assume(is_nondegenerate(A, B)[0])
+    res = enumerate_nash_2xn(A, B)
+    assert res.complete
+    reference = support_equilibria(A, B)
+    assert _as_tuples(res.equilibria) == reference
+    reduced, _ = eliminate_strictly_dominated(Game(A, B=B))
+    rows = [int(label[1:]) for label in reduced.row_labels]
+    cols = [int(label[1:]) for label in reduced.column_labels]
+    expanded = set()
+    for x, y, u, v in support_equilibria(reduced.A, reduced.B):
+        full_x, full_y = [F(0)] * 2, [F(0)] * len(A[0])
+        for r, w in zip(rows, x):
+            full_x[r] = w
+        for c, w in zip(cols, y):
+            full_y[c] = w
+        expanded.add((tuple(full_x), tuple(full_y), u, v))
+    assert expanded == reference
