@@ -43,10 +43,10 @@ from .rules import (
     InfoSet,
     PlayerRow,
     Variant,
-    _CELL_INDEX,
     _coerce_rational,
+    _info_set,
 )
-from .solver import MixedStrategy
+from .solver import MixedStrategy, _as_weights
 
 __all__ = [
     "SimResult",
@@ -95,11 +95,7 @@ def _draw_probabilities(
     if isinstance(banker, BankerStrategy):
         specified = banker.items()
     else:
-        specified = []
-        for key, p in dict(banker).items():
-            if key not in _CELL_INDEX:
-                raise ValueError(f"not a Banker information set: {key!r}")
-            specified.append((InfoSet(*key), p))
+        specified = [(_info_set(key), p) for key, p in dict(banker).items()]
     for info, given in specified:
         if isinstance(given, Action):
             prob = Fraction(int(given is Action.DRAW))
@@ -151,14 +147,7 @@ def _row_mix_weight(row_mix) -> Fraction:
     """Weight on drawing-on-5, from a row, weights, or MixedStrategy."""
     if isinstance(row_mix, PlayerRow):
         return Fraction(int(row_mix is PlayerRow.DRAW_ON_5))
-    weights = getattr(row_mix, "weights", row_mix)
-    ws = tuple(_coerce_rational(w, "row weight") for w in weights)
-    if len(ws) != 2 or any(w < 0 for w in ws) or sum(ws) != 1:
-        raise ValueError(
-            "row_mix must be a PlayerRow or two nonnegative weights "
-            "summing to 1 (stand-on-5 first)"
-        )
-    return ws[1]
+    return _as_weights(row_mix, 2)[1]
 
 
 def simulate(

@@ -181,7 +181,8 @@ def solve_variant(variant: Variant, alpha=0) -> VariantSolution:
     equilibrium.  Whatever is found is re-checked by
     :func:`baccarat.solver.verify_equilibrium` on the unreduced game
     before being returned.  A rate the variant accepts but at which the
-    game has no unique equilibrium raises ``ValueError``.
+    residual game is degenerate, or has more than one equilibrium,
+    raises ``ValueError``: uniqueness is then not certified.
     """
     game = build_reduced_game(variant, alpha)
     reduced, log = eliminate_strictly_dominated(game)
@@ -196,7 +197,7 @@ def solve_variant(variant: Variant, alpha=0) -> VariantSolution:
         )
     else:
         enum = enumerate_nash_2xn(reduced.A, reduced.B) if m == 2 else None
-        if enum is None or len(enum.equilibria) != 1:
+        if enum is None or not enum.complete or len(enum.equilibria) != 1:
             raise ValueError(
                 f"variant {variant.name!r} at alpha={game.alpha} has no "
                 f"unique equilibrium (residual game {m}x{n} after "

@@ -66,10 +66,11 @@ from .rules import (
     Variant,
     _CELL_INDEX,
     _commission_rate,
+    _info_set,
     play_coup,
     tableau_action,
 )
-from .solver import MixedStrategy
+from .solver import _as_weights
 
 __all__ = [
     "value_distribution",
@@ -247,8 +248,7 @@ class InfoSetStats:
 
 def info_set_stats(info: InfoSet, row: PlayerRow, alpha=0) -> InfoSetStats:
     """Exact per-cell statistics; ``alpha`` must be exact (no floats)."""
-    if info not in _CELL_INDEX:
-        raise ValueError(f"not a Banker information set: {info!r}")
+    info = _info_set(info)
     if row not in _ROWS:
         raise ValueError(f"row must be a PlayerRow, got {row!r}")
     a = _commission_rate(alpha)
@@ -550,13 +550,6 @@ class BestResponse:
     ties: tuple = ()
 
 
-def _as_weights(mix, n: int) -> tuple[Fraction, ...]:
-    ws = MixedStrategy(getattr(mix, "weights", mix)).weights
-    if len(ws) != n:
-        raise ValueError(f"opponent mix must have {n} weights, got {len(ws)}")
-    return ws
-
-
 def best_response(role: str, opponent_mix, variant: Variant, alpha=0) -> BestResponse:
     """Exact pure best reply within a variant's reduced game.
 
@@ -565,6 +558,8 @@ def best_response(role: str, opponent_mix, variant: Variant, alpha=0) -> BestRes
     Player rows when ``role == "banker"``, the variant's Banker columns
     when ``role == "player"``.
     """
+    if role not in ("banker", "player"):
+        raise ValueError(f'role must be "player" or "banker", got {role!r}')
     game = build_reduced_game(variant, alpha)
     if role == "banker":
         mix = _as_weights(opponent_mix, 2)
@@ -585,18 +580,16 @@ def best_response(role: str, opponent_mix, variant: Variant, alpha=0) -> BestRes
         return BestResponse(
             role=role, value=value, actions=actions, ties=tuple(ties)
         )
-    if role == "player":
-        mix = _as_weights(opponent_mix, len(game.column_labels))
-        per_row = [
-            sum(w * game.A[r][j] for j, w in enumerate(mix))
-            for r in range(len(game.row_labels))
-        ]
-        best = max(per_row)
-        winners = [r for r, v in enumerate(per_row) if v == best]
-        return BestResponse(
-            role=role,
-            value=best,
-            row=game.row_labels[winners[0]],
-            ties=tuple(game.row_labels[r] for r in winners[1:]),
-        )
-    raise ValueError(f'role must be "player" or "banker", got {role!r}')
+    mix = _as_weights(opponent_mix, len(game.column_labels))
+    per_row = [
+        sum(w * game.A[r][j] for j, w in enumerate(mix))
+        for r in range(len(game.row_labels))
+    ]
+    best = max(per_row)
+    winners = [r for r, v in enumerate(per_row) if v == best]
+    return BestResponse(
+        role=role,
+        value=best,
+        row=game.row_labels[winners[0]],
+        ties=tuple(game.row_labels[r] for r in winners[1:]),
+    )

@@ -28,6 +28,7 @@ from .rules import (
     InfoSet,
     MODERN,
     PlayerRow,
+    _coerce_rational,
 )
 
 __all__ = [
@@ -100,15 +101,11 @@ def unfulfilled_demand(
         raise ValueError("stakes must be a nonempty sequence of positive amounts")
     total = Fraction(0)
     for s in stakes:
-        if isinstance(s, float):
-            raise TypeError(f"stakes must be exact amounts, got {s!r}")
-        a = Fraction(s)
+        a = _coerce_rational(s, "stake")
         if a <= 0:
             raise ValueError(f"stakes must be positive, got {a}")
         total += a
-    if isinstance(banker_offer, float):
-        raise TypeError(f"banker_offer must be exact, got {banker_offer!r}")
-    offer = Fraction(banker_offer)
+    offer = _coerce_rational(banker_offer, "banker_offer")
     if offer <= 0:
         raise ValueError(f"banker_offer must be positive, got {offer}")
     matched = min(total, offer)

@@ -39,7 +39,6 @@ from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 __all__ = [
-    "CARD_VALUES",
     "Action",
     "PlayerRow",
     "InfoSet",
@@ -57,9 +56,6 @@ __all__ = [
     "CoupOutcome",
     "play_coup",
 ]
-
-CARD_VALUES = range(10)
-
 
 class Action(enum.Enum):
     """A drawing decision: take a third card or not."""
@@ -194,18 +190,23 @@ def mandated_player_action(total: int, row: PlayerRow) -> Action:
     return _DRAW if row is PlayerRow.DRAW_ON_5 else _STAND
 
 
-#: Most digits plus exponent size a number written as a decimal string
-#: may have: past that it is refused before its power of ten is built.
+#: Most digits plus exponent size a decimal string or ``Decimal`` may
+#: have: past that it is refused before its power of ten is built.
 _MAX_DECIMAL = 10_000
 
 
 def _coerce_rational(x, name: str) -> Fraction:
+    """The one conversion of an outside number to an exact ``Fraction``:
+    a ``Fraction`` passes as it is, a float raises ``TypeError`` and an
+    overlong decimal ``ValueError``."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError(
-            f"{name} must be exact (int, Fraction, or string); floats are "
-            f"rejected to keep the arithmetic exact -- got {x!r}"
+            f"{name} must be exact (int, Fraction, Decimal or string); floats "
+            f"are rejected to keep the arithmetic exact -- got {x!r}"
         )
-    if isinstance(x, str) and "/" not in x:
+    if isinstance(x, Decimal) or (isinstance(x, str) and "/" not in x):
         try:
             _, digits, exponent = Decimal(x).as_tuple()
             too_long = (
@@ -217,9 +218,17 @@ def _coerce_rational(x, name: str) -> Fraction:
         if too_long:
             raise ValueError(
                 f"{name} must be a number written with at most "
-                f"{_MAX_DECIMAL} digits and exponent together, got {x[:40]!r}"
+                f"{_MAX_DECIMAL} digits and exponent together, got {str(x)[:40]!r}"
             )
     return Fraction(x)
+
+
+def _info_set(key) -> InfoSet:
+    """The canonical cell equal to ``key``; anything else is refused."""
+    try:
+        return ALL_INFO_SETS[_CELL_INDEX[key]]
+    except (KeyError, TypeError):
+        raise ValueError(f"not a Banker information set: {key!r}") from None
 
 
 def _commission_rate(alpha) -> Fraction:

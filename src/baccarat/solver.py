@@ -3,8 +3,11 @@
 Conventions: ``A[r][j]`` is the row player's payoff and ``B[r][j]`` the
 column player's when row ``r`` meets column ``j``.  Zero-sum games are
 handled as the special case ``B = -A``.  All arithmetic is over exact
-rationals; floats in inputs are rejected rather than silently rounded.
-Every routine here takes games with exactly two rows.
+rationals.  Every matrix entry and weight passes the package's one
+number gate, ``rules._coerce_rational``: a float is rejected rather than
+silently rounded, and a decimal too long to write out is rejected
+before it is built.  Every routine here takes games with exactly two
+rows.
 
 With two rows, each column is a line over the row mix (1 - p, p), and
 every question the solvers ask is answered by one upper envelope of
@@ -43,6 +46,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from .rules import _coerce_rational
+
 __all__ = [
     "MixedStrategy",
     "EquilibriumReport",
@@ -56,18 +61,8 @@ __all__ = [
 ]
 
 
-def _exact(x) -> Fraction:
-    if type(x) is Fraction:
-        return x
-    if isinstance(x, float):
-        raise TypeError(
-            f"matrix entries and weights must be exact rationals, got {x!r}"
-        )
-    return Fraction(x)
-
-
 def _matrix(M) -> tuple[tuple[Fraction, ...], ...]:
-    rows = tuple(tuple(_exact(x) for x in row) for row in M)
+    rows = tuple(tuple(_coerce_rational(x, "matrix entry") for x in row) for row in M)
     if not rows or not rows[0]:
         raise ValueError("matrix must be nonempty")
     if any(len(r) != len(rows[0]) for r in rows):
@@ -82,9 +77,8 @@ class MixedStrategy:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "weights", tuple(_exact(w) for w in self.weights)
-        )
+        weights = tuple(_coerce_rational(w, "weight") for w in self.weights)
+        object.__setattr__(self, "weights", weights)
         if any(w < 0 for w in self.weights):
             raise ValueError("mixed-strategy weights must be nonnegative")
         if sum(self.weights) != 1:
@@ -103,6 +97,15 @@ class MixedStrategy:
 
     def __getitem__(self, i: int) -> Fraction:
         return self.weights[i]
+
+
+def _as_weights(mix, n: int) -> tuple[Fraction, ...]:
+    """The exact weights of a mix over ``n`` pure strategies, given as a
+    weight sequence or anything with ``.weights``."""
+    ws = MixedStrategy(getattr(mix, "weights", mix)).weights
+    if len(ws) != n:
+        raise ValueError(f"mix must have {n} weights, got {len(ws)}")
+    return ws
 
 
 @dataclass(frozen=True)

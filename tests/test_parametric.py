@@ -1,5 +1,6 @@
 """Unit tests for commission sweeps, the break-even rate, and validity bounds."""
 
+import itertools
 import sys
 from fractions import Fraction
 from math import isqrt
@@ -110,6 +111,30 @@ class TestSolveVariant:
             ValueError, match=r"'wide' at alpha=2/5 has no unique equilibrium"
         ):
             solve_variant(wide, F(2, 5))
+        # At 1/6 the 2x5 residual is degenerate: columns DSDD and DDDD tie
+        # against row 1, so one equilibrium found is not a certified one.
+        w = custom_variant("w", STARRED_CELLS, {})
+        with pytest.raises(
+            ValueError, match=r"'w' at alpha=1/6 has no unique equilibrium"
+        ):
+            solve_variant(w, F(1, 6))
+
+    @pytest.mark.parametrize("alpha", [F(1, 20), F(1, 6), F(2, 5)])
+    def test_every_split_is_solved_uniquely_or_refused(self, alpha):
+        """Over the 81 ways to make each starred cell optional or fixed to
+        one action, a returned solution is certified unique."""
+        refused = 0
+        for picks in itertools.product((None, Action.STAND, Action.DRAW), repeat=4):
+            cells = dict(zip(STARRED_CELLS, picks))
+            optional = [c for c, a in cells.items() if a is None]
+            fixed = {c: a for c, a in cells.items() if a is not None}
+            try:
+                sol = solve_variant(custom_variant("v", optional, fixed), alpha)
+            except ValueError:
+                refused += 1
+                continue
+            assert sol.report.unique, picks
+        assert refused < 81
 
 
 class TestClosedForms:

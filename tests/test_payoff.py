@@ -47,6 +47,7 @@ from baccarat.parametric import (
     equilibrium_curve,
     table_validity_bound,
 )
+from baccarat import payoff
 from baccarat.rules import Variant
 from fraction_reference import (
     fraction_cell_data,
@@ -524,6 +525,14 @@ class TestBestResponse:
             best_response("banker", (F(1, 2), F(1, 3)), CLASSIC)
         with pytest.raises(ValueError):
             best_response("banker", (F(1, 2), F(1, 2), 0), CLASSIC)
+
+    def test_role_is_checked_before_the_game_is_built(self, monkeypatch):
+        def build(*args):
+            raise AssertionError("built a game for a bad role")
+
+        monkeypatch.setattr(payoff, "build_reduced_game", build)
+        with pytest.raises(ValueError, match="role must be"):
+            best_response("dealer", (1, 0), CLASSIC)
 
     def test_float_weights_rejected(self):
         with pytest.raises(TypeError):

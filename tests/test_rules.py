@@ -1,8 +1,12 @@
 """Unit tests for hand arithmetic, the drawing table, and coup resolution."""
 
+import ast
 import inspect
 import time
+from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -25,6 +29,20 @@ from baccarat import (
     play_coup,
     tableau_action,
     Variant,
+)
+import baccarat
+from baccarat.montecarlo import simulate
+from baccarat.parametric import find_alpha_star
+from baccarat.payoff import best_response, build_reduced_game, info_set_stats
+from baccarat.punto import mandated_banker_strategy, unfulfilled_demand
+from baccarat.rules import _info_set
+from baccarat.solver import (
+    EquilibriumReport,
+    MixedStrategy,
+    eliminate_strictly_dominated,
+    enumerate_nash_2xn,
+    is_nondegenerate,
+    verify_equilibrium,
 )
 
 D, S = Action.DRAW, Action.STAND
@@ -121,6 +139,8 @@ class TestVariants:
 
     def test_check_alpha(self):
         assert CLASSIC.check_alpha("1/20") == Fraction(1, 20)
+        rate = Fraction(1, 20)
+        assert CLASSIC.check_alpha(rate) is rate
         with pytest.raises(TypeError):
             CLASSIC.check_alpha(0.05)
         with pytest.raises(ValueError):
@@ -140,9 +160,22 @@ class TestVariants:
             CLASSIC.check_alpha(text)
         assert time.perf_counter() - start < 0.01
 
+    @pytest.mark.parametrize(
+        "text", ["1e-1000000", "1e-10000", "0e999999999", "0." + "1" * 20_000]
+    )
+    def test_a_decimal_too_long_to_write_out_is_refused_at_once(self, text):
+        """A ``Decimal`` is bounded as its string is."""
+        number = Decimal(text)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="digits and exponent"):
+            CLASSIC.check_alpha(number)
+        assert time.perf_counter() - start < 0.01
+
     def test_the_longest_decimal_still_reads(self):
         assert CLASSIC.check_alpha("1e-9999") == Fraction(1, 10**9999)
         assert CLASSIC.check_alpha(" 5e-2 ") == Fraction(1, 20)
+        assert CLASSIC.check_alpha(Decimal("1e-9999")) == Fraction(1, 10**9999)
+        assert CLASSIC.check_alpha(Decimal("-0")) == 0
 
     def test_a_zero_bound_means_commission_free(self):
         free = custom_variant("free", STARRED_CELLS, {}, 0)
@@ -422,3 +455,104 @@ def test_every_coup_reports_consistent_fields(cards, row, picks):
     assert out.player_payoff == (
         (out.player_total > out.banker_total) - (out.player_total < out.banker_total)
     )
+
+
+# ---------------------------------------------------------------------------
+# The one gate for outside numbers: every public entry that reads a number
+# converts it with rules._coerce_rational.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Game:
+    A: tuple
+    B: tuple
+
+
+_B = ((0, 1), (1, 0))
+_HALF = MixedStrategy((Fraction(1, 2), Fraction(1, 2)))
+_REPORT = EquilibriumReport(_HALF, _HALF, 0, 0, (0, 1), (0, 1), "mixed")
+_MIX = {InfoSet(3, 9): 1, InfoSet(5, 4): 1}
+_D5 = PlayerRow.DRAW_ON_5
+
+#: Each public entry that reads an outside number, given ``x`` there.
+_ENTRIES = {
+    "MixedStrategy": lambda x: MixedStrategy((x, 1)),
+    "eliminate_strictly_dominated": lambda x: eliminate_strictly_dominated(
+        _Game(((x, 0), (0, 1)), _B)
+    ),
+    "enumerate_nash_2xn": lambda x: enumerate_nash_2xn(((x, 0), (0, 1)), _B),
+    "is_nondegenerate": lambda x: is_nondegenerate(((x, 0), (0, 1)), _B),
+    "verify_equilibrium": lambda x: verify_equilibrium(((x, 0), (0, 1)), _B, _REPORT),
+    "best_response": lambda x: best_response("banker", (x, 1), CLASSIC, "1/20"),
+    "unfulfilled_demand-stake": lambda x: unfulfilled_demand([x], 1),
+    "unfulfilled_demand-offer": lambda x: unfulfilled_demand([1], x),
+    "check_alpha": lambda x: CLASSIC.check_alpha(x),
+    "simulate-alpha": lambda x: simulate(MODERN, _D5, _MIX, x, 10, 1),
+    "simulate-row_mix": lambda x: simulate(MODERN, (x, 1), _MIX, 0, 10, 1),
+    "simulate-draw_probability": lambda x: simulate(
+        MODERN, _D5, {**_MIX, InfoSet(3, 9): x}, 0, 10, 1
+    ),
+    "find_alpha_star": lambda x: find_alpha_star(x),
+}
+
+
+@pytest.mark.parametrize("x", ["1e-2000000", Decimal("1e-2000000")], ids=type)
+@pytest.mark.parametrize("entry", _ENTRIES)
+def test_every_entry_refuses_an_overlong_number_at_once(entry, x):
+    """A decimal too long to write out is refused before its power of
+    ten is built, whether it comes as a string or as a Decimal."""
+    build_reduced_game(CLASSIC, Fraction(1, 20))  # best_response builds it first
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="digits and exponent"):
+        _ENTRIES[entry](x)
+    assert time.perf_counter() - start < 0.01
+
+
+@pytest.mark.parametrize("entry", _ENTRIES)
+def test_every_entry_refuses_a_float(entry):
+    with pytest.raises(TypeError, match="floats are rejected"):
+        _ENTRIES[entry](0.5)
+
+
+def test_cell_keys_read_as_the_canonical_info_set():
+    assert _info_set((True, 9.0)) is ALL_INFO_SETS[20]
+    assert type(info_set_stats((3, 9), PlayerRow.DRAW_ON_5).info) is InfoSet
+    for key in ((3, 10), [3, 9], "3,9", None):
+        with pytest.raises(ValueError, match="not a Banker information set"):
+            _info_set(key)
+
+
+def _float_tests(tree):
+    """The function of every ``isinstance(..., float)`` in a module,
+    named by the outermost function or method holding it."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = owner or node.name
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+        ):
+            kinds = node.args[1]
+            names = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+            if any(isinstance(k, ast.Name) and k.id == "float" for k in names):
+                found.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_the_gate_tests_for_floats():
+    """The float test exists once, in the gate; the CSV renderer writes
+    floats and reads no input."""
+    holders = []
+    for path in sorted(Path(baccarat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        holders += [f"{path.stem}.{name}" for name in _float_tests(tree)]
+    assert sorted(holders) == ["cli._render_csv", "rules._coerce_rational"]
