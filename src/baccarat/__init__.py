@@ -12,7 +12,8 @@ Module map:
 * :mod:`baccarat.rules` -- cards, totals, the drawing table, variants,
   strategies, coup resolution.
 * :mod:`baccarat.payoff` -- occurrence/conditional decomposition,
-  reduced games, the enumeration oracle, best responses.
+  reduced games and best responses read off them, the enumeration
+  oracle.
 * :mod:`baccarat.solver` -- exact 2 x n game solvers: dominance,
   Nash enumeration, verification.
 * :mod:`baccarat.parametric` -- commission sweeps, the break-even rate,
@@ -36,7 +37,6 @@ from .rules import (
     PlayerRow,
     STARRED_CELLS,
     Variant,
-    custom_variant,
     hand_total,
     is_natural,
     mandated_player_action,
@@ -93,7 +93,6 @@ __all__ = [
     "best_response",
     "build_reduced_game",
     "classify_info_sets",
-    "custom_variant",
     "eliminate_strictly_dominated",
     "enumerate_nash_2xn",
     "equilibrium_curve",

@@ -34,13 +34,11 @@ from typing import Mapping, Sequence
 
 from .payoff import (
     ReducedGame,
-    _improvement_line,
+    _gain_table,
     build_reduced_game,
     classify_info_sets,
-    info_set_stats,
 )
 from .rules import (
-    ALL_INFO_SETS,
     Action,
     CLASSIC,
     InfoSet,
@@ -48,6 +46,7 @@ from .rules import (
     PlayerRow,
     STARRED_CELLS,
     Variant,
+    _CELL_INDEX,
     _coerce_rational,
 )
 from .solver import (
@@ -421,42 +420,43 @@ def table_validity_bound(variant: Variant) -> Fraction:
             "validity bound is defined for variants shaped like classic or "
             "modern"
         )
-    if shape == "modern":
-        game0 = build_reduced_game(variant, 0)
-        d5 = game0.row_labels.index(PlayerRow.DRAW_ON_5)
-        s5 = 1 - d5
-        if not all(
-            game0.A[d5][j] > game0.A[s5][j]
-            for j in range(len(game0.column_labels))
-        ):  # pragma: no cover - structural, alpha-free
-            raise AssertionError("drawing on 5 should dominate in the modern game")
     return _validity_bound(shape)
 
 
 @lru_cache(maxsize=2)
 def _validity_bound(shape: str) -> Fraction:
-    """The crossover scan of :func:`table_validity_bound` for one shape."""
+    """The crossover scan of :func:`table_validity_bound` for one shape.
+
+    Every sign it tests is that of drawing's gain ``c - a * s`` at some
+    cell and row, ``(c, s)`` read off :func:`baccarat.payoff._gain_table`,
+    so the crossover rates are the ratios ``c / s`` in ``(0, 1)``.  For
+    the modern shape it also checks, once, that Player's draw on 5
+    strictly dominates in the modern game, whose columns every
+    modern-shaped variant shares.
+    """
+    stand_on_5, draw_on_5 = _gain_table()
     if shape == "classic":
         def holds(a: Fraction) -> bool:
             return classify_info_sets(a).agrees_with_tableau
     else:
+        game0 = build_reduced_game(MODERN, 0)
+        d5 = game0.row_labels.index(PlayerRow.DRAW_ON_5)
+        if not all(
+            draw > stand for draw, stand in zip(game0.A[d5], game0.A[1 - d5])
+        ):  # pragma: no cover - structural, alpha-free
+            raise AssertionError("drawing on 5 should dominate in the modern game")
         optional = [c for c in STARRED_CELLS if c not in _MODERN_MANDATES]
-        watched = (*optional, InfoSet(6, None))
+        watched = [draw_on_5[_CELL_INDEX[c]] for c in (*optional, InfoSet(6, None))]
 
         def holds(a: Fraction) -> bool:
-            return all(
-                info_set_stats(c, PlayerRow.DRAW_ON_5, a).improvement > 0
-                for c in watched
-            )
+            return all(c > a * s for c, s in watched)
 
     roots = set()
-    for info in ALL_INFO_SETS:
-        for row in (PlayerRow.STAND_ON_5, PlayerRow.DRAW_ON_5):
-            const, slope = _improvement_line(info, row)
-            if slope != 0:
-                r = -const / slope
-                if 0 < r < 1:
-                    roots.add(r)
+    for c, s in (*stand_on_5, *draw_on_5):
+        if s != 0:
+            r = Fraction(c, s)
+            if 0 < r < 1:
+                roots.add(r)
     prev = Fraction(0)
     for r in sorted(roots):
         if not holds((prev + r) / 2):  # pragma: no cover - strict signs

@@ -1,6 +1,6 @@
 """Exact payoff analysis: occurrence probabilities, conditional values,
-info-set classification, reduced strategic-form games, and an
-independent brute-force oracle.
+info-set classification, reduced strategic-form games, best responses,
+and an independent brute-force oracle.
 
 Everything here is exact rational arithmetic.  The central objects:
 
@@ -24,7 +24,10 @@ Everything here is exact rational arithmetic.  The central objects:
   of Player's loss, tie and win per (row, cell, Banker action), plus
   one slot for the naturals.  That ledger is computed from the card
   counts of nu and tau alone and has the oracle's slot layout; alpha
-  is applied when a quantity is read off it.
+  is applied when a quantity is read off it.  Drawing's gain over
+  standing at a cell is ``(c - alpha * s) / total`` for two integers
+  read off its slots (``_gain_table``), which the classification and
+  the validity scans of :mod:`baccarat.parametric` read.
 
 * ``build_reduced_game`` -- the variant's strategic form after the
   tableau's determined cells are fixed: 2 Player rows against one Banker
@@ -32,6 +35,10 @@ Everything here is exact rational arithmetic.  The central objects:
   (16 columns for parlor/classic, 4 for modern).  ``A`` is Player's
   expected payoff (alpha-free), ``B`` is Banker's (affine in alpha).
   Each entry is a sum of 89 integer slots, divided once.
+
+* ``best_response`` -- a pure best reply read off the reduced game:
+  Player's rows of ``A`` or Banker's columns of ``B``, each scored
+  against the opponent's mix.
 
 * ``oracle_outcome_distribution`` / ``oracle_payoff_entry`` -- a second,
   deliberately independent route to the same numbers.  Every leaf of the
@@ -67,6 +74,7 @@ from .rules import (
     _CELL_INDEX,
     _commission_rate,
     _info_set,
+    _player_row,
     play_coup,
     tableau_action,
 )
@@ -219,13 +227,23 @@ def _banker_payoff(counts: _Counts, alpha: Fraction, total: int) -> Fraction:
     return Fraction((q - p) * loss - q * win, q * total)
 
 
-def _improvement_line(info: InfoSet, row: PlayerRow) -> tuple[Fraction, Fraction]:
-    """(constant, slope) in alpha of the cell's draw-minus-stand value,
-    read off the differences between its two slots."""
-    stand, draw = _cell_slot(info, row)
-    loss_gain, _, win_gain = (d - s for d, s in zip(draw, stand))
-    total = sum(stand)
-    return Fraction(loss_gain - win_gain, total), Fraction(-loss_gain, total)
+@lru_cache(maxsize=1)
+def _gain_table() -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Drawing's gain over standing, per row and cell, as two integers.
+
+    ``_gain_table()[r][k]`` is ``(c, s) = (loss gain - win gain, loss
+    gain)`` against ``_ROWS[r]`` at ``ALL_INFO_SETS[k]``, the gains being
+    Player's counts in the cell's draw slot less those in its stand slot.
+    At rate alpha drawing beats standing there by ``(c - alpha * s) /
+    total``, ``total`` being the cell's positive count of deals, so the
+    sign of ``c - alpha * s`` decides the cell.
+    """
+    return tuple(
+        tuple(
+            (d[0] - s[0] - d[2] + s[2], d[0] - s[0]) for s, d in slots[:_NO_CELL]
+        )
+        for slots in _analytic_ledger()
+    )
 
 
 @dataclass(frozen=True)
@@ -249,8 +267,7 @@ class InfoSetStats:
 def info_set_stats(info: InfoSet, row: PlayerRow, alpha=0) -> InfoSetStats:
     """Exact per-cell statistics; ``alpha`` must be exact (no floats)."""
     info = _info_set(info)
-    if row not in _ROWS:
-        raise ValueError(f"row must be a PlayerRow, got {row!r}")
+    row = _player_row(row)
     a = _commission_rate(alpha)
     stand, draw = _cell_slot(info, row)
     total = sum(stand)
@@ -289,20 +306,16 @@ class Classification:
 def classify_info_sets(alpha=0) -> Classification:
     """Split the 88 cells into determined and starred at rate ``alpha``.
 
-    Drawing's improvement over standing has the sign of
-    ``q * (loss gain - win gain) - p * loss gain`` for alpha = p/q, the
-    gains being the differences between a cell's draw and stand slots.
+    Drawing's improvement over standing has the sign of ``q * c - p * s``
+    for alpha = p/q, ``(c, s)`` being the cell's entry in the gain table.
     """
     a = _commission_rate(alpha)
     p, q = a.numerator, a.denominator
     determined: dict[InfoSet, Action] = {}
     starred: list[InfoSet] = []
-    ledger = _analytic_ledger()
+    gains = _gain_table()
     for k, info in enumerate(ALL_INFO_SETS):
-        imps = [
-            q * (d[0] - s[0] - d[2] + s[2]) - p * (d[0] - s[0])
-            for s, d in (slots[k] for slots in ledger)
-        ]
+        imps = [q * c - p * s for c, s in (row[k] for row in gains)]
         if all(x > 0 for x in imps):
             determined[info] = Action.DRAW
         elif all(x < 0 for x in imps):
@@ -349,7 +362,7 @@ def build_reduced_game(variant: Variant, alpha=0) -> ReducedGame:
     (:meth:`~baccarat.rules.Variant.check_alpha`).  To build the matrices
     past a bound, as when probing where an analysis breaks down, build
     them for a variant of the same structure with a wider ``alpha_bound``
-    (:func:`~baccarat.rules.custom_variant` defaults to 1).
+    (a :class:`~baccarat.rules.Variant`'s defaults to 1).
     """
     a = variant.check_alpha(alpha)
     cells = variant.optional_cells
@@ -513,9 +526,7 @@ def oracle_outcome_distribution(
     row: PlayerRow, strategy: BankerStrategy
 ) -> tuple[Fraction, Fraction, Fraction]:
     """(P(player wins), P(banker wins), P(tie)) by direct enumeration."""
-    if row not in _ROWS:
-        raise ValueError(f"row must be a PlayerRow, got {row!r}")
-    slots = _leaf_ledger()[_ROWS.index(row)]
+    slots = _leaf_ledger()[_ROWS.index(_player_row(row))]
     chosen = (
         slot[action is Action.DRAW] for slot, action in zip(slots, strategy.actions)
     )
@@ -556,40 +567,37 @@ def best_response(role: str, opponent_mix, variant: Variant, alpha=0) -> BestRes
     ``opponent_mix`` is a weight vector (or anything with ``.weights``)
     over the opponent's pure strategies in reduced-game order: the two
     Player rows when ``role == "banker"``, the variant's Banker columns
-    when ``role == "player"``.
+    when ``role == "player"``.  Each of the role's own pure strategies
+    (a row of ``A`` for Player, a column of ``B`` for Banker) is scored
+    against that mix, and the best score wins.
     """
     if role not in ("banker", "player"):
         raise ValueError(f'role must be "player" or "banker", got {role!r}')
     game = build_reduced_game(variant, alpha)
-    if role == "banker":
-        mix = _as_weights(opponent_mix, 2)
-        actions: dict[InfoSet, Action] = {}
-        ties: list[InfoSet] = []
-        for info in variant.optional_cells:
-            diff = Fraction(0)
-            for weight, row in zip(mix, game.row_labels):
-                stats = info_set_stats(info, row, game.alpha)
-                diff += weight * stats.occurrence * stats.improvement
-            if diff == 0:
-                ties.append(info)
-                actions[info] = Action.STAND
-            else:
-                actions[info] = Action.DRAW if diff > 0 else Action.STAND
-        j = game.columns.index(tuple(actions[c] for c in variant.optional_cells))
-        value = sum(w * game.B[r][j] for r, w in enumerate(mix))
+    lines = game.A if role == "player" else tuple(zip(*game.B))
+    mix = _as_weights(opponent_mix, len(lines[0]))
+    scores = [sum(w * x for w, x in zip(mix, line)) for line in lines]
+    best = max(scores)
+    winners = [i for i, v in enumerate(scores) if v == best]
+    if role == "player":
         return BestResponse(
-            role=role, value=value, actions=actions, ties=tuple(ties)
+            role=role,
+            value=best,
+            row=game.row_labels[winners[0]],
+            ties=tuple(game.row_labels[r] for r in winners[1:]),
         )
-    mix = _as_weights(opponent_mix, len(game.column_labels))
-    per_row = [
-        sum(w * game.A[r][j] for j, w in enumerate(mix))
-        for r in range(len(game.row_labels))
-    ]
-    best = max(per_row)
-    winners = [r for r, v in enumerate(per_row) if v == best]
+    # Banker's payoff is a sum over the optional cells, so the winning
+    # columns are every combination of each cell's best actions; the
+    # first of them, in ``game.columns`` order, stands wherever both
+    # actions are best.
+    cells = variant.optional_cells
     return BestResponse(
         role=role,
         value=best,
-        row=game.row_labels[winners[0]],
-        ties=tuple(game.row_labels[r] for r in winners[1:]),
+        actions=dict(zip(cells, game.columns[winners[0]])),
+        ties=tuple(
+            cell
+            for k, cell in enumerate(cells)
+            if len({game.columns[j][k] for j in winners}) > 1
+        ),
     )

@@ -197,8 +197,8 @@ _MAX_DECIMAL = 10_000
 
 def _coerce_rational(x, name: str) -> Fraction:
     """The one conversion of an outside number to an exact ``Fraction``:
-    a ``Fraction`` passes as it is, a float raises ``TypeError`` and an
-    overlong decimal ``ValueError``."""
+    a ``Fraction`` passes as it is, a float raises ``TypeError``, and an
+    infinity, a NaN or an overlong decimal ``ValueError``."""
     if type(x) is Fraction:
         return x
     if isinstance(x, float):
@@ -208,13 +208,14 @@ def _coerce_rational(x, name: str) -> Fraction:
         )
     if isinstance(x, Decimal) or (isinstance(x, str) and "/" not in x):
         try:
-            _, digits, exponent = Decimal(x).as_tuple()
-            too_long = (
-                isinstance(exponent, int)
-                and len(digits) + abs(exponent) > _MAX_DECIMAL
-            )
+            d = Decimal(x)
         except ArithmeticError:  # malformed, or an exponent past Decimal's
             too_long = "e" in x.lower()
+        else:
+            if not d.is_finite():
+                raise ValueError(f"{name} must be finite, got {str(x)[:40]!r}")
+            _, digits, exponent = d.as_tuple()
+            too_long = len(digits) + abs(exponent) > _MAX_DECIMAL
         if too_long:
             raise ValueError(
                 f"{name} must be a number written with at most "
@@ -231,6 +232,13 @@ def _info_set(key) -> InfoSet:
         raise ValueError(f"not a Banker information set: {key!r}") from None
 
 
+def _player_row(row) -> PlayerRow:
+    """``row`` itself when it is a ``PlayerRow``; anything else is refused."""
+    if not isinstance(row, PlayerRow):
+        raise ValueError(f"row must be a PlayerRow, got {row!r}")
+    return row
+
+
 def _commission_rate(alpha) -> Fraction:
     """An exact commission rate in ``[0, 1)``; floats are rejected."""
     a = _coerce_rational(alpha, "alpha")
@@ -245,13 +253,14 @@ class Variant:
     fixed by law, plus the commission rates the variant accepts.
 
     ``optional_cells`` lists the starred cells left to Banker's judgment,
-    in canonical order; ``fixed_actions`` pins the remaining starred
-    cells, held as a read-only copy of the mapping given.
-    ``alpha_bound`` is an exact rate in ``[0, 1]``: the variant accepts
-    alpha = 0 and every rate in ``(0, alpha_bound)``, so a bound of 0
-    makes the game commission-free.  A positive bound is the exclusive
-    end of the rates the variant's analysis covers (where the tableau's
-    determined cells, and any mandates, are justified).
+    held as a tuple in the order given; ``fixed_actions`` pins the
+    remaining starred cells, held as a read-only copy of the mapping
+    given.  ``alpha_bound`` is an exact rate in ``[0, 1]``: the variant
+    accepts alpha = 0 and every rate in ``(0, alpha_bound)``, so a bound
+    of 0 makes the game commission-free.  A positive bound is the
+    exclusive end of the rates the variant's analysis covers (where the
+    tableau's determined cells, and any mandates, are justified); the
+    default of 1 accepts any commission below 100%.
     """
 
     name: str
@@ -259,9 +268,10 @@ class Variant:
     # A mapping proxy is unhashable; the other fields hash consistently
     # with equality, which still compares the mappings by content.
     fixed_actions: Mapping[InfoSet, Action] = field(hash=False)
-    alpha_bound: Fraction
+    alpha_bound: Fraction = Fraction(1)
 
     def __post_init__(self):
+        object.__setattr__(self, "optional_cells", tuple(self.optional_cells))
         object.__setattr__(
             self, "fixed_actions", MappingProxyType(dict(self.fixed_actions))
         )
@@ -329,26 +339,6 @@ MODERN = Variant(
     fixed_actions={InfoSet(4, 1): Action.STAND, InfoSet(6, None): Action.STAND},
     alpha_bound=Fraction(2, 5),
 )
-
-
-def custom_variant(
-    name: str,
-    optional_cells: Sequence[InfoSet],
-    fixed_actions: Mapping[InfoSet, Action],
-    alpha_bound=1,
-) -> Variant:
-    """Build a variant with an arbitrary split of the starred cells.
-
-    ``alpha_bound`` defaults to 1, i.e. any commission below 100% is
-    accepted; pass a tighter bound when one is known, or 0 for a
-    commission-free game.
-    """
-    return Variant(
-        name=name,
-        optional_cells=tuple(optional_cells),
-        fixed_actions=fixed_actions,
-        alpha_bound=alpha_bound,
-    )
 
 
 _CELL_INDEX = {cell: i for i, cell in enumerate(ALL_INFO_SETS)}

@@ -7,7 +7,7 @@ rationals.  Every matrix entry and weight passes the package's one
 number gate, ``rules._coerce_rational``: a float is rejected rather than
 silently rounded, and a decimal too long to write out is rejected
 before it is built.  Every routine here takes games with exactly two
-rows.
+rows, and refuses a ``B`` whose shape is not ``A``'s.
 
 With two rows, each column is a line over the row mix (1 - p, p), and
 every question the solvers ask is answered by one upper envelope of
@@ -143,11 +143,6 @@ class EliminationStep:
 _ONE = Fraction(1)
 
 
-def _require_two_rows(A):
-    if len(A) != 2:
-        raise ValueError(f"this solver handles exactly 2 rows, got {len(A)}")
-
-
 def _integral(M) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """The lcm of an exact matrix's denominators, and the matrix times it,
     as integers."""
@@ -155,6 +150,20 @@ def _integral(M) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return scale, tuple(
         tuple(x.numerator * (scale // x.denominator) for x in row) for row in M
     )
+
+
+def _game(A, B):
+    """``(A, B, (scale_A, int_A), (scale_B, int_B))`` for a 2 x n game:
+    both matrices exact, checked to be 2 x n alike, and scaled once to
+    integers by :func:`_integral`."""
+    A, B = _matrix(A), _matrix(B)
+    if len(A) != 2:
+        raise ValueError(f"this solver handles exactly 2 rows, got {len(A)}")
+    if len(B) != 2 or len(B[0]) != len(A[0]):
+        raise ValueError(
+            f"B must have A's shape, 2 x {len(A[0])}, got {len(B)} x {len(B[0])}"
+        )
+    return A, B, _integral(A), _integral(B)
 
 
 def _envelope(M, cols, lo=0, hi=1):
@@ -242,9 +251,7 @@ def eliminate_strictly_dominated(game):
     the remaining row.  Strict elimination never removes any equilibrium
     strategy, so solving the reduction solves the game.
     """
-    A, B = _matrix(game.A), _matrix(game.B)
-    _require_two_rows(A)
-    (_, int_A), (_, int_B) = _integral(A), _integral(B)
+    A, B, (_, int_A), (_, int_B) = _game(game.A, game.B)
     n = len(A[0])
     rows_alive = [0, 1]
     cols_alive = list(range(n))
@@ -324,9 +331,8 @@ def is_nondegenerate(A, B) -> tuple[bool, DegeneracyWitness | None]:
     on top only at a vertex, and identical ones also at the ends of the
     stretch they top.
     """
-    A, B = _matrix(A), _matrix(B)
-    _require_two_rows(A)
-    return _degeneracy(A, _envelope(_integral(B)[1], range(len(A[0]))))
+    A, _, _, (_, int_B) = _game(A, B)
+    return _degeneracy(A, _envelope(int_B, range(len(A[0]))))
 
 
 def _degeneracy(A, points) -> tuple[bool, DegeneracyWitness | None]:
@@ -362,11 +368,8 @@ def enumerate_nash_2xn(A, B) -> NashEnumeration:
     games, equilibrium continua are represented by sample points with an
     explanatory note, and ``complete`` is False.
     """
-    A, B = _matrix(A), _matrix(B)
-    _require_two_rows(A)
+    A, B, (scale_A, int_A), (scale_B, int_B) = _game(A, B)
     n = len(A[0])
-    scale_A, int_A = _integral(A)
-    scale_B, int_B = _integral(B)
     points = _envelope(int_B, range(n))
     complete, witness = _degeneracy(A, points)
     found: dict[tuple, tuple] = {}  # (row weights, col weights) -> (k, note)
@@ -487,8 +490,7 @@ def verify_equilibrium(A, B, report: EquilibriumReport) -> bool:
     of their denominators; only the two realized values are built as
     fractions.  Nothing here reads the envelope or the enumeration.
     """
-    A, B = _matrix(A), _matrix(B)
-    _require_two_rows(A)
+    A, B, (scale_A, int_A), (scale_B, int_B) = _game(A, B)
     n = len(A[0])
     row, col = report.row_strategy, report.column_strategy
     if len(row) != 2 or len(col) != n:
@@ -498,8 +500,6 @@ def verify_equilibrium(A, B, report: EquilibriumReport) -> bool:
 
     # Every payoff below is scaled by the positive lcm of the denominators
     # it is built from, so comparisons between them hold in integers.
-    scale_A, int_A = _integral(A)
-    scale_B, int_B = _integral(B)
     row_scale, (int_row,) = _integral((row.weights,))
     col_scale, (int_col,) = _integral((col.weights,))
 

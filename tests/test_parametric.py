@@ -16,7 +16,7 @@ from baccarat import (
     PARLOR,
     PlayerRow,
     STARRED_CELLS,
-    custom_variant,
+    Variant,
     equilibrium_curve,
     find_alpha_star,
     solve_variant,
@@ -106,14 +106,14 @@ class TestSolveVariant:
     def test_accepted_rate_without_a_unique_equilibrium(self):
         """A wide custom bound admits rates where the game is degenerate:
         that is a ValueError about the input, not an internal assertion."""
-        wide = custom_variant("wide", STARRED_CELLS, {})
+        wide = Variant("wide", STARRED_CELLS, {})
         with pytest.raises(
             ValueError, match=r"'wide' at alpha=2/5 has no unique equilibrium"
         ):
             solve_variant(wide, F(2, 5))
         # At 1/6 the 2x5 residual is degenerate: columns DSDD and DDDD tie
         # against row 1, so one equilibrium found is not a certified one.
-        w = custom_variant("w", STARRED_CELLS, {})
+        w = Variant("w", STARRED_CELLS, {})
         with pytest.raises(
             ValueError, match=r"'w' at alpha=1/6 has no unique equilibrium"
         ):
@@ -129,7 +129,7 @@ class TestSolveVariant:
             optional = [c for c, a in cells.items() if a is None]
             fixed = {c: a for c, a in cells.items() if a is not None}
             try:
-                sol = solve_variant(custom_variant("v", optional, fixed), alpha)
+                sol = solve_variant(Variant("v", optional, fixed), alpha)
             except ValueError:
                 refused += 1
                 continue
@@ -207,7 +207,7 @@ def _summary(sweep):
 
 class TestVariantsByStructure:
     def test_classic_shape_under_another_name(self, monkeypatch):
-        mine = custom_variant("mine", tuple(reversed(STARRED_CELLS)), {})
+        mine = Variant("mine", tuple(reversed(STARRED_CELLS)), {})
         sweep = equilibrium_curve(mine)
         assert sweep.validity_bound == F(1, 15)
         assert _summary(sweep) == _summary(equilibrium_curve(CLASSIC))
@@ -217,7 +217,7 @@ class TestVariantsByStructure:
             equilibrium_curve(mine)
 
     def test_modern_shape_under_another_name(self, monkeypatch):
-        mine = custom_variant(
+        mine = Variant(
             "mine", tuple(reversed(MODERN.optional_cells)), MODERN.fixed_actions
         )
         assert table_validity_bound(mine) == F(2, 5)
@@ -228,13 +228,13 @@ class TestVariantsByStructure:
             equilibrium_curve(mine, (F(1, 20),))
 
     def test_closed_forms_checked_only_below_the_validity_bound(self):
-        wide = custom_variant("wide", STARRED_CELLS, {}, alpha_bound=1)
+        wide = Variant("wide", STARRED_CELLS, {}, alpha_bound=1)
         sweep = equilibrium_curve(wide, (0, F(1, 10), F(1, 5)))
         assert sweep.validity_bound == F(1, 15)
         assert [a for a, _ in sweep.samples] == [0, F(1, 10), F(1, 5)]
 
     def test_other_shapes_report_their_alpha_bound(self):
-        house = custom_variant(
+        house = Variant(
             "house", (InfoSet(6, None),),
             {InfoSet(3, 9): Action.DRAW, InfoSet(4, 1): Action.STAND,
              InfoSet(5, 4): Action.DRAW},
@@ -325,9 +325,9 @@ class TestValidityBounds:
         variants = (
             CLASSIC,
             PARLOR,
-            custom_variant("mine", tuple(reversed(STARRED_CELLS)), {}),
+            Variant("mine", tuple(reversed(STARRED_CELLS)), {}),
             MODERN,
-            custom_variant(
+            Variant(
                 "mine", tuple(reversed(MODERN.optional_cells)), MODERN.fixed_actions
             ),
         )

@@ -5,7 +5,7 @@ import types
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from baccarat import (
     ALL_INFO_SETS,
@@ -20,7 +20,6 @@ from baccarat import (
     best_response,
     build_reduced_game,
     classify_info_sets,
-    custom_variant,
     info_set_stats,
     mandated_banker_strategy,
     mandated_player_action,
@@ -29,11 +28,12 @@ from baccarat import (
     tableau_action,
 )
 from baccarat.payoff import (
+    BestResponse,
     _NO_CELL,
     _analytic_ledger,
     _card_counts,
     _cell_slot,
-    _improvement_line,
+    _gain_table,
     _leaf_ledger,
     _player_final_totals,
     _outcome_table,
@@ -45,6 +45,7 @@ from baccarat.payoff import (
 from baccarat.parametric import (
     _validity_bound,
     equilibrium_curve,
+    solve_variant,
     table_validity_bound,
 )
 from baccarat import payoff
@@ -136,14 +137,15 @@ class TestInfoSetStats:
                     fraction_info_set_stats(info, row, alpha)
                 ), (info, row)
 
-    def test_improvement_line_is_read_off_the_triples(self):
-        """The validity bound's (constant, slope) against the stats."""
-        for info in ALL_INFO_SETS:
-            for row in (S5, D5):
-                const, slope = _improvement_line(info, row)
+    def test_gain_table_is_read_off_the_triples(self):
+        """Each (c, s) of the gain table against the stats: drawing's gain
+        is (c - alpha * s) over the cell's count of deals."""
+        for r, row in enumerate((S5, D5)):
+            for info, (c, s) in zip(ALL_INFO_SETS, _gain_table()[r]):
                 for a in (F(0), F(1, 2)):
-                    improvement = info_set_stats(info, row, a).improvement
-                    assert const + slope * a == improvement, (info, row, a)
+                    stats = info_set_stats(info, row, a)
+                    total = stats.occurrence * 13**6
+                    assert (c - a * s) / total == stats.improvement, (info, row, a)
 
 
 class TestClassification:
@@ -229,7 +231,7 @@ class TestReducedGame:
         with pytest.raises(ValueError):
             build_reduced_game(CLASSIC, F(1, 10))
         # Past the bound, the same structure with a wider bound builds it.
-        wide = custom_variant("wide", CLASSIC.optional_cells, {}, alpha_bound=1)
+        wide = Variant("wide", CLASSIC.optional_cells, {}, alpha_bound=1)
         game = build_reduced_game(wide, F(1, 10))
         assert len(game.column_labels) == 16
         # A is alpha-free and B affine in alpha: B(1/10) = 2 B(1/20) - B(0).
@@ -253,7 +255,7 @@ class TestReducedGame:
             (MODERN, F(1, 20)),
             (MODERN, F(1, 3)),
             (MODERN, F(39, 100)),
-            (custom_variant("wide", STARRED_CELLS, {}), F(9, 10)),
+            (Variant("wide", STARRED_CELLS, {}), F(9, 10)),
         ],
     )
     def test_equals_the_fraction_build(self, variant, alpha):
@@ -447,7 +449,7 @@ def test_integer_cell_data_equals_the_fraction_sums():
         _player_final_totals,
         _card_counts,
         _cell_slot,
-        _improvement_line,
+        _gain_table,
         info_set_stats,
         classify_info_sets,
         build_reduced_game,
@@ -484,7 +486,7 @@ def _custom_games(draw):
             lambda a: a < 1
         )
     )
-    return custom_variant("drawn", optional, fixed), alpha
+    return Variant("drawn", optional, fixed), alpha
 
 
 @settings(max_examples=50, deadline=None)
@@ -539,3 +541,77 @@ class TestBestResponse:
             best_response("banker", (0.5, 0.5), CLASSIC, F(1, 20))
         with pytest.raises(TypeError):
             best_response("player", (1.0,) + (0,) * 15, CLASSIC)
+
+
+def _per_cell_best_response(role, mix, variant, alpha):
+    """Best replies by the per-cell route, as a reference: Banker draws at
+    an optional cell when the mix-weighted occurrence times improvement,
+    summed over the rows, is positive, and stands when it is not."""
+    game = build_reduced_game(variant, alpha)
+    if role == "player":
+        per_row = [sum(w * game.A[r][j] for j, w in enumerate(mix)) for r in range(2)]
+        best = max(per_row)
+        winners = [r for r, v in enumerate(per_row) if v == best]
+        return BestResponse(
+            role=role,
+            value=best,
+            row=game.row_labels[winners[0]],
+            ties=tuple(game.row_labels[r] for r in winners[1:]),
+        )
+    actions, ties = {}, []
+    for info in variant.optional_cells:
+        diff = F(0)
+        for weight, row in zip(mix, game.row_labels):
+            stats = info_set_stats(info, row, game.alpha)
+            diff += weight * stats.occurrence * stats.improvement
+        if diff == 0:
+            ties.append(info)
+        actions[info] = Action.DRAW if diff > 0 else Action.STAND
+    j = game.columns.index(tuple(actions[c] for c in variant.optional_cells))
+    value = sum(w * game.B[r][j] for r, w in enumerate(mix))
+    return BestResponse(role=role, value=value, actions=actions, ties=tuple(ties))
+
+
+@st.composite
+def _reply_cases(draw):
+    """A variant, a rate it accepts, a role and a random mix over the
+    opponent's pure strategies."""
+    variant = draw(st.sampled_from((PARLOR, CLASSIC, MODERN, None)))
+    if variant is None:
+        optional = [c for c in STARRED_CELLS if draw(st.booleans())]
+        fixed = {
+            c: draw(st.sampled_from(Action)) for c in STARRED_CELLS if c not in optional
+        }
+        variant = Variant("drawn", optional, fixed)
+    bound = variant.alpha_bound
+    alpha = F(0)
+    if bound > 0:
+        alpha = draw(
+            st.fractions(min_value=0, max_value=bound, max_denominator=10**4).filter(
+                lambda a: a < bound
+            )
+        )
+    role = draw(st.sampled_from(("player", "banker")))
+    n = 2 if role == "banker" else 2 ** len(variant.optional_cells)
+    weights = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any))
+    return role, tuple(F(w, sum(weights)) for w in weights), variant, alpha
+
+
+@seed(2013)
+@settings(max_examples=200, deadline=None)
+@given(_reply_cases())
+def test_best_response_equals_the_per_cell_route(case):
+    """Scoring the reduced game's rows or columns gives the per-cell
+    route's reply, value and ties, stand breaking Banker's ties; against
+    a built-in variant's equilibrium mix too, where the replies tie."""
+    role, mix, variant, alpha = case
+    mixes = [mix]
+    if variant.name != "drawn":
+        report = solve_variant(variant, alpha).report
+        mixes.append(
+            (report.row_strategy if role == "banker" else report.column_strategy).weights
+        )
+    for mix in mixes:
+        assert best_response(role, mix, variant, alpha) == (
+            _per_cell_best_response(role, mix, variant, alpha)
+        )

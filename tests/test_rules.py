@@ -22,7 +22,6 @@ from baccarat import (
     PARLOR,
     PlayerRow,
     STARRED_CELLS,
-    custom_variant,
     hand_total,
     is_natural,
     mandated_player_action,
@@ -171,6 +170,16 @@ class TestVariants:
             CLASSIC.check_alpha(number)
         assert time.perf_counter() - start < 0.01
 
+    @pytest.mark.parametrize(
+        "number",
+        [Decimal("Infinity"), Decimal("-Infinity"), Decimal("NaN"),
+         Decimal("sNaN"), "inf", "nan"],
+        ids=str,
+    )
+    def test_a_number_that_is_not_finite_is_refused(self, number):
+        with pytest.raises(ValueError, match=r"^alpha must be finite, got"):
+            CLASSIC.check_alpha(number)
+
     def test_the_longest_decimal_still_reads(self):
         assert CLASSIC.check_alpha("1e-9999") == Fraction(1, 10**9999)
         assert CLASSIC.check_alpha(" 5e-2 ") == Fraction(1, 20)
@@ -178,7 +187,7 @@ class TestVariants:
         assert CLASSIC.check_alpha(Decimal("-0")) == 0
 
     def test_a_zero_bound_means_commission_free(self):
-        free = custom_variant("free", STARRED_CELLS, {}, 0)
+        free = Variant("free", STARRED_CELLS, {}, 0)
         assert free.check_alpha(0) == 0
         for a in (Fraction(1, 20), Fraction(-1, 20)):
             with pytest.raises(ValueError, match="commission-free"):
@@ -186,19 +195,23 @@ class TestVariants:
 
     @pytest.mark.parametrize("bound", [0, 1, "1/2", Fraction(2, 5)])
     def test_alpha_bound_accepted(self, bound):
-        v = custom_variant("v", STARRED_CELLS, {}, bound)
+        v = Variant("v", list(STARRED_CELLS), {}, bound)
         assert v.alpha_bound == Fraction(bound)
         assert type(v.alpha_bound) is Fraction
         assert Variant("v", STARRED_CELLS, {}, bound) == v
+        assert hash(v) == hash(Variant("v", STARRED_CELLS, {}, bound))
+
+    def test_alpha_bound_defaults_to_one(self):
+        v = Variant("wide", STARRED_CELLS, {})
+        assert v.alpha_bound == 1 and type(v.alpha_bound) is Fraction
+        assert v.check_alpha(Fraction(99, 100)) == Fraction(99, 100)
 
     def test_alpha_bound_rejected(self):
         with pytest.raises(TypeError):
             Variant("flt", STARRED_CELLS, {}, 0.5)
-        with pytest.raises(TypeError):
-            custom_variant("flt", STARRED_CELLS, {}, 0.5)
         for bound in (-1, 2, "3/2"):
             with pytest.raises(ValueError, match="alpha_bound"):
-                custom_variant("bad", STARRED_CELLS, {}, bound)
+                Variant("bad", STARRED_CELLS, {}, bound)
 
     @pytest.mark.parametrize("variant", [PARLOR, CLASSIC, MODERN], ids=lambda v: v.name)
     def test_fixed_cell_actions(self, variant):
@@ -224,23 +237,23 @@ class TestVariants:
 
     def test_custom_variant_copies_fixed_actions(self):
         fixed = {InfoSet(4, 1): S, InfoSet(6, None): S}
-        v = custom_variant("modern", MODERN.optional_cells, fixed, MODERN.alpha_bound)
+        v = Variant("modern", MODERN.optional_cells, fixed, MODERN.alpha_bound)
         fixed[InfoSet(4, 1)] = D
         del fixed[InfoSet(6, None)]
         assert v.fixed_actions == {InfoSet(4, 1): S, InfoSet(6, None): S}
         assert v == MODERN and hash(v) == hash(MODERN)
 
     def test_custom_variant_must_partition_starred_cells(self):
-        v = custom_variant(
+        v = Variant(
             "house",
             optional_cells=(InfoSet(6, None),),
             fixed_actions={InfoSet(3, 9): D, InfoSet(4, 1): S, InfoSet(5, 4): D},
         )
         assert v.optional_cells == (InfoSet(6, None),)
         with pytest.raises(ValueError):
-            custom_variant("bad", optional_cells=(), fixed_actions={})
+            Variant("bad", optional_cells=(), fixed_actions={})
         with pytest.raises(ValueError):
-            custom_variant(
+            Variant(
                 "overlap",
                 optional_cells=STARRED_CELLS,
                 fixed_actions={InfoSet(3, 9): D},

@@ -104,6 +104,46 @@ class TestGame:
             Game([[1, 2], [3, 4]], B=[[1, 2, 3], [4, 5, 6]])
 
 
+@dataclass(frozen=True)
+class _Bimatrix:
+    """A game with no shape check of its own, as a caller may pass."""
+
+    A: tuple
+    B: tuple
+
+
+_REPORT = EquilibriumReport(
+    row_strategy=MixedStrategy.pure(0, 2),
+    column_strategy=MixedStrategy.pure(0, 2),
+    row_value=F(1),
+    column_value=F(1),
+    row_support=(0,),
+    column_support=(0,),
+    kind="pure",
+)
+
+
+@pytest.mark.parametrize(
+    "routine",
+    [
+        lambda A, B: eliminate_strictly_dominated(_Bimatrix(A, B)),
+        is_nondegenerate,
+        enumerate_nash_2xn,
+        lambda A, B: verify_equilibrium(A, B, _REPORT),
+    ],
+    ids=["eliminate", "nondegenerate", "enumerate", "verify"],
+)
+@pytest.mark.parametrize(
+    "B",
+    [((1, 2), (3, 4), (5, 6)), ((1, 2, 3), (4, 5, 6)), ((1, 2),)],
+    ids=["3x2", "2x3", "1x2"],
+)
+def test_b_must_have_the_shape_of_a(routine, B):
+    """A third row or an extra column of B is refused, not ignored."""
+    with pytest.raises(ValueError, match="B must have A's shape, 2 x 2, got"):
+        routine(((1, 2), (3, 4)), B)
+
+
 class TestElimination:
     def test_pure_dominance_iterates_to_a_point(self):
         game, log = eliminate_strictly_dominated(Game([[1, 0], [2, 1]]))
