@@ -53,6 +53,7 @@ from .solver import (
     EliminationStep,
     EquilibriumReport,
     MixedStrategy,
+    _ZERO,
     eliminate_strictly_dominated,
     enumerate_nash_2xn,
     verify_equilibrium,
@@ -165,10 +166,9 @@ class VariantSolution:
 
 
 def _expand_weights(strategy, sub_labels, full_labels) -> MixedStrategy:
-    out = [Fraction(0)] * len(full_labels)
-    for w, lab in zip(strategy.weights, sub_labels):
-        out[full_labels.index(lab)] = w
-    return MixedStrategy(tuple(out))
+    out = dict.fromkeys(full_labels, _ZERO)
+    out.update(zip(sub_labels, strategy.weights))
+    return MixedStrategy(tuple(out.values()))
 
 
 def solve_variant(variant: Variant, alpha=0) -> VariantSolution:
@@ -185,17 +185,16 @@ def solve_variant(variant: Variant, alpha=0) -> VariantSolution:
     """
     game = build_reduced_game(variant, alpha)
     reduced, log = eliminate_strictly_dominated(game)
-    m = len(reduced.A)
-    n = len(reduced.A[0])
+    m, n = len(reduced.row_labels), len(reduced.column_labels)
     if m == 1 and n == 1:
-        one = MixedStrategy((Fraction(1),))
+        one = MixedStrategy.pure(0, 1)
         sub = EquilibriumReport(
             row_strategy=one, column_strategy=one,
             row_value=reduced.A[0][0], column_value=reduced.B[0][0],
             row_support=(0,), column_support=(0,), kind="pure", unique=True,
         )
     else:
-        enum = enumerate_nash_2xn(reduced.A, reduced.B) if m == 2 else None
+        enum = enumerate_nash_2xn(*reduced.scaled) if m == 2 else None
         if enum is None or not enum.complete or len(enum.equilibria) != 1:
             raise ValueError(
                 f"variant {variant.name!r} at alpha={game.alpha} has no "
@@ -211,7 +210,7 @@ def solve_variant(variant: Variant, alpha=0) -> VariantSolution:
         sub, row_strategy=row, column_strategy=col,
         row_support=row.support, column_support=col.support,
     )
-    if not verify_equilibrium(game.A, game.B, report):
+    if not verify_equilibrium(*game.scaled, report):
         raise AssertionError(
             f"solved profile failed verification on the full "
             f"{variant.name} game at alpha={alpha}"
@@ -439,11 +438,9 @@ def _validity_bound(shape: str) -> Fraction:
         def holds(a: Fraction) -> bool:
             return classify_info_sets(a).agrees_with_tableau
     else:
-        game0 = build_reduced_game(MODERN, 0)
-        d5 = game0.row_labels.index(PlayerRow.DRAW_ON_5)
-        if not all(
-            draw > stand for draw, stand in zip(game0.A[d5], game0.A[1 - d5])
-        ):  # pragma: no cover - structural, alpha-free
+        # A's rows in integers: Player stands on 5, then draws on 5.
+        stands, draws = build_reduced_game(MODERN, 0).scaled[0][1]
+        if not all(d > s for s, d in zip(stands, draws)):  # pragma: no cover
             raise AssertionError("drawing on 5 should dominate in the modern game")
         optional = [c for c in STARRED_CELLS if c not in _MODERN_MANDATES]
         watched = [draw_on_5[_CELL_INDEX[c]] for c in (*optional, InfoSet(6, None))]

@@ -34,7 +34,7 @@ Everything here is exact rational arithmetic.  The central objects:
   column per assignment of actions to the variant's optional cells
   (16 columns for parlor/classic, 4 for modern).  ``A`` is Player's
   expected payoff (alpha-free), ``B`` is Banker's (affine in alpha).
-  Each entry is a sum of 89 integer slots, divided once.
+  Each entry is a sum of 89 integer slots, summed once per variant.
 
 * ``best_response`` -- a pure best reply read off the reduced game:
   Player's rows of ``A`` or Banker's columns of ``B``, each scored
@@ -60,7 +60,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import Mapping
 
 from .rules import (
@@ -78,7 +79,7 @@ from .rules import (
     play_coup,
     tableau_action,
 )
-from .solver import _as_weights
+from .solver import _Scaled, _as_weights
 
 __all__ = [
     "value_distribution",
@@ -111,7 +112,7 @@ _Ledger = tuple[tuple[tuple[_Counts, _Counts], ...], ...]
 @lru_cache(maxsize=None)
 def value_distribution() -> Mapping[int, Fraction]:
     """Law of a single card value: {0: 4/13, 1..9: 1/13 each}."""
-    return {v: Fraction(4 if v == 0 else 1, 13) for v in range(10)}
+    return MappingProxyType({v: Fraction(4 if v == 0 else 1, 13) for v in range(10)})
 
 
 @lru_cache(maxsize=None)
@@ -122,7 +123,7 @@ def two_card_total_distribution() -> Mapping[int, Fraction]:
     for a, wa in nu.items():
         for b, wb in nu.items():
             tau[(a + b) % 10] += wa * wb
-    return tau
+    return MappingProxyType(tau)
 
 
 @lru_cache(maxsize=None)
@@ -219,14 +220,6 @@ def _cell_slot(info: InfoSet, row: PlayerRow) -> tuple[_Counts, _Counts]:
     return _analytic_ledger()[_ROWS.index(row)][_CELL_INDEX[info]]
 
 
-def _banker_payoff(counts: _Counts, alpha: Fraction, total: int) -> Fraction:
-    """Banker's expectation ``((1 - alpha) * loss - win) / total`` over
-    Player's (loss, tie, win) counts."""
-    loss, _tie, win = counts
-    p, q = alpha.numerator, alpha.denominator
-    return Fraction((q - p) * loss - q * win, q * total)
-
-
 @lru_cache(maxsize=1)
 def _gain_table() -> tuple[tuple[tuple[int, int], ...], ...]:
     """Drawing's gain over standing, per row and cell, as two integers.
@@ -270,14 +263,15 @@ def info_set_stats(info: InfoSet, row: PlayerRow, alpha=0) -> InfoSetStats:
     row = _player_row(row)
     a = _commission_rate(alpha)
     stand, draw = _cell_slot(info, row)
-    total = sum(stand)
+    total, p, q = sum(stand), a.numerator, a.denominator
+    # Banker's expectation is ((1 - alpha) * loss - win) / total.
     return InfoSetStats(
         info=info,
         row=row,
         alpha=a,
         occurrence=Fraction(total, _SCALE),
-        e_stand=_banker_payoff(stand, a, total),
-        e_draw=_banker_payoff(draw, a, total),
+        e_stand=Fraction((q - p) * stand[0] - q * stand[2], q * total),
+        e_draw=Fraction((q - p) * draw[0] - q * draw[2], q * total),
     )
 
 
@@ -322,7 +316,7 @@ def classify_info_sets(alpha=0) -> Classification:
             determined[info] = Action.STAND
         else:
             starred.append(info)
-    return Classification(alpha=a, determined=determined, starred=tuple(starred))
+    return Classification(a, MappingProxyType(determined), tuple(starred))
 
 
 @dataclass(frozen=True)
@@ -333,7 +327,8 @@ class ReducedGame:
     pure Banker strategy acting per ``columns[j]`` at the variant's
     optional cells (and per tableau / variant mandate elsewhere).
     ``A[r][j]`` is Player's expected payoff (independent of alpha);
-    ``B[r][j]`` is Banker's at this game's ``alpha``.
+    ``B[r][j]`` is Banker's at this game's ``alpha``.  The solver reads
+    them in integers, ``scaled``; as fractions they are built on first read.
     """
 
     variant: Variant
@@ -341,8 +336,9 @@ class ReducedGame:
     row_labels: tuple[PlayerRow, ...]
     column_labels: tuple[str, ...]
     columns: tuple[tuple[Action, ...], ...]
-    A: tuple[tuple[Fraction, ...], ...]
-    B: tuple[tuple[Fraction, ...], ...]
+    scaled: tuple[_Scaled, _Scaled]
+    A = cached_property(lambda self: self.scaled[0].fractions())
+    B = cached_property(lambda self: self.scaled[1].fractions())
 
     def column_assignment(self, j: int) -> dict[InfoSet, Action]:
         return dict(zip(self.variant.optional_cells, self.columns[j]))
@@ -355,6 +351,30 @@ class ReducedGame:
         )
 
 
+@lru_cache(maxsize=16)
+def _column_counts(variant: Variant):
+    """The variant's column labels and columns, Player's (loss, win)
+    counts out of 13^6 per row and column, and ``A`` scaled by 13^6."""
+    cells = variant.optional_cells
+    columns = tuple(itertools.product((Action.STAND, Action.DRAW), repeat=len(cells)))
+    fixed = tuple(
+        (_CELL_INDEX[info], action is Action.DRAW)
+        for info, action in variant.fixed_cell_actions()
+    )
+    optional = tuple(_CELL_INDEX[info] for info in cells)
+    counts = []
+    for slots in _analytic_ledger():
+        base = tuple(
+            map(sum, zip(slots[_NO_CELL][0], *(slots[k][drew] for k, drew in fixed)))
+        )
+        # A slot is (stand, draw), so this runs in the order of ``columns``.
+        chosen = itertools.product(*(slots[k] for k in optional))
+        totals = (map(sum, zip(base, *picks)) for picks in chosen)
+        counts.append(tuple((loss, win) for loss, _tie, win in totals))
+    A = _Scaled((_SCALE, tuple(tuple(win - loss for loss, win in r) for r in counts)))
+    return tuple("".join(map(str, c)) for c in columns), columns, tuple(counts), A
+
+
 def build_reduced_game(variant: Variant, alpha=0) -> ReducedGame:
     """Assemble the variant's 2-row strategic form at rate ``alpha``.
 
@@ -365,38 +385,13 @@ def build_reduced_game(variant: Variant, alpha=0) -> ReducedGame:
     (a :class:`~baccarat.rules.Variant`'s defaults to 1).
     """
     a = variant.check_alpha(alpha)
-    cells = variant.optional_cells
-    assignments = tuple(itertools.product((Action.STAND, Action.DRAW), repeat=len(cells)))
-    labels = tuple("".join(str(x) for x in asg) for asg in assignments)
-    fixed = tuple(
-        (_CELL_INDEX[info], action is Action.DRAW)
-        for info, action in variant.fixed_cell_actions()
-    )
-    optional = tuple(_CELL_INDEX[info] for info in cells)
-
-    A: list[tuple[Fraction, ...]] = []
-    B: list[tuple[Fraction, ...]] = []
-    for slots in _analytic_ledger():
-        base = tuple(
-            map(sum, zip(slots[_NO_CELL][0], *(slots[k][drew] for k, drew in fixed)))
-        )
-        # A slot is (stand, draw), so this runs in the order of ``assignments``.
-        totals = [
-            tuple(map(sum, zip(base, *chosen)))
-            for chosen in itertools.product(*(slots[k] for k in optional))
-        ]
-        A.append(tuple(Fraction(win - loss, _SCALE) for loss, _tie, win in totals))
-        B.append(tuple(_banker_payoff(counts, a, _SCALE) for counts in totals))
-
-    return ReducedGame(
-        variant=variant,
-        alpha=a,
-        row_labels=_ROWS,
-        column_labels=labels,
-        columns=assignments,
-        A=tuple(A),
-        B=tuple(B),
-    )
+    labels, columns, counts, A = _column_counts(variant)
+    p, q = a.numerator, a.denominator
+    # Banker's payoff is ((q - p) * loss - q * win) / (q * 13^6) at alpha = p/q.
+    B = _Scaled((q * _SCALE, tuple(
+        tuple((q - p) * loss - q * win for loss, win in row) for row in counts
+    )))
+    return ReducedGame(variant, a, _ROWS, labels, columns, (A, B))
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,8 @@ ALL_INFO_SETS: tuple[InfoSet, ...] = tuple(
     InfoSet(b, c) for b in range(8) for c in (*range(10), None)
 )
 
+_CELL_INDEX = {cell: i for i, cell in enumerate(ALL_INFO_SETS)}
+
 _MARKS = {"S": _STAND, "D": _DRAW, "*": None}
 
 STARRED_CELLS: tuple[InfoSet, ...] = tuple(
@@ -255,9 +257,10 @@ class Variant:
     ``optional_cells`` lists the starred cells left to Banker's judgment,
     held as a tuple in the order given; ``fixed_actions`` pins the
     remaining starred cells, held as a read-only copy of the mapping
-    given.  ``alpha_bound`` is an exact rate in ``[0, 1]``: the variant
-    accepts alpha = 0 and every rate in ``(0, alpha_bound)``, so a bound
-    of 0 makes the game commission-free.  A positive bound is the
+    given; every cell in either is held as its canonical :class:`InfoSet`.
+    ``alpha_bound`` is an exact rate in ``[0, 1]``: the variant accepts
+    alpha = 0 and every rate in ``(0, alpha_bound)``, so a bound of 0
+    makes the game commission-free.  A positive bound is the
     exclusive end of the rates the variant's analysis covers (where the
     tableau's determined cells, and any mandates, are justified); the
     default of 1 accepts any commission below 100%.
@@ -271,10 +274,11 @@ class Variant:
     alpha_bound: Fraction = Fraction(1)
 
     def __post_init__(self):
-        object.__setattr__(self, "optional_cells", tuple(self.optional_cells))
         object.__setattr__(
-            self, "fixed_actions", MappingProxyType(dict(self.fixed_actions))
+            self, "optional_cells", tuple(map(_info_set, self.optional_cells))
         )
+        fixed = {_info_set(cell): a for cell, a in dict(self.fixed_actions).items()}
+        object.__setattr__(self, "fixed_actions", MappingProxyType(fixed))
         bound = _coerce_rational(self.alpha_bound, "alpha_bound")
         if not 0 <= bound <= 1:
             raise ValueError(f"alpha_bound must be in [0, 1], got {bound}")
@@ -339,9 +343,6 @@ MODERN = Variant(
     fixed_actions={InfoSet(4, 1): Action.STAND, InfoSet(6, None): Action.STAND},
     alpha_bound=Fraction(2, 5),
 )
-
-
-_CELL_INDEX = {cell: i for i, cell in enumerate(ALL_INFO_SETS)}
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,12 @@ With two rows, each column is a line over the row mix (1 - p, p), and
 every question the solvers ask is answered by one upper envelope of
 those lines (:func:`_envelope`): its breakpoints are the ends of the
 p-range and the envelope's vertices inside it, and between breakpoints
-the envelope is linear.  Each public routine scales its matrices, and
-any mixes it reads, once to integers by the lcm of their denominators;
+the envelope is linear.  Each routine reads a matrix as a positive scale
+and the integer matrix equal to the matrix times it (:class:`_Scaled`);
 a positive scale moves no breakpoint, best reply or dominator weight.
-So the vertices are found by a hull walk on integer lines, a dominator
-weight by integer comparisons of cuts, and an equilibrium is checked by
-integer payoffs: fractions are built only for what is reported.
+So vertices come from a hull walk on integer lines, weights from integer
+cuts and differences, and an equilibrium is checked by integer payoffs:
+fractions are built only for what is reported.
 
 * :func:`eliminate_strictly_dominated` -- iterated elimination with a
   full audit log.  A column is strictly dominated by a mixture exactly
@@ -44,6 +44,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .rules import _coerce_rational
@@ -70,6 +71,24 @@ def _matrix(M) -> tuple[tuple[Fraction, ...], ...]:
     return rows
 
 
+class _Scaled(tuple):
+    """An exact matrix as the pair ``(scale, rows)``: a positive integer
+    and the integer matrix equal to the matrix times it."""
+
+    __slots__ = ()
+
+    def fractions(self) -> tuple[tuple[Fraction, ...], ...]:
+        scale, rows = self
+        return tuple(tuple(Fraction(x, scale) for x in row) for row in rows)
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def _unit(index: int, n: int) -> tuple[Fraction, ...]:
+    return tuple(_ONE if i == index else _ZERO for i in range(n))
+
+
 @dataclass(frozen=True)
 class MixedStrategy:
     """An exact probability vector over pure strategies."""
@@ -79,18 +98,20 @@ class MixedStrategy:
     def __post_init__(self):
         weights = tuple(_coerce_rational(w, "weight") for w in self.weights)
         object.__setattr__(self, "weights", weights)
-        if any(w < 0 for w in self.weights):
+        object.__setattr__(self, "_scaled", _integral((weights,)))
+        scale, (ints,) = self._scaled
+        if any(x < 0 for x in ints):
             raise ValueError("mixed-strategy weights must be nonnegative")
-        if sum(self.weights) != 1:
+        if sum(ints) != scale:
             raise ValueError("mixed-strategy weights must sum to 1")
 
     @classmethod
     def pure(cls, index: int, n: int) -> "MixedStrategy":
-        return cls(tuple(Fraction(int(i == index)) for i in range(n)))
+        return cls(_unit(index, n))
 
-    @property
+    @cached_property
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, w in enumerate(self.weights) if w > 0)
+        return tuple(i for i, w in enumerate(self.weights) if w)
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -140,30 +161,28 @@ class EliminationStep:
     dominator_weights: tuple[Fraction, ...]
 
 
-_ONE = Fraction(1)
-
-
-def _integral(M) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """The lcm of an exact matrix's denominators, and the matrix times it,
-    as integers."""
+def _integral(M) -> _Scaled:
+    """An exact matrix scaled by the lcm of its denominators."""
     scale = math.lcm(*(x.denominator for row in M for x in row))
-    return scale, tuple(
+    return _Scaled((scale, tuple(
         tuple(x.numerator * (scale // x.denominator) for x in row) for row in M
-    )
+    )))
 
 
-def _game(A, B):
-    """``(A, B, (scale_A, int_A), (scale_B, int_B))`` for a 2 x n game:
-    both matrices exact, checked to be 2 x n alike, and scaled once to
-    integers by :func:`_integral`."""
-    A, B = _matrix(A), _matrix(B)
-    if len(A) != 2:
-        raise ValueError(f"this solver handles exactly 2 rows, got {len(A)}")
-    if len(B) != 2 or len(B[0]) != len(A[0]):
+def _game(A, B) -> tuple[_Scaled, _Scaled]:
+    """A 2 x n game's matrices scaled by :func:`_integral`, once checked
+    exact and 2 x n alike; a scaled pair, as a reduced game's ``scaled``,
+    is taken as it is."""
+    if type(A) is not _Scaled or type(B) is not _Scaled:
+        A, B = _integral(_matrix(A)), _integral(_matrix(B))
+    (_, a), (_, b) = A, B
+    if len(a) != 2:
+        raise ValueError(f"this solver handles exactly 2 rows, got {len(a)}")
+    if len(b) != 2 or len(b[0]) != len(a[0]):
         raise ValueError(
-            f"B must have A's shape, 2 x {len(A[0])}, got {len(B)} x {len(B[0])}"
+            f"B must have A's shape, 2 x {len(a[0])}, got {len(b)} x {len(b[0])}"
         )
-    return A, B, _integral(A), _integral(B)
+    return A, B
 
 
 def _envelope(M, cols, lo=0, hi=1):
@@ -240,19 +259,22 @@ def _find_dominator(vectors, j, alive):
 def eliminate_strictly_dominated(game):
     """Iterated strict-dominance elimination; returns (reduced, log).
 
-    ``game`` is any dataclass with fields ``A`` and ``B`` (and
-    optionally ``row_labels`` / ``column_labels`` / ``columns``) with
-    exactly two rows; the reduction is returned as the same type with
-    those fields sliced.  The columns that are a best reply under ``B``
-    at no breakpoint of the alive rows' envelope fall together, logged
-    in index order, each with a dominator found among the survivors.  A
-    row falls when the other row is strictly better under ``A`` on every
-    surviving column; the columns are then decided once more against
-    the remaining row.  Strict elimination never removes any equilibrium
-    strategy, so solving the reduction solves the game.
+    ``game`` is any dataclass with fields ``A`` and ``B``, or their
+    :class:`_Scaled` pair ``scaled``, and optionally ``row_labels`` /
+    ``column_labels`` / ``columns``, with exactly two rows; the reduction
+    is returned as the same type with those fields sliced.  The columns
+    that are a best reply under ``B`` at no breakpoint of the alive rows'
+    envelope fall together, logged in index order, each with a dominator
+    found among the survivors.  A row falls when the other row is
+    strictly better under ``A`` on every surviving column; the columns
+    are then decided once more against the remaining row.  Strict
+    elimination never removes any equilibrium strategy, so solving the
+    reduction solves the game.
     """
-    A, B, (_, int_A), (_, int_B) = _game(game.A, game.B)
-    n = len(A[0])
+    names = {f.name for f in dataclasses.fields(game)}
+    scaled = _game(*(game.scaled if "scaled" in names else (game.A, game.B)))
+    (_, int_A), (_, int_B) = scaled
+    n = len(int_A[0])
     rows_alive = [0, 1]
     cols_alive = list(range(n))
     row_labels = getattr(game, "row_labels", (0, 1))
@@ -291,10 +313,14 @@ def eliminate_strictly_dominated(game):
         else:
             break
 
-    new_A = tuple(tuple(A[r][j] for j in cols_alive) for r in rows_alive)
-    new_B = tuple(tuple(B[r][j] for j in cols_alive) for r in rows_alive)
-    kwargs = {"A": new_A, "B": new_B}
-    names = {f.name for f in dataclasses.fields(game)}
+    new_A, new_B = (
+        _Scaled((s, tuple(tuple(M[r][j] for j in cols_alive) for r in rows_alive)))
+        for s, M in scaled
+    )
+    if "scaled" in names:
+        kwargs = {"scaled": (new_A, new_B)}
+    else:
+        kwargs = {"A": new_A.fractions(), "B": new_B.fractions()}
     if "row_labels" in names:
         kwargs["row_labels"] = tuple(row_labels[r] for r in rows_alive)
     if "column_labels" in names:
@@ -331,13 +357,13 @@ def is_nondegenerate(A, B) -> tuple[bool, DegeneracyWitness | None]:
     on top only at a vertex, and identical ones also at the ends of the
     stretch they top.
     """
-    A, _, _, (_, int_B) = _game(A, B)
-    return _degeneracy(A, _envelope(int_B, range(len(A[0]))))
+    (_, A), (_, B) = _game(A, B)
+    return _degeneracy(A, _envelope(B, range(len(A[0]))))
 
 
 def _degeneracy(A, points) -> tuple[bool, DegeneracyWitness | None]:
-    """The checks of :func:`is_nondegenerate`, given the envelope's
-    breakpoints ``points`` of ``B``'s column lines."""
+    """The checks of :func:`is_nondegenerate`, given the scaled ``A`` and
+    the envelope's breakpoints ``points`` of ``B``'s column lines."""
     for c in range(len(A[0])):
         if A[0][c] == A[1][c]:
             return False, DegeneracyWitness("column", c, (0, 1))
@@ -368,15 +394,14 @@ def enumerate_nash_2xn(A, B) -> NashEnumeration:
     games, equilibrium continua are represented by sample points with an
     explanatory note, and ``complete`` is False.
     """
-    A, B, (scale_A, int_A), (scale_B, int_B) = _game(A, B)
+    (scale_A, A), (scale_B, B) = _game(A, B)
     n = len(A[0])
-    points = _envelope(int_B, range(n))
+    points = _envelope(B, range(n))
     complete, witness = _degeneracy(A, points)
     found: dict[tuple, tuple] = {}  # (row weights, col weights) -> (k, note)
 
     def record(rw, cw, kind, note=""):
-        key = (tuple(rw), tuple(cw))
-        found.setdefault(key, (kind, note))
+        found.setdefault((tuple(rw), tuple(cw)), (kind, note))
 
     best_to_row = (points[0][1], points[-1][1])  # p = 0 is row 0, p = 1 row 1
 
@@ -384,29 +409,24 @@ def enumerate_nash_2xn(A, B) -> NashEnumeration:
     for r in range(2):
         for c in best_to_row[r]:
             if A[r][c] >= A[1 - r][c]:
-                rw = [Fraction(int(i == r)) for i in range(2)]
-                cw = [Fraction(int(j == c)) for j in range(n)]
-                record(rw, cw, "pure")
+                record(_unit(r, 2), _unit(c, n), "pure")
 
     # Mixed row, two-column support: two columns tied on top at an
     # interior breakpoint p, where their lines cross.
     for p, best in points[1:-1]:
         for c1, c2 in combinations(best, 2):
+            # Identical lines give continua handled via the degeneracy flag.
             if B[0][c1] == B[0][c2] and B[1][c1] == B[1][c2]:
-                # Identical lines give continua handled via the
-                # degeneracy flag.
                 continue
             u = A[0][c1] - A[1][c1]
             w = A[0][c2] - A[1][c2]
-            if u == w:
-                continue  # no interior column mix equalizes the rows
-            q1 = w / (w - u)  # weight on c1 equalizing the two rows
-            if not 0 < q1 < 1:
+            # Weight w / (w - u) on c1 equalizes the two rows; it lies in
+            # (0, 1) exactly when u and w have opposite signs.
+            if u * w >= 0:
                 continue
-            rw = [1 - p, p]
-            cw = [Fraction(0)] * n
-            cw[c1], cw[c2] = q1, 1 - q1
-            record(rw, cw, "mixed")
+            cw = [_ZERO] * n
+            cw[c1], cw[c2] = Fraction(w, w - u), Fraction(-u, w - u)
+            record((1 - p, p), cw, "mixed")
 
     # Degenerate families: row mixes against one pure column.
     for c in range(n):
@@ -418,9 +438,8 @@ def enumerate_nash_2xn(A, B) -> NashEnumeration:
         on_top = [p for p, best in points if c in best]
         if on_top:
             p = (on_top[0] + on_top[-1]) / 2
-            rw = [1 - p, p]
-            cw = [Fraction(int(j == c)) for j in range(n)]
-            record(rw, cw, "mixed", "represents a continuum of row mixes")
+            record((1 - p, p), _unit(c, n), "mixed",
+                   "represents a continuum of row mixes")
 
     # Degenerate families: pure row against mixes of tied best columns.
     for r in range(2):
@@ -428,39 +447,35 @@ def enumerate_nash_2xn(A, B) -> NashEnumeration:
             # Row r must stay a best reply: find a feasible column mix.
             g1 = A[r][c1] - A[1 - r][c1]
             g2 = A[r][c2] - A[1 - r][c2]
-            lo, hi = Fraction(0), Fraction(1)
+            lo, hi = _ZERO, _ONE
             if g1 == g2:
                 if g1 < 0:
                     continue
             elif g1 > g2:
-                t = -g2 / (g1 - g2)
-                lo = max(lo, t)
+                lo = max(lo, Fraction(-g2, g1 - g2))
             else:
-                t = -g2 / (g1 - g2)
-                hi = min(hi, t)
+                hi = min(hi, Fraction(-g2, g1 - g2))
             if lo > hi:
                 continue
             q = (lo + hi) / 2
             if not 0 < q < 1:
                 continue
-            rw = [Fraction(int(i == r)) for i in range(2)]
-            cw = [Fraction(0)] * n
+            cw = [_ZERO] * n
             cw[c1], cw[c2] = q, 1 - q
-            record(rw, cw, "mixed", "represents a continuum of column mixes")
+            record(_unit(r, 2), cw, "mixed", "represents a continuum of column mixes")
 
     reports = []
     unique = complete and len(found) == 1
     for (rw, cw), (kind, note) in sorted(found.items()):
         row = MixedStrategy(rw)
         col = MixedStrategy(cw)
-        row_scale, (x,) = _integral((row.weights,))
-        col_scale, (y,) = _integral((col.weights,))
+        (row_scale, (x,)), (col_scale, (y,)) = row._scaled, col._scaled
         rv, cv = (
             Fraction(
                 sum(a * b * m for a, line in zip(x, M) for b, m in zip(y, line)),
                 row_scale * col_scale * scale,
             )
-            for scale, M in ((scale_A, int_A), (scale_B, int_B))
+            for scale, M in ((scale_A, A), (scale_B, B))
         )
         reports.append(
             EquilibriumReport(
@@ -486,22 +501,20 @@ def verify_equilibrium(A, B, report: EquilibriumReport) -> bool:
     Confirms that the stated supports match the strategies, that every
     support strategy is a best reply to the opponent's mix, and that the
     stated values equal the realized expected payoffs.  The payoffs are
-    compared as integers, with the game and both mixes scaled by the lcm
-    of their denominators; only the two realized values are built as
-    fractions.  Nothing here reads the envelope or the enumeration.
+    compared as integers, with the game and both mixes scaled to
+    integers; only the two realized values are built as fractions.
+    Nothing here reads the envelope or the enumeration.
     """
-    A, B, (scale_A, int_A), (scale_B, int_B) = _game(A, B)
-    n = len(A[0])
+    (scale_A, int_A), (scale_B, int_B) = _game(A, B)
     row, col = report.row_strategy, report.column_strategy
-    if len(row) != 2 or len(col) != n:
+    if len(row) != 2 or len(col) != len(int_A[0]):
         return False
     if row.support != report.row_support or col.support != report.column_support:
         return False
 
-    # Every payoff below is scaled by the positive lcm of the denominators
-    # it is built from, so comparisons between them hold in integers.
-    row_scale, (int_row,) = _integral((row.weights,))
-    col_scale, (int_col,) = _integral((col.weights,))
+    # Every payoff below is scaled by the positive scales of what it is
+    # built from, so comparisons between them hold in integers.
+    (row_scale, (int_row,)), (col_scale, (int_col,)) = row._scaled, col._scaled
 
     row_payoffs = [sum(map(operator.mul, int_col, line)) for line in int_A]
     best_row = max(row_payoffs)

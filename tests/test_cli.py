@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -80,6 +81,35 @@ def test_alpha_literal_forms_are_equivalent(cli):
     _, out_frac, _ = cli("solve", "classic", "--alpha", "1/20", "--format", "json")
     _, out_dec, _ = cli("solve", "classic", "--alpha", "0.05", "--format", "json")
     assert get_json(out_frac)["results"] == get_json(out_dec)["results"]
+
+
+#: The sha256 of each command's ``--format json`` report.  A rewrite of
+#: the engine must leave every byte of these reports as it is.
+PINNED_REPORTS = {
+    ("table",):
+        "74c727934f60e29d4b58d9cb1ad00836972d8b15ee89b596d5de821e8bad9e95",
+    ("solve", "classic", "--alpha", "37/1234"):
+        "fa44461842b33dd1b76c922bb84a71061093c816bc02b79b58c79bf47bdf85d9",
+    ("solve", "classic", "--alpha", "1/20"):
+        "df2a8fc596338078544dbb9be160abaf7e024781246408be4e6e57a02cf62b2f",
+    ("solve", "parlor"):
+        "d1d8d5d5d51f10254dd778a5222b04efd8c99d72a7cccbf8517bc781ea4206fd",
+    ("solve", "modern", "--alpha", "101/700"):
+        "1ad7d3e8536884c4827f61714916767137cf677830ab354487318db8371b062a",
+    ("sweep", "--variant", "classic"):
+        "a2dac329cc7cbd5ef748dff11da19e5d7476a433da19c8f5ba737926d0457215",
+    ("sweep", "--variant", "modern", "--grid", "1/100,101/700,1/3"):
+        "d9edf65b42f2d9c38847b454834b0922aa77e853f2d6670d3ce6bfef23987489",
+    ("alpha-star", "--tol", "1e-9"):
+        "acf80244eefa729957609cbad30e2a24e9707db06915b5b68c6ec562e8eb2396",
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_REPORTS), ids=" ".join)
+def test_json_reports_are_byte_identical_to_the_pinned_ones(cli, argv):
+    code, out, err = cli(*argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS[argv]
 
 
 def test_csv_and_json_same_content(cli):

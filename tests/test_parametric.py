@@ -1,11 +1,15 @@
 """Unit tests for commission sweeps, the break-even rate, and validity bounds."""
 
+import collections
+import dataclasses
 import itertools
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 import baccarat
 from baccarat import (
@@ -19,15 +23,24 @@ from baccarat import (
     Variant,
     equilibrium_curve,
     find_alpha_star,
+    build_reduced_game,
     solve_variant,
     table_validity_bound,
 )
+from baccarat import parametric, solver
 from baccarat.parametric import (
     DEFAULT_ALPHA_GRID,
     _validity_bound,
     classic_banker_value,
     classic_draw_probability,
     modern_banker_value,
+)
+from baccarat.solver import (
+    EquilibriumReport,
+    MixedStrategy,
+    eliminate_strictly_dominated,
+    enumerate_nash_2xn,
+    verify_equilibrium,
 )
 
 F = Fraction
@@ -54,16 +67,126 @@ def _fractions_built(call) -> int:
 
 @pytest.mark.parametrize(
     "variant, alpha, most",
-    [(CLASSIC, F(37, 1234), 200), (MODERN, F(101, 700), 50)],
+    [(CLASSIC, F(37, 1234), 29), (MODERN, F(101, 700), 11)],
     ids=["classic", "modern"],
 )
 def test_a_warm_solve_builds_fractions_only_for_what_it_reports(variant, alpha, most):
-    """The solver's stages work in integers: a warm solve builds the
-    game's entries and the reported quantities, and few other fractions
-    (681 and 135 when elimination, verification and the values were
+    """The game reaches every stage in integers: a warm solve builds the
+    envelope's breakpoints, the dominator and equilibrium weights and the
+    reported values, and no fraction of the game itself (136 and 35 when
+    each stage took the game as fractions, 681 and 135 when the stages
     summed in fractions)."""
     solve_variant(variant, alpha)
     assert _fractions_built(lambda: solve_variant(variant, alpha)) <= most
+
+
+@pytest.mark.parametrize(
+    "variant, alpha, enumerations",
+    [(CLASSIC, F(37, 1234), 1), (MODERN, F(101, 700), 0)],
+    ids=["classic", "modern"],
+)
+def test_a_warm_solve_runs_each_stage_once_on_one_scaled_game(
+    monkeypatch, variant, alpha, enumerations
+):
+    """solve_variant reaches its stages through the public names it
+    imports, once each, and checks and scales the unreduced matrices at
+    most once: the reduced game hands them over in integers."""
+    solve_variant(variant, alpha)
+    calls = collections.Counter()
+
+    def count(module, name, counted=lambda *args: True):
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += counted(*args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    for name in ("eliminate_strictly_dominated", "enumerate_nash_2xn", "verify_equilibrium"):
+        count(parametric, name)
+    count(solver, "_matrix")
+    # A matrix has two rows; a mix is scaled as a matrix of one.
+    count(solver, "_integral", lambda M: len(M) == 2)
+    solve_variant(variant, alpha)
+    assert calls["eliminate_strictly_dominated"] == 1
+    assert calls["enumerate_nash_2xn"] == enumerations
+    assert calls["verify_equilibrium"] == 1
+    assert calls["_matrix"] <= 2 and calls["_integral"] <= 2
+
+
+@dataclass(frozen=True)
+class _Plain:
+    """A reduced game as plain fraction matrices and labels."""
+
+    A: tuple
+    B: tuple
+    row_labels: tuple
+    column_labels: tuple
+
+
+def _solve_on_fractions(game):
+    """The three public stages run on ``game``'s fraction matrices, as
+    solve_variant documents them; returns (reduced, report, log)."""
+    reduced, log = eliminate_strictly_dominated(
+        _Plain(game.A, game.B, game.row_labels, game.column_labels)
+    )
+    if len(reduced.A) == 1 and len(reduced.A[0]) == 1:
+        one = MixedStrategy((F(1),))
+        sub = EquilibriumReport(
+            one, one, reduced.A[0][0], reduced.B[0][0], (0,), (0,), "pure", True
+        )
+    else:
+        enum = enumerate_nash_2xn(reduced.A, reduced.B)
+        assert enum.complete
+        (sub,) = enum.equilibria
+
+    def expand(mix, sub_labels, labels):
+        weights = [F(0)] * len(labels)
+        for w, label in zip(mix.weights, sub_labels):
+            weights[labels.index(label)] = w
+        return MixedStrategy(tuple(weights))
+
+    row = expand(sub.row_strategy, reduced.row_labels, game.row_labels)
+    col = expand(sub.column_strategy, reduced.column_labels, game.column_labels)
+    report = dataclasses.replace(
+        sub, row_strategy=row, column_strategy=col,
+        row_support=row.support, column_support=col.support,
+    )
+    assert verify_equilibrium(game.A, game.B, report)
+    return reduced, report, log
+
+
+@st.composite
+def _accepted_rates(draw):
+    variant = draw(st.sampled_from([PARLOR, CLASSIC, MODERN]))
+    bound = variant.alpha_bound
+    if bound == 0:
+        return variant, F(0)
+    alpha = draw(
+        st.fractions(min_value=0, max_value=bound, max_denominator=10**6)
+        .filter(lambda a: a < bound)
+    )
+    return variant, alpha
+
+
+@seed(20261019)
+@settings(max_examples=60, deadline=None)
+@given(_accepted_rates())
+def test_the_integer_game_solves_as_the_fraction_matrices_do(case):
+    """The integer form the reduced game carries is its public A and B
+    times their scales, and solve_variant's report and log equal those
+    of the public routines run on the plain fraction matrices."""
+    variant, alpha = case
+    game = build_reduced_game(variant, alpha)
+    for M, (scale, ints) in zip((game.A, game.B), game.scaled):
+        assert scale > 0
+        assert ints == tuple(tuple(x * scale for x in row) for row in M)
+    sol = solve_variant(variant, alpha)
+    reduced, report, log = _solve_on_fractions(game)
+    assert (sol.report, sol.elimination_log) == (report, log)
+    assert (sol.reduced.A, sol.reduced.B) == (reduced.A, reduced.B)
+    assert sol.reduced.column_labels == reduced.column_labels
 
 
 class TestSolveVariant:

@@ -1,8 +1,12 @@
 """Unit tests for the occurrence/conditional decomposition and the oracle."""
 
 import inspect
+import os
+import subprocess
+import sys
 import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -27,12 +31,14 @@ from baccarat import (
     play_coup,
     tableau_action,
 )
+import baccarat
 from baccarat.payoff import (
     BestResponse,
     _NO_CELL,
     _analytic_ledger,
     _card_counts,
     _cell_slot,
+    _column_counts,
     _gain_table,
     _leaf_ledger,
     _player_final_totals,
@@ -73,6 +79,44 @@ def test_two_card_total_distribution():
     assert tau[0] == F(25, 169)
     assert all(tau[t] == F(16, 169) for t in range(1, 10))
     assert sum(tau.values()) == 1
+
+
+def test_the_card_laws_and_the_classification_are_read_only():
+    for law in (value_distribution(), two_card_total_distribution()):
+        with pytest.raises(TypeError):
+            law[0] = F(5, 13)
+    with pytest.raises(TypeError):
+        classify_info_sets(0).determined[InfoSet(0, 0)] = Action.STAND
+
+
+def test_a_mutated_card_law_cannot_reach_the_first_solve():
+    """In a fresh interpreter, before any cache holds the card counts,
+    writing to either law raises, and the solve is unchanged."""
+    code = (
+        "from fractions import Fraction\n"
+        "from baccarat import CLASSIC, solve_variant\n"
+        "from baccarat.payoff import value_distribution, two_card_total_distribution\n"
+        "for law, key, value in ((value_distribution(), 0, Fraction(5, 13)),\n"
+        "                        (value_distribution(), 9, 0),\n"
+        "                        (two_card_total_distribution(), 0, 0)):\n"
+        "    try:\n"
+        "        law[key] = value\n"
+        "    except TypeError:\n"
+        "        pass\n"
+        "    else:\n"
+        "        raise SystemExit('a card law took a write')\n"
+        "print(solve_variant(CLASSIC, Fraction(1, 20)).player_value)\n"
+    )
+    src = str(Path(baccarat.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "-679568/53094899"
 
 
 def test_natural_probability():
@@ -302,7 +346,7 @@ def test_oracle_counts_for_the_fixed_rules(row, counts):
     assert tuple(x * 13**6 for x in dist) == counts
 
 
-@pytest.mark.parametrize("cached", [_validity_bound, _analytic_ledger])
+@pytest.mark.parametrize("cached", [_validity_bound, _analytic_ledger, _column_counts])
 def test_caches_keyed_on_user_input_are_bounded(cached):
     assert cached.cache_info().maxsize is not None
 
@@ -450,6 +494,7 @@ def test_integer_cell_data_equals_the_fraction_sums():
         _card_counts,
         _cell_slot,
         _gain_table,
+        _column_counts,
         info_set_stats,
         classify_info_sets,
         build_reduced_game,

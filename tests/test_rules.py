@@ -243,6 +243,28 @@ class TestVariants:
         assert v.fixed_actions == {InfoSet(4, 1): S, InfoSet(6, None): S}
         assert v == MODERN and hash(v) == hash(MODERN)
 
+    def test_cells_given_as_tuples_are_held_as_info_sets(self):
+        """Cells and mandate keys are canonical InfoSets, however given,
+        so the variant equals, hashes and prints as the built-in one."""
+        v = Variant(
+            "modern",
+            [(3, 9), (5, 4)],
+            {(4, 1): S, (6, None): S},
+            alpha_bound=MODERN.alpha_bound,
+        )
+        assert v == MODERN and hash(v) == hash(MODERN)
+        cells = (*v.optional_cells, *v.fixed_actions)
+        assert all(type(cell) is InfoSet for cell in cells)
+        assert [c.player_third for c in v.optional_cells] == [9, 4]
+        assert list(map(str, v.optional_cells)) == list(map(str, MODERN.optional_cells))
+        assert list(map(str, v.fixed_actions)) == list(map(str, MODERN.fixed_actions))
+        for bad in ((8, 1), (3, 10), "(3,9)", [3, 9]):
+            with pytest.raises(ValueError, match="not a Banker information set"):
+                Variant("bad", [bad, (5, 4)], {(4, 1): S, (6, None): S})
+        for bad in ((8, 1), (3, 10), "(3,9)", 3):
+            with pytest.raises(ValueError, match="not a Banker information set"):
+                Variant("bad", [(3, 9), (5, 4)], {bad: S, (6, None): S})
+
     def test_custom_variant_must_partition_starred_cells(self):
         v = Variant(
             "house",
