@@ -47,7 +47,6 @@ from .payoff import (
     best_response,
     build_reduced_game,
     classify_info_sets,
-    info_set_stats,
     oracle_payoff_entry,
 )
 from .solver import (
@@ -99,7 +98,6 @@ __all__ = [
     "equilibrium_profile",
     "find_alpha_star",
     "hand_total",
-    "info_set_stats",
     "is_natural",
     "is_nondegenerate",
     "mandated_banker_strategy",

@@ -331,13 +331,14 @@ def _cmd_simulate(ns) -> dict:
 def _cmd_oracle(ns) -> dict:
     variant = _VARIANTS[ns.variant]
     game = build_reduced_game(variant, ns.alpha)
+    A, B = game.A, game.B  # each read builds the fractions anew
     entries = []
     mismatches = 0
     for r, row in enumerate(game.row_labels):
         for j, label in enumerate(game.column_labels):
             strategy = game.banker_strategy(j)
             o_player, o_banker = oracle_payoff_entry(row, strategy, game.alpha)
-            match = o_player == game.A[r][j] and o_banker == game.B[r][j]
+            match = o_player == A[r][j] and o_banker == B[r][j]
             mismatches += not match
             entries.append(
                 {

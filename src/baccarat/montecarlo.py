@@ -29,10 +29,9 @@ Sampling notes:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, sqrt
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .parametric import VariantSolution, solve_variant
 from .payoff import _outcome_table
@@ -59,8 +58,7 @@ _RNG_IDENTITY = "python-random-mt19937"
 _MAX_HANDS = 10**7
 
 
-@dataclass(frozen=True)
-class SimResult:
+class SimResult(NamedTuple):
     """Outcome of one simulation run; equal seeds give equal results."""
 
     variant: str

@@ -25,12 +25,10 @@ two solves):
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .payoff import (
     ReducedGame,
@@ -117,8 +115,7 @@ def modern_banker_value(alpha) -> Fraction:
     return Fraction(8, _D6) * (7410 - 276593 * a)
 
 
-@dataclass(frozen=True)
-class VariantSolution:
+class VariantSolution(NamedTuple):
     """A fully solved variant at one commission rate.
 
     ``report`` is stated over the *unreduced* strategic form (every
@@ -206,8 +203,8 @@ def solve_variant(variant: Variant, alpha=0) -> VariantSolution:
     col = _expand_weights(
         sub.column_strategy, reduced.column_labels, game.column_labels
     )
-    report = dataclasses.replace(
-        sub, row_strategy=row, column_strategy=col,
+    report = sub._replace(
+        row_strategy=row, column_strategy=col,
         row_support=row.support, column_support=col.support,
     )
     if not verify_equilibrium(*game.scaled, report):
@@ -237,8 +234,7 @@ DEFAULT_ALPHA_GRID = (
 )
 
 
-@dataclass(frozen=True)
-class CommissionSweep:
+class CommissionSweep(NamedTuple):
     """Solutions along a grid of commission rates, plus the exact rate
     at which the variant's fixed rules stop being justified."""
 
@@ -327,8 +323,7 @@ def equilibrium_curve(variant: Variant, alpha_grid=None) -> CommissionSweep:
     )
 
 
-@dataclass(frozen=True)
-class AlphaStarBracket:
+class AlphaStarBracket(NamedTuple):
     """An exact bracket around the break-even commission rate.
 
     Banker's equilibrium value exceeds Player's below the rate and falls

@@ -58,11 +58,10 @@ Everything here is exact rational arithmetic.  The central objects:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .rules import (
     ALL_INFO_SETS,
@@ -74,7 +73,6 @@ from .rules import (
     Variant,
     _CELL_INDEX,
     _commission_rate,
-    _info_set,
     _player_row,
     play_coup,
     tableau_action,
@@ -85,8 +83,6 @@ __all__ = [
     "value_distribution",
     "two_card_total_distribution",
     "natural_probability",
-    "InfoSetStats",
-    "info_set_stats",
     "Classification",
     "classify_info_sets",
     "ReducedGame",
@@ -215,11 +211,6 @@ def _analytic_ledger() -> _Ledger:
     return tuple(ledger)
 
 
-def _cell_slot(info: InfoSet, row: PlayerRow) -> tuple[_Counts, _Counts]:
-    """The (stand, draw) counts of one cell against one row."""
-    return _analytic_ledger()[_ROWS.index(row)][_CELL_INDEX[info]]
-
-
 @lru_cache(maxsize=1)
 def _gain_table() -> tuple[tuple[tuple[int, int], ...], ...]:
     """Drawing's gain over standing, per row and cell, as two integers.
@@ -239,44 +230,7 @@ def _gain_table() -> tuple[tuple[tuple[int, int], ...], ...]:
     )
 
 
-@dataclass(frozen=True)
-class InfoSetStats:
-    """Occurrence probability and conditional action values for one cell
-    against one Player row, at a given commission rate."""
-
-    info: InfoSet
-    row: PlayerRow
-    alpha: Fraction
-    occurrence: Fraction
-    e_stand: Fraction
-    e_draw: Fraction
-
-    @property
-    def improvement(self) -> Fraction:
-        """How much drawing beats standing, conditionally on the cell."""
-        return self.e_draw - self.e_stand
-
-
-def info_set_stats(info: InfoSet, row: PlayerRow, alpha=0) -> InfoSetStats:
-    """Exact per-cell statistics; ``alpha`` must be exact (no floats)."""
-    info = _info_set(info)
-    row = _player_row(row)
-    a = _commission_rate(alpha)
-    stand, draw = _cell_slot(info, row)
-    total, p, q = sum(stand), a.numerator, a.denominator
-    # Banker's expectation is ((1 - alpha) * loss - win) / total.
-    return InfoSetStats(
-        info=info,
-        row=row,
-        alpha=a,
-        occurrence=Fraction(total, _SCALE),
-        e_stand=Fraction((q - p) * stand[0] - q * stand[2], q * total),
-        e_draw=Fraction((q - p) * draw[0] - q * draw[2], q * total),
-    )
-
-
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Partition of the 88 info sets at one commission rate.
 
     A cell is *determined* when the same action is strictly better
@@ -319,8 +273,7 @@ def classify_info_sets(alpha=0) -> Classification:
     return Classification(a, MappingProxyType(determined), tuple(starred))
 
 
-@dataclass(frozen=True)
-class ReducedGame:
+class ReducedGame(NamedTuple):
     """Strategic form of a variant after fixing all non-optional cells.
 
     Rows are Player's two choices on a total of 5; column ``j`` is the
@@ -328,7 +281,7 @@ class ReducedGame:
     optional cells (and per tableau / variant mandate elsewhere).
     ``A[r][j]`` is Player's expected payoff (independent of alpha);
     ``B[r][j]`` is Banker's at this game's ``alpha``.  The solver reads
-    them in integers, ``scaled``; as fractions they are built on first read.
+    them in integers, ``scaled``; as fractions they are built on each read.
     """
 
     variant: Variant
@@ -337,8 +290,8 @@ class ReducedGame:
     column_labels: tuple[str, ...]
     columns: tuple[tuple[Action, ...], ...]
     scaled: tuple[_Scaled, _Scaled]
-    A = cached_property(lambda self: self.scaled[0].fractions())
-    B = cached_property(lambda self: self.scaled[1].fractions())
+    A = property(lambda self: self.scaled[0].fractions())
+    B = property(lambda self: self.scaled[1].fractions())
 
     def column_assignment(self, j: int) -> dict[InfoSet, Action]:
         return dict(zip(self.variant.optional_cells, self.columns[j]))
@@ -352,14 +305,15 @@ class ReducedGame:
 
 
 @lru_cache(maxsize=16)
-def _column_counts(variant: Variant):
-    """The variant's column labels and columns, Player's (loss, win)
-    counts out of 13^6 per row and column, and ``A`` scaled by 13^6."""
-    cells = variant.optional_cells
+def _column_counts(cells: tuple[InfoSet, ...], mandates: frozenset):
+    """The column labels and columns, Player's (loss, win) counts out of
+    13^6 per row and column, and ``A`` scaled by 13^6, of every variant
+    with these optional ``cells`` and these (cell, action) ``mandates``."""
     columns = tuple(itertools.product((Action.STAND, Action.DRAW), repeat=len(cells)))
+    # Any variant of this structure fixes the same cells the same way.
     fixed = tuple(
         (_CELL_INDEX[info], action is Action.DRAW)
-        for info, action in variant.fixed_cell_actions()
+        for info, action in Variant("", cells, dict(mandates)).fixed_cell_actions()
     )
     optional = tuple(_CELL_INDEX[info] for info in cells)
     counts = []
@@ -385,7 +339,9 @@ def build_reduced_game(variant: Variant, alpha=0) -> ReducedGame:
     (a :class:`~baccarat.rules.Variant`'s defaults to 1).
     """
     a = variant.check_alpha(alpha)
-    labels, columns, counts, A = _column_counts(variant)
+    labels, columns, counts, A = _column_counts(
+        variant.optional_cells, frozenset(variant.fixed_actions.items())
+    )
     p, q = a.numerator, a.denominator
     # Banker's payoff is ((q - p) * loss - q * win) / (q * 13^6) at alpha = p/q.
     B = _Scaled((q * _SCALE, tuple(
@@ -538,8 +494,7 @@ def oracle_payoff_entry(
     return p_win - p_loss, (1 - a) * p_loss - p_win
 
 
-@dataclass(frozen=True)
-class BestResponse:
+class BestResponse(NamedTuple):
     """A pure best reply and its expected payoff.
 
     For ``role == "player"`` the reply is ``row`` (a PlayerRow); for
@@ -589,7 +544,7 @@ def best_response(role: str, opponent_mix, variant: Variant, alpha=0) -> BestRes
     return BestResponse(
         role=role,
         value=best,
-        actions=dict(zip(cells, game.columns[winners[0]])),
+        actions=MappingProxyType(dict(zip(cells, game.columns[winners[0]]))),
         ties=tuple(
             cell
             for k, cell in enumerate(cells)

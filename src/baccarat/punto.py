@@ -16,10 +16,9 @@ wager is the house's expected gain per unit staked on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .payoff import oracle_outcome_distribution
 from .rules import (
@@ -39,8 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PuntoReport:
+class PuntoReport(NamedTuple):
     """Exact outcome law and per-wager house edges.
 
     ``P``, ``B`` and ``T`` are the Player-win, Banker-win and tie

@@ -31,7 +31,6 @@ outcome probabilities.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
@@ -249,8 +248,44 @@ def _commission_rate(alpha) -> Fraction:
     return a
 
 
-@dataclass(frozen=True)
-class Variant:
+class _Frozen:
+    """Base of the checked value types: ``__init__`` checks its input and
+    sets the slots once through ``_init``; after that no attribute can be
+    assigned or deleted.  Instances equal, hash and print by ``_fields``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _init(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def _refuse(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} cannot be changed")
+
+    __setattr__ = __delattr__ = _refuse
+
+    def __setstate__(self, state):
+        # copy and pickle restore the slots here, as ``(None, slots)``.
+        self._init(**state[1])
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+
+class Variant(_Frozen):
     """A rule set: which starred cells Banker may choose, and which are
     fixed by law, plus the commission rates the variant accepts.
 
@@ -266,31 +301,29 @@ class Variant:
     default of 1 accepts any commission below 100%.
     """
 
-    name: str
-    optional_cells: tuple[InfoSet, ...]
-    # A mapping proxy is unhashable; the other fields hash consistently
-    # with equality, which still compares the mappings by content.
-    fixed_actions: Mapping[InfoSet, Action] = field(hash=False)
-    alpha_bound: Fraction = Fraction(1)
+    __slots__ = _fields = ("name", "optional_cells", "fixed_actions", "alpha_bound")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "optional_cells", tuple(map(_info_set, self.optional_cells))
-        )
-        fixed = {_info_set(cell): a for cell, a in dict(self.fixed_actions).items()}
-        object.__setattr__(self, "fixed_actions", MappingProxyType(fixed))
-        bound = _coerce_rational(self.alpha_bound, "alpha_bound")
+    def __init__(
+        self, name: str, optional_cells, fixed_actions, alpha_bound=Fraction(1)
+    ):
+        cells = tuple(map(_info_set, optional_cells))
+        fixed = {_info_set(cell): a for cell, a in dict(fixed_actions).items()}
+        bound = _coerce_rational(alpha_bound, "alpha_bound")
         if not 0 <= bound <= 1:
             raise ValueError(f"alpha_bound must be in [0, 1], got {bound}")
-        object.__setattr__(self, "alpha_bound", bound)
-        seen = set(self.optional_cells) | set(self.fixed_actions)
-        if seen != set(STARRED_CELLS) or len(self.optional_cells) + len(
-            self.fixed_actions
-        ) != len(STARRED_CELLS):
+        seen = set(cells) | set(fixed)
+        if seen != set(STARRED_CELLS) or len(cells) + len(fixed) != len(STARRED_CELLS):
             raise ValueError(
                 "optional_cells and fixed_actions must partition the four "
                 "starred cells"
             )
+        self._init(name=name, optional_cells=cells,
+                   fixed_actions=MappingProxyType(fixed), alpha_bound=bound)
+
+    def __hash__(self):
+        # A mapping proxy is unhashable; the other fields hash consistently
+        # with equality, which still compares the mappings by content.
+        return hash((self.name, self.optional_cells, self.alpha_bound))
 
     def check_alpha(self, alpha) -> Fraction:
         """Validate and return an exact commission rate for this variant:
@@ -345,27 +378,28 @@ MODERN = Variant(
 )
 
 
-@dataclass(frozen=True)
-class BankerStrategy:
+class BankerStrategy(_Frozen):
     """A pure Banker strategy: one action for each of the 88 info sets.
 
-    Instances are immutable and hashable, so strategy-keyed caches work.
-    Use :meth:`from_assignment` to fill the determined cells from the
+    Instances are immutable and hashable, so strategy-keyed caches work;
+    ``label`` is advisory and takes no part in equality.  Use
+    :meth:`from_assignment` to fill the determined cells from the
     tableau and specify only the starred ones.
     """
 
-    actions: tuple[Action, ...]
-    label: str = field(default="", compare=False)
+    __slots__ = ("actions", "label")
+    _fields = ("actions",)
 
-    def __post_init__(self):
-        if len(self.actions) != len(ALL_INFO_SETS):
+    def __init__(self, actions: tuple[Action, ...], label: str = ""):
+        if len(actions) != len(ALL_INFO_SETS):
             raise ValueError(
                 f"a Banker strategy assigns all {len(ALL_INFO_SETS)} info "
-                f"sets, got {len(self.actions)}"
+                f"sets, got {len(actions)}"
             )
-        for a in self.actions:
+        for a in actions:
             if not isinstance(a, Action):
                 raise ValueError(f"not an Action: {a!r}")
+        self._init(actions=actions, label=label)
 
     def __getitem__(self, info: InfoSet) -> Action:
         return self.actions[_CELL_INDEX[info]]

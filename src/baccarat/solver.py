@@ -39,15 +39,13 @@ fractions are built only for what is reported.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
-from .rules import _coerce_rational
+from .rules import _Frozen, _coerce_rational
 
 __all__ = [
     "MixedStrategy",
@@ -89,29 +87,26 @@ def _unit(index: int, n: int) -> tuple[Fraction, ...]:
     return tuple(_ONE if i == index else _ZERO for i in range(n))
 
 
-@dataclass(frozen=True)
-class MixedStrategy:
+class MixedStrategy(_Frozen):
     """An exact probability vector over pure strategies."""
 
-    weights: tuple[Fraction, ...]
+    __slots__ = ("weights", "support", "_scaled")
+    _fields = ("weights",)
 
-    def __post_init__(self):
-        weights = tuple(_coerce_rational(w, "weight") for w in self.weights)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_scaled", _integral((weights,)))
-        scale, (ints,) = self._scaled
+    def __init__(self, weights):
+        weights = tuple(_coerce_rational(w, "weight") for w in weights)
+        scaled = _integral((weights,))
+        scale, (ints,) = scaled
         if any(x < 0 for x in ints):
             raise ValueError("mixed-strategy weights must be nonnegative")
         if sum(ints) != scale:
             raise ValueError("mixed-strategy weights must sum to 1")
+        support = tuple(i for i, x in enumerate(ints) if x)
+        self._init(weights=weights, support=support, _scaled=scaled)
 
     @classmethod
     def pure(cls, index: int, n: int) -> "MixedStrategy":
         return cls(_unit(index, n))
-
-    @cached_property
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, w in enumerate(self.weights) if w)
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -129,8 +124,7 @@ def _as_weights(mix, n: int) -> tuple[Fraction, ...]:
     return ws
 
 
-@dataclass(frozen=True)
-class EquilibriumReport:
+class EquilibriumReport(NamedTuple):
     """One equilibrium of a 2 x n game, with exact strategies and values.
 
     ``kind`` is "pure" when both strategies are pure, else "mixed".
@@ -150,8 +144,7 @@ class EquilibriumReport:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class EliminationStep:
+class EliminationStep(NamedTuple):
     """Audit record: which strategy fell, and what dominated it."""
 
     side: str  # "row" or "column"
@@ -259,19 +252,19 @@ def _find_dominator(vectors, j, alive):
 def eliminate_strictly_dominated(game):
     """Iterated strict-dominance elimination; returns (reduced, log).
 
-    ``game`` is any dataclass with fields ``A`` and ``B``, or their
-    :class:`_Scaled` pair ``scaled``, and optionally ``row_labels`` /
-    ``column_labels`` / ``columns``, with exactly two rows; the reduction
-    is returned as the same type with those fields sliced.  The columns
-    that are a best reply under ``B`` at no breakpoint of the alive rows'
-    envelope fall together, logged in index order, each with a dominator
-    found among the survivors.  A row falls when the other row is
-    strictly better under ``A`` on every surviving column; the columns
-    are then decided once more against the remaining row.  Strict
-    elimination never removes any equilibrium strategy, so solving the
-    reduction solves the game.
+    ``game`` is any ``NamedTuple`` with fields ``A`` and ``B``, or with
+    their :class:`_Scaled` pair as field ``scaled``, and optionally
+    ``row_labels`` / ``column_labels`` / ``columns``, with exactly two
+    rows; the reduction is ``game._replace`` with those fields sliced.
+    The columns that are a best reply under ``B`` at no breakpoint of the
+    alive rows' envelope fall together, logged in index order, each with
+    a dominator found among the survivors.  A row falls when the other
+    row is strictly better under ``A`` on every surviving column; the
+    columns are then decided once more against the remaining row.
+    Strict elimination never removes any equilibrium strategy, so
+    solving the reduction solves the game.
     """
-    names = {f.name for f in dataclasses.fields(game)}
+    names = game._fields
     scaled = _game(*(game.scaled if "scaled" in names else (game.A, game.B)))
     (_, int_A), (_, int_B) = scaled
     n = len(int_A[0])
@@ -327,12 +320,10 @@ def eliminate_strictly_dominated(game):
         kwargs["column_labels"] = tuple(col_labels[j] for j in cols_alive)
     if "columns" in names:
         kwargs["columns"] = tuple(game.columns[j] for j in cols_alive)
-    reduced = dataclasses.replace(game, **kwargs)
-    return reduced, tuple(log)
+    return game._replace(**kwargs), tuple(log)
 
 
-@dataclass(frozen=True)
-class DegeneracyWitness:
+class DegeneracyWitness(NamedTuple):
     """Evidence of degeneracy: a strategy with too many best responses.
 
     ``side`` names whose strategy it is; ``strategy`` is a pure index or
@@ -376,8 +367,7 @@ def _degeneracy(A, points) -> tuple[bool, DegeneracyWitness | None]:
     return True, None
 
 
-@dataclass(frozen=True)
-class NashEnumeration:
+class NashEnumeration(NamedTuple):
     """All equilibria found by support enumeration, plus a completeness
     certificate (True only when the game verified as nondegenerate)."""
 

@@ -2,15 +2,24 @@
 
 These are the fraction computations the engine's integer ledger
 replaced, kept here so the tests can compare the two routes quantity by
-quantity.  Triples are Banker's (win, loss, tie); a ledger slot counts
-Player's (loss, tie, win) out of 13^6.
+quantity, and :func:`info_set_stats`, the per-cell statistics read off
+that ledger.  Triples are Banker's (win, loss, tie); a ledger slot
+counts Player's (loss, tie, win) out of 13^6.
 """
 
 import itertools
 from fractions import Fraction
+from typing import NamedTuple
 
-from baccarat import ALL_INFO_SETS, Action, PlayerRow
-from baccarat.payoff import two_card_total_distribution, value_distribution
+from baccarat import ALL_INFO_SETS, Action, InfoSet, PlayerRow
+from baccarat.payoff import (
+    _ROWS,
+    _SCALE,
+    _analytic_ledger,
+    two_card_total_distribution,
+    value_distribution,
+)
+from baccarat.rules import _CELL_INDEX, _commission_rate, _info_set, _player_row
 
 F = Fraction
 D5 = PlayerRow.DRAW_ON_5
@@ -96,3 +105,44 @@ def fraction_reduced_game(variant, alpha):
         A.append(tuple(a_row))
         B.append(tuple(b_row))
     return tuple(A), tuple(B)
+
+
+class InfoSetStats(NamedTuple):
+    """Occurrence probability and conditional action values for one cell
+    against one Player row, at a given commission rate."""
+
+    info: InfoSet
+    row: PlayerRow
+    alpha: Fraction
+    occurrence: Fraction
+    e_stand: Fraction
+    e_draw: Fraction
+
+    @property
+    def improvement(self) -> Fraction:
+        """How much drawing beats standing, conditionally on the cell."""
+        return self.e_draw - self.e_stand
+
+
+def _cell_slot(info, row):
+    """The (stand, draw) counts of one cell against one row."""
+    return _analytic_ledger()[_ROWS.index(row)][_CELL_INDEX[info]]
+
+
+def info_set_stats(info, row, alpha=0) -> InfoSetStats:
+    """Exact per-cell statistics read off the analytic ledger, with every
+    argument through the package's gates; ``alpha`` must be exact."""
+    info = _info_set(info)
+    row = _player_row(row)
+    a = _commission_rate(alpha)
+    stand, draw = _cell_slot(info, row)
+    total, p, q = sum(stand), a.numerator, a.denominator
+    # Banker's expectation is ((1 - alpha) * loss - win) / total.
+    return InfoSetStats(
+        info=info,
+        row=row,
+        alpha=a,
+        occurrence=Fraction(total, _SCALE),
+        e_stand=Fraction((q - p) * stand[0] - q * stand[2], q * total),
+        e_draw=Fraction((q - p) * draw[0] - q * draw[2], q * total),
+    )

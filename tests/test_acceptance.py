@@ -27,7 +27,6 @@ from baccarat import (
     classify_info_sets,
     equilibrium_profile,
     find_alpha_star,
-    info_set_stats,
     oracle_payoff_entry,
     punto_report,
     simulate,
@@ -42,7 +41,11 @@ from baccarat.payoff import (
     _leaf_ledger,
 )
 from baccarat.solver import is_nondegenerate
-from fraction_reference import fraction_cell_data, fraction_natural_phase
+from fraction_reference import (
+    fraction_cell_data,
+    fraction_natural_phase,
+    info_set_stats,
+)
 from solver_reference import support_equilibria
 
 F = Fraction

@@ -1,12 +1,11 @@
 """Unit tests for commission sweeps, the break-even rate, and validity bounds."""
 
 import collections
-import dataclasses
 import itertools
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -115,8 +114,7 @@ def test_a_warm_solve_runs_each_stage_once_on_one_scaled_game(
     assert calls["_matrix"] <= 2 and calls["_integral"] <= 2
 
 
-@dataclass(frozen=True)
-class _Plain:
+class _Plain(NamedTuple):
     """A reduced game as plain fraction matrices and labels."""
 
     A: tuple
@@ -149,8 +147,8 @@ def _solve_on_fractions(game):
 
     row = expand(sub.row_strategy, reduced.row_labels, game.row_labels)
     col = expand(sub.column_strategy, reduced.column_labels, game.column_labels)
-    report = dataclasses.replace(
-        sub, row_strategy=row, column_strategy=col,
+    report = sub._replace(
+        row_strategy=row, column_strategy=col,
         row_support=row.support, column_support=col.support,
     )
     assert verify_equilibrium(game.A, game.B, report)
@@ -463,7 +461,7 @@ class TestValidityBounds:
         # At the modern bound the forced stand at (6,-) ceases to be a
         # restriction: drawing there stops being strictly better for
         # Banker against Player's drawing row.
-        from baccarat import info_set_stats
+        from fraction_reference import info_set_stats
 
         bound = table_validity_bound(MODERN)
         below = info_set_stats(

@@ -24,7 +24,6 @@ from baccarat import (
     best_response,
     build_reduced_game,
     classify_info_sets,
-    info_set_stats,
     mandated_banker_strategy,
     mandated_player_action,
     oracle_payoff_entry,
@@ -37,7 +36,6 @@ from baccarat.payoff import (
     _NO_CELL,
     _analytic_ledger,
     _card_counts,
-    _cell_slot,
     _column_counts,
     _gain_table,
     _leaf_ledger,
@@ -57,10 +55,12 @@ from baccarat.parametric import (
 from baccarat import payoff
 from baccarat.rules import Variant
 from fraction_reference import (
+    _cell_slot,
     fraction_cell_data,
     fraction_info_set_stats,
     fraction_natural_phase,
     fraction_reduced_game,
+    info_set_stats,
 )
 
 F = Fraction
@@ -349,6 +349,16 @@ def test_oracle_counts_for_the_fixed_rules(row, counts):
 @pytest.mark.parametrize("cached", [_validity_bound, _analytic_ledger, _column_counts])
 def test_caches_keyed_on_user_input_are_bounded(cached):
     assert cached.cache_info().maxsize is not None
+
+
+def test_variants_of_one_structure_share_their_column_counts():
+    """Parlor and classic differ only in name and commission bound, so
+    the second solve reads the alpha-free counts the first one summed."""
+    _column_counts.cache_clear()
+    solve_variant(PARLOR)
+    solve_variant(CLASSIC, F(1, 20))
+    info = _column_counts.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_oracle_rejects_a_row_that_is_not_a_player_row():

@@ -1,12 +1,14 @@
 """Unit tests for hand arithmetic, the drawing table, and coup resolution."""
 
 import ast
+import copy
 import inspect
+import pickle
 import time
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, strategies as st
@@ -32,7 +34,7 @@ from baccarat import (
 import baccarat
 from baccarat.montecarlo import simulate
 from baccarat.parametric import find_alpha_star
-from baccarat.payoff import best_response, build_reduced_game, info_set_stats
+from baccarat.payoff import best_response, build_reduced_game
 from baccarat.punto import mandated_banker_strategy, unfulfilled_demand
 from baccarat.rules import _info_set
 from baccarat.solver import (
@@ -43,6 +45,7 @@ from baccarat.solver import (
     is_nondegenerate,
     verify_equilibrium,
 )
+from fraction_reference import info_set_stats
 
 D, S = Action.DRAW, Action.STAND
 
@@ -334,6 +337,64 @@ class TestBankerStrategy:
         assert a == b and hash(a) == hash(b)  # labels are advisory only
 
 
+@pytest.mark.parametrize(
+    "value",
+    [
+        Variant("v", STARRED_CELLS, {}),
+        BankerStrategy((S,) * len(ALL_INFO_SETS), "all stand"),
+        MixedStrategy((Fraction(1, 2), Fraction(1, 2))),
+    ],
+    ids=type,
+)
+def test_checked_value_types_are_frozen(value):
+    """Assigning, deleting or adding an attribute raises AttributeError,
+    and the value is unchanged."""
+    before = {name: getattr(value, name) for name in type(value).__slots__}
+    for name in (*before, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert all(getattr(value, name) is held for name, held in before.items())
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        BankerStrategy((S,) * len(ALL_INFO_SETS), "all stand"),
+        MixedStrategy((Fraction(1, 3), Fraction(2, 3))),
+    ],
+    ids=type,
+)
+def test_checked_value_types_copy_and_pickle(value):
+    """Every slot comes back, the label and the support included."""
+    slots = [*type(value).__slots__]
+    for twin in (
+        copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))
+    ):
+        assert type(twin) is type(value)
+        assert [getattr(twin, n) for n in slots] == [getattr(value, n) for n in slots]
+    assert copy.copy(PARLOR) == PARLOR
+
+
+def test_checked_value_types_keep_their_equality_and_hash():
+    """A variant compares its mandates but does not hash them; a strategy
+    ignores its label; a mix compares by weights alone."""
+    house = Variant("v", [(6, None)], {(3, 9): D, (4, 1): S, (5, 4): D})
+    other = Variant("v", [(6, None)], {(3, 9): D, (4, 1): S, (5, 4): S})
+    assert house != other and hash(house) == hash(other)
+    assert house == Variant("v", [(6, None)], {(5, 4): D, (4, 1): S, (3, 9): D})
+    assert house != Variant("w", [(6, None)], {(3, 9): D, (4, 1): S, (5, 4): D})
+    assert house != PARLOR and PARLOR != CLASSIC
+    half = MixedStrategy((Fraction(1, 2), Fraction(1, 2)))
+    assert half == MixedStrategy(("1/2", Fraction(2, 4))) and hash(half) == hash(
+        MixedStrategy(("1/2", "1/2"))
+    )
+    assert half != MixedStrategy.pure(0, 2) and half != half.weights
+    assert _MANDATED == BankerStrategy(_MANDATED.actions, "other")
+    assert _MANDATED != _MANDATED.actions
+
+
 _MANDATED = BankerStrategy.from_assignment(
     {InfoSet(3, 9): D, InfoSet(5, 4): D}, variant=MODERN
 )
@@ -498,8 +559,7 @@ def test_every_coup_reports_consistent_fields(cards, row, picks):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Game:
+class _Game(NamedTuple):
     A: tuple
     B: tuple
 

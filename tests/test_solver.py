@@ -5,12 +5,11 @@ sweeps of random bimatrix games check the elimination certificates and
 cross-check the support enumeration against a direct scan.
 """
 
-import dataclasses
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
@@ -33,32 +32,30 @@ from solver_reference import fraction_dominator, fraction_verify, support_equili
 F = Fraction
 
 
-@dataclass(frozen=True)
-class Game:
-    """A bimatrix for the elimination routine, which takes any dataclass
+class LabelledGame(NamedTuple):
+    """A bimatrix for the elimination routine, which takes any NamedTuple
     with fields ``A`` and ``B`` (the reduced games of the package among
-    them).  ``B`` defaults to ``-A``; labels default to R0.. / C0.."""
+    them)."""
 
     A: tuple
-    B: tuple | None = None
-    row_labels: tuple = ()
-    column_labels: tuple = ()
+    B: tuple
+    row_labels: tuple
+    column_labels: tuple
 
-    def __post_init__(self):
-        A = _matrix(self.A)
-        B = neg(A) if self.B is None else _matrix(self.B)
-        if len(B) != len(A) or len(B[0]) != len(A[0]):
-            raise ValueError("A and B must have identical shape")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", tuple(map(tuple, B)))
-        if not self.row_labels:
-            object.__setattr__(
-                self, "row_labels", tuple(f"R{i}" for i in range(len(A)))
-            )
-        if not self.column_labels:
-            object.__setattr__(
-                self, "column_labels", tuple(f"C{j}" for j in range(len(A[0])))
-            )
+
+def Game(A, B=None, row_labels=(), column_labels=()) -> LabelledGame:
+    """A checked :class:`LabelledGame`: ``B`` defaults to ``-A``; labels
+    default to R0.. / C0.."""
+    A = _matrix(A)
+    B = neg(A) if B is None else _matrix(B)
+    if len(B) != len(A) or len(B[0]) != len(A[0]):
+        raise ValueError("A and B must have identical shape")
+    return LabelledGame(
+        A,
+        tuple(map(tuple, B)),
+        row_labels or tuple(f"R{i}" for i in range(len(A))),
+        column_labels or tuple(f"C{j}" for j in range(len(A[0]))),
+    )
 
 
 def neg(M):
@@ -104,8 +101,7 @@ class TestGame:
             Game([[1, 2], [3, 4]], B=[[1, 2, 3], [4, 5, 6]])
 
 
-@dataclass(frozen=True)
-class _Bimatrix:
+class _Bimatrix(NamedTuple):
     """A game with no shape check of its own, as a caller may pass."""
 
     A: tuple
@@ -501,13 +497,13 @@ def _swapped(A, B, report, side, i, k):
     w = list(getattr(report, field).weights)
     w[i], w[k] = w[k], w[i]
     mix = MixedStrategy(tuple(w))
-    claim = dataclasses.replace(report, **{field: mix, f"{side}_support": mix.support})
+    claim = report._replace(**{field: mix, f"{side}_support": mix.support})
     row, col = claim.row_strategy, claim.column_strategy
 
     def value(M):
         return sum(row[r] * col[c] * M[r][c] for r in range(2) for c in range(len(col)))
 
-    return dataclasses.replace(claim, row_value=value(A), column_value=value(B))
+    return claim._replace(row_value=value(A), column_value=value(B))
 
 
 @seed(20261018)
@@ -523,8 +519,8 @@ def test_integer_verification_is_the_fraction_verification(game, data):
     for report in enumerate_nash_2xn(A, B).equilibria:
         claims = [
             report,
-            dataclasses.replace(report, row_value=report.row_value + shift),
-            dataclasses.replace(report, column_value=report.column_value - shift),
+            report._replace(row_value=report.row_value + shift),
+            report._replace(column_value=report.column_value - shift),
             _swapped(A, B, report, "row", 0, 1),
         ]
         if n > 1:
