@@ -221,12 +221,10 @@ def _cmd_solve(ns) -> dict:
     results["p"] = results["player_draw_on_5"]
     if "banker_draw_at_6_stand" in results:
         results["q"] = results["banker_draw_at_6_stand"]
-    results["eliminated_columns"] = [
-        str(step.label) for step in sol.elimination_log if step.side == "column"
-    ]
-    results["eliminated_rows"] = [
-        str(step.label) for step in sol.elimination_log if step.side == "row"
-    ]
+    for side, labels in (("column", sol.game.column_labels), ("row", sol.game.row_labels)):
+        results[f"eliminated_{side}s"] = [
+            str(labels[step.index]) for step in sol.elimination_log if step.side == side
+        ]
     results["surviving_columns"] = list(sol.reduced.column_labels)
     return {
         "command": "solve",

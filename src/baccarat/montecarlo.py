@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import ceil, sqrt
 from typing import Mapping, NamedTuple
 
-from .parametric import VariantSolution, solve_variant
+from .parametric import VariantSolution
 from .payoff import _outcome_table
 from .rules import (
     ALL_INFO_SETS,
@@ -238,20 +238,13 @@ def simulate(
 
 
 def equilibrium_profile(
-    variant: Variant | VariantSolution, alpha=0
+    sol: VariantSolution,
 ) -> tuple[MixedStrategy, Mapping[InfoSet, Fraction]]:
-    """The solved equilibrium in the form :func:`simulate` consumes.
+    """The equilibrium of ``sol`` in the form :func:`simulate` consumes.
 
-    ``variant`` is a Variant, solved here at ``alpha``, or a
-    :class:`~baccarat.parametric.VariantSolution` already at hand, whose
-    own rate then applies.  Returns Player's row mix (stand-on-5 weight
-    first) and Banker's per-cell draw probabilities at the variant's
-    optional cells.
+    Returns Player's row mix (stand-on-5 weight first) and Banker's
+    per-cell draw probabilities at the variant's optional cells.
     """
-    if isinstance(variant, VariantSolution):
-        sol = variant
-    else:
-        sol = solve_variant(variant, alpha)
     p = sol.player_draw_probability
     row = MixedStrategy((1 - p, p))
     mix = {

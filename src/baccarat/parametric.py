@@ -120,7 +120,8 @@ class VariantSolution(NamedTuple):
 
     ``report`` is stated over the *unreduced* strategic form (every
     Banker column of the variant), and has been re-verified there; the
-    reduction that produced it, and its audit log, ride along.
+    reduction that produced it, and its audit log, which names strategies
+    by their index in ``game``, ride along.
     """
 
     variant: Variant
@@ -162,10 +163,11 @@ class VariantSolution(NamedTuple):
         )
 
 
-def _expand_weights(strategy, sub_labels, full_labels) -> MixedStrategy:
-    out = dict.fromkeys(full_labels, _ZERO)
-    out.update(zip(sub_labels, strategy.weights))
-    return MixedStrategy(tuple(out.values()))
+def _expand_weights(strategy, indices, n) -> MixedStrategy:
+    weights = [_ZERO] * n
+    for i, w in zip(indices, strategy.weights):
+        weights[i] = w
+    return MixedStrategy(weights)
 
 
 def solve_variant(variant: Variant, alpha=0) -> VariantSolution:
@@ -181,8 +183,14 @@ def solve_variant(variant: Variant, alpha=0) -> VariantSolution:
     raises ``ValueError``: uniqueness is then not certified.
     """
     game = build_reduced_game(variant, alpha)
-    reduced, log = eliminate_strictly_dominated(game)
-    m, n = len(reduced.row_labels), len(reduced.column_labels)
+    (rows, cols), log = eliminate_strictly_dominated(*game.scaled)
+    reduced = game._replace(
+        row_labels=tuple(game.row_labels[r] for r in rows),
+        column_labels=tuple(game.column_labels[j] for j in cols),
+        columns=tuple(game.columns[j] for j in cols),
+        scaled=tuple(M.submatrix(rows, cols) for M in game.scaled),
+    )
+    m, n = len(rows), len(cols)
     if m == 1 and n == 1:
         one = MixedStrategy.pure(0, 1)
         sub = EquilibriumReport(
@@ -199,10 +207,8 @@ def solve_variant(variant: Variant, alpha=0) -> VariantSolution:
                 f"elimination)"
             )
         sub = enum.equilibria[0]
-    row = _expand_weights(sub.row_strategy, reduced.row_labels, game.row_labels)
-    col = _expand_weights(
-        sub.column_strategy, reduced.column_labels, game.column_labels
-    )
+    row = _expand_weights(sub.row_strategy, rows, 2)
+    col = _expand_weights(sub.column_strategy, cols, len(game.columns))
     report = sub._replace(
         row_strategy=row, column_strategy=col,
         row_support=row.support, column_support=col.support,

@@ -265,9 +265,10 @@ class _Frozen:
 
     __setattr__ = __delattr__ = _refuse
 
-    def __setstate__(self, state):
-        # copy and pickle restore the slots here, as ``(None, slots)``.
-        self._init(**state[1])
+    def __reduce__(self):
+        # copy and pickle rebuild an instance through its own checks, from
+        # ``_fields``; a class whose ``__init__`` takes others says which.
+        return type(self), self._key()
 
     def _key(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -325,6 +326,10 @@ class Variant(_Frozen):
         # with equality, which still compares the mappings by content.
         return hash((self.name, self.optional_cells, self.alpha_bound))
 
+    def __reduce__(self):
+        return type(self), (self.name, self.optional_cells,
+                            dict(self.fixed_actions), self.alpha_bound)
+
     def check_alpha(self, alpha) -> Fraction:
         """Validate and return an exact commission rate for this variant:
         0, or a rate in ``(0, alpha_bound)``."""
@@ -381,8 +386,9 @@ MODERN = Variant(
 class BankerStrategy(_Frozen):
     """A pure Banker strategy: one action for each of the 88 info sets.
 
-    Instances are immutable and hashable, so strategy-keyed caches work;
-    ``label`` is advisory and takes no part in equality.  Use
+    ``actions`` is held as a tuple of the sequence given, so instances
+    are immutable and hashable, and strategy-keyed caches work; ``label``
+    is advisory and takes no part in equality.  Use
     :meth:`from_assignment` to fill the determined cells from the
     tableau and specify only the starred ones.
     """
@@ -390,7 +396,8 @@ class BankerStrategy(_Frozen):
     __slots__ = ("actions", "label")
     _fields = ("actions",)
 
-    def __init__(self, actions: tuple[Action, ...], label: str = ""):
+    def __init__(self, actions: Sequence[Action], label: str = ""):
+        actions = tuple(actions)
         if len(actions) != len(ALL_INFO_SETS):
             raise ValueError(
                 f"a Banker strategy assigns all {len(ALL_INFO_SETS)} info "
@@ -400,6 +407,9 @@ class BankerStrategy(_Frozen):
             if not isinstance(a, Action):
                 raise ValueError(f"not an Action: {a!r}")
         self._init(actions=actions, label=label)
+
+    def __reduce__(self):
+        return type(self), (self.actions, self.label)
 
     def __getitem__(self, info: InfoSet) -> Action:
         return self.actions[_CELL_INDEX[info]]
@@ -441,7 +451,7 @@ class BankerStrategy(_Frozen):
             acts[_CELL_INDEX[cell]] = action
         if not label:
             label = "".join(str(chosen[c]) for c in STARRED_CELLS)
-        return cls(tuple(acts), label)
+        return cls(acts, label)
 
 
 class CoupOutcome(NamedTuple):

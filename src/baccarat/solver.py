@@ -6,8 +6,9 @@ handled as the special case ``B = -A``.  All arithmetic is over exact
 rationals.  Every matrix entry and weight passes the package's one
 number gate, ``rules._coerce_rational``: a float is rejected rather than
 silently rounded, and a decimal too long to write out is rejected
-before it is built.  Every routine here takes games with exactly two
-rows, and refuses a ``B`` whose shape is not ``A``'s.
+before it is built.  Every routine here takes a game as its two
+matrices ``A`` and ``B``, first, with exactly two rows, and refuses a
+``B`` whose shape is not ``A``'s; strategies are named by index.
 
 With two rows, each column is a line over the row mix (1 - p, p), and
 every question the solvers ask is answered by one upper envelope of
@@ -21,7 +22,8 @@ cuts and differences, and an equilibrium is checked by integer payoffs:
 fractions are built only for what is reported.
 
 * :func:`eliminate_strictly_dominated` -- iterated elimination with a
-  full audit log.  A column is strictly dominated by a mixture exactly
+  full audit log, returning the indices of the surviving rows and
+  columns.  A column is strictly dominated by a mixture exactly
   when it is a best reply to no row mix (Pearce, 1984), so one envelope
   pass decides every column at once.  Each removal is logged with a pure
   or two-point dominator over the survivors, which always exists when
@@ -78,6 +80,10 @@ class _Scaled(tuple):
     def fractions(self) -> tuple[tuple[Fraction, ...], ...]:
         scale, rows = self
         return tuple(tuple(Fraction(x, scale) for x in row) for row in rows)
+
+    def submatrix(self, rows, columns) -> "_Scaled":
+        scale, M = self
+        return _Scaled((scale, tuple(tuple(M[r][j] for j in columns) for r in rows)))
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -145,11 +151,14 @@ class EquilibriumReport(NamedTuple):
 
 
 class EliminationStep(NamedTuple):
-    """Audit record: which strategy fell, and what dominated it."""
+    """Audit record: which strategy fell, and what dominated it.
+
+    ``index`` and ``dominator_indices`` are indices in the game given to
+    :func:`eliminate_strictly_dominated`, on the side that ``side`` names.
+    """
 
     side: str  # "row" or "column"
-    index: int  # index in the original game
-    label: object
+    index: int
     dominator_indices: tuple[int, ...]
     dominator_weights: tuple[Fraction, ...]
 
@@ -249,78 +258,47 @@ def _find_dominator(vectors, j, alive):
     return None
 
 
-def eliminate_strictly_dominated(game):
-    """Iterated strict-dominance elimination; returns (reduced, log).
+def eliminate_strictly_dominated(A, B):
+    """Iterated strict-dominance elimination of a 2 x n game; returns
+    ``((rows, columns), log)``.
 
-    ``game`` is any ``NamedTuple`` with fields ``A`` and ``B``, or with
-    their :class:`_Scaled` pair as field ``scaled``, and optionally
-    ``row_labels`` / ``column_labels`` / ``columns``, with exactly two
-    rows; the reduction is ``game._replace`` with those fields sliced.
-    The columns that are a best reply under ``B`` at no breakpoint of the
+    ``rows`` and ``columns`` are the indices of the surviving strategies,
+    in increasing order, and ``log`` the removals in the order made.  The
+    columns that are a best reply under ``B`` at no breakpoint of the
     alive rows' envelope fall together, logged in index order, each with
     a dominator found among the survivors.  A row falls when the other
     row is strictly better under ``A`` on every surviving column; the
     columns are then decided once more against the remaining row.
     Strict elimination never removes any equilibrium strategy, so
-    solving the reduction solves the game.
+    solving the game the survivors span solves the game.
     """
-    names = game._fields
-    scaled = _game(*(game.scaled if "scaled" in names else (game.A, game.B)))
-    (_, int_A), (_, int_B) = scaled
-    n = len(int_A[0])
+    (_, A), (_, B) = _game(A, B)
     rows_alive = [0, 1]
-    cols_alive = list(range(n))
-    row_labels = getattr(game, "row_labels", (0, 1))
-    col_labels = getattr(game, "column_labels", tuple(range(n)))
+    cols_alive = list(range(len(A[0])))
     log: list[EliminationStep] = []
 
-    def record(side, idx, dominator):
-        labels = col_labels if side == "column" else row_labels
-        dom_idx, dom_w = dominator
-        log.append(EliminationStep(side, idx, labels[idx], dom_idx, dom_w))
-
     while True:
-        points = _envelope(int_B, cols_alive, rows_alive[0], rows_alive[-1])
+        points = _envelope(B, cols_alive, rows_alive[0], rows_alive[-1])
         best = {j for _, top in points for j in top}
         survivors = [j for j in cols_alive if j in best]
-        col_vectors = {
-            j: tuple(int_B[r][j] for r in rows_alive) for j in cols_alive
-        }
+        col_vectors = {j: tuple(B[r][j] for r in rows_alive) for j in cols_alive}
         for j in cols_alive:
             if j not in best:
                 dom = _find_dominator(col_vectors, j, survivors)
                 if dom is None:  # pragma: no cover - Pearce's lemma forbids it
                     raise AssertionError(f"column {j} fell without a dominator")
-                record("column", j, dom)
+                log.append(EliminationStep("column", j, *dom))
         cols_alive = survivors
 
-        row_vectors = {
-            r: tuple(int_A[r][j] for j in cols_alive) for r in rows_alive
-        }
+        row_vectors = {r: tuple(A[r][j] for j in cols_alive) for r in rows_alive}
         for r in rows_alive:
             dom = _find_dominator(row_vectors, r, rows_alive)
             if dom is not None:
-                record("row", r, dom)
+                log.append(EliminationStep("row", r, *dom))
                 rows_alive.remove(r)
                 break
         else:
-            break
-
-    new_A, new_B = (
-        _Scaled((s, tuple(tuple(M[r][j] for j in cols_alive) for r in rows_alive)))
-        for s, M in scaled
-    )
-    if "scaled" in names:
-        kwargs = {"scaled": (new_A, new_B)}
-    else:
-        kwargs = {"A": new_A.fractions(), "B": new_B.fractions()}
-    if "row_labels" in names:
-        kwargs["row_labels"] = tuple(row_labels[r] for r in rows_alive)
-    if "column_labels" in names:
-        kwargs["column_labels"] = tuple(col_labels[j] for j in cols_alive)
-    if "columns" in names:
-        kwargs["columns"] = tuple(game.columns[j] for j in cols_alive)
-    return game._replace(**kwargs), tuple(log)
+            return (tuple(rows_alive), tuple(cols_alive)), tuple(log)
 
 
 class DegeneracyWitness(NamedTuple):

@@ -294,13 +294,14 @@ def test_criterion_13_monte_carlo():
         start = time.perf_counter()
         a = F(1, 20)
 
-        row, mix = equilibrium_profile(MODERN, a)
+        sol = solve_variant(MODERN, a)
+        row, mix = equilibrium_profile(sol)
         res = simulate(MODERN, row, mix, a, 10**6, seed=20240817)
         assert abs(res.mean_player - float(MODERN_VALUE)) <= 3.5 * res.std_error
-        banker_exact = float(solve_variant(MODERN, a).banker_value)
+        banker_exact = float(sol.banker_value)
         assert abs(res.mean_banker - banker_exact) <= 3.5 * res.std_error_banker
 
-        row, mix = equilibrium_profile(PARLOR)
+        row, mix = equilibrium_profile(solve_variant(PARLOR))
         res = simulate(PARLOR, row, mix, 0, 10**6, seed=31337)
         assert abs(res.mean_player - float(PARLOR_VALUE)) <= 3.5 * res.std_error
         assert abs(res.mean_banker - float(-PARLOR_VALUE)) <= 3.5 * res.std_error_banker

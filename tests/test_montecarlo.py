@@ -68,7 +68,7 @@ def test_counts_and_means_are_consistent():
 def test_stream_layout_is_frozen():
     """Eight variates per hand, in a fixed order: these exact counts
     must never change for a given seed, or reproducibility is lost."""
-    r = run_modern(2000, 123, mix=equilibrium_profile(MODERN, A)[1])
+    r = run_modern(2000, 123, mix=equilibrium_profile(solve_variant(MODERN, A))[1])
     assert (r.wins, r.losses, r.ties) == (902, 918, 180)
 
 
@@ -89,7 +89,7 @@ def test_row_argument_forms_agree():
 
 def test_close_to_exact_value_at_moderate_size():
     sol = solve_variant(MODERN, A)
-    r = run_modern(200_000, 20240823, mix=equilibrium_profile(MODERN, A)[1])
+    r = run_modern(200_000, 20240823, mix=equilibrium_profile(sol)[1])
     assert abs(r.mean_player - float(sol.player_value)) < 5 * r.std_error
     assert abs(r.mean_banker - float(sol.banker_value)) < 5 * r.std_error_banker
 
@@ -150,7 +150,7 @@ def test_float_alpha_rejected():
 
 
 def test_equilibrium_profiles():
-    row, mix = equilibrium_profile(PARLOR)
+    row, mix = equilibrium_profile(solve_variant(PARLOR))
     assert row.weights == (F(2, 11), F(9, 11))
     assert mix == {
         InfoSet(3, 9): 1,
@@ -158,16 +158,20 @@ def test_equilibrium_profiles():
         InfoSet(5, 4): 1,
         InfoSet(6, None): F(859, 2288),
     }
-    row_m, mix_m = equilibrium_profile(MODERN, A)
+    row_m, mix_m = equilibrium_profile(solve_variant(MODERN, A))
     assert row_m.weights == (F(0), F(1))
     assert mix_m == {InfoSet(3, 9): 1, InfoSet(5, 4): 1}
 
 
 def test_equilibrium_profile_of_a_solution():
-    """A solution already at hand gives the same profile, with no solve."""
-    assert equilibrium_profile(solve_variant(MODERN, A)) == equilibrium_profile(
-        MODERN, A
-    )
+    """The profile is the solution's own draw probabilities: Player's on
+    a total of 5, and Banker's at each of the variant's optional cells."""
+    for sol in (solve_variant(PARLOR), solve_variant(CLASSIC, F(1, 20))):
+        row, mix = equilibrium_profile(sol)
+        p = sol.player_draw_probability
+        assert row == MixedStrategy((1 - p, p))
+        assert list(mix) == list(sol.variant.optional_cells)
+        assert all(mix[cell] == sol.banker_draw_probability(cell) for cell in mix)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +359,7 @@ def test_table_loop_equals_the_play_coup_loop(args):
 )
 def test_parlor_equilibrium_tallies_are_pinned(seed, counts):
     """Both the row (9/11) and the (6,-) cell (859/2288) are mixed here."""
-    r = simulate(PARLOR, *equilibrium_profile(PARLOR), 0, 20000, seed)
+    r = simulate(PARLOR, *equilibrium_profile(solve_variant(PARLOR)), 0, 20000, seed)
     assert (r.wins, r.losses, r.ties) == counts
 
 

@@ -5,7 +5,6 @@ import itertools
 import sys
 from fractions import Fraction
 from math import isqrt
-from typing import NamedTuple
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -114,45 +113,34 @@ def test_a_warm_solve_runs_each_stage_once_on_one_scaled_game(
     assert calls["_matrix"] <= 2 and calls["_integral"] <= 2
 
 
-class _Plain(NamedTuple):
-    """A reduced game as plain fraction matrices and labels."""
-
-    A: tuple
-    B: tuple
-    row_labels: tuple
-    column_labels: tuple
-
-
 def _solve_on_fractions(game):
     """The three public stages run on ``game``'s fraction matrices, as
-    solve_variant documents them; returns (reduced, report, log)."""
-    reduced, log = eliminate_strictly_dominated(
-        _Plain(game.A, game.B, game.row_labels, game.column_labels)
-    )
-    if len(reduced.A) == 1 and len(reduced.A[0]) == 1:
+    solve_variant documents them; returns the reduction as
+    ``(A, B, column labels)``, the report and the log."""
+    (rows, cols), log = eliminate_strictly_dominated(game.A, game.B)
+    A, B = (tuple(tuple(M[r][j] for j in cols) for r in rows) for M in (game.A, game.B))
+    if len(rows) == 1 and len(cols) == 1:
         one = MixedStrategy((F(1),))
-        sub = EquilibriumReport(
-            one, one, reduced.A[0][0], reduced.B[0][0], (0,), (0,), "pure", True
-        )
+        sub = EquilibriumReport(one, one, A[0][0], B[0][0], (0,), (0,), "pure", True)
     else:
-        enum = enumerate_nash_2xn(reduced.A, reduced.B)
+        enum = enumerate_nash_2xn(A, B)
         assert enum.complete
         (sub,) = enum.equilibria
 
-    def expand(mix, sub_labels, labels):
-        weights = [F(0)] * len(labels)
-        for w, label in zip(mix.weights, sub_labels):
-            weights[labels.index(label)] = w
+    def expand(mix, indices, n):
+        weights = [F(0)] * n
+        for i, w in zip(indices, mix.weights):
+            weights[i] = w
         return MixedStrategy(tuple(weights))
 
-    row = expand(sub.row_strategy, reduced.row_labels, game.row_labels)
-    col = expand(sub.column_strategy, reduced.column_labels, game.column_labels)
+    row = expand(sub.row_strategy, rows, 2)
+    col = expand(sub.column_strategy, cols, len(game.column_labels))
     report = sub._replace(
         row_strategy=row, column_strategy=col,
         row_support=row.support, column_support=col.support,
     )
     assert verify_equilibrium(game.A, game.B, report)
-    return reduced, report, log
+    return (A, B, tuple(game.column_labels[j] for j in cols)), report, log
 
 
 @st.composite
@@ -183,8 +171,7 @@ def test_the_integer_game_solves_as_the_fraction_matrices_do(case):
     sol = solve_variant(variant, alpha)
     reduced, report, log = _solve_on_fractions(game)
     assert (sol.report, sol.elimination_log) == (report, log)
-    assert (sol.reduced.A, sol.reduced.B) == (reduced.A, reduced.B)
-    assert sol.reduced.column_labels == reduced.column_labels
+    assert (sol.reduced.A, sol.reduced.B, sol.reduced.column_labels) == reduced
 
 
 class TestSolveVariant:

@@ -8,7 +8,6 @@ import time
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
-from typing import NamedTuple
 
 import pytest
 from hypothesis import given, strategies as st
@@ -33,7 +32,7 @@ from baccarat import (
 )
 import baccarat
 from baccarat.montecarlo import simulate
-from baccarat.parametric import find_alpha_star
+from baccarat.parametric import find_alpha_star, solve_variant
 from baccarat.payoff import best_response, build_reduced_game
 from baccarat.punto import mandated_banker_strategy, unfulfilled_demand
 from baccarat.rules import _info_set
@@ -361,20 +360,40 @@ def test_checked_value_types_are_frozen(value):
 @pytest.mark.parametrize(
     "value",
     [
-        BankerStrategy((S,) * len(ALL_INFO_SETS), "all stand"),
-        MixedStrategy((Fraction(1, 3), Fraction(2, 3))),
+        pytest.param(BankerStrategy((S,) * len(ALL_INFO_SETS), "all stand"),
+                     id="BankerStrategy"),
+        pytest.param(MixedStrategy((Fraction(1, 3), Fraction(2, 3))), id="MixedStrategy"),
+        pytest.param(PARLOR, id="parlor"),
+        pytest.param(CLASSIC, id="classic"),
+        pytest.param(MODERN, id="modern"),
+        pytest.param(solve_variant(MODERN, Fraction(1, 20)), id="VariantSolution"),
     ],
-    ids=type,
 )
 def test_checked_value_types_copy_and_pickle(value):
-    """Every slot comes back, the label and the support included."""
-    slots = [*type(value).__slots__]
+    """Every slot comes back, the label and the support included, and a
+    variant's mandates come back read-only; a solution, which holds a
+    variant, comes back equal field by field."""
+    names = getattr(type(value), "__slots__", ()) or value._fields
     for twin in (
         copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))
     ):
         assert type(twin) is type(value)
-        assert [getattr(twin, n) for n in slots] == [getattr(value, n) for n in slots]
-    assert copy.copy(PARLOR) == PARLOR
+        assert [getattr(twin, n) for n in names] == [getattr(value, n) for n in names]
+        if isinstance(value, Variant):
+            with pytest.raises(TypeError):
+                twin.fixed_actions[InfoSet(3, 9)] = S
+
+
+def test_a_strategy_holds_its_actions_as_a_tuple():
+    """A list of actions is copied into a tuple: the strategy hashes, and
+    a later change to the list does not reach it."""
+    source = [S] * len(ALL_INFO_SETS)
+    strat = BankerStrategy(source, "all stand")
+    assert type(strat.actions) is tuple
+    assert hash(strat) == hash(BankerStrategy(tuple(source)))
+    source[0] = "junk"
+    assert strat.actions == (S,) * len(ALL_INFO_SETS)
+    assert strat == BankerStrategy((S,) * len(ALL_INFO_SETS))
 
 
 def test_checked_value_types_keep_their_equality_and_hash():
@@ -559,11 +578,6 @@ def test_every_coup_reports_consistent_fields(cards, row, picks):
 # ---------------------------------------------------------------------------
 
 
-class _Game(NamedTuple):
-    A: tuple
-    B: tuple
-
-
 _B = ((0, 1), (1, 0))
 _HALF = MixedStrategy((Fraction(1, 2), Fraction(1, 2)))
 _REPORT = EquilibriumReport(_HALF, _HALF, 0, 0, (0, 1), (0, 1), "mixed")
@@ -574,7 +588,7 @@ _D5 = PlayerRow.DRAW_ON_5
 _ENTRIES = {
     "MixedStrategy": lambda x: MixedStrategy((x, 1)),
     "eliminate_strictly_dominated": lambda x: eliminate_strictly_dominated(
-        _Game(((x, 0), (0, 1)), _B)
+        ((x, 0), (0, 1)), _B
     ),
     "enumerate_nash_2xn": lambda x: enumerate_nash_2xn(((x, 0), (0, 1)), _B),
     "is_nondegenerate": lambda x: is_nondegenerate(((x, 0), (0, 1)), _B),

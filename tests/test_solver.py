@@ -5,23 +5,23 @@ sweeps of random bimatrix games check the elimination certificates and
 cross-check the support enumeration against a direct scan.
 """
 
+import ast
+import inspect
 import math
 import random
 from fractions import Fraction
 from itertools import combinations
-from typing import NamedTuple
 
 import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
-from baccarat import CLASSIC, MODERN, build_reduced_game
+from baccarat import CLASSIC, MODERN, build_reduced_game, solver
 from baccarat.solver import (
     EquilibriumReport,
     MixedStrategy,
     _envelope,
     _find_dominator,
     _integral,
-    _matrix,
     eliminate_strictly_dominated,
     enumerate_nash_2xn,
     is_nondegenerate,
@@ -30,32 +30,6 @@ from baccarat.solver import (
 from solver_reference import fraction_dominator, fraction_verify, support_equilibria
 
 F = Fraction
-
-
-class LabelledGame(NamedTuple):
-    """A bimatrix for the elimination routine, which takes any NamedTuple
-    with fields ``A`` and ``B`` (the reduced games of the package among
-    them)."""
-
-    A: tuple
-    B: tuple
-    row_labels: tuple
-    column_labels: tuple
-
-
-def Game(A, B=None, row_labels=(), column_labels=()) -> LabelledGame:
-    """A checked :class:`LabelledGame`: ``B`` defaults to ``-A``; labels
-    default to R0.. / C0.."""
-    A = _matrix(A)
-    B = neg(A) if B is None else _matrix(B)
-    if len(B) != len(A) or len(B[0]) != len(A[0]):
-        raise ValueError("A and B must have identical shape")
-    return LabelledGame(
-        A,
-        tuple(map(tuple, B)),
-        row_labels or tuple(f"R{i}" for i in range(len(A))),
-        column_labels or tuple(f"C{j}" for j in range(len(A[0]))),
-    )
 
 
 def neg(M):
@@ -87,25 +61,26 @@ class TestMixedStrategy:
             MixedStrategy((0.5, 0.5))
 
 
+def sub(M, rows, cols):
+    return tuple(tuple(M[r][j] for j in cols) for r in rows)
+
+
 class TestGame:
     def test_zero_sum_default(self):
-        g = Game([[1, -2], [0, 3]])
-        assert g.B == ((-1, 2), (0, -3))
-        assert g.row_labels == ("R0", "R1")
-        assert g.column_labels == ("C0", "C1")
+        """A zero-sum game is the pair (A, -A): the column player's value
+        is minus the row player's, at the mixes that equalise A's rows
+        and columns."""
+        A = [[1, -2], [0, 3]]
+        (eq,) = enumerate_nash_2xn(A, neg(A)).equilibria
+        assert eq.row_strategy.weights == (F(1, 2), F(1, 2))
+        assert eq.column_strategy.weights == (F(5, 6), F(1, 6))
+        assert (eq.row_value, eq.column_value) == (F(1, 2), F(-1, 2))
 
     def test_rejects_ragged_matrices(self):
         with pytest.raises(ValueError):
-            Game([[1, 2], [3]])
+            eliminate_strictly_dominated([[1, 2], [3]], [[1, 2], [3, 4]])
         with pytest.raises(ValueError):
-            Game([[1, 2], [3, 4]], B=[[1, 2, 3], [4, 5, 6]])
-
-
-class _Bimatrix(NamedTuple):
-    """A game with no shape check of its own, as a caller may pass."""
-
-    A: tuple
-    B: tuple
+            eliminate_strictly_dominated([[1, 2], [3, 4]], [[1, 2, 3], [4, 5, 6]])
 
 
 _REPORT = EquilibriumReport(
@@ -122,7 +97,7 @@ _REPORT = EquilibriumReport(
 @pytest.mark.parametrize(
     "routine",
     [
-        lambda A, B: eliminate_strictly_dominated(_Bimatrix(A, B)),
+        eliminate_strictly_dominated,
         is_nondegenerate,
         enumerate_nash_2xn,
         lambda A, B: verify_equilibrium(A, B, _REPORT),
@@ -140,22 +115,41 @@ def test_b_must_have_the_shape_of_a(routine, B):
         routine(((1, 2), (3, 4)), B)
 
 
+def test_every_routine_takes_the_game_as_a_and_b():
+    """The four public routines take a game as its two matrices, first,
+    and the solver reads no caller object's field list and rebuilds none
+    (``MixedStrategy`` still names its own equality key ``_fields``)."""
+    for routine in (
+        eliminate_strictly_dominated, is_nondegenerate, enumerate_nash_2xn,
+        verify_equilibrium,
+    ):
+        assert [*inspect.signature(routine).parameters][:2] == ["A", "B"], routine
+    source = inspect.getsource(solver)
+    reads = {
+        node.attr for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+    }
+    assert not reads & {"_fields", "_replace"}
+    assert "getattr(game" not in source
+
+
 class TestElimination:
     def test_pure_dominance_iterates_to_a_point(self):
-        game, log = eliminate_strictly_dominated(Game([[1, 0], [2, 1]]))
-        assert [list(r) for r in game.A] == [[1]]
+        A = [[1, 0], [2, 1]]
+        (rows, cols), log = eliminate_strictly_dominated(A, neg(A))
+        assert sub(A, rows, cols) == ((1,),)
         assert [s.side for s in log] == ["column", "row"]
-        assert game.row_labels == ("R1",)
-        assert game.column_labels == ("C1",)
+        assert rows == (1,)
+        assert cols == (1,)
 
     def test_mixed_dominator_is_found(self):
         # No single column beats C2, but the even mix of C0 and C1 does.
         A = [[0, 0, 0], [0, 0, 0]]  # row side inert
         B = [[0, 3, 1], [3, 0, 1]]
-        game, log = eliminate_strictly_dominated(Game(A, B=B))
-        assert game.column_labels == ("C0", "C1")
+        (rows, cols), log = eliminate_strictly_dominated(A, B)
+        assert cols == (0, 1)
         (step,) = log
-        assert step.side == "column" and step.label == "C2"
+        assert step.side == "column" and step.index == 2
         assert len(step.dominator_indices) == 2
         # The recorded mixture really does dominate the removed column.
         w = dict(zip(step.dominator_indices, step.dominator_weights))
@@ -164,14 +158,15 @@ class TestElimination:
             assert mixed > B[r][2]
 
     def test_nothing_to_remove(self):
-        g = Game([[1, -1], [-1, 1]])
-        game, log = eliminate_strictly_dominated(g)
+        A = [[1, -1], [-1, 1]]
+        (rows, cols), log = eliminate_strictly_dominated(A, neg(A))
         assert log == ()
-        assert game.A == g.A
+        assert (rows, cols) == ((0, 1), (0, 1))
 
     def test_requires_two_rows(self):
+        A = [[1, 2], [3, 4], [5, 6]]
         with pytest.raises(ValueError):
-            eliminate_strictly_dominated(Game([[1, 2], [3, 4], [5, 6]]))
+            eliminate_strictly_dominated(A, neg(A))
 
     @pytest.mark.parametrize(
         "variant, log_labels, survivors, dominators",
@@ -202,9 +197,11 @@ class TestElimination:
     def test_variant_logs_at_one_twentieth(
         self, variant, log_labels, survivors, dominators
     ):
-        game, log = eliminate_strictly_dominated(build_reduced_game(variant, F(1, 20)))
-        assert [str(step.label) for step in log] == log_labels
-        assert game.column_labels == survivors
+        game = build_reduced_game(variant, F(1, 20))
+        (rows, cols), log = eliminate_strictly_dominated(*game.scaled)
+        labels = {"column": game.column_labels, "row": game.row_labels}
+        assert [str(labels[step.side][step.index]) for step in log] == log_labels
+        assert tuple(game.column_labels[j] for j in cols) == survivors
         assert [(s.dominator_indices, s.dominator_weights) for s in log] == dominators
 
     def test_random_games_certificates_and_survivors(self):
@@ -235,7 +232,7 @@ def _mixed_fraction(rng):
 
 def _check_certificates_and_survivors(A, B):
     n = len(A[0])
-    game, log = eliminate_strictly_dominated(Game(A, B=B))
+    survivors, log = eliminate_strictly_dominated(A, B)
     rows, cols = [0, 1], list(range(n))
     for step in log:
         mix = dict(zip(step.dominator_indices, step.dominator_weights))
@@ -251,8 +248,7 @@ def _check_certificates_and_survivors(A, B):
                 beat = sum(w * A[k][c] for k, w in mix.items())
                 assert beat > A[step.index][c], (A, B, step)
             rows.remove(step.index)
-    assert game.column_labels == tuple(f"C{j}" for j in cols)
-    assert game.row_labels == tuple(f"R{r}" for r in rows)
+    assert survivors == (tuple(rows), tuple(cols))
     for j in cols:
         assert _best_reply_somewhere(B, j, cols, rows), (A, B, j)
 
@@ -550,11 +546,9 @@ def test_enumeration_and_elimination_match_the_reference(game):
     assert res.complete
     reference = support_equilibria(A, B)
     assert _as_tuples(res.equilibria) == reference
-    reduced, _ = eliminate_strictly_dominated(Game(A, B=B))
-    rows = [int(label[1:]) for label in reduced.row_labels]
-    cols = [int(label[1:]) for label in reduced.column_labels]
+    (rows, cols), _ = eliminate_strictly_dominated(A, B)
     expanded = set()
-    for x, y, u, v in support_equilibria(reduced.A, reduced.B):
+    for x, y, u, v in support_equilibria(sub(A, rows, cols), sub(B, rows, cols)):
         full_x, full_y = [F(0)] * 2, [F(0)] * len(A[0])
         for r, w in zip(rows, x):
             full_x[r] = w
