@@ -293,6 +293,7 @@ def _cmd_simulate(ns) -> dict:
     variant = _VARIANTS[ns.variant]
     alpha = ns.alpha if ns.alpha is not None else _DEFAULT_ALPHA[ns.variant]
     montecarlo._check_hands(ns.hands)
+    montecarlo._check_seed(ns.seed)
     sol = parametric.solve_variant(variant, alpha)
     row_mix, banker_mix = montecarlo.equilibrium_profile(sol)
     if ns.player_p is not None:

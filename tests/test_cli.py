@@ -112,6 +112,31 @@ def test_json_reports_are_byte_identical_to_the_pinned_ones(cli, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS[argv]
 
 
+#: The same for the three ``simulate`` commands of the seed-0 benchmark
+#: script, at 20 000 hands, and one with a fixed Player mix.  A faster
+#: simulation loop must consume the same variates in the same order.
+PINNED_SIMULATE_REPORTS = {
+    ("simulate", "--variant", "modern", "--alpha", "1489/4747",
+     "--hands", "20000", "--seed", "1238733488"):
+        "e237270eb57dbbc4b8fdb3a276317dbbe0a34c22c2ff7cda28b13139b54404fe",
+    ("simulate", "--variant", "parlor", "--hands", "20000", "--seed", "1332217461"):
+        "15692198317f9148bbdaa42afce78e713b1f6b9e426c5d169f04440832fa7978",
+    ("simulate", "--variant", "classic", "--alpha", "74/2623",
+     "--hands", "20000", "--seed", "495895151"):
+        "305e5309c2c367897e03b0b7b1742f1a9b18d42b633f6c00745713311fbda44b",
+    ("simulate", "--variant", "classic", "--alpha", "1/20", "--player-p", "1/3",
+     "--hands", "20000", "--seed", "7"):
+        "58ef71841afa09b7e5e3501a014f6a727e58cec039f2ec77b0bd32c0217b63f5",
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_SIMULATE_REPORTS), ids=" ".join)
+def test_simulate_reports_are_byte_identical_to_the_pinned_ones(cli, argv):
+    code, out, err = cli(*argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SIMULATE_REPORTS[argv]
+
+
 def test_csv_and_json_same_content(cli):
     _, json_out, _ = cli("punto", "--format", "json")
     _, csv_out, _ = cli("punto", "--format", "csv")
@@ -293,6 +318,15 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert solve_calls == []  # rejected before any solve
+
+    def test_negative_seed_is_refused(self, cli, solve_calls):
+        """It would silently replay the run of its absolute value."""
+        code, out, err = cli(
+            "simulate", "--variant", "modern", "--hands", "1000", "--seed", "-5"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: seed must be an integer >= 0, got -5\n"
         assert solve_calls == []  # rejected before any solve
 
     @pytest.mark.parametrize(

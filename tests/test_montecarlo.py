@@ -6,12 +6,13 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import ceil, sqrt
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed as fixed_seed, settings, strategies as st
 
 import baccarat
 from baccarat import (
@@ -142,6 +143,51 @@ def test_bad_hand_counts():
         run_modern(10**7 + 1, 1)
     with pytest.raises(ValueError):
         run_modern(F(1, 2), 1)
+    with pytest.raises(ValueError):
+        run_modern(True, 1)
+
+
+@pytest.mark.parametrize("bad", [-5, -1, 1.5, "x", None, True, False])
+def test_seeds_other_than_integers_from_zero_are_refused(bad):
+    """random.Random seeds with |seed|, so -5 would silently replay 5."""
+    with pytest.raises(ValueError, match="seed"):
+        run_modern(1000, bad)
+
+
+@fixed_seed(20261019)
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.one_of(
+        st.sampled_from([F(0), F(1)]),
+        st.tuples(st.integers(0, 2**60), st.integers(1, 2**60)).map(
+            lambda nd: F(min(nd), max(nd))
+        ),
+    ),
+)
+def test_prescaled_threshold_comparison_is_exact(p):
+    """For the draws m / 2**53 of random() around the threshold, the float
+    comparison the loop makes equals the integer one and the exact one."""
+    c = ceil(p * 2**53)
+    threshold = montecarlo._exact_threshold(p)
+    assert threshold * 2**53 == c
+    for m in (0, c - 1, c, c + 1, 2**53 - 1):
+        if 0 <= m < 2**53:
+            u = m * 2.0**-53
+            assert (u < threshold) == (u * 2**53 < c) == (m < c) == (F(m, 2**53) < p)
+
+
+def test_a_warm_call_allocates_little():
+    """No per-key table of Python objects: a warm 20 000-hand call peaks
+    at the three 20 KB bytes copies of the outcome table and little more."""
+    row, mix = equilibrium_profile(solve_variant(CLASSIC, A))
+    simulate(CLASSIC, row, mix, A, 100, 0)
+    tracemalloc.start()
+    try:
+        simulate(CLASSIC, row, mix, A, 20000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 1024
 
 
 def test_float_alpha_rejected():
