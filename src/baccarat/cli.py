@@ -294,10 +294,12 @@ def _cmd_simulate(ns) -> dict:
     alpha = ns.alpha if ns.alpha is not None else _DEFAULT_ALPHA[ns.variant]
     montecarlo._check_hands(ns.hands)
     montecarlo._check_seed(ns.seed)
+    p = ns.player_p
+    if p is not None and not 0 <= p <= 1:
+        raise ValueError(f"--player-p must be in [0, 1], got {p}")
     sol = parametric.solve_variant(variant, alpha)
     row_mix, banker_mix = montecarlo.equilibrium_profile(sol)
-    if ns.player_p is not None:
-        p = Fraction(ns.player_p)
+    if p is not None:
         row_mix = MixedStrategy((1 - p, p))
     result = montecarlo.simulate(
         variant, row_mix, banker_mix, alpha, ns.hands, ns.seed

@@ -119,9 +119,10 @@ class VariantSolution(NamedTuple):
     """A fully solved variant at one commission rate.
 
     ``report`` is stated over the *unreduced* strategic form (every
-    Banker column of the variant), and has been re-verified there; the
-    reduction that produced it, and its audit log, which names strategies
-    by their index in ``game``, ride along.
+    Banker column of the variant), and has been re-verified there;
+    ``reduced`` is the 2 x n residual it was enumerated on (both rows,
+    the surviving columns), and the log names strategies by their index
+    in ``game``.
     """
 
     variant: Variant
@@ -163,56 +164,36 @@ class VariantSolution(NamedTuple):
         )
 
 
-def _expand_weights(strategy, indices, n) -> MixedStrategy:
-    weights = [_ZERO] * n
-    for i, w in zip(indices, strategy.weights):
-        weights[i] = w
-    return MixedStrategy(weights)
-
-
 def solve_variant(variant: Variant, alpha=0) -> VariantSolution:
     """Reduce, solve, and independently verify one variant at one rate.
 
     Strict-dominance elimination never creates or destroys equilibria,
-    so solving the residual solves the variant; if the residual is a
-    single profile, strictness alone certifies it as the unique
-    equilibrium.  Whatever is found is re-checked by
-    :func:`baccarat.solver.verify_equilibrium` on the unreduced game
-    before being returned.  A rate the variant accepts but at which the
-    residual game is degenerate, or has more than one equilibrium,
-    raises ``ValueError``: uniqueness is then not certified.
+    so solving the residual solves the variant: both Player rows against
+    the surviving columns (a fallen row stays strictly dominated there).
+    Support enumeration lists its equilibria and a nondegeneracy check
+    certifies the list complete; the one found is re-checked by
+    :func:`baccarat.solver.verify_equilibrium` on the unreduced game.  A
+    rate the variant accepts but at which the residual game is
+    degenerate, or has more than one equilibrium, raises ``ValueError``:
+    uniqueness is then not certified.
     """
     game = build_reduced_game(variant, alpha)
-    (rows, cols), log = eliminate_strictly_dominated(*game.scaled)
+    (_, cols), log = eliminate_strictly_dominated(*game.scaled)
     reduced = game._replace(
-        row_labels=tuple(game.row_labels[r] for r in rows),
         column_labels=tuple(game.column_labels[j] for j in cols),
         columns=tuple(game.columns[j] for j in cols),
-        scaled=tuple(M.submatrix(rows, cols) for M in game.scaled),
+        scaled=tuple(M.submatrix(cols) for M in game.scaled),
     )
-    m, n = len(rows), len(cols)
-    if m == 1 and n == 1:
-        one = MixedStrategy.pure(0, 1)
-        sub = EquilibriumReport(
-            row_strategy=one, column_strategy=one,
-            row_value=reduced.A[0][0], column_value=reduced.B[0][0],
-            row_support=(0,), column_support=(0,), kind="pure", unique=True,
+    enum = enumerate_nash_2xn(*reduced.scaled)
+    if not enum.complete or len(enum.equilibria) != 1:
+        raise ValueError(
+            f"variant {variant.name!r} at alpha={game.alpha} has no unique "
+            f"equilibrium (residual game 2x{len(cols)} after elimination)"
         )
-    else:
-        enum = enumerate_nash_2xn(*reduced.scaled) if m == 2 else None
-        if enum is None or not enum.complete or len(enum.equilibria) != 1:
-            raise ValueError(
-                f"variant {variant.name!r} at alpha={game.alpha} has no "
-                f"unique equilibrium (residual game {m}x{n} after "
-                f"elimination)"
-            )
-        sub = enum.equilibria[0]
-    row = _expand_weights(sub.row_strategy, rows, 2)
-    col = _expand_weights(sub.column_strategy, cols, len(game.columns))
-    report = sub._replace(
-        row_strategy=row, column_strategy=col,
-        row_support=row.support, column_support=col.support,
-    )
+    (sub,) = enum.equilibria
+    weights = dict(zip(cols, sub.column_strategy.weights))
+    col = MixedStrategy([weights.get(j, _ZERO) for j in range(len(game.columns))])
+    report = sub._replace(column_strategy=col, column_support=col.support)
     if not verify_equilibrium(*game.scaled, report):
         raise AssertionError(
             f"solved profile failed verification on the full "

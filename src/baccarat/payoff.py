@@ -397,9 +397,10 @@ def _outcome_table() -> tuple[memoryview, memoryview, memoryview]:
     its block, and one that read one fills the rest of its ``c4`` row of
     ten: 10 192 calls instead of one or two per leaf.
 
-    The three byte arrays are filled in place and handed out as
-    read-only views, not copied to ``bytes``: a copy would double the
-    table's memory while it is built, and that moves peak RSS.
+    The three byte arrays are filled in place and cached as read-only
+    views, not copied: a copy would double the table's memory while it
+    is built, and that moves peak RSS.  ``montecarlo.simulate`` copies
+    them to ``bytes`` (3 x 20 KB) on each call, for its per-hand loop.
     """
     all_stand = BankerStrategy((Action.STAND,) * len(ALL_INFO_SETS))
     all_draw = BankerStrategy((Action.DRAW,) * len(ALL_INFO_SETS))

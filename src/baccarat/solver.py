@@ -81,9 +81,9 @@ class _Scaled(tuple):
         scale, rows = self
         return tuple(tuple(Fraction(x, scale) for x in row) for row in rows)
 
-    def submatrix(self, rows, columns) -> "_Scaled":
+    def submatrix(self, columns) -> "_Scaled":
         scale, M = self
-        return _Scaled((scale, tuple(tuple(M[r][j] for j in columns) for r in rows)))
+        return _Scaled((scale, tuple(tuple(row[j] for j in columns) for row in M)))
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -200,7 +200,7 @@ def _envelope(M, cols, lo=0, hi=1):
     is a best reply somewhere in ``[lo, hi]`` exactly when it is one at
     a breakpoint.  Returns ``(p, best)`` for each breakpoint in
     increasing p, ``best`` being the columns of ``cols`` on top there,
-    in index order.
+    in index order; p is the shared ``_ZERO`` or ``_ONE`` at the ends.
     """
     lines = [(j, M[0][j], M[1][j] - M[0][j]) for j in cols]
     points = []
@@ -209,7 +209,8 @@ def _envelope(M, cols, lo=0, hi=1):
         values = [a * den + s * num for _, a, s in lines]
         height = max(values)
         top = [line for line, v in zip(lines, values) if v == height]
-        points.append((Fraction(num, den), tuple(j for j, _, _ in top)))
+        p = _ZERO if num == 0 else _ONE if num == den else Fraction(num, den)
+        points.append((p, tuple(j for j, _, _ in top)))
         if num == hi * den:
             return points
         _, a0, s0 = max(top, key=lambda line: line[2])

@@ -149,7 +149,7 @@ def test_criterion_05_classic_solution():
 
 
 def test_criterion_06_modern_solution():
-    with criterion(6, "modern at 1/20: unique pure equilibrium and values"):
+    with criterion(6, "modern at 1/20: unique pure equilibrium, values, nondegenerate"):
         a = F(1, 20)
         sol = solve_variant(MODERN, a)
         assert sol.report.kind == "pure"
@@ -161,6 +161,8 @@ def test_criterion_06_modern_solution():
         assert abs(float(sol.player_value) - (-0.0122814)) <= 1e-7
         assert abs(float(sol.banker_value) - (-0.0106400)) <= 1e-7
         assert sol.banker_value == F(8, D6) * (7410 - 276593 * a)
+        ok, witness = is_nondegenerate(sol.reduced.A, sol.reduced.B)
+        assert ok and witness is None
 
 
 def test_criterion_07_breakeven_commission_bracket():

@@ -112,6 +112,27 @@ def test_json_reports_are_byte_identical_to_the_pinned_ones(cli, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS[argv]
 
 
+#: The sha256 of the default ``--format text`` report and of the ``csv``
+#: one, for a solve whose residual has a fallen row and one without.
+PINNED_TEXT_AND_CSV_REPORTS = {
+    ("solve", "modern", "--alpha", "101/700", "--format", "text"):
+        "ec0475c66ac4545a21731cde9ca6a247b4122d1027249c259eb87a444bc0b3ab",
+    ("solve", "modern", "--alpha", "101/700", "--format", "csv"):
+        "07b8a55c8221e200f72651fb75429e4290eec95fb1e34b5afa42ac5dd1323bbd",
+    ("solve", "classic", "--alpha", "1/20", "--format", "text"):
+        "71e5c71e8d77e037540baa5284fb3400a914cd48d69d48720ee4b984e28371e8",
+    ("solve", "classic", "--alpha", "1/20", "--format", "csv"):
+        "6db89d03a1f3557f60454b630f6eb0541f5dfbd93fa284d9f488f8870b8bfe2e",
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_TEXT_AND_CSV_REPORTS), ids=" ".join)
+def test_text_and_csv_reports_are_byte_identical_to_the_pinned_ones(cli, argv):
+    code, out, err = cli(*argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_TEXT_AND_CSV_REPORTS[argv]
+
+
 #: The same for the three ``simulate`` commands of the seed-0 benchmark
 #: script, at 20 000 hands, and one with a fixed Player mix.  A faster
 #: simulation loop must consume the same variates in the same order.
@@ -327,6 +348,16 @@ class TestExitCodes:
         )
         assert (code, out) == (2, "")
         assert err == "error: seed must be an integer >= 0, got -5\n"
+        assert solve_calls == []  # rejected before any solve
+
+    @pytest.mark.parametrize("p", ["2", "-1/3", "1.5"])
+    def test_player_p_out_of_range_is_refused(self, cli, solve_calls, p):
+        code, out, err = cli(
+            "simulate", "--variant", "classic", "--hands", "100", "--seed", "1",
+            "--player-p", p,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: --player-p must be in [0, 1], got {F(p)}\n"
         assert solve_calls == []  # rejected before any solve
 
     @pytest.mark.parametrize(

@@ -65,7 +65,7 @@ def _fractions_built(call) -> int:
 
 @pytest.mark.parametrize(
     "variant, alpha, most",
-    [(CLASSIC, F(37, 1234), 29), (MODERN, F(101, 700), 11)],
+    [(CLASSIC, F(37, 1234), 25), (MODERN, F(101, 700), 8)],
     ids=["classic", "modern"],
 )
 def test_a_warm_solve_builds_fractions_only_for_what_it_reports(variant, alpha, most):
@@ -73,22 +73,23 @@ def test_a_warm_solve_builds_fractions_only_for_what_it_reports(variant, alpha, 
     envelope's breakpoints, the dominator and equilibrium weights and the
     reported values, and no fraction of the game itself (136 and 35 when
     each stage took the game as fractions, 681 and 135 when the stages
-    summed in fractions)."""
+    summed in fractions; 29 and 11 when the envelope built its two ends
+    afresh and the modern 1x1 residual skipped the enumeration)."""
     solve_variant(variant, alpha)
     assert _fractions_built(lambda: solve_variant(variant, alpha)) <= most
 
 
 @pytest.mark.parametrize(
-    "variant, alpha, enumerations",
-    [(CLASSIC, F(37, 1234), 1), (MODERN, F(101, 700), 0)],
+    "variant, alpha",
+    [(CLASSIC, F(37, 1234)), (MODERN, F(101, 700))],
     ids=["classic", "modern"],
 )
-def test_a_warm_solve_runs_each_stage_once_on_one_scaled_game(
-    monkeypatch, variant, alpha, enumerations
-):
+def test_a_warm_solve_runs_each_stage_once_on_one_scaled_game(monkeypatch, variant, alpha):
     """solve_variant reaches its stages through the public names it
     imports, once each, and checks and scales the unreduced matrices at
-    most once: the reduced game hands them over in integers."""
+    most once: the reduced game hands them over in integers.  The modern
+    game, whose residual is one column after a Player row falls, runs
+    the enumeration too."""
     solve_variant(variant, alpha)
     calls = collections.Counter()
 
@@ -108,15 +109,16 @@ def test_a_warm_solve_runs_each_stage_once_on_one_scaled_game(
     count(solver, "_integral", lambda M: len(M) == 2)
     solve_variant(variant, alpha)
     assert calls["eliminate_strictly_dominated"] == 1
-    assert calls["enumerate_nash_2xn"] == enumerations
+    assert calls["enumerate_nash_2xn"] == 1
     assert calls["verify_equilibrium"] == 1
     assert calls["_matrix"] <= 2 and calls["_integral"] <= 2
 
 
 def _solve_on_fractions(game):
-    """The three public stages run on ``game``'s fraction matrices, as
-    solve_variant documents them; returns the reduction as
-    ``(A, B, column labels)``, the report and the log."""
+    """The three public stages run on ``game``'s fraction matrices, with
+    a 1x1 residual certified by strictness alone; returns the reduction
+    as ``(A, B, column labels)``, both rows against the surviving
+    columns, the report and the log."""
     (rows, cols), log = eliminate_strictly_dominated(game.A, game.B)
     A, B = (tuple(tuple(M[r][j] for j in cols) for r in rows) for M in (game.A, game.B))
     if len(rows) == 1 and len(cols) == 1:
@@ -140,6 +142,7 @@ def _solve_on_fractions(game):
         row_support=row.support, column_support=col.support,
     )
     assert verify_equilibrium(game.A, game.B, report)
+    A, B = (tuple(tuple(line[j] for j in cols) for line in M) for M in (game.A, game.B))
     return (A, B, tuple(game.column_labels[j] for j in cols)), report, log
 
 
@@ -162,7 +165,9 @@ def _accepted_rates(draw):
 def test_the_integer_game_solves_as_the_fraction_matrices_do(case):
     """The integer form the reduced game carries is its public A and B
     times their scales, and solve_variant's report and log equal those
-    of the public routines run on the plain fraction matrices."""
+    of the public routines run on the plain fraction matrices.  Its
+    2 x n residual has exactly one equilibrium, certified complete, and
+    that equilibrium, placed at the surviving columns, is the report."""
     variant, alpha = case
     game = build_reduced_game(variant, alpha)
     for M, (scale, ints) in zip((game.A, game.B), game.scaled):
@@ -172,6 +177,15 @@ def test_the_integer_game_solves_as_the_fraction_matrices_do(case):
     reduced, report, log = _solve_on_fractions(game)
     assert (sol.report, sol.elimination_log) == (report, log)
     assert (sol.reduced.A, sol.reduced.B, sol.reduced.column_labels) == reduced
+    enum = enumerate_nash_2xn(sol.reduced.A, sol.reduced.B)
+    assert enum.complete
+    (eq,) = enum.equilibria
+    surviving = [game.column_labels.index(c) for c in sol.reduced.column_labels]
+    weights = [F(0)] * len(game.column_labels)
+    for j, w in zip(surviving, eq.column_strategy.weights):
+        weights[j] = w
+    assert MixedStrategy(weights) == sol.report.column_strategy
+    assert eq.row_strategy == sol.report.row_strategy
 
 
 class TestSolveVariant:
