@@ -23,7 +23,6 @@ import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cache
-from pathlib import Path
 
 from . import montecarlo, parametric, punto
 from .payoff import build_reduced_game, classify_info_sets, oracle_payoff_entry
@@ -488,7 +487,8 @@ def run(argv=None) -> int:
     sys.stdout.write(text)
     if ns.out:
         try:
-            Path(ns.out).write_text(text)
+            with open(ns.out, "w") as f:
+                f.write(text)
         except OSError as exc:
             print(f"error: cannot write {ns.out}: {exc}", file=sys.stderr)
             return 2

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .payoff import oracle_outcome_distribution
 from .rules import (
@@ -84,7 +84,7 @@ def punto_report() -> PuntoReport:
 
 
 def unfulfilled_demand(
-    stakes: Sequence, banker_offer
+    stakes: Iterable, banker_offer
 ) -> tuple[Fraction, Fraction]:
     """Bet volume matched, and left unmatched, at a capped bank.
 
@@ -93,8 +93,14 @@ def unfulfilled_demand(
     for the smaller side, so ``matched = min(sum(stakes), banker_offer)``
     and ``unfulfilled`` is the excess of the longer side -- unmet bettor
     demand when the bank is short, idle bank when bettors are.  All
-    amounts must be positive exact numbers; an empty table is an error.
+    amounts must be positive exact numbers; an empty table is an error,
+    and so is a string, whose characters are not stakes.
     """
+    if isinstance(stakes, (str, bytes)):
+        raise TypeError(
+            f"stakes must be a sequence of amounts, not {type(stakes).__name__}"
+        )
+    stakes = tuple(stakes)
     if not stakes:
         raise ValueError("stakes must be a nonempty sequence of positive amounts")
     total = Fraction(0)

@@ -198,10 +198,16 @@ _MAX_DECIMAL = 10_000
 
 def _coerce_rational(x, name: str) -> Fraction:
     """The one conversion of an outside number to an exact ``Fraction``:
-    a ``Fraction`` passes as it is, a float raises ``TypeError``, and an
-    infinity, a NaN or an overlong decimal ``ValueError``."""
+    a ``Fraction`` passes as it is, a float or a bool raises
+    ``TypeError``, and an infinity, a NaN or an overlong decimal
+    ``ValueError``."""
     if type(x) is Fraction:
         return x
+    if isinstance(x, bool):
+        raise TypeError(
+            f"{name} must be a number (int, Fraction, Decimal or string), "
+            f"not a bool -- got {x!r}"
+        )
     if isinstance(x, float):
         raise TypeError(
             f"{name} must be exact (int, Fraction, Decimal or string); floats "

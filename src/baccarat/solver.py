@@ -18,16 +18,17 @@ the envelope is linear.  Each routine reads a matrix as a positive scale
 and the integer matrix equal to the matrix times it (:class:`_Scaled`);
 a positive scale moves no breakpoint, best reply or dominator weight.
 So vertices come from a hull walk on integer lines, weights from integer
-cuts and differences, and an equilibrium is checked by integer payoffs:
-fractions are built only for what is reported.
+slopes and differences, and an equilibrium is checked by integer
+payoffs: fractions are built only for what is reported.
 
 * :func:`eliminate_strictly_dominated` -- iterated elimination with a
   full audit log, returning the indices of the surviving rows and
   columns.  A column is strictly dominated by a mixture exactly
   when it is a best reply to no row mix (Pearce, 1984), so one envelope
-  pass decides every column at once.  Each removal is logged with a pure
-  or two-point dominator over the survivors, which always exists when
-  the payoff vectors live in the plane.
+  pass decides every column at once, and the same breakpoints certify
+  each removal: a survivor that beats it on every alive row, or else the
+  two lines meeting at the vertex where the envelope first grows steeper
+  than it, mixed to run parallel to it.
 
 * :func:`enumerate_nash_2xn` -- support enumeration for bimatrix games,
   with a degeneracy check.  On a nondegenerate game the enumeration is
@@ -198,9 +199,11 @@ def _envelope(M, cols, lo=0, hi=1):
     breakpoint is the nearest crossing to the right by a steeper line.
     The envelope is linear between consecutive breakpoints, so a column
     is a best reply somewhere in ``[lo, hi]`` exactly when it is one at
-    a breakpoint.  Returns ``(p, best)`` for each breakpoint in
-    increasing p, ``best`` being the columns of ``cols`` on top there,
-    in index order; p is the shared ``_ZERO`` or ``_ONE`` at the ends.
+    a breakpoint; at each one the least and the steepest line on top
+    carry the envelope in from the left and out to the right.  Returns
+    ``(p, best)`` for each breakpoint in increasing p, ``best`` being the
+    columns of ``cols`` on top there, in index order; p is the shared
+    ``_ZERO`` or ``_ONE`` at the ends.
     """
     lines = [(j, M[0][j], M[1][j] - M[0][j]) for j in cols]
     points = []
@@ -221,44 +224,6 @@ def _envelope(M, cols, lo=0, hi=1):
                 num, den = a0 - a, s - s0
 
 
-def _find_dominator(vectors, j, alive):
-    """A pure or two-point mixed strict dominator of ``vectors[j]``.
-
-    ``vectors[i]`` is pure strategy i's integer payoff against each
-    opposing pure strategy in turn.  Returns (indices, weights) or None.
-    A pair (k, l) mixed with weight t on k beats ``vectors[j]`` at a
-    coordinate (x, y, z) of (j, k, l) on the open half-line
-    ``t * (y - z) > x - z``, so it dominates on the open stretch between
-    the tightest lower and the tightest upper end of those half-lines,
-    within ``(0, 1)``; the first pair with a nonempty stretch is
-    returned with its midpoint.  That search is exhaustive, so for
-    payoff vectors of length one or two it is a complete test.
-    Elimination decides which columns fall by the envelope and calls
-    this only to build each removal's certificate, and to test rows.
-    """
-    vj = vectors[j]
-    others = [k for k in alive if k != j]
-    for k in others:
-        if all(a > b for a, b in zip(vectors[k], vj)):
-            return (k,), (_ONE,)
-    for k, l in combinations(others, 2):
-        ln, ld, un, ud = 0, 1, 1, 1  # t lies in (ln / ld, un / ud)
-        for x, y, z in zip(vj, vectors[k], vectors[l]):
-            if y > z:  # t > (x - z) / (y - z)
-                if (x - z) * ld > ln * (y - z):
-                    ln, ld = x - z, y - z
-            elif y < z:  # t < (z - x) / (z - y)
-                if (z - x) * ud < un * (z - y):
-                    un, ud = z - x, z - y
-            elif z <= x:
-                break
-        else:
-            if ln * ud < un * ld:
-                t = Fraction(ln * ud + un * ld, 2 * ld * ud)
-                return (k, l), (t, 1 - t)
-    return None
-
-
 def eliminate_strictly_dominated(A, B):
     """Iterated strict-dominance elimination of a 2 x n game; returns
     ``((rows, columns), log)``.
@@ -266,10 +231,15 @@ def eliminate_strictly_dominated(A, B):
     ``rows`` and ``columns`` are the indices of the surviving strategies,
     in increasing order, and ``log`` the removals in the order made.  The
     columns that are a best reply under ``B`` at no breakpoint of the
-    alive rows' envelope fall together, logged in index order, each with
-    a dominator found among the survivors.  A row falls when the other
-    row is strictly better under ``A`` on every surviving column; the
-    columns are then decided once more against the remaining row.
+    alive rows' envelope fall together, logged in index order.  Each is
+    certified by the first survivor that beats it on every alive row,
+    else by the least and the steepest line on top at the first
+    breakpoint where the envelope grows steeper than the fallen column,
+    in increasing index order and mixed to have that column's slope:
+    the mix touches the envelope there, so it lies above the column by
+    one positive margin on both rows.  A row falls when the other row is
+    strictly better under ``A`` on every surviving column; the columns
+    are then decided once more against the remaining row.
     Strict elimination never removes any equilibrium strategy, so
     solving the game the survivors span solves the game.
     """
@@ -278,28 +248,43 @@ def eliminate_strictly_dominated(A, B):
     cols_alive = list(range(len(A[0])))
     log: list[EliminationStep] = []
 
+    def slope(j):
+        return B[1][j] - B[0][j]
+
     while True:
         points = _envelope(B, cols_alive, rows_alive[0], rows_alive[-1])
         best = {j for _, top in points for j in top}
         survivors = [j for j in cols_alive if j in best]
-        col_vectors = {j: tuple(B[r][j] for r in rows_alive) for j in cols_alive}
         for j in cols_alive:
-            if j not in best:
-                dom = _find_dominator(col_vectors, j, survivors)
-                if dom is None:  # pragma: no cover - Pearce's lemma forbids it
-                    raise AssertionError(f"column {j} fell without a dominator")
-                log.append(EliminationStep("column", j, *dom))
+            if j in best:
+                continue
+            k = next((k for k in survivors
+                      if all(B[r][k] > B[r][j] for r in rows_alive)), None)
+            if k is not None:
+                log.append(EliminationStep("column", j, (k,), (_ONE,)))
+                continue
+            # The envelope less j's line is convex and positive.  With no
+            # pure dominator two rows are alive, and at the first
+            # breakpoint where the envelope grows steeper than j its
+            # least and steepest top lines have s(lo) < s(j) < s(hi):
+            # at p = 0, or with s(lo) = s(j), one line would beat j alone.
+            for _, top in points:
+                hi = max(top, key=slope)
+                if slope(hi) > slope(j):
+                    break
+            lo = min(top, key=slope)
+            t = Fraction(slope(j) - slope(lo), slope(hi) - slope(lo))
+            pair = sorted(((lo, 1 - t), (hi, t)))
+            log.append(EliminationStep("column", j, *zip(*pair)))
         cols_alive = survivors
 
-        row_vectors = {r: tuple(A[r][j] for j in cols_alive) for r in rows_alive}
-        for r in rows_alive:
-            dom = _find_dominator(row_vectors, r, rows_alive)
-            if dom is not None:
-                log.append(EliminationStep("row", r, *dom))
-                rows_alive.remove(r)
-                break
-        else:
+        fallen = [r for r in rows_alive if len(rows_alive) == 2
+                  and all(A[1 - r][j] > A[r][j] for j in cols_alive)]
+        if not fallen:
             return (tuple(rows_alive), tuple(cols_alive)), tuple(log)
+        (r,) = fallen
+        log.append(EliminationStep("row", r, (1 - r,), (_ONE,)))
+        rows_alive.remove(r)
 
 
 class DegeneracyWitness(NamedTuple):

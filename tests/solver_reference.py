@@ -1,12 +1,13 @@
 """The 2 x n solver's stages worked in fractions: references for its integers.
 
 Nothing here imports from ``baccarat.solver``.  ``fraction_dominator``
-and ``fraction_verify`` are the fraction forms of the solver's dominator
-search and verifier that its integer versions replaced; the tests
-compare the two quantity by quantity.  ``support_equilibria`` is an
-independent support enumeration (von Stengel 2007; Avis, Rosenberg,
-Savani & von Stengel 2010): for a nondegenerate game it finds every
-equilibrium.
+is an independent pairwise dominator search, against which the tests
+check which columns elimination removes and which removals it certifies
+with a pure strategy; ``fraction_verify`` is the fraction form of the
+verifier that its integer version replaced, compared quantity by
+quantity.  ``support_equilibria`` is an independent support enumeration
+(von Stengel 2007; Avis, Rosenberg, Savani & von Stengel 2010): for a
+nondegenerate game it finds every equilibrium.
 """
 
 from fractions import Fraction
@@ -16,10 +17,15 @@ F = Fraction
 
 
 def fraction_dominator(vectors, j, alive):
-    """A pure or two-point strict dominator of ``vectors[j]``, as
-    (indices, weights) or None: every cut ``(x - z) / (y - z)`` of a pair
-    (k, l) inside (0, 1), and the midpoints between cuts, are probed in
-    increasing order."""
+    """A pure or two-point strict dominator of ``vectors[j]`` among
+    ``alive``, as (indices, weights) or None.
+
+    The first alive vector that beats ``vectors[j]`` everywhere is
+    returned if there is one.  Otherwise each pair (k, l) is tried in
+    turn: every cut ``(x - z) / (y - z)`` inside (0, 1), and the
+    midpoints between cuts, are probed in increasing order.  The search
+    reads no envelope, so for vectors of length one or two it decides
+    dominance independently of the solver."""
     vj = vectors[j]
     others = [k for k in alive if k != j]
     for k in others:

@@ -191,12 +191,13 @@ def test_module_entry_point_runs_the_cli():
 def test_the_cli_imports_without_dataclasses_or_inspect():
     """Every command pays the import of ``baccarat.cli``; ``dataclasses``,
     with ``inspect``, ``ast`` and ``dis`` behind it, and the methods it
-    generated once cost more than half of it.  ``-S`` keeps the ``.pth``
-    hooks of site-packages out of the run."""
+    generated once cost more than half of it.  ``pathlib`` brings
+    ``urllib.parse`` and ``ipaddress`` for one file write.  ``-S`` keeps
+    the ``.pth`` hooks of site-packages out of the run."""
     src = str(Path(baccarat.__file__).resolve().parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import baccarat.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'pathlib'} & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60

@@ -89,3 +89,9 @@ class TestUnfulfilledDemand:
             unfulfilled_demand([1.5], 5)
         with pytest.raises(TypeError):
             unfulfilled_demand([1], 5.0)
+        for stakes in ("12", b"12"):
+            with pytest.raises(TypeError, match="sequence of amounts"):
+                unfulfilled_demand(stakes, 5)
+        with pytest.raises(ValueError, match="nonempty"):
+            unfulfilled_demand(iter([]), 5)
+        assert unfulfilled_demand(iter([1, 2]), 5) == (3, 2)

@@ -142,8 +142,9 @@ class TestVariants:
         assert CLASSIC.check_alpha("1/20") == Fraction(1, 20)
         rate = Fraction(1, 20)
         assert CLASSIC.check_alpha(rate) is rate
-        with pytest.raises(TypeError):
-            CLASSIC.check_alpha(0.05)
+        for x in (0.05, False):
+            with pytest.raises(TypeError):
+                CLASSIC.check_alpha(x)
         with pytest.raises(ValueError):
             CLASSIC.check_alpha(Fraction(1, 10))
         assert MODERN.check_alpha(Fraction(1, 3)) == Fraction(1, 3)
@@ -209,8 +210,9 @@ class TestVariants:
         assert v.check_alpha(Fraction(99, 100)) == Fraction(99, 100)
 
     def test_alpha_bound_rejected(self):
-        with pytest.raises(TypeError):
-            Variant("flt", STARRED_CELLS, {}, 0.5)
+        for bound in (0.5, True):
+            with pytest.raises(TypeError):
+                Variant("flt", STARRED_CELLS, {}, bound)
         for bound in (-1, 2, "3/2"):
             with pytest.raises(ValueError, match="alpha_bound"):
                 Variant("bad", STARRED_CELLS, {}, bound)
@@ -622,6 +624,8 @@ def test_every_entry_refuses_an_overlong_number_at_once(entry, x):
 def test_every_entry_refuses_a_float(entry):
     with pytest.raises(TypeError, match="floats are rejected"):
         _ENTRIES[entry](0.5)
+    with pytest.raises(TypeError, match="not a bool"):
+        _ENTRIES[entry](True)
 
 
 def test_cell_keys_read_as_the_canonical_info_set():
@@ -665,3 +669,12 @@ def test_only_the_gate_tests_for_floats():
         tree = ast.parse(path.read_text(), str(path))
         holders += [f"{path.stem}.{name}" for name in _float_tests(tree)]
     assert sorted(holders) == ["cli._render_csv", "rules._coerce_rational"]
+
+
+def test_every_module_parses_at_the_oldest_supported_python():
+    """The package declares ``requires-python = ">=3.10"``: every module
+    must parse with 3.10's grammar, whatever interpreter runs the tests."""
+    pyproject = Path(baccarat.__file__).resolve().parents[2] / "pyproject.toml"
+    assert 'requires-python = ">=3.10"' in pyproject.read_text()
+    for path in sorted(Path(baccarat.__file__).parent.glob("*.py")):
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))

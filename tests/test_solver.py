@@ -15,12 +15,11 @@ from itertools import combinations
 import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
-from baccarat import CLASSIC, MODERN, build_reduced_game, solver
+from baccarat import CLASSIC, MODERN, PARLOR, build_reduced_game, solver
 from baccarat.solver import (
     EquilibriumReport,
     MixedStrategy,
     _envelope,
-    _find_dominator,
     _integral,
     eliminate_strictly_dominated,
     enumerate_nash_2xn,
@@ -176,19 +175,19 @@ class TestElimination:
                 ["SSSD", "SSDD", "SDSS", "SDSD", "SDDS", "SDDD",
                  "DSSS", "DSSD", "DDSS", "DDSD", "DDDS"],
                 ("SSSS", "SSDS", "DSDS", "DSDD", "DDDD"),
-                [((0, 11), (F(10255387, 74046491), F(63791104, 74046491))),
-                 ((0, 11), (F(9177044, 74046491), F(64869447, 74046491))),
+                [((10, 11), (F(235, 2782), F(2547, 2782))),
+                 ((10, 11), (F(215, 2782), F(2567, 2782))),
                  ((2,), (1,)), ((11,), (1,)), ((10,), (1,)), ((11,), (1,)),
-                 ((0, 10), (F(10331, 134815), F(124484, 134815))),
-                 ((0, 11), (F(1078343, 74046491), F(72968148, 74046491))),
+                 ((2, 10), (F(4, 43), F(39, 43))),
+                 ((10, 11), (F(10, 1391), F(1381, 1391))),
                  ((10,), (1,)), ((11,), (1,)),
-                 ((10, 11), (F(4499, 4654), F(155, 4654)))],
+                 ((10, 11), (F(2645, 2782), F(137, 2782)))],
             ),
             (
                 MODERN,
                 ["DS", "StandOn5", "SS", "SD"],
                 ("DD",),
-                [((0, 3), (F(10331, 134815), F(124484, 134815))),
+                [((1, 3), (F(4, 43), F(39, 43))),
                  ((1,), (1,)), ((3,), (1,)), ((3,), (1,))],
             ),
         ],
@@ -203,6 +202,35 @@ class TestElimination:
         assert [str(labels[step.side][step.index]) for step in log] == log_labels
         assert tuple(game.column_labels[j] for j in cols) == survivors
         assert [(s.dominator_indices, s.dominator_weights) for s in log] == dominators
+
+    def test_two_point_certificates_are_parallel_to_the_column(self):
+        """A two-point dominator beats the column it removes by the same
+        positive margin on both rows: the mix has the column's slope."""
+        rng = random.Random(20261019)
+        games = [(g.A, g.B) for g in (build_reduced_game(v, a) for v, a in (
+            (CLASSIC, F(1, 20)), (CLASSIC, F(37, 1234)), (CLASSIC, F(0)),
+            (MODERN, F(1, 20)), (MODERN, F(101, 700)), (PARLOR, F(0)),
+        ))]
+        for _ in range(300):
+            n = rng.randint(3, 8)
+            games.append([
+                [[_mixed_fraction(rng) for _ in range(n)] for _ in range(2)]
+                for _ in range(2)
+            ])
+        pairs = 0
+        for A, B in games:
+            _, log = eliminate_strictly_dominated(A, B)
+            for step in log:
+                if len(step.dominator_indices) == 2:
+                    pairs += 1
+                    m0, m1 = (
+                        sum(w * row[k] for k, w in zip(
+                            step.dominator_indices, step.dominator_weights
+                        )) - row[step.index]
+                        for row in B
+                    )
+                    assert m0 == m1 > 0, (B, step)
+        assert pairs > 50
 
     def test_random_games_certificates_and_survivors(self):
         """Every logged dominator strictly beats what it removed on the
@@ -427,47 +455,55 @@ def test_verify_rejects_non_equilibrium():
 
 
 @st.composite
-def _dominator_cases(draw):
-    """Integer payoff vectors of one length, some copies of earlier ones
-    and some sharing coordinates with one; most often the vector to
-    dominate is put on or just below a mix of two others, which are then
-    alive.  Pure, two-point and no dominators all occur."""
-    m = draw(st.integers(1, 6))
+def _column_games(draw):
+    """Integer 2-row games whose columns are drawn free, as copies of
+    earlier ones, or sharing a row entry with one; most often one column
+    is put on or just below a mix of two others.  Pure, two-point and no
+    dominators all occur."""
     coords = st.integers(-6, 6)
-    vectors = []
-    for _ in range(draw(st.integers(3, 7))):
+    columns = []
+    for _ in range(draw(st.integers(2, 7))):
         kind = draw(st.sampled_from(("free", "copy", "shared")))
-        if kind == "copy" and vectors:
-            vectors.append(draw(st.sampled_from(vectors)))
+        if kind == "copy" and columns:
+            columns.append(draw(st.sampled_from(columns)))
             continue
-        v = [draw(coords) for _ in range(m)]
-        if kind == "shared" and vectors:
-            other = draw(st.sampled_from(vectors))
-            v = [o if draw(st.booleans()) else x for o, x in zip(other, v)]
-        vectors.append(tuple(v))
-    n = len(vectors)
-    j = draw(st.integers(0, n - 1))
-    alive = draw(st.sets(st.integers(0, n - 1), min_size=1))
+        v = (draw(coords), draw(coords))
+        if kind == "shared" and columns:
+            other = draw(st.sampled_from(columns))
+            v = tuple(o if draw(st.booleans()) else x for o, x in zip(other, v))
+        columns.append(v)
+    n = len(columns)
     below = draw(st.sampled_from((1, 0, 2, 1, None)))  # None: leave it
-    if below is not None:
-        k, l = draw(st.lists(st.sampled_from([i for i in range(n) if i != j]),
-                             min_size=2, max_size=2, unique=True))
+    if below is not None and n >= 3:
+        j, k, l = draw(st.permutations(range(n)))[:3]
         w = draw(st.sampled_from((F(1, 2), F(1, 3), F(3, 4))))
-        vectors[j] = tuple(
+        columns[j] = tuple(
             math.floor(w * y + (1 - w) * z) - below
-            for y, z in zip(vectors[k], vectors[l])
+            for y, z in zip(columns[k], columns[l])
         )
-        alive |= {k, l}
-    return dict(enumerate(vectors)), j, sorted(alive)
+    return [list(row) for row in zip(*columns)]
 
 
 @seed(20261018)
 @settings(max_examples=200, deadline=None, database=None)
-@given(_dominator_cases())
-def test_dominator_interval_is_the_cut_and_midpoint_search(case):
-    """The midpoint of the open stretch between the tightest cuts is the
-    first probe the search over sorted cuts and midpoints accepts."""
-    assert _find_dominator(*case) == fraction_dominator(*case)
+@given(_column_games())
+def test_elimination_verdicts_are_the_cut_and_midpoint_search(B):
+    """In the first pass, a column falls exactly when the pairwise search
+    over the survivors finds it a dominator; its certificate is pure
+    exactly when that search's is, and then names the same column."""
+    n = len(B[0])
+    A = [[0] * n, [0] * n]  # row side inert: one pass decides the columns
+    (_, cols), log = eliminate_strictly_dominated(A, B)
+    steps = {s.index: s for s in log}
+    vectors = dict(enumerate(zip(*B)))
+    for j in range(n):
+        ref = fraction_dominator(vectors, j, cols)
+        assert (j in steps) == (ref is not None), (B, j)
+        if ref is not None:
+            pure = len(ref[0]) == 1
+            assert (len(steps[j].dominator_indices) == 1) == pure, (B, j)
+            if pure:
+                assert steps[j].dominator_indices == ref[0], (B, j)
 
 
 _mixed_entries = st.builds(
