@@ -45,6 +45,8 @@ Everything here is exact rational arithmetic.  The central objects:
   deal -- a row, a pair of two-card totals and the two third cards -- is
   resolved through :func:`baccarat.rules.play_coup` once per distinct
   read prefix of the third cards; a result holds for every unread card.
+  The second Player row copies each block of the first that it plays
+  alike, as a natural or a probe coup shows: 5 636 calls in all.
   The outcome table so filled is folded into an integer ledger of
   Player's loss, tie and win counts out of 13^6 for each (row, cell,
   Banker action), plus one slot for the naturals.  An entry is the sum
@@ -359,10 +361,15 @@ def build_reduced_game(variant: Variant, alpha=0) -> ReducedGame:
 # _outcome_table fills them from the hands (0, total), resolved through
 # play_coup once per distinct read prefix of the third cards; a result
 # holds for every unread card, and the outcome itself says which cards
-# were read.  _leaf_ledger weights each leaf by its number of six-card
-# deals out of 13^6 and files it under the Banker cell it reaches.  A
-# coup reaches at most one cell, so an oracle entry is the natural slot
-# plus, per cell, the slot of the action the strategy takes there.
+# were read.  The rows differ only in Player's move, made once per
+# (pt, bt) block, so the second row copies the first row's block on a
+# natural or when one probe coup shows the same move: only the eight
+# non-natural blocks of pt = 5 are resolved twice, 5 636 calls in all.
+# _leaf_ledger weights each leaf by its number of six-card deals out of
+# 13^6 and files it under the Banker cell it reaches, re-folding for the
+# second row only the blocks whose bytes differ.  A coup reaches at most
+# one cell, so an oracle entry is the natural slot plus, per cell, the
+# slot of the action the strategy takes there.
 # Nothing here reads the decomposition above, so agreement between the
 # two routes is a real check.
 # ---------------------------------------------------------------------------
@@ -395,7 +402,14 @@ def _outcome_table() -> tuple[memoryview, memoryview, memoryview]:
     result holds for every unread card.  The outcome reports the third
     cards the rules consumed, so a coup that read none fills the rest of
     its block, and one that read one fills the rest of its ``c4`` row of
-    ten: 10 192 calls instead of one or two per leaf.
+    ten.  A block of the second row copies the first row's block when
+    that block is a natural, or when one probe on its first leaf reaches
+    the same cell there, that is, when Player makes the same move on
+    ``pt`` under both rows: Player decides once per block, so the rest
+    of the coup is then the same at every leaf.  Otherwise the probe is
+    the block's first standing call.  Under the fixed rules only the
+    eight non-natural blocks of ``pt = 5`` differ, so a build makes
+    5 636 calls instead of one or two per leaf.
 
     The three byte arrays are filled in place and cached as read-only
     views, not copied: a copy would double the table's memory while it
@@ -416,16 +430,31 @@ def _outcome_table() -> tuple[memoryview, memoryview, memoryview]:
     blocks = itertools.product(_ROWS, range(10), range(10))
     for base, (row, pt, bt) in zip(range(0, size, 100), blocks):
         player, banker = (0, pt), (0, bt)
+        # From the second row, the first row's block with the same totals.
+        twin = base - 10**4
+        if twin >= 0 and cells[twin] == _NO_CELL:
+            shared = True
+        else:
+            coup = play_coup(player, banker, thirds[0], row, all_stand)
+            p3 = coup.player_third
+            cell = _NO_CELL if coup.natural else _CELL_INDEX[InfoSet(bt, p3)]
+            shared = twin >= 0 and cell == cells[twin]
+        if shared:
+            for t in (cells, stand_signs, draw_signs):
+                t[base : base + 100] = t[twin : twin + 100]
+            continue
         j = 0
-        while j < 100:
-            coup = play_coup(player, banker, thirds[j], row, all_stand)
+        while True:
             p3 = coup.player_third
             end = ends[j][(p3 is not None) + (coup.banker_third is not None)]
             cell = _NO_CELL if coup.natural else _CELL_INDEX[InfoSet(bt, p3)]
             run, n = slice(base + j, base + end), end - j
             cells[run] = fill[cell][:n]
             stand_signs[run] = fill[coup.player_payoff + 1][:n]
+            if end == 100:
+                break
             j = end
+            coup = play_coup(player, banker, thirds[j], row, all_stand)
         if coup.natural:
             draw_signs[base : base + 100] = stand_signs[base : base + 100]
             continue
@@ -453,31 +482,50 @@ def _leaf_ledger() -> _Ledger:
     _W[c5]``; a third card the rules never consume is integrated out, as
     its weights sum to 13.  So the counts of one row, over the natural
     slot and one action per cell, sum to 13^6.
+
+    The first row is folded leaf by leaf.  The second starts from its
+    counts and re-folds only the blocks whose bytes differ from the
+    first row's in any of the three arrays: it takes the first row's
+    leaves of such a block out and puts its own in.
     """
-    cells, stand_signs, draw_signs = _outcome_table()
+    table = _outcome_table()
+    cells, stand_signs, draw_signs = table
     third_weights = [_W[c4] * _W[c5] for c4 in range(10) for c5 in range(10)]
-    ledger = []
-    for r in range(len(_ROWS)):
-        slots = [([0, 0, 0], [0, 0, 0]) for _ in range(_NO_CELL + 1)]
-        blocks = itertools.product(range(10), repeat=2)
-        for base, (pt, bt) in zip(range(r * 10**4, (r + 1) * 10**4, 100), blocks):
-            block = slice(base, base + 100)
-            pairs = _PAIRS[pt] * _PAIRS[bt]
-            weights = [pairs * w for w in third_weights]
-            for cell, s, d, weight in zip(
-                cells[block], stand_signs[block], draw_signs[block], weights
-            ):
-                stand, draw = slots[cell]
-                stand[s] += weight
-                draw[d] += weight
-        ledger.append(tuple((tuple(s), tuple(d)) for s, d in slots))
-    return tuple(ledger)
+    half = 10**4
+    slots = [([0, 0, 0], [0, 0, 0]) for _ in range(_NO_CELL + 1)]
+
+    def fold(base, sign=1):
+        """Add the block at ``base`` to ``slots``, or take it out."""
+        pairs = sign * _PAIRS[base // 1000 % 10] * _PAIRS[base // 100 % 10]
+        block = slice(base, base + 100)
+        for cell, s, d, w in zip(
+            cells[block], stand_signs[block], draw_signs[block], third_weights
+        ):
+            stand, draw = slots[cell]
+            weight = pairs * w
+            stand[s] += weight
+            draw[d] += weight
+
+    def frozen():
+        return tuple((tuple(s), tuple(d)) for s, d in slots)
+
+    for base in range(0, half, 100):
+        fold(base)
+    first = frozen()
+    for base in range(0, half, 100):
+        twin = base + half
+        if any(t[base : base + 100] != t[twin : twin + 100] for t in table):
+            fold(base, -1)
+            fold(twin)
+    return first, frozen()
 
 
 def oracle_outcome_distribution(
     row: PlayerRow, strategy: BankerStrategy
 ) -> tuple[Fraction, Fraction, Fraction]:
     """(P(player wins), P(banker wins), P(tie)) by direct enumeration."""
+    if not isinstance(strategy, BankerStrategy):
+        raise TypeError(f"strategy must be a BankerStrategy, got {strategy!r}")
     slots = _leaf_ledger()[_ROWS.index(_player_row(row))]
     chosen = (
         slot[action is Action.DRAW] for slot, action in zip(slots, strategy.actions)

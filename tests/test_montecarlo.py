@@ -20,6 +20,7 @@ from baccarat import (
     Action,
     BankerStrategy,
     CLASSIC,
+    CoupOutcome,
     InfoSet,
     MODERN,
     PARLOR,
@@ -257,9 +258,9 @@ def test_outcome_table_matches_play_coup():
                         assert draw_signs[key] == drew.player_payoff + 1
 
 
-def _reference_outcome_table():
+def _reference_outcome_table(coup=play_coup):
     """The builder that resolved each of the 20 000 leaves on its own:
-    one play_coup call with Banker standing and, off a natural, one with
+    one ``coup`` call with Banker standing and, off a natural, one with
     Banker drawing."""
     all_stand = BankerStrategy((Action.STAND,) * 88)
     all_draw = BankerStrategy((Action.DRAW,) * 88)
@@ -267,16 +268,32 @@ def _reference_outcome_table():
     for row in (PlayerRow.STAND_ON_5, PlayerRow.DRAW_ON_5):
         for pt, bt, c4, c5 in itertools.product(range(10), repeat=4):
             hand = ((0, pt), (0, bt), (c4, c5), row)
-            stood = play_coup(*hand, all_stand)
+            stood = coup(*hand, all_stand)
             if stood.natural:
                 cells.append(88)
                 drew = stood
             else:
                 cells.append(ALL_INFO_SETS.index(InfoSet(bt, stood.player_third)))
-                drew = play_coup(*hand, all_draw)
+                drew = coup(*hand, all_draw)
             stand_signs.append(stood.player_payoff + 1)
             draw_signs.append(drew.player_payoff + 1)
     return bytes(cells), bytes(stand_signs), bytes(draw_signs)
+
+
+def _draws_on_6(player, banker, draws, row, strategy):
+    """play_coup under a made-up rule: ``DRAW_ON_5`` draws on 6 as well."""
+    pt, bt = sum(player) % 10, sum(banker) % 10
+    if row is not PlayerRow.DRAW_ON_5 or pt != 6 or bt >= 8:
+        return play_coup(player, banker, draws, row, strategy)
+    p3 = draws[0]
+    b3 = draws[1] if strategy[InfoSet(bt, p3)] is Action.DRAW else None
+    pf, bf = (pt + p3) % 10, (bt + (b3 or 0)) % 10
+    return CoupOutcome(pf, bf, p3, b3, False, (pf > bf) - (pf < bf))
+
+
+@pytest.fixture(scope="module")
+def draws_on_6_table():
+    return _reference_outcome_table(_draws_on_6)
 
 
 def test_outcome_table_equals_the_per_leaf_build():
@@ -285,11 +302,27 @@ def test_outcome_table_equals_the_per_leaf_build():
     assert table == _reference_outcome_table()
 
 
+def test_outcome_table_shares_blocks_by_what_play_coup_does(
+    monkeypatch, draws_on_6_table
+):
+    """Which blocks the second row copies from the first is read off the
+    coups, not assumed: under a rule that also splits the rows on a
+    total of 6, the build still equals the per-leaf one."""
+    monkeypatch.setattr(payoff, "play_coup", _draws_on_6)
+    table = tuple(bytes(view) for view in payoff._outcome_table.__wrapped__())
+    assert table == draws_on_6_table
+
+
 def test_outcome_table_calls_play_coup_once_per_read_prefix(monkeypatch):
-    """Per (row, pt, bt) block: 1 call on a natural; 1 standing and 10
-    drawing when Player stands; 10 standing and 100 drawing when Player
-    draws.  Over the 72 natural, 40 Player-stands and 88 Player-draws
-    blocks of both rows, that is 10 192 calls, not 32 800."""
+    """Per (row, pt, bt) block of the first row: 1 call on a natural; 1
+    standing and 10 drawing when Player stands; 10 standing and 100
+    drawing when Player draws.  Over 36 natural, 24 Player-stands and 40
+    Player-draws blocks, that is 36 + 24 * 11 + 40 * 110 = 4 700 calls.
+    The second row copies its 36 naturals without a call, and makes one
+    probe on each of its 64 other blocks; the 56 whose probe shows the
+    first row's Player move are copied, and the 8 of total 5 are resolved
+    in full, the probe being their first standing call: 56 + 8 * 110 =
+    936.  In all 5 636 calls, not 32 800."""
     calls = []
 
     def counting_play_coup(*args):
@@ -298,7 +331,43 @@ def test_outcome_table_calls_play_coup_once_per_read_prefix(monkeypatch):
 
     monkeypatch.setattr(payoff, "play_coup", counting_play_coup)
     payoff._outcome_table.__wrapped__()
-    assert len(calls) == 10192
+    assert len(calls) == 5636
+
+
+def _reference_leaf_ledger(table):
+    """The fold that summed every leaf of both rows, one by one."""
+    cells, stand_signs, draw_signs = table
+    card = [4 if v == 0 else 1 for v in range(10)]
+    total = [sum(card[a] * card[(t - a) % 10] for a in range(10)) for t in range(10)]
+    weights = [card[c4] * card[c5] for c4 in range(10) for c5 in range(10)]
+    ledger = []
+    for r in range(2):
+        slots = [([0, 0, 0], [0, 0, 0]) for _ in range(89)]
+        for pt, bt in itertools.product(range(10), repeat=2):
+            pairs = total[pt] * total[bt]
+            base = r * 10000 + pt * 1000 + bt * 100
+            for j in range(100):
+                stand, draw = slots[cells[base + j]]
+                stand[stand_signs[base + j]] += pairs * weights[j]
+                draw[draw_signs[base + j]] += pairs * weights[j]
+        ledger.append(tuple((tuple(s), tuple(d)) for s, d in slots))
+    return tuple(ledger)
+
+
+def test_leaf_ledger_equals_the_per_leaf_fold():
+    table = payoff._outcome_table()
+    assert payoff._leaf_ledger.__wrapped__() == _reference_leaf_ledger(table)
+
+
+def test_leaf_ledger_refolds_every_block_the_rows_play_apart(
+    monkeypatch, draws_on_6_table
+):
+    """The second row's blocks of total 6 differ too under this rule, so
+    copying the first row's counts there would show."""
+    monkeypatch.setattr(payoff, "_outcome_table", lambda: draws_on_6_table)
+    assert payoff._leaf_ledger.__wrapped__() == _reference_leaf_ledger(
+        draws_on_6_table
+    )
 
 
 class _BehavioralBanker:

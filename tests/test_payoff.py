@@ -364,6 +364,18 @@ def test_variants_of_one_structure_share_their_column_counts():
 def test_oracle_rejects_a_row_that_is_not_a_player_row():
     with pytest.raises(ValueError, match="row must be a PlayerRow"):
         oracle_outcome_distribution("DrawOn5", mandated_banker_strategy())
+    # Nor a strategy that only looks like one: each of these used to be
+    # read silently wrong, or failed on a missing attribute.
+    actions = mandated_banker_strategy().actions
+    for strategy in (
+        types.SimpleNamespace(actions=actions[:3]),
+        types.SimpleNamespace(actions=("D",) * len(ALL_INFO_SETS)),
+        list(actions),
+    ):
+        with pytest.raises(TypeError, match="strategy must be a BankerStrategy"):
+            oracle_outcome_distribution(D5, strategy)
+        with pytest.raises(TypeError, match="strategy must be a BankerStrategy"):
+            oracle_payoff_entry(D5, strategy, F(1, 20))
 
 
 # ---------------------------------------------------------------------------
