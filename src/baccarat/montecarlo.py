@@ -2,11 +2,11 @@
 
 Simulation exists here to check the exact results, not to replace them:
 hands are sampled from the card-value law and looked up in the outcome
-table of :mod:`baccarat.payoff`, built once per process from
-:func:`baccarat.rules.play_coup` on the representative hands
-``(0, total)`` -- the table whose folded counts are the brute-force
-oracle -- so a simulated mean drifting from a solved value by more than
-a few standard errors indicts the engine, not the dice.
+table of :mod:`baccarat.payoff`, built once per process by the coup
+rules behind :func:`baccarat.rules.play_coup` on every pair of two-card
+totals -- the table whose folded counts are the brute-force oracle --
+so a simulated mean drifting from a solved value by more than a few
+standard errors indicts the engine, not the dice.
 
 Sampling notes:
 

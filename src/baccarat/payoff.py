@@ -43,10 +43,11 @@ Everything here is exact rational arithmetic.  The central objects:
 * ``oracle_outcome_distribution`` / ``oracle_payoff_entry`` -- a second,
   deliberately independent route to the same numbers.  Every leaf of the
   deal -- a row, a pair of two-card totals and the two third cards -- is
-  resolved through :func:`baccarat.rules.play_coup` once per distinct
-  read prefix of the third cards; a result holds for every unread card.
-  The second Player row copies each block of the first that it plays
-  alike, as a natural or a probe coup shows: 5 636 calls in all.
+  resolved by the coup rules behind :func:`baccarat.rules.play_coup`,
+  unchecked, once per distinct read prefix of the third cards; a result
+  holds for every unread card.  The second Player row copies each block
+  of the first that it plays alike, as a natural or a probe coup shows:
+  5 636 coups in all.
   The outcome table so filled is folded into an integer ledger of
   Player's loss, tie and win counts out of 13^6 for each (row, cell,
   Banker action), plus one slot for the naturals.  An entry is the sum
@@ -74,9 +75,10 @@ from .rules import (
     STARRED_CELLS,
     Variant,
     _CELL_INDEX,
+    _PLAYER_MOVES,
     _commission_rate,
     _player_row,
-    play_coup,
+    _resolve_coup,
     tableau_action,
 )
 from .solver import _Scaled, _as_weights
@@ -355,16 +357,18 @@ def build_reduced_game(variant: Variant, alpha=0) -> ReducedGame:
 # ---------------------------------------------------------------------------
 # Brute-force oracle.
 #
-# play_coup depends on the first two cards only through their total, so
-# a deal is fixed, as far as the rules can tell, by the row, the two
+# A coup depends on the first two cards only through their total, so a
+# deal is fixed, as far as the rules can tell, by the row, the two
 # two-card totals and the two third cards: 2 x 10^4 leaves.
-# _outcome_table fills them from the hands (0, total), resolved through
-# play_coup once per distinct read prefix of the third cards; a result
-# holds for every unread card, and the outcome itself says which cards
-# were read.  The rows differ only in Player's move, made once per
-# (pt, bt) block, so the second row copies the first row's block on a
-# natural or when one probe coup shows the same move: only the eight
-# non-natural blocks of pt = 5 are resolved twice, 5 636 calls in all.
+# _outcome_table resolves them through rules._resolve_coup, the rules
+# that play_coup checks its input for, once per distinct read prefix of
+# the third cards; a result holds for every unread card, and the outcome
+# itself says which cards were read.  The builder makes every input
+# itself, so nothing is checked.  The rows differ only in Player's move,
+# made once per (pt, bt) block, so the second row copies the first row's
+# block on a natural or when one probe coup shows the same move: only
+# the eight non-natural blocks of pt = 5 are resolved twice, 5 636 coups
+# in all.
 # _leaf_ledger weights each leaf by its number of six-card deals out of
 # 13^6 and files it under the Banker cell it reaches, re-folding for the
 # second row only the blocks whose bytes differ.  A coup reaches at most
@@ -384,87 +388,96 @@ _PAIRS = tuple(
 
 @lru_cache(maxsize=1)
 def _outcome_table() -> tuple[memoryview, memoryview, memoryview]:
-    """Every leaf's Banker cell and Player's sign, resolved by play_coup.
+    """Every leaf's Banker cell and Player's sign, by the coup rules.
 
     Entry ``row * 10000 + pt * 1000 + bt * 100 + c4 * 10 + c5`` is the
     hand with Player two-card total ``pt``, Banker two-card total ``bt``
     and third cards ``c4, c5`` in dealing order, under ``_ROWS[row]``.
-    It is resolved through ``play_coup`` on the hands ``(0, pt)`` and
-    ``(0, bt)``, once with Banker standing everywhere and, unless a
-    natural ends the coup, once with Banker drawing everywhere.  Returns
-    the index in ``ALL_INFO_SETS`` of the cell Banker decides at
-    (``_NO_CELL`` on a natural), then Player's payoff + 1 if Banker
-    stands, then the same if Banker draws.  A coup carries no commission:
-    it is applied to the counts the table is folded into.
+    It is resolved through ``rules._resolve_coup``, the unchecked rules
+    behind ``play_coup``, on those totals and cards, once with Banker
+    standing everywhere and, unless a natural ends the coup, once with
+    Banker drawing everywhere.  Returns the index in ``ALL_INFO_SETS`` of
+    the cell Banker decides at (``_NO_CELL`` on a natural), then Player's
+    payoff + 1 if Banker stands, then the same if Banker draws.  A coup
+    carries no commission: it is applied to the counts the table is
+    folded into.
 
-    Each ``(row, pt, bt)`` block of 100 leaves is resolved through
-    ``play_coup`` once per distinct read prefix of the third cards; a
-    result holds for every unread card.  The outcome reports the third
-    cards the rules consumed, so a coup that read none fills the rest of
-    its block, and one that read one fills the rest of its ``c4`` row of
-    ten.  A block of the second row copies the first row's block when
-    that block is a natural, or when one probe on its first leaf reaches
-    the same cell there, that is, when Player makes the same move on
-    ``pt`` under both rows: Player decides once per block, so the rest
-    of the coup is then the same at every leaf.  Otherwise the probe is
-    the block's first standing call.  Under the fixed rules only the
-    eight non-natural blocks of ``pt = 5`` differ, so a build makes
-    5 636 calls instead of one or two per leaf.
+    Each ``(row, pt, bt)`` block of 100 leaves is resolved once per
+    distinct read prefix of the third cards; a result holds for every
+    unread card.  The outcome reports the third cards the rules
+    consumed, so a coup that read none fills the rest of its block, and
+    one that read one fills the rest of its ``c4`` row of ten.  A block
+    of the second row copies the first row's block when that block is a
+    natural, or when one probe on its first leaf reaches the same cell
+    there, that is, when Player makes the same move on ``pt`` under both
+    rows: Player decides once per block, so the rest of the coup is then
+    the same at every leaf.  Otherwise the probe is the block's first
+    standing call.  Under the fixed rules only the eight non-natural
+    blocks of ``pt = 5`` differ, so a build resolves 5 636 coups instead
+    of one or two per leaf.  The cell index is read off the coup as
+    ``bt * 11`` plus the column of Player's third card (10 when Player
+    stood), the layout of ``ALL_INFO_SETS``.
 
     The three byte arrays are filled in place and cached as read-only
     views, not copied: a copy would double the table's memory while it
     is built, and that moves peak RSS.  ``montecarlo.simulate`` copies
     them to ``bytes`` (3 x 20 KB) on each call, for its per-hand loop.
     """
-    all_stand = BankerStrategy((Action.STAND,) * len(ALL_INFO_SETS))
-    all_draw = BankerStrategy((Action.DRAW,) * len(ALL_INFO_SETS))
+    all_stand = (Action.STAND,) * len(ALL_INFO_SETS)
+    all_draw = (Action.DRAW,) * len(ALL_INFO_SETS)
     size = len(_ROWS) * 10**4
     cells, stand_signs, draw_signs = (bytearray(size) for _ in range(3))
     # Per leaf j = c4 * 10 + c5 of a block: its third cards, and where a
-    # run starting there ends when the coup read 0, 1 or 2 of them; runs
-    # are filled from slices of 100 copies of each byte value.
+    # run starting there ends when the coup read 0, 1 or 2 of them.  A
+    # block's bytes are gathered run by run from slices of 100 copies of
+    # each byte value, then written into the table at once.
     thirds = tuple(itertools.product(range(10), repeat=2))
     ends = tuple((100, j - j % 10 + 10, j + 1) for j in range(100))
     fill = tuple(bytes((v,)) * 100 for v in range(_NO_CELL + 1))
 
     blocks = itertools.product(_ROWS, range(10), range(10))
     for base, (row, pt, bt) in zip(range(0, size, 100), blocks):
-        player, banker = (0, pt), (0, bt)
+        moves = _PLAYER_MOVES[row]
         # From the second row, the first row's block with the same totals.
         twin = base - 10**4
         if twin >= 0 and cells[twin] == _NO_CELL:
             shared = True
         else:
-            coup = play_coup(player, banker, thirds[0], row, all_stand)
-            p3 = coup.player_third
-            cell = _NO_CELL if coup.natural else _CELL_INDEX[InfoSet(bt, p3)]
+            _, _, p3, b3, natural, sign = _resolve_coup(
+                pt, bt, moves, thirds[0], all_stand
+            )
+            cell = _NO_CELL if natural else bt * 11 + (10 if p3 is None else p3)
             shared = twin >= 0 and cell == cells[twin]
         if shared:
             for t in (cells, stand_signs, draw_signs):
                 t[base : base + 100] = t[twin : twin + 100]
             continue
         j = 0
+        cell_block, sign_block = bytearray(), bytearray()
         while True:
-            p3 = coup.player_third
-            end = ends[j][(p3 is not None) + (coup.banker_third is not None)]
-            cell = _NO_CELL if coup.natural else _CELL_INDEX[InfoSet(bt, p3)]
-            run, n = slice(base + j, base + end), end - j
-            cells[run] = fill[cell][:n]
-            stand_signs[run] = fill[coup.player_payoff + 1][:n]
+            end = ends[j][(p3 is not None) + (b3 is not None)]
+            cell = _NO_CELL if natural else bt * 11 + (10 if p3 is None else p3)
+            cell_block += fill[cell][: end - j]
+            sign_block += fill[sign + 1][: end - j]
             if end == 100:
                 break
             j = end
-            coup = play_coup(player, banker, thirds[j], row, all_stand)
-        if coup.natural:
-            draw_signs[base : base + 100] = stand_signs[base : base + 100]
+            _, _, p3, b3, natural, sign = _resolve_coup(
+                pt, bt, moves, thirds[j], all_stand
+            )
+        cells[base : base + 100] = cell_block
+        stand_signs[base : base + 100] = sign_block
+        if natural:
+            draw_signs[base : base + 100] = sign_block
             continue
         j = 0
+        sign_block = bytearray()
         while j < 100:
-            coup = play_coup(player, banker, thirds[j], row, all_draw)
-            read = (coup.player_third is not None) + (coup.banker_third is not None)
-            end = ends[j][read]
-            draw_signs[base + j : base + end] = fill[coup.player_payoff + 1][: end - j]
+            _, _, p3, b3, _, sign = _resolve_coup(pt, bt, moves, thirds[j], all_draw)
+            end = ends[j][(p3 is not None) + (b3 is not None)]
+            sign_block += fill[sign + 1][: end - j]
             j = end
+        draw_signs[base : base + 100] = sign_block
     return tuple(
         memoryview(t).toreadonly() for t in (cells, stand_signs, draw_signs)
     )

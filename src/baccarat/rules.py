@@ -67,7 +67,7 @@ class Action(enum.Enum):
 
 
 # Module aliases: reading a member off its Enum class costs several times
-# a global lookup, and play_coup runs once per leaf of the oracle's table.
+# a global lookup, and _resolve_coup runs thousands of times per table build.
 _STAND, _DRAW = Action.STAND, Action.DRAW
 
 
@@ -159,6 +159,10 @@ def tableau_action(info: InfoSet) -> Action | None:
     cells and ``None`` for the four starred ones.
     """
     b, c = info
+    if type(b) is not int:
+        raise ValueError(
+            f"banker two-card total must be an integer 0..7, got {b!r}"
+        )
     if not 0 <= b <= 7:
         raise ValueError(f"banker two-card total must be in 0..7, got {b}")
     if c is not None:
@@ -172,23 +176,30 @@ def _tableau_actions() -> tuple[Action | None, ...]:
     return tuple(map(tableau_action, ALL_INFO_SETS))
 
 
+#: Player's move on each two-card total 0..7 under each row: 0-4 draw,
+#: 6-7 stand, and 5 follows the row.  8 and 9 are naturals.
+_PLAYER_MOVES = {
+    PlayerRow.STAND_ON_5: (_DRAW,) * 5 + (_STAND,) * 3,
+    PlayerRow.DRAW_ON_5: (_DRAW,) * 6 + (_STAND,) * 2,
+}
+
+
 def mandated_player_action(total: int, row: PlayerRow) -> Action:
     """Player's forced move on a non-natural two-card total under a row.
 
     Totals 0-4 draw, 6-7 stand, and 5 follows the row.  Totals 8-9 are
     naturals and never reach a decision, so they are rejected.
     """
-    if not isinstance(row, PlayerRow):
-        raise ValueError(f"row must be a PlayerRow, got {row!r}")
+    moves = _PLAYER_MOVES[_player_row(row)]
+    if type(total) is not int:
+        raise ValueError(
+            f"player two-card total must be an integer 0..7, got {total!r}"
+        )
     if not 0 <= total <= 7:
         raise ValueError(
             f"player decides only on totals 0..7 (8-9 are naturals), got {total}"
         )
-    if total <= 4:
-        return _DRAW
-    if total >= 6:
-        return _STAND
-    return _DRAW if row is PlayerRow.DRAW_ON_5 else _STAND
+    return moves[total]
 
 
 #: Most digits plus exponent size a decimal string or ``Decimal`` may
@@ -477,6 +488,60 @@ class CoupOutcome(NamedTuple):
     player_payoff: int
 
 
+def _resolve_coup(pt, bt, moves, thirds, actions):
+    """The rules of one coup, stated once and checked nowhere.
+
+    ``pt`` and ``bt`` are the two-card totals, ``moves`` is
+    ``_PLAYER_MOVES`` of Player's row, ``thirds`` the third cards in
+    dealing order and ``actions`` Banker's action at each cell, in
+    ``ALL_INFO_SETS`` order.  A natural reads none of the last three, and
+    a third card is read only when it is dealt.  Returns a plain tuple in
+    :class:`CoupOutcome` field order.
+    """
+    if pt >= 8 or bt >= 8:
+        return pt, bt, None, None, True, (pt > bt) - (pt < bt)
+    p3 = b3 = None
+    used = 0
+    if moves[pt] is _DRAW:
+        p3 = thirds[0]
+        pt = (pt + p3) % 10
+        used = 1
+    # ALL_INFO_SETS lists 11 cells per Banker total, the stood column last.
+    if actions[bt * 11 + (10 if p3 is None else p3)] is _DRAW:
+        b3 = thirds[used]
+        bt = (bt + b3) % 10
+    return pt, bt, p3, b3, False, (pt > bt) - (pt < bt)
+
+
+class _Dealt:
+    """``draw_cards`` as :func:`_resolve_coup` deals from it: a card is
+    checked, and an exhausted pile refused, only when it is dealt."""
+
+    __slots__ = ("cards", "player_draws")
+
+    def __init__(self, cards, player_draws):
+        self.cards, self.player_draws = cards, player_draws
+
+    def __getitem__(self, i):
+        if i >= len(self.cards):
+            who = "player" if i == 0 and self.player_draws else "banker"
+            raise ValueError(f"{who} draws but draw_cards is exhausted")
+        return _check_card(self.cards[i])
+
+
+class _ByCell:
+    """A Banker strategy read by cell index, as :func:`_resolve_coup` reads
+    one, and only at the cell it reaches."""
+
+    __slots__ = ("strategy",)
+
+    def __init__(self, strategy):
+        self.strategy = strategy
+
+    def __getitem__(self, k):
+        return self.strategy[ALL_INFO_SETS[k]]
+
+
 def play_coup(
     player_cards: Sequence[int],
     banker_cards: Sequence[int],
@@ -489,7 +554,8 @@ def play_coup(
     ``draw_cards`` supplies the third cards in the order they would be
     dealt -- Player's first, then Banker's -- and is consumed only as far
     as the rules require.  On a natural neither strategy argument is
-    consulted.
+    consulted.  The rules are :func:`_resolve_coup`'s; this checks the
+    input it reads.
     """
     if len(player_cards) != 2 or len(banker_cards) != 2:
         raise ValueError("player_cards and banker_cards must each hold 2 cards")
@@ -497,24 +563,9 @@ def play_coup(
     b1, b2 = banker_cards
     pt = (_check_card(p1) + _check_card(p2)) % 10
     bt = (_check_card(b1) + _check_card(b2)) % 10
-    p3: int | None = None
-    b3: int | None = None
-
-    natural = pt >= 8 or bt >= 8
-    if not natural:
-        used = 0
-        if mandated_player_action(pt, row) is _DRAW:
-            if len(draw_cards) < 1:
-                raise ValueError("player draws but draw_cards is exhausted")
-            p3 = _check_card(draw_cards[0])
-            pt = (pt + p3) % 10
-            used = 1
-        # ALL_INFO_SETS lists 11 cells per Banker total, the stood column last.
-        info = ALL_INFO_SETS[bt * 11 + (10 if p3 is None else p3)]
-        if banker_strategy[info] is _DRAW:
-            if len(draw_cards) < used + 1:
-                raise ValueError("banker draws but draw_cards is exhausted")
-            b3 = _check_card(draw_cards[used])
-            bt = (bt + b3) % 10
-
-    return CoupOutcome(pt, bt, p3, b3, natural, (pt > bt) - (pt < bt))
+    # Only a decision reads the row, and a natural ends the coup first.
+    moves = None if pt >= 8 or bt >= 8 else _PLAYER_MOVES[_player_row(row)]
+    dealt = _Dealt(draw_cards, moves is not None and moves[pt] is _DRAW)
+    return CoupOutcome._make(
+        _resolve_coup(pt, bt, moves, dealt, _ByCell(banker_strategy))
+    )

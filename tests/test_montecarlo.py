@@ -20,7 +20,6 @@ from baccarat import (
     Action,
     BankerStrategy,
     CLASSIC,
-    CoupOutcome,
     InfoSet,
     MODERN,
     PARLOR,
@@ -34,7 +33,8 @@ from baccarat import (
     simulate,
     solve_variant,
 )
-from baccarat import montecarlo, payoff
+from baccarat import montecarlo, payoff, rules
+from baccarat.rules import _PLAYER_MOVES, _resolve_coup
 
 F = Fraction
 A = F(1, 20)
@@ -258,42 +258,42 @@ def test_outcome_table_matches_play_coup():
                         assert draw_signs[key] == drew.player_payoff + 1
 
 
-def _reference_outcome_table(coup=play_coup):
+def _reference_outcome_table():
     """The builder that resolved each of the 20 000 leaves on its own:
-    one ``coup`` call with Banker standing and, off a natural, one with
-    Banker drawing."""
+    one public ``play_coup`` call with Banker standing and, off a
+    natural, one with Banker drawing."""
     all_stand = BankerStrategy((Action.STAND,) * 88)
     all_draw = BankerStrategy((Action.DRAW,) * 88)
     cells, stand_signs, draw_signs = bytearray(), bytearray(), bytearray()
     for row in (PlayerRow.STAND_ON_5, PlayerRow.DRAW_ON_5):
         for pt, bt, c4, c5 in itertools.product(range(10), repeat=4):
             hand = ((0, pt), (0, bt), (c4, c5), row)
-            stood = coup(*hand, all_stand)
+            stood = play_coup(*hand, all_stand)
             if stood.natural:
                 cells.append(88)
                 drew = stood
             else:
                 cells.append(ALL_INFO_SETS.index(InfoSet(bt, stood.player_third)))
-                drew = coup(*hand, all_draw)
+                drew = play_coup(*hand, all_draw)
             stand_signs.append(stood.player_payoff + 1)
             draw_signs.append(drew.player_payoff + 1)
     return bytes(cells), bytes(stand_signs), bytes(draw_signs)
 
 
-def _draws_on_6(player, banker, draws, row, strategy):
-    """play_coup under a made-up rule: ``DRAW_ON_5`` draws on 6 as well."""
-    pt, bt = sum(player) % 10, sum(banker) % 10
-    if row is not PlayerRow.DRAW_ON_5 or pt != 6 or bt >= 8:
-        return play_coup(player, banker, draws, row, strategy)
-    p3 = draws[0]
-    b3 = draws[1] if strategy[InfoSet(bt, p3)] is Action.DRAW else None
-    pf, bf = (pt + p3) % 10, (bt + (b3 or 0)) % 10
-    return CoupOutcome(pf, bf, p3, b3, False, (pf > bf) - (pf < bf))
+def _draws_on_6(pt, bt, moves, thirds, actions):
+    """The coup rules under a made-up rule: ``DRAW_ON_5`` draws on 6 as well."""
+    if moves == _PLAYER_MOVES[PlayerRow.DRAW_ON_5]:
+        moves = (Action.DRAW,) * 7 + (Action.STAND,)
+    return _resolve_coup(pt, bt, moves, thirds, actions)
 
 
 @pytest.fixture(scope="module")
 def draws_on_6_table():
-    return _reference_outcome_table(_draws_on_6)
+    """The per-leaf build from public play_coup, with the made-up rule in
+    the core that play_coup hands every coup to."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rules, "_resolve_coup", _draws_on_6)
+        return _reference_outcome_table()
 
 
 def test_outcome_table_equals_the_per_leaf_build():
@@ -308,7 +308,7 @@ def test_outcome_table_shares_blocks_by_what_play_coup_does(
     """Which blocks the second row copies from the first is read off the
     coups, not assumed: under a rule that also splits the rows on a
     total of 6, the build still equals the per-leaf one."""
-    monkeypatch.setattr(payoff, "play_coup", _draws_on_6)
+    monkeypatch.setattr(payoff, "_resolve_coup", _draws_on_6)
     table = tuple(bytes(view) for view in payoff._outcome_table.__wrapped__())
     assert table == draws_on_6_table
 
@@ -322,16 +322,42 @@ def test_outcome_table_calls_play_coup_once_per_read_prefix(monkeypatch):
     probe on each of its 64 other blocks; the 56 whose probe shows the
     first row's Player move are copied, and the 8 of total 5 are resolved
     in full, the probe being their first standing call: 56 + 8 * 110 =
-    936.  In all 5 636 calls, not 32 800."""
+    936.  In all 5 636 calls, not 32 800.  The calls are counted on
+    ``rules._resolve_coup``, the rules ``play_coup`` checks its input
+    for."""
     calls = []
 
-    def counting_play_coup(*args):
+    def counting_core(*args):
         calls.append(args)
-        return play_coup(*args)
+        return _resolve_coup(*args)
 
-    monkeypatch.setattr(payoff, "play_coup", counting_play_coup)
+    monkeypatch.setattr(payoff, "_resolve_coup", counting_core)
     payoff._outcome_table.__wrapped__()
     assert len(calls) == 5636
+
+
+def test_outcome_table_checks_nothing(monkeypatch):
+    """The builder makes every total, card and action it resolves, so it
+    never checks a card or reads Player's move through the checked
+    ``mandated_player_action``.  The closing ``play_coup`` call shows
+    that the counters see a checked coup."""
+    calls = []
+
+    def counting(function):
+        def counted(*args):
+            calls.append(function.__name__)
+            return function(*args)
+
+        return counted
+
+    for module in (rules, payoff):
+        for name in ("_check_card", "mandated_player_action"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    payoff._outcome_table.__wrapped__()
+    assert calls == []
+    play_coup((1, 1), (2, 2), (3, 3), PlayerRow.STAND_ON_5, mandated_banker_strategy())
+    assert calls.count("_check_card") == 6
 
 
 def _reference_leaf_ledger(table):

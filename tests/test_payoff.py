@@ -461,14 +461,15 @@ def _names_in(code):
 @pytest.mark.parametrize(
     "builder, source",
     [
-        (_outcome_table, "play_coup"),
+        (_outcome_table, "_resolve_coup"),
         (_leaf_ledger, "_outcome_table"),
         (oracle_outcome_distribution, "_leaf_ledger"),
     ],
 )
 def test_oracle_builders_never_read_the_decomposition(builder, source):
     """Nor a second copy of the rules: which third cards a coup read, and
-    where Banker decided, come from play_coup's own outcome."""
+    where Banker decided, come from the outcome of the rules play_coup
+    checks its input for."""
     names = _names_in(getattr(builder, "__wrapped__", builder).__code__)
     assert source in names
     forbidden = {

@@ -3,6 +3,7 @@
 import ast
 import copy
 import inspect
+import itertools
 import pickle
 import time
 from decimal import Decimal
@@ -35,7 +36,7 @@ from baccarat.montecarlo import simulate
 from baccarat.parametric import find_alpha_star, solve_variant
 from baccarat.payoff import best_response, build_reduced_game
 from baccarat.punto import mandated_banker_strategy, unfulfilled_demand
-from baccarat.rules import _info_set
+from baccarat.rules import _PLAYER_MOVES, _info_set, _resolve_coup
 from baccarat.solver import (
     EquilibriumReport,
     MixedStrategy,
@@ -125,6 +126,31 @@ def test_mandated_player_action():
         mandated_player_action(8, PlayerRow.DRAW_ON_5)
     with pytest.raises(ValueError):
         mandated_player_action(5, "DrawOn5")
+
+
+@pytest.mark.parametrize(
+    "total", [True, False, 5.0, 2.5, "3", None, Fraction(3)], ids=repr
+)
+def test_mandated_player_action_refuses_a_total_that_is_not_an_int(total):
+    with pytest.raises(ValueError) as info:
+        mandated_player_action(total, PlayerRow.DRAW_ON_5)
+    assert type(info.value) is ValueError
+    assert str(info.value) == (
+        f"player two-card total must be an integer 0..7, got {total!r}"
+    )
+
+
+@pytest.mark.parametrize(
+    "total", [True, False, 3.0, 2.5, "3", None, Fraction(3)], ids=repr
+)
+@pytest.mark.parametrize("third", [None, 9])
+def test_tableau_action_refuses_a_total_that_is_not_an_int(total, third):
+    with pytest.raises(ValueError) as info:
+        tableau_action(InfoSet(total, third))
+    assert type(info.value) is ValueError
+    assert str(info.value) == (
+        f"banker two-card total must be an integer 0..7, got {total!r}"
+    )
 
 
 class TestVariants:
@@ -522,6 +548,11 @@ _REJECTIONS = [
         "banker draws but draw_cards is exhausted",
     ),
     (
+        "banker-pile-after-a-stand",
+        ([3, 3], [1, 2], [], PlayerRow.STAND_ON_5, _MANDATED),
+        "banker draws but draw_cards is exhausted",
+    ),
+    (
         "row-str",
         ([1, 1], [2, 2], [3, 3], "StandOn5", _MANDATED),
         "row must be a PlayerRow, got 'StandOn5'",
@@ -544,6 +575,35 @@ def test_play_coup_rejections_keep_their_type_and_message(args, message):
         play_coup(*args)
     assert type(info.value) is ValueError
     assert str(info.value) == message
+
+
+_ALL_STAND = BankerStrategy((S,) * 88)
+_ALL_DRAW = BankerStrategy((D,) * 88)
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    [_ALL_STAND, _ALL_DRAW, mandated_banker_strategy()],
+    ids=["all-stand", "all-draw", "punto"],
+)
+def test_the_core_is_play_coup_unchecked(strategy):
+    """On every (row, two-card totals, third cards), the unchecked rules
+    return play_coup's outcome as a plain tuple, field by field."""
+    for row, pt, bt, c4, c5 in itertools.product(PlayerRow, *[range(10)] * 4):
+        core = _resolve_coup(pt, bt, _PLAYER_MOVES[row], (c4, c5), strategy.actions)
+        coup = play_coup(((pt - c5) % 10, c5), (bt, 0), (c4, c5), row, strategy)
+        assert type(core) is tuple
+        assert [(type(v), v) for v in core] == [(type(v), v) for v in coup]
+
+
+def test_play_coup_states_no_rule_of_its_own():
+    """One statement of the rules behind both routes: play_coup checks its
+    input and hands the coup to _resolve_coup; Player's moves are one
+    table, which mandated_player_action reads too."""
+    names = set(play_coup.__code__.co_names)
+    assert {"_resolve_coup", "_PLAYER_MOVES"} <= names
+    assert not names & {"mandated_player_action", "ALL_INFO_SETS", "_CELL_INDEX"}
+    assert "_PLAYER_MOVES" in mandated_player_action.__code__.co_names
 
 
 def test_a_natural_never_reads_the_row():
