@@ -20,13 +20,12 @@ import io
 import json
 import re
 import sys
-from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cache
 
 from . import montecarlo, parametric, punto
 from .payoff import build_reduced_game, classify_info_sets, oracle_payoff_entry
-from .rules import _MAX_DECIMAL, CLASSIC, InfoSet, MODERN, PARLOR, PlayerRow
+from .rules import _coerce_rational, CLASSIC, InfoSet, MODERN, PARLOR, PlayerRow
 from .solver import MixedStrategy
 
 __all__ = ["run", "main"]
@@ -41,7 +40,8 @@ _MAX_TERM = 10**1000
 #: Most rates one ``--grid`` may list.
 _MAX_GRID = 1000
 #: A well-formed number: one that still fails to convert is too large,
-#: with more digits than an int takes or an exponent past Decimal's.
+#: with more digits than an int takes, or more digits and exponent
+#: together than the number gate takes.
 _NUMERAL = re.compile(r"[+-]?(?:\d+/\d+|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)")
 
 
@@ -55,14 +55,7 @@ def _rational(text: str) -> Fraction:
         f"most 10^1000)"
     )
     try:
-        if "/" in s:
-            value = Fraction(s)
-        else:
-            d = Decimal(s)
-            _, digits, exponent = d.as_tuple()
-            if d.is_finite() and len(digits) + abs(exponent) > _MAX_DECIMAL:
-                raise too_large
-            value = Fraction(d)
+        value = _coerce_rational(s, "number")
     except (ValueError, ArithmeticError) as exc:
         if _NUMERAL.fullmatch(s) and not isinstance(exc, ZeroDivisionError):
             raise too_large
@@ -84,14 +77,10 @@ def _rational_list(text: str) -> list[Fraction]:
 
 
 def _decimal_str(x: Fraction, places: int = 10) -> str:
-    # 60 digits, or more when the integer part needs them to quantize.
-    whole = Decimal(abs(x.numerator) // x.denominator)
-    with localcontext() as ctx:
-        ctx.prec = max(60, whole.adjusted() + places + 2)
-        q = (Decimal(x.numerator) / Decimal(x.denominator)).quantize(
-            Decimal(1).scaleb(-places)
-        )
-    return format(q, "f")
+    """``x`` rounded half to even to ``places`` decimals, from the exact
+    value; a negative ``x`` keeps its sign even when it rounds to zero."""
+    whole, frac = divmod(round(abs(x) * 10**places), 10**places)
+    return f"{'-' if x < 0 else ''}{whole}.{frac:0{places}d}"
 
 
 # --- rendering -------------------------------------------------------------

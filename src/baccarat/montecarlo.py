@@ -200,8 +200,7 @@ def simulate(
     thresholds = [_exact_threshold(table[info]) for info in ALL_INFO_SETS]
     thresholds.append(0.0)
     row_threshold = _exact_threshold(p_draw)
-    # bytes copies, 3 x 20 KB: subscripting a memoryview is far slower.
-    cells, stand_signs, draw_signs = map(bytes, _outcome_table())
+    cells, stand_signs, draw_signs = _outcome_table()
 
     rng = random.Random(seed)
     rand = rng.random

@@ -45,10 +45,11 @@ Everything here is exact rational arithmetic.  The central objects:
   deal -- a row, a pair of two-card totals and the two third cards -- is
   resolved by the coup rules behind :func:`baccarat.rules.play_coup`,
   unchecked, once per distinct read prefix of the third cards; a result
-  holds for every unread card.  The second Player row copies each block
-  of the first that it plays alike, as a natural or a probe coup shows:
-  5 636 coups in all.
-  The outcome table so filled is folded into an integer ledger of
+  holds for every unread card.  Resolved blocks are kept by the two
+  totals and their first coup, which shows a natural or Player's move,
+  so the second Player row takes again each block it plays alike:
+  5 672 coups in all.
+  The outcome table so built is folded into an integer ledger of
   Player's loss, tie and win counts out of 13^6 for each (row, cell,
   Banker action), plus one slot for the naturals.  An entry is the sum
   of 89 ledger slots: the naturals and, at each of the 88 cells, the
@@ -365,10 +366,10 @@ def build_reduced_game(variant: Variant, alpha=0) -> ReducedGame:
 # the third cards; a result holds for every unread card, and the outcome
 # itself says which cards were read.  The builder makes every input
 # itself, so nothing is checked.  The rows differ only in Player's move,
-# made once per (pt, bt) block, so the second row copies the first row's
-# block on a natural or when one probe coup shows the same move: only
-# the eight non-natural blocks of pt = 5 are resolved twice, 5 636 coups
-# in all.
+# made once per (pt, bt) block and shown by the block's first coup, so
+# resolved blocks are kept by (pt, bt, first coup) and the second row
+# takes again each block it plays alike: only the eight non-natural
+# blocks of pt = 5 are resolved twice, 5 672 coups in all.
 # _leaf_ledger weights each leaf by its number of six-card deals out of
 # 13^6 and files it under the Banker cell it reaches, re-folding for the
 # second row only the blocks whose bytes differ.  A coup reaches at most
@@ -387,7 +388,7 @@ _PAIRS = tuple(
 
 
 @lru_cache(maxsize=1)
-def _outcome_table() -> tuple[memoryview, memoryview, memoryview]:
+def _outcome_table() -> tuple[bytes, bytes, bytes]:
     """Every leaf's Banker cell and Player's sign, by the coup rules.
 
     Entry ``row * 10000 + pt * 1000 + bt * 100 + c4 * 10 + c5`` is the
@@ -396,91 +397,70 @@ def _outcome_table() -> tuple[memoryview, memoryview, memoryview]:
     It is resolved through ``rules._resolve_coup``, the unchecked rules
     behind ``play_coup``, on those totals and cards, once with Banker
     standing everywhere and, unless a natural ends the coup, once with
-    Banker drawing everywhere.  Returns the index in ``ALL_INFO_SETS`` of
-    the cell Banker decides at (``_NO_CELL`` on a natural), then Player's
-    payoff + 1 if Banker stands, then the same if Banker draws.  A coup
-    carries no commission: it is applied to the counts the table is
-    folded into.
+    Banker drawing everywhere.  Returns three immutable ``bytes``: the
+    index in ``ALL_INFO_SETS`` of the cell Banker decides at
+    (``_NO_CELL`` on a natural), then Player's payoff + 1 if Banker
+    stands, then the same if Banker draws.  A coup carries no
+    commission: it is applied to the counts the table is folded into.
 
     Each ``(row, pt, bt)`` block of 100 leaves is resolved once per
     distinct read prefix of the third cards; a result holds for every
     unread card.  The outcome reports the third cards the rules
     consumed, so a coup that read none fills the rest of its block, and
-    one that read one fills the rest of its ``c4`` row of ten.  A block
-    of the second row copies the first row's block when that block is a
-    natural, or when one probe on its first leaf reaches the same cell
-    there, that is, when Player makes the same move on ``pt`` under both
-    rows: Player decides once per block, so the rest of the coup is then
-    the same at every leaf.  Otherwise the probe is the block's first
-    standing call.  Under the fixed rules only the eight non-natural
-    blocks of ``pt = 5`` differ, so a build resolves 5 636 coups instead
-    of one or two per leaf.  The cell index is read off the coup as
+    one that read one fills the rest of its ``c4`` row of ten.  Resolved
+    blocks are kept by ``(pt, bt)`` and the block's first standing coup.
+    The row reaches the rules only through Player's move on ``pt``, made
+    once per block, and that coup shows it (Player's third card is 0 if
+    Player drew, ``None`` if not) or a natural.  So a block whose key is
+    kept plays alike at every leaf, and its bytes are appended again.
+    Under the fixed rules only the eight non-natural blocks of ``pt = 5``
+    are resolved under both rows, and a build resolves 5 672 coups
+    instead of one or two per leaf.  The cell index is read off the coup as
     ``bt * 11`` plus the column of Player's third card (10 when Player
     stood), the layout of ``ALL_INFO_SETS``.
-
-    The three byte arrays are filled in place and cached as read-only
-    views, not copied: a copy would double the table's memory while it
-    is built, and that moves peak RSS.  ``montecarlo.simulate`` copies
-    them to ``bytes`` (3 x 20 KB) on each call, for its per-hand loop.
     """
     all_stand = (Action.STAND,) * len(ALL_INFO_SETS)
     all_draw = (Action.DRAW,) * len(ALL_INFO_SETS)
-    size = len(_ROWS) * 10**4
-    cells, stand_signs, draw_signs = (bytearray(size) for _ in range(3))
     # Per leaf j = c4 * 10 + c5 of a block: its third cards, and where a
     # run starting there ends when the coup read 0, 1 or 2 of them.  A
     # block's bytes are gathered run by run from slices of 100 copies of
-    # each byte value, then written into the table at once.
+    # each byte value, and each array is joined from its blocks at the end.
     thirds = tuple(itertools.product(range(10), repeat=2))
     ends = tuple((100, j - j % 10 + 10, j + 1) for j in range(100))
     fill = tuple(bytes((v,)) * 100 for v in range(_NO_CELL + 1))
 
-    blocks = itertools.product(_ROWS, range(10), range(10))
-    for base, (row, pt, bt) in zip(range(0, size, 100), blocks):
+    resolved, pieces = {}, ([], [], [])
+    for row, pt, bt in itertools.product(_ROWS, range(10), range(10)):
         moves = _PLAYER_MOVES[row]
-        # From the second row, the first row's block with the same totals.
-        twin = base - 10**4
-        if twin >= 0 and cells[twin] == _NO_CELL:
-            shared = True
-        else:
-            _, _, p3, b3, natural, sign = _resolve_coup(
-                pt, bt, moves, thirds[0], all_stand
-            )
-            cell = _NO_CELL if natural else bt * 11 + (10 if p3 is None else p3)
-            shared = twin >= 0 and cell == cells[twin]
-        if shared:
-            for t in (cells, stand_signs, draw_signs):
-                t[base : base + 100] = t[twin : twin + 100]
-            continue
-        j = 0
-        cell_block, sign_block = bytearray(), bytearray()
-        while True:
-            end = ends[j][(p3 is not None) + (b3 is not None)]
-            cell = _NO_CELL if natural else bt * 11 + (10 if p3 is None else p3)
-            cell_block += fill[cell][: end - j]
-            sign_block += fill[sign + 1][: end - j]
-            if end == 100:
-                break
-            j = end
-            _, _, p3, b3, natural, sign = _resolve_coup(
-                pt, bt, moves, thirds[j], all_stand
-            )
-        cells[base : base + 100] = cell_block
-        stand_signs[base : base + 100] = sign_block
-        if natural:
-            draw_signs[base : base + 100] = sign_block
-            continue
-        j = 0
-        sign_block = bytearray()
-        while j < 100:
-            _, _, p3, b3, _, sign = _resolve_coup(pt, bt, moves, thirds[j], all_draw)
-            end = ends[j][(p3 is not None) + (b3 is not None)]
-            sign_block += fill[sign + 1][: end - j]
-            j = end
-        draw_signs[base : base + 100] = sign_block
-    return tuple(
-        memoryview(t).toreadonly() for t in (cells, stand_signs, draw_signs)
-    )
+        first = _resolve_coup(pt, bt, moves, thirds[0], all_stand)
+        key = pt, bt, first
+        if key not in resolved:
+            _, _, p3, b3, natural, sign = first
+            cell_block, stand_block, j = bytearray(), bytearray(), 0
+            while True:
+                end = ends[j][(p3 is not None) + (b3 is not None)]
+                cell = _NO_CELL if natural else bt * 11 + (10 if p3 is None else p3)
+                cell_block += fill[cell][: end - j]
+                stand_block += fill[sign + 1][: end - j]
+                if end == 100:
+                    break
+                j = end
+                _, _, p3, b3, natural, sign = _resolve_coup(
+                    pt, bt, moves, thirds[j], all_stand
+                )
+            # A natural reads no Banker action, so drawing plays alike.
+            draw_block, j = (stand_block, 100) if natural else (bytearray(), 0)
+            while j < 100:
+                _, _, p3, b3, _, sign = _resolve_coup(
+                    pt, bt, moves, thirds[j], all_draw
+                )
+                end = ends[j][(p3 is not None) + (b3 is not None)]
+                draw_block += fill[sign + 1][: end - j]
+                j = end
+            resolved[key] = cell_block, stand_block, draw_block
+        for piece, part in zip(pieces, resolved[key]):
+            piece.append(part)
+    return tuple(b"".join(piece) for piece in pieces)
 
 
 @lru_cache(maxsize=1)

@@ -257,6 +257,13 @@ def _player_row(row) -> PlayerRow:
     return row
 
 
+def _action(a) -> Action:
+    """``a`` itself when it is an ``Action``; anything else is refused."""
+    if not isinstance(a, Action):
+        raise ValueError(f"not an Action: {a!r}")
+    return a
+
+
 def _commission_rate(alpha) -> Fraction:
     """An exact commission rate in ``[0, 1)``; floats are rejected."""
     a = _coerce_rational(alpha, "alpha")
@@ -325,7 +332,9 @@ class Variant(_Frozen):
         self, name: str, optional_cells, fixed_actions, alpha_bound=Fraction(1)
     ):
         cells = tuple(map(_info_set, optional_cells))
-        fixed = {_info_set(cell): a for cell, a in dict(fixed_actions).items()}
+        fixed = {
+            _info_set(cell): _action(a) for cell, a in dict(fixed_actions).items()
+        }
         bound = _coerce_rational(alpha_bound, "alpha_bound")
         if not 0 <= bound <= 1:
             raise ValueError(f"alpha_bound must be in [0, 1], got {bound}")
@@ -421,8 +430,7 @@ class BankerStrategy(_Frozen):
                 f"sets, got {len(actions)}"
             )
         for a in actions:
-            if not isinstance(a, Action):
-                raise ValueError(f"not an Action: {a!r}")
+            _action(a)
         self._init(actions=actions, label=label)
 
     def __reduce__(self):

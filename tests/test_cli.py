@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface via its ``run`` entry."""
 
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -9,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +19,7 @@ from hypothesis import example, given, seed, settings, strategies as st
 
 import baccarat
 from baccarat import cli as cli_module
-from baccarat.cli import run
+from baccarat.cli import _decimal_str, _rational, run
 
 F = Fraction
 
@@ -222,6 +224,84 @@ def test_huge_rationals_render_in_every_format(fmt):
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "1" + "0" * 400 + "." + "0" * 10 in proc.stdout
+
+
+def _decimal_str_by_decimal(x: Fraction, places: int = 10) -> str:
+    """The earlier rendering: the quotient to 60 significant digits, then
+    half-even to ``places`` decimals.  Exact while the 60 digits are."""
+    whole = Decimal(abs(x.numerator) // x.denominator)
+    with localcontext() as ctx:
+        ctx.prec = max(60, whole.adjusted() + places + 2)
+        q = (Decimal(x.numerator) / Decimal(x.denominator)).quantize(
+            Decimal(1).scaleb(-places)
+        )
+    return format(q, "f")
+
+
+def test_a_decimal_is_rounded_once_from_the_exact_value(cli):
+    """Just above half of the tenth decimal rounds up: rounding first to
+    60 digits made it an exact tie, which half-even sent to zero."""
+    x = F(5 * 10**60 + 1, 10**71)
+    assert _decimal_str(x) == "0.0000000001"
+    assert _decimal_str(-x) == "-0.0000000001"
+    assert _decimal_str(F(-1, 10**12)) == "-0.0000000000"
+    assert _decimal_str(F(0)) == "0.0000000000"
+    alpha = "0.0000000000" + "5" + "0" * 59 + "1"
+    code, out, _ = cli("table", "--alpha", alpha, "--format", "json")
+    assert code == 0
+    assert F(alpha) == x
+    assert get_json(out)["inputs"]["alpha_decimal"] == "0.0000000001"
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.one_of(
+        st.fractions(-(10**6), 10**6, max_denominator=10**30),
+        st.integers(-(10**12), 10**12).map(lambda k: F(2 * k + 1, 2 * 10**10)),
+    )
+)
+def test_decimal_str_equals_the_decimal_rendering_where_it_is_exact(x):
+    """Denominators up to 10^30 and exact ties of the tenth decimal."""
+    assert _decimal_str(x) == _decimal_str_by_decimal(x)
+
+
+#: Each numeral the CLI reads, and its value or the start of its message.
+RATIONALS = {
+    "1/20": F(1, 20),
+    "0.05": F(1, 20),
+    "1e-9": F(1, 10**9),
+    "1e99999": "number too large",
+    "1e-100000": "number too large",
+    "nan": "not a rational number",
+    "inf": "not a rational number",
+    "1/0": "not a rational number",
+    "abc": "not a rational number",
+    "1e": "not a rational number",
+    "9" * 5000: "number too large",
+    "-1/20": F(-1, 20),
+    " 2/4 ": F(1, 2),
+    "1_0": F(10),
+    "0x10": "not a rational number",
+    "1e5/3": "not a rational number",
+    "--1": "not a rational number",
+    "1e-1000": F(1, 10**1000),
+    "1e1000": F(10**1000),
+    "1e1001": "number too large",
+    "1.5e-999": F(3, 2 * 10**999),
+}
+
+
+@pytest.mark.parametrize(
+    "text", list(RATIONALS), ids=lambda t: t if len(t) < 20 else f"{len(t)} digits"
+)
+def test_rational_reads_through_the_number_gate(text):
+    expected = RATIONALS[text]
+    if isinstance(expected, Fraction):
+        assert _rational(text) == expected
+    else:
+        with pytest.raises(argparse.ArgumentTypeError, match=f"^{expected}: "):
+            _rational(text)
 
 
 def test_sweep_reports_each_grid_point(cli):

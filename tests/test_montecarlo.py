@@ -234,6 +234,7 @@ def test_outcome_table_matches_play_coup():
     ``(0, pt)``, so the test also checks that only totals matter.
     """
     cells, stand_signs, draw_signs = montecarlo._outcome_table()
+    assert all(type(t) is bytes for t in (cells, stand_signs, draw_signs))
     assert len(cells) == len(stand_signs) == len(draw_signs) == 20000
     all_stand = BankerStrategy((Action.STAND,) * 88)
     all_draw = BankerStrategy((Action.DRAW,) * 88)
@@ -318,11 +319,12 @@ def test_outcome_table_calls_play_coup_once_per_read_prefix(monkeypatch):
     standing and 10 drawing when Player stands; 10 standing and 100
     drawing when Player draws.  Over 36 natural, 24 Player-stands and 40
     Player-draws blocks, that is 36 + 24 * 11 + 40 * 110 = 4 700 calls.
-    The second row copies its 36 naturals without a call, and makes one
-    probe on each of its 64 other blocks; the 56 whose probe shows the
-    first row's Player move are copied, and the 8 of total 5 are resolved
-    in full, the probe being their first standing call: 56 + 8 * 110 =
-    936.  In all 5 636 calls, not 32 800.  The calls are counted on
+    The second row makes the first coup of each of its 100 blocks, which
+    keys the blocks already resolved: its 36 naturals cost that one coup
+    each, and so do the 56 whose first coup shows the first row's Player
+    move.  The 8 non-natural blocks of total 5 are resolved in full from
+    their first coup, at 109 more calls each: 100 + 8 * 109 = 972.  In
+    all 5 672 calls, not 32 800.  The calls are counted on
     ``rules._resolve_coup``, the rules ``play_coup`` checks its input
     for."""
     calls = []
@@ -333,7 +335,7 @@ def test_outcome_table_calls_play_coup_once_per_read_prefix(monkeypatch):
 
     monkeypatch.setattr(payoff, "_resolve_coup", counting_core)
     payoff._outcome_table.__wrapped__()
-    assert len(calls) == 5636
+    assert len(calls) == 5672
 
 
 def test_outcome_table_checks_nothing(monkeypatch):

@@ -5,6 +5,7 @@ import copy
 import inspect
 import itertools
 import pickle
+import re
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -294,6 +295,18 @@ class TestVariants:
         for bad in ((8, 1), (3, 10), "(3,9)", 3):
             with pytest.raises(ValueError, match="not a Banker information set"):
                 Variant("bad", [(3, 9), (5, 4)], {bad: S, (6, None): S})
+
+    @pytest.mark.parametrize("bad", ["D", "S", 42, None, True], ids=repr)
+    def test_a_mandate_must_be_an_action(self, bad):
+        """A mandate that is not an Action is refused by name, as in a
+        Banker strategy, not read as stand by the engine."""
+        refused = pytest.raises(ValueError, match=re.escape(f"not an Action: {bad!r}"))
+        with refused:
+            Variant("v", [(3, 9), (5, 4)], {(4, 1): bad, (6, None): S})
+        with refused:
+            Variant("v", [(3, 9), (5, 4)], {(4, 1): S, (6, None): bad})
+        with refused:
+            BankerStrategy((S,) * 87 + (bad,))
 
     def test_custom_variant_must_partition_starred_cells(self):
         v = Variant(
