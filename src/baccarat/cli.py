@@ -8,20 +8,17 @@ identical numeric content.  Rates accept both decimal and fraction
 spellings: ``--alpha 0.05`` and ``--alpha 1/20`` are the same number.
 
 Exit codes: 0 on success, 2 on invalid input (unknown command or flag,
-malformed or out-of-range values), 1 on internal error.  Either failure
-prints one line to stderr.
+malformed or out-of-range values), 1 on internal error or a report that
+cannot be written.  Either failure prints one line to stderr.
 """
 
 from __future__ import annotations
 
-import argparse
-import csv
-import io
 import json
 import re
 import sys
 from fractions import Fraction
-from functools import cache
+from types import SimpleNamespace
 
 from . import montecarlo, parametric, punto
 from .payoff import build_reduced_game, classify_info_sets, oracle_payoff_entry
@@ -50,7 +47,7 @@ def _rational(text: str) -> Fraction:
     numerator and a denominator of at most 10^1000."""
     s = text.strip()
     shown = repr(s if len(s) <= 40 else f"{s[:37]}...")
-    too_large = argparse.ArgumentTypeError(
+    too_large = ValueError(
         f"number too large: {shown} (numerator and denominator must be at "
         f"most 10^1000)"
     )
@@ -59,7 +56,7 @@ def _rational(text: str) -> Fraction:
     except (ValueError, ArithmeticError) as exc:
         if _NUMERAL.fullmatch(s) and not isinstance(exc, ZeroDivisionError):
             raise too_large
-        raise argparse.ArgumentTypeError(f"not a rational number: {shown}")
+        raise ValueError(f"not a rational number: {shown}")
     if max(abs(value.numerator), value.denominator) > _MAX_TERM:
         raise too_large
     return value
@@ -68,46 +65,52 @@ def _rational(text: str) -> Fraction:
 def _rational_list(text: str) -> list[Fraction]:
     items = [piece for piece in text.split(",") if piece.strip()]
     if not items:
-        raise argparse.ArgumentTypeError("expected a comma-separated list")
+        raise ValueError("expected a comma-separated list")
     if len(items) > _MAX_GRID:
-        raise argparse.ArgumentTypeError(
-            f"at most {_MAX_GRID} rates, got {len(items)}"
-        )
+        raise ValueError(f"at most {_MAX_GRID} rates, got {len(items)}")
     return [_rational(piece) for piece in items]
 
 
 def _decimal_str(x: Fraction, places: int = 10) -> str:
     """``x`` rounded half to even to ``places`` decimals, from the exact
     value; a negative ``x`` keeps its sign even when it rounds to zero."""
-    whole, frac = divmod(round(abs(x) * 10**places), 10**places)
-    return f"{'-' if x < 0 else ''}{whole}.{frac:0{places}d}"
+    num, den = x.numerator, x.denominator
+    scaled, rest = divmod(abs(num) * 10**places, den)
+    scaled += 2 * rest > den or (2 * rest == den and scaled & 1)
+    whole, frac = divmod(scaled, 10**places)
+    return f"{'-' if num < 0 else ''}{whole}.{frac:0{places}d}"
 
 
 # --- rendering -------------------------------------------------------------
 
+_quote = json.encoder.encode_basestring_ascii
 
-def _to_jsonable(node):
+
+def _json(node, pad: str = "\n") -> str:
+    """``node`` as ``json.dumps(node, indent=2)`` writes it, where ``pad``
+    starts each line of ``node``'s own level; a Fraction value of a dict
+    is its string followed by a ``<key>_decimal`` twin."""
+    inner = pad + "  "
     if isinstance(node, dict):
-        out = {}
+        items = []
         for key, value in node.items():
             if isinstance(value, Fraction):
-                out[key] = str(value)
-                out[f"{key}_decimal"] = _decimal_str(value)
-            elif isinstance(value, (dict, list, tuple)):
-                out[key] = _to_jsonable(value)
+                items.append(f'{_quote(key)}: "{value}"')
+                items.append(f'{_quote(key + "_decimal")}: "{_decimal_str(value)}"')
             else:
-                out[key] = value
-        return out
+                items.append(f"{_quote(key)}: {_json(value, inner)}")
+        return f"{{{inner}{f',{inner}'.join(items)}{pad}}}" if items else "{}"
     if isinstance(node, (list, tuple)):
-        return [_to_jsonable(x) for x in node]
-    return node
-
-
-def _render_json(report: dict) -> str:
-    return json.dumps(_to_jsonable(report), indent=2) + "\n"
+        items = [_json(item, inner) for item in node]
+        return f"[{inner}{f',{inner}'.join(items)}{pad}]" if items else "[]"
+    # A string, number, bool or None; json refuses anything else.
+    return _quote(node) if isinstance(node, str) else json.dumps(node)
 
 
 def _render_csv(report: dict) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["key", "value", "decimal"])
@@ -148,9 +151,7 @@ def _render_text(report: dict) -> str:
                     else:
                         lines.append(f"{pad}  - {item}")
             elif isinstance(value, Fraction):
-                lines.append(
-                    f"{pad}{key}: {value} ({_decimal_str(value)})"
-                )
+                lines.append(f"{pad}{key}: {value} ({_decimal_str(value)})")
             else:
                 lines.append(f"{pad}{key}: {value}")
 
@@ -158,7 +159,8 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-_RENDERERS = {"text": _render_text, "json": _render_json, "csv": _render_csv}
+_RENDERERS = {"text": _render_text, "json": lambda report: _json(report) + "\n",
+              "csv": _render_csv}
 
 
 # --- command handlers ------------------------------------------------------
@@ -329,19 +331,11 @@ def _cmd_oracle(ns) -> dict:
             o_player, o_banker = oracle_payoff_entry(row, strategy, game.alpha)
             match = o_player == A[r][j] and o_banker == B[r][j]
             mismatches += not match
-            entries.append(
-                {
-                    "row": str(row),
-                    "column": label,
-                    "player_value": o_player,
-                    "banker_value": o_banker,
-                    "matches_decomposition": match,
-                }
-            )
+            entries.append({"row": str(row), "column": label, "player_value": o_player,
+                            "banker_value": o_banker, "matches_decomposition": match})
     if mismatches:
         raise RuntimeError(
-            f"oracle disagrees with the decomposition on {mismatches} entries"
-        )
+            f"oracle disagrees with the decomposition on {mismatches} entries")
     return {
         "command": "oracle",
         "inputs": {"variant": ns.variant, "alpha": Fraction(ns.alpha)},
@@ -349,132 +343,137 @@ def _cmd_oracle(ns) -> dict:
     }
 
 
-# --- parser ----------------------------------------------------------------
+# --- command line ----------------------------------------------------------
+
+#: The flags of every command, given before or after its name.  Each
+#: argument has a type (a callable, or a mapping whose keys are its
+#: choices), a default, a required mark and a help line.
+_GLOBAL_FLAGS = {
+    "--format": (_RENDERERS, "text", False, "output format (default: text)"),
+    "--out": (str, None, False, "also write the report verbatim to the file OUT"),
+}
+
+#: Each command's handler, help line and arguments; an argument whose
+#: name has no dashes is a positional.
+_COMMANDS = {
+    "table": (_cmd_table, "render the 88-cell drawing table", {
+        "--alpha": (_rational, Fraction(0), False, "commission rate (default: 0)")}),
+    "solve": (_cmd_solve, "solve one variant exactly", {
+        "variant": (_VARIANTS, None, True, "the variant to solve"),
+        "--alpha": (_rational, None, False,
+                    "commission rate (default: 0 for parlor, 1/20 otherwise)")}),
+    "alpha-star": (_cmd_alpha_star, "bracket the break-even commission rate", {
+        "--tol": (_rational, Fraction(1, 10**9), False, "widest bracket (default: 1e-9)")}),
+    "punto": (_cmd_punto, "fixed-rule probabilities and edges", {}),
+    "sweep": (_cmd_sweep, "solve along a grid of commission rates", {
+        "--variant": (_VARIANTS, "classic", False, "the variant (default: classic)"),
+        "--grid": (_rational_list, None, False,
+                   "comma-separated rates, e.g. 0,1/100,1/20")}),
+    "simulate": (_cmd_simulate, "Monte Carlo check of a solved game", {
+        "--variant": (_VARIANTS, None, True, "the variant to play"),
+        "--hands": (int, None, True, "hands to play, 1 to 10^7"),
+        "--seed": (int, None, True, "seed of the generator, an integer >= 0"),
+        "--alpha": (_rational, None, False, "commission rate (default: as for solve)"),
+        "--player-p": (_rational, None, False, "override Player's draw-on-5 probability")}),
+    "oracle": (_cmd_oracle, "brute-force every payoff entry and compare", {
+        "--variant": (_VARIANTS, None, True, "the variant to check"),
+        "--alpha": (_rational, None, True, "commission rate")}),
+}
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose errors are one ``error:`` line.
+def _parse(argv: list[str]) -> SimpleNamespace | str:
+    """The namespace of one command line, or its help text for ``-h``.
 
-    An argument that begins like a negative number (``-1/20``, ``-1e-3``,
-    ``-.5``) is read as a value, not as an unknown flag, so a negative
-    rate gets the same range message as any other rate.  No flag of this
-    parser begins with a digit.
+    The global flags may come before or after the command; the last of a
+    repeated flag wins.  The token after a flag is its value, even one
+    that starts with a dash, and ``--flag=value`` works too.  Flag names
+    match exactly.  After the command, ``--`` ends the flags.  A command
+    line it refuses raises ValueError with the message's one line.
     """
+    cmd, args, given, positionals, flags = None, _GLOBAL_FLAGS, {}, [], True
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # argparse's own pattern knows only "-5" and "-0.5".
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+    def refused(message: str) -> ValueError:
+        return ValueError(f"{message} (see 'baccarat{' ' + cmd if cmd else ''} --help')")
 
-    def error(self, message: str):
-        self.exit(2, f"error: {message} (see '{self.prog} --help')\n")
+    def read(name: str, kind, text: str):
+        if isinstance(kind, dict):
+            if text in kind:
+                return text
+            reason = f"invalid choice: {text!r} (choose from {', '.join(map(repr, kind))})"
+        else:
+            try:
+                return kind(text)
+            except ValueError as exc:
+                reason = f"invalid int value: {text!r}" if kind is int else exc
+        raise refused(f"argument {name}: {reason}")
+
+    tokens = iter(argv)
+    for tok in tokens:
+        if flags and tok == "--" and cmd:
+            flags = False
+        elif flags and tok in ("-h", "--help"):
+            return _help(cmd)
+        elif flags and tok[:1] == "-":
+            name, eq, text = tok.partition("=")
+            if name not in args:
+                raise refused(f"unrecognized argument: {tok!r}")
+            if not eq and (text := next(tokens, None)) is None:
+                raise refused(f"argument {name}: expected one argument")
+            given[name] = read(name, args[name][0], text)
+        elif cmd is None:
+            cmd = read("subcommand", _COMMANDS, tok)
+            args = {**_COMMANDS[cmd][2], **_GLOBAL_FLAGS}
+            positionals = [name for name in args if name[0] != "-"]
+        elif positionals:
+            name = positionals.pop(0)
+            given[name] = read(name, args[name][0], tok)
+        else:
+            raise refused(f"unrecognized argument: {tok!r}")
+    missing = [name for name, arg in args.items() if arg[2] and name not in given]
+    if cmd is None or missing:
+        listed = ", ".join(missing) if cmd else "subcommand"
+        raise refused(f"the following arguments are required: {listed}")
+    values = {name.lstrip("-").replace("-", "_"): given.get(name, arg[1])
+              for name, arg in args.items()}
+    return SimpleNamespace(subcommand=cmd, handler=_COMMANDS[cmd][0], **values)
 
 
-@cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The command's parser, built on the first :func:`run` of a process."""
-    parser = _Parser(
-        prog="baccarat",
-        description="Exact solver for the drawing games of baccarat.",
-    )
-    # The output flags are accepted both before and after the subcommand;
-    # the shared parent uses SUPPRESS so a subcommand-position flag
-    # overrides without its default clobbering a pre-subcommand value.
-    common = argparse.ArgumentParser(add_help=False)
-    for target, default in ((parser, "text"), (common, argparse.SUPPRESS)):
-        target.add_argument(
-            "--format",
-            choices=("text", "json", "csv"),
-            default=default,
-            help="output format (default: text)",
-        )
-    parser.add_argument(
-        "--out", metavar="FILE", default=None,
-        help="also write the report verbatim to FILE",
-    )
-    common.add_argument(
-        "--out", metavar="FILE", default=argparse.SUPPRESS,
-        help="also write the report verbatim to FILE",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser(
-        "table", parents=[common], help="render the 88-cell drawing table"
-    )
-    p.add_argument("--alpha", type=_rational, default=Fraction(0))
-    p.set_defaults(handler=_cmd_table)
-
-    p = sub.add_parser("solve", parents=[common], help="solve one variant exactly")
-    p.add_argument("variant", choices=sorted(_VARIANTS))
-    p.add_argument(
-        "--alpha",
-        type=_rational,
-        default=None,
-        help="commission rate (default: 0 for parlor, 1/20 otherwise)",
-    )
-    p.set_defaults(handler=_cmd_solve)
-
-    p = sub.add_parser(
-        "alpha-star", parents=[common], help="bracket the break-even commission rate"
-    )
-    p.add_argument("--tol", type=_rational, default=Fraction(1, 10**9))
-    p.set_defaults(handler=_cmd_alpha_star)
-
-    p = sub.add_parser("punto", parents=[common], help="fixed-rule probabilities and edges")
-    p.set_defaults(handler=_cmd_punto)
-
-    p = sub.add_parser("sweep", parents=[common], help="solve along a grid of commission rates")
-    p.add_argument("--variant", choices=sorted(_VARIANTS), default="classic")
-    p.add_argument(
-        "--grid",
-        type=_rational_list,
-        default=None,
-        help="comma-separated rates, e.g. 0,1/100,1/20",
-    )
-    p.set_defaults(handler=_cmd_sweep)
-
-    p = sub.add_parser("simulate", parents=[common], help="Monte Carlo check of a solved game")
-    p.add_argument("--variant", choices=sorted(_VARIANTS), required=True)
-    p.add_argument("--hands", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--alpha", type=_rational, default=None)
-    p.add_argument(
-        "--player-p",
-        type=_rational,
-        default=None,
-        help="override Player's draw-on-5 probability",
-    )
-    p.set_defaults(handler=_cmd_simulate)
-
-    p = sub.add_parser(
-        "oracle", parents=[common], help="brute-force every payoff entry and compare"
-    )
-    p.add_argument("--variant", choices=sorted(_VARIANTS), required=True)
-    p.add_argument("--alpha", type=_rational, required=True)
-    p.set_defaults(handler=_cmd_oracle)
-
-    return parser
+def _help(cmd: str | None) -> str:
+    """The usage of ``baccarat``, or of its command ``cmd``."""
+    args = {**_COMMANDS[cmd][2], **_GLOBAL_FLAGS} if cmd else _GLOBAL_FLAGS
+    rows = [] if cmd else [(name, command[1]) for name, command in _COMMANDS.items()]
+    for name, (kind, _, required, text) in args.items():
+        meta = name.strip("-").upper() if callable(kind) else "{%s}" % ",".join(kind)
+        left = f"{name} {meta}" if name[0] == "-" else meta
+        rows.append((left, text + " (required)" * required))
+    rows.append(("-h, --help", "print this help and exit"))
+    width = max(len(left) for left, _ in rows) + 2
+    about = _COMMANDS[cmd][1] if cmd else "Exact solver for the drawing games of baccarat."
+    usage = cmd or "[--format FORMAT] [--out OUT] <command>"
+    return "\n".join([f"usage: baccarat {usage} [arguments]", "", about, "",
+                      *(f"  {left:<{width}}{right}" for left, right in rows)]) + "\n"
 
 
 def run(argv=None) -> int:
     """Entry point; returns the process exit code instead of raising."""
-    parser = _build_parser()
-    try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
     try:
         try:
-            report = ns.handler(ns)
+            ns = _parse(sys.argv[1:] if argv is None else argv)
+            report = None if isinstance(ns, str) else ns.handler(ns)  # None: help
         except (ValueError, TypeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        text = _RENDERERS[ns.format](report)
+        text = ns if report is None else _RENDERERS[ns.format](report)
     except Exception as exc:  # noqa: BLE001 - boundary of the process
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(text)
-    if ns.out:
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+        return 1
+    if report is not None and ns.out:
         try:
             with open(ns.out, "w") as f:
                 f.write(text)

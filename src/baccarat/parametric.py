@@ -158,9 +158,10 @@ class VariantSolution(NamedTuple):
         """Marginal probability that the equilibrium draws at one cell."""
         idx = self.variant.optional_cells.index(cell)
         return sum(
-            self.report.column_strategy[j]
-            for j in self.report.column_support
-            if self.game.columns[j][idx] is Action.DRAW
+            (self.report.column_strategy[j]
+             for j in self.report.column_support
+             if self.game.columns[j][idx] is Action.DRAW),
+            Fraction(0),
         )
 
 

@@ -1,6 +1,5 @@
 """End-to-end tests of the command-line interface via its ``run`` entry."""
 
-import argparse
 import contextlib
 import csv
 import hashlib
@@ -20,6 +19,7 @@ from hypothesis import example, given, seed, settings, strategies as st
 import baccarat
 from baccarat import cli as cli_module
 from baccarat.cli import _decimal_str, _rational, run
+from cli_reference import _build_parser
 
 F = Fraction
 
@@ -38,13 +38,14 @@ def get_json(out: str) -> dict:
     return json.loads(out)
 
 
-def fresh_process(*argv, **env):
+def fresh_process(*argv, stdout=subprocess.PIPE, **env):
     """``python -m baccarat.cli`` with ``argv`` in a new interpreter."""
     src = str(Path(baccarat.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "baccarat.cli", *argv],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env={**os.environ, "PYTHONPATH": path, **env},
         timeout=120,
@@ -143,13 +144,13 @@ PINNED_SIMULATE_REPORTS = {
      "--hands", "20000", "--seed", "1238733488"):
         "e237270eb57dbbc4b8fdb3a276317dbbe0a34c22c2ff7cda28b13139b54404fe",
     ("simulate", "--variant", "parlor", "--hands", "20000", "--seed", "1332217461"):
-        "15692198317f9148bbdaa42afce78e713b1f6b9e426c5d169f04440832fa7978",
+        "498baac82e1037161e4cacf9d591767559258351f6f9b7cbe3442285c535f7f7",
     ("simulate", "--variant", "classic", "--alpha", "74/2623",
      "--hands", "20000", "--seed", "495895151"):
-        "305e5309c2c367897e03b0b7b1742f1a9b18d42b633f6c00745713311fbda44b",
+        "3b754b78ae0ea53f2fed4e991d40d435838dcef53a4e5b76d4b332b62e6ea2a0",
     ("simulate", "--variant", "classic", "--alpha", "1/20", "--player-p", "1/3",
      "--hands", "20000", "--seed", "7"):
-        "58ef71841afa09b7e5e3501a014f6a727e58cec039f2ec77b0bd32c0217b63f5",
+        "3e65f051dcd2044b8c183c1fe6f515092f6017489567bbc28f85658ee6d56cce",
 }
 
 
@@ -194,18 +195,35 @@ def test_the_cli_imports_without_dataclasses_or_inspect():
     """Every command pays the import of ``baccarat.cli``; ``dataclasses``,
     with ``inspect``, ``ast`` and ``dis`` behind it, and the methods it
     generated once cost more than half of it.  ``pathlib`` brings
-    ``urllib.parse`` and ``ipaddress`` for one file write.  ``-S`` keeps
-    the ``.pth`` hooks of site-packages out of the run."""
+    ``urllib.parse`` and ``ipaddress`` for one file write.  ``argparse``
+    brings ``gettext`` and, on its first message, ``locale``; ``csv`` is
+    for one format.  ``-S`` keeps the ``.pth`` hooks of site-packages out
+    of the run."""
     src = str(Path(baccarat.__file__).resolve().parents[1])
+    unwanted = {"dataclasses", "inspect", "pathlib", "argparse", "gettext", "locale", "csv"}
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import baccarat.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'pathlib'} & set(sys.modules)))"
+        "code = baccarat.cli.run(['punto', '--format', 'json']); "
+        f"print(code, sorted({unwanted!r} & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout.endswith("}\n0 []\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [("solve", "classic"), ("punto",), ("--help",)])
+def test_a_report_stdout_cannot_take_is_one_error_line(argv):
+    """A full disk behind stdout, for a report longer than the stream's
+    buffer and for shorter ones, is one line and exit 1, also once the
+    interpreter flushes its streams on the way out."""
+    with open("/dev/full", "w") as full:
+        proc = fresh_process(*argv, stdout=full)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cannot write to stdout: [Errno 28] ")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_alpha_star_width_honors_tolerance(cli):
@@ -300,7 +318,7 @@ def test_rational_reads_through_the_number_gate(text):
     if isinstance(expected, Fraction):
         assert _rational(text) == expected
     else:
-        with pytest.raises(argparse.ArgumentTypeError, match=f"^{expected}: "):
+        with pytest.raises(ValueError, match=f"^{expected}: "):
             _rational(text)
 
 
@@ -463,19 +481,36 @@ class TestExitCodes:
         assert code == 0
         assert "baccarat" in out
 
+    def test_a_command_help_lists_its_flags(self, cli):
+        code, out, err = cli("simulate", "--variant", "classic", "-h")
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: baccarat simulate [arguments]\n")
+        assert "  --variant {parlor,classic,modern}  the variant to play (required)\n" in out
+        for flag in ("--hands", "--seed", "--alpha", "--player-p", "--format", "--out"):
+            assert f"  {flag} " in out
 
-def test_one_process_serves_many_commands(cli, monkeypatch):
-    """The parser is built on the first run and reused: a rejected flag
-    and --help in between leave every report as a fresh process gives."""
-    monkeypatch.setenv("COLUMNS", "80")
-    cli_module._build_parser.cache_clear()
+    @pytest.mark.parametrize(
+        "argv",
+        [("solve", "classic", "--alp", "1/20"), ("--form", "json", "punto"),
+         ("sweep", "--var=modern")],
+    )
+    def test_a_flag_name_must_match_exactly(self, cli, argv):
+        """argparse took a unique prefix of a flag; this parser does not."""
+        assert vars(_build_parser().parse_args(argv))
+        code, out, err = cli(*argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: unrecognized argument: '--") and err.count("\n") == 1
+
+
+def test_one_process_serves_many_commands(cli):
+    """A rejected flag and --help in between leave every report as a
+    fresh process gives."""
     good = ("solve", "modern", "--alpha", "1/20", "--format", "json")
     argvs = (good, ("solve", "modern", "--bogus"), ("--help",), good)
     results = [cli(*argv) for argv in argvs]
     assert [code for code, _, _ in results] == [0, 2, 0, 0]
-    assert cli_module._build_parser.cache_info().misses == 1
     for argv, result in zip(argvs, results):
-        proc = fresh_process(*argv, COLUMNS="80")
+        proc = fresh_process(*argv)
         assert result == (proc.returncode, proc.stdout, proc.stderr), argv
 
 
@@ -651,3 +686,27 @@ def test_any_argv_exits_cleanly_and_in_time(argv):
         assert code == 2, (argv, err.getvalue())
         assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
         assert err.getvalue().endswith("\n"), argv
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None, database=None)
+@given(_argvs().filter(lambda argv: "-h" not in argv))
+@example(["--format", "csv", "punto", "--format", "json", "--out", "x"])
+@example(["solve", "--", "classic"])
+@example(["solve", "classic", "--"])
+@example(["solve", "classic", "--alpha=-1/20", "--alpha", "1/20"])
+@example(["sweep", "--grid", "-1/20,0"])
+def test_the_command_table_reads_argv_as_argparse_did(argv):
+    """Both parsers refuse, or both give the same subcommand, handler,
+    output flags and per-command values."""
+    try:
+        ours = vars(cli_module._parse(argv))
+    except ValueError:
+        ours = "refused"
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            theirs = vars(_build_parser().parse_args(argv))
+        except SystemExit as exc:
+            assert exc.code == 2
+            theirs = "refused"
+    assert ours == theirs, argv

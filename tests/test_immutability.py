@@ -64,12 +64,6 @@ CALLS = {
     "punto.punto_report": [()],
 }
 
-#: Caches of objects that are not values, each with the reason it is exempt.
-EXEMPT = {
-    "cli._build_parser": "the argument parser, built once per process; only run() reads it",
-}
-
-
 def _cached_functions() -> dict:
     found = {}
     for module in MODULES:
@@ -149,7 +143,7 @@ RECORDS = {
 
 
 def test_every_cache_is_listed():
-    assert set(_cached_functions()) == set(CALLS) | set(EXEMPT)
+    assert set(_cached_functions()) == set(CALLS)
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))

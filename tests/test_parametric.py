@@ -314,6 +314,18 @@ class TestEquilibriumCurve:
             equilibrium_curve(PARLOR, (0, F(1, 20)))
 
 
+@pytest.mark.parametrize(
+    "variant, alpha", [(PARLOR, 0), (CLASSIC, F(74, 2623)), (MODERN, F(1, 20))],
+    ids=["parlor", "classic", "modern"],
+)
+def test_banker_draw_probability_is_a_fraction_at_every_optional_cell(variant, alpha):
+    """A cell where no support column draws is the Fraction 0, not the int
+    0 of an empty sum, so the command line renders it twice as well."""
+    sol = solve_variant(variant, alpha)
+    probabilities = [sol.banker_draw_probability(c) for c in variant.optional_cells]
+    assert [type(q) for q in probabilities] == [Fraction] * len(probabilities)
+
+
 def _summary(sweep):
     return [
         (
