@@ -7,9 +7,11 @@ twice -- the exact fraction string and a decimal rounded to ten places
 identical numeric content.  Rates accept both decimal and fraction
 spellings: ``--alpha 0.05`` and ``--alpha 1/20`` are the same number.
 
-Exit codes: 0 on success, 2 on invalid input (unknown command or flag,
-malformed or out-of-range values), 1 on internal error or a report that
-cannot be written.  Either failure prints one line to stderr.
+Exit codes: 0 on success; 2 on invalid input (unknown command or flag,
+malformed or out-of-range values), and on an ``--out`` file that cannot
+be written, after the report has reached stdout; 1 on an internal error
+or a report that stdout cannot take.  Each failure prints one line to
+stderr.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from types import SimpleNamespace
 from . import montecarlo, parametric, punto
 from .payoff import build_reduced_game, classify_info_sets, oracle_payoff_entry
 from .rules import _coerce_rational, CLASSIC, InfoSet, MODERN, PARLOR, PlayerRow
-from .solver import MixedStrategy
 
 __all__ = ["run", "main"]
 
@@ -71,14 +72,14 @@ def _rational_list(text: str) -> list[Fraction]:
     return [_rational(piece) for piece in items]
 
 
-def _decimal_str(x: Fraction, places: int = 10) -> str:
-    """``x`` rounded half to even to ``places`` decimals, from the exact
-    value; a negative ``x`` keeps its sign even when it rounds to zero."""
+def _decimal_str(x: Fraction) -> str:
+    """``x`` rounded half to even to ten decimals, from the exact value;
+    a negative ``x`` keeps its sign even when it rounds to zero."""
     num, den = x.numerator, x.denominator
-    scaled, rest = divmod(abs(num) * 10**places, den)
+    scaled, rest = divmod(abs(num) * 10**10, den)
     scaled += 2 * rest > den or (2 * rest == den and scaled & 1)
-    whole, frac = divmod(scaled, 10**places)
-    return f"{'-' if num < 0 else ''}{whole}.{frac:0{places}d}"
+    whole, frac = divmod(scaled, 10**10)
+    return f"{'-' if num < 0 else ''}{whole}.{frac:010d}"
 
 
 # --- rendering -------------------------------------------------------------
@@ -124,8 +125,6 @@ def _render_csv(report: dict) -> str:
                 walk(f"{prefix}[{i}]", value)
         elif isinstance(node, Fraction):
             writer.writerow([prefix, str(node), _decimal_str(node)])
-        elif isinstance(node, float):
-            writer.writerow([prefix, repr(node), ""])
         else:
             writer.writerow([prefix, str(node), ""])
 
@@ -192,8 +191,7 @@ def _cmd_table(ns) -> dict:
             row += "*" if info in cls.starred else str(cls.determined[info])
         marks[str(b)] = row
     return {
-        "command": "table",
-        "inputs": {"alpha": Fraction(ns.alpha)},
+        "inputs": {"alpha": ns.alpha},
         "results": {
             "columns": "0123456789-",
             "grid": marks,
@@ -217,8 +215,7 @@ def _cmd_solve(ns) -> dict:
         ]
     results["surviving_columns"] = list(sol.reduced.column_labels)
     return {
-        "command": "solve",
-        "inputs": {"variant": ns.variant, "alpha": Fraction(alpha)},
+        "inputs": {"variant": ns.variant, "alpha": alpha},
         "results": results,
     }
 
@@ -226,8 +223,7 @@ def _cmd_solve(ns) -> dict:
 def _cmd_alpha_star(ns) -> dict:
     bracket = parametric.find_alpha_star(ns.tol)
     return {
-        "command": "alpha-star",
-        "inputs": {"tolerance": Fraction(ns.tol)},
+        "inputs": {"tolerance": ns.tol},
         "results": {
             "lo": bracket.lo,
             "hi": bracket.hi,
@@ -241,20 +237,8 @@ def _cmd_alpha_star(ns) -> dict:
 
 def _cmd_punto(ns) -> dict:
     rep = punto.punto_report()
-    return {
-        "command": "punto",
-        "inputs": {},
-        "results": {
-            "P": rep.P,
-            "B": rep.B,
-            "T": rep.T,
-            "edge_player": rep.edge_player,
-            "edge_banker": rep.edge_banker,
-            "edge_chemin": rep.edge_chemin,
-            "edges_sum_identity": rep.edge_chemin
-            == rep.edge_player + rep.edge_banker,
-        },
-    }
+    identity = rep.edge_chemin == rep.edge_player + rep.edge_banker
+    return {"inputs": {}, "results": {**rep._asdict(), "edges_sum_identity": identity}}
 
 
 def _cmd_sweep(ns) -> dict:
@@ -266,7 +250,6 @@ def _cmd_sweep(ns) -> dict:
         entry.update(_strategy_summary(sol))
         samples.append(entry)
     return {
-        "command": "sweep",
         "inputs": {
             "variant": ns.variant,
             "grid": [str(a) for a in (ns.grid or [])]
@@ -290,15 +273,14 @@ def _cmd_simulate(ns) -> dict:
     sol = parametric.solve_variant(variant, alpha)
     row_mix, banker_mix = montecarlo.equilibrium_profile(sol)
     if p is not None:
-        row_mix = MixedStrategy((1 - p, p))
+        row_mix = (1 - p, p)
     result = montecarlo.simulate(
         variant, row_mix, banker_mix, alpha, ns.hands, ns.seed
     )
     return {
-        "command": "simulate",
         "inputs": {
             "variant": ns.variant,
-            "alpha": Fraction(alpha),
+            "alpha": alpha,
             "hands": ns.hands,
             "seed": ns.seed,
             "player_draw_on_5": row_mix[1],
@@ -337,8 +319,7 @@ def _cmd_oracle(ns) -> dict:
         raise RuntimeError(
             f"oracle disagrees with the decomposition on {mismatches} entries")
     return {
-        "command": "oracle",
-        "inputs": {"variant": ns.variant, "alpha": Fraction(ns.alpha)},
+        "inputs": {"variant": ns.variant, "alpha": ns.alpha},
         "results": {"entries": entries, "all_match": True},
     }
 
@@ -459,7 +440,8 @@ def run(argv=None) -> int:
     try:
         try:
             ns = _parse(sys.argv[1:] if argv is None else argv)
-            report = None if isinstance(ns, str) else ns.handler(ns)  # None: help
+            report = (None if isinstance(ns, str)  # None: help
+                      else {"command": ns.subcommand, **ns.handler(ns)})
         except (ValueError, TypeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -473,7 +455,7 @@ def run(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
         return 1
-    if report is not None and ns.out:
+    if report is not None and ns.out is not None:
         try:
             with open(ns.out, "w") as f:
                 f.write(text)

@@ -103,15 +103,11 @@ def _draw_probabilities(
             raise ValueError(
                 f"draw probability at {info} must be in [0,1], got {prob}"
             )
-        if info in variant.fixed_actions:
-            mandated = Fraction(
-                int(variant.fixed_actions[info] is Action.DRAW)
+        if info in variant.fixed_actions and prob != table[info]:
+            raise ValueError(
+                f"{variant.name} rules mandate "
+                f"{variant.fixed_actions[info]} at {info}"
             )
-            if prob != mandated:
-                raise ValueError(
-                    f"{variant.name} rules mandate "
-                    f"{variant.fixed_actions[info]} at {info}"
-                )
         table[info] = prob
     missing = [i for i in ALL_INFO_SETS if i not in table]
     if missing:

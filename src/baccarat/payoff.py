@@ -110,13 +110,11 @@ _Counts = tuple[int, int, int]
 _Ledger = tuple[tuple[tuple[_Counts, _Counts], ...], ...]
 
 
-@lru_cache(maxsize=None)
 def value_distribution() -> Mapping[int, Fraction]:
     """Law of a single card value: {0: 4/13, 1..9: 1/13 each}."""
     return MappingProxyType({v: Fraction(4 if v == 0 else 1, 13) for v in range(10)})
 
 
-@lru_cache(maxsize=None)
 def two_card_total_distribution() -> Mapping[int, Fraction]:
     """Law of a two-card total mod 10 under independent card values."""
     nu = value_distribution()
@@ -127,7 +125,6 @@ def two_card_total_distribution() -> Mapping[int, Fraction]:
     return MappingProxyType(tau)
 
 
-@lru_cache(maxsize=None)
 def natural_probability() -> Fraction:
     """Probability that at least one side's two cards total 8 or 9."""
     tau = two_card_total_distribution()
@@ -358,25 +355,14 @@ def build_reduced_game(variant: Variant, alpha=0) -> ReducedGame:
 # ---------------------------------------------------------------------------
 # Brute-force oracle.
 #
-# A coup depends on the first two cards only through their total, so a
-# deal is fixed, as far as the rules can tell, by the row, the two
-# two-card totals and the two third cards: 2 x 10^4 leaves.
-# _outcome_table resolves them through rules._resolve_coup, the rules
-# that play_coup checks its input for, once per distinct read prefix of
-# the third cards; a result holds for every unread card, and the outcome
-# itself says which cards were read.  The builder makes every input
-# itself, so nothing is checked.  The rows differ only in Player's move,
-# made once per (pt, bt) block and shown by the block's first coup, so
-# resolved blocks are kept by (pt, bt, first coup) and the second row
-# takes again each block it plays alike: only the eight non-natural
-# blocks of pt = 5 are resolved twice, 5 672 coups in all.
-# _leaf_ledger weights each leaf by its number of six-card deals out of
-# 13^6 and files it under the Banker cell it reaches, re-folding for the
-# second row only the blocks whose bytes differ.  A coup reaches at most
-# one cell, so an oracle entry is the natural slot plus, per cell, the
-# slot of the action the strategy takes there.
-# Nothing here reads the decomposition above, so agreement between the
-# two routes is a real check.
+# Nothing here reads the decomposition above: the oracle keeps its own
+# card law (_W, _PAIRS) and takes its outcomes from the coup rules alone,
+# so agreement between the two routes, slot for slot, is a real check.
+# A coup depends on the first two cards only through their totals, and
+# the two Player rows differ only in Player's move on the Player total,
+# made once per (pt, bt) block and shown by the block's first coup; so
+# blocks with equal totals and an equal first coup play alike at every
+# leaf, and one key holds them.
 # ---------------------------------------------------------------------------
 
 _W = tuple(4 if v == 0 else 1 for v in range(10))

@@ -17,7 +17,6 @@ wager is the house's expected gain per unit staked on it.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .payoff import oracle_outcome_distribution
@@ -67,7 +66,6 @@ def mandated_banker_strategy() -> BankerStrategy:
     )
 
 
-@lru_cache(maxsize=None)
 def punto_report() -> PuntoReport:
     """Enumerate the fixed-rule game exactly and price all three wagers."""
     p_win, b_win, tie = oracle_outcome_distribution(

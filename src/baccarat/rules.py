@@ -33,7 +33,6 @@ from __future__ import annotations
 import enum
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -97,13 +96,10 @@ class InfoSet(NamedTuple):
 
 def _check_card(value: int) -> int:
     """Return a card value, rejecting anything but an int in 0..9."""
-    # Plain in-range ints take the fast path; anything else (including
-    # bools and int subclasses) goes through the full check.
-    if type(value) is not int or not 0 <= value <= 9:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"card value must be an integer 0-9, got {value!r}")
-        if not 0 <= value <= 9:
-            raise ValueError(f"card value must be in 0..9, got {value}")
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"card value must be an integer 0-9, got {value!r}")
+    if not 0 <= value <= 9:
+        raise ValueError(f"card value must be in 0..9, got {value}")
     return value
 
 
@@ -144,6 +140,9 @@ _CELL_INDEX = {cell: i for i, cell in enumerate(ALL_INFO_SETS)}
 
 _MARKS = {"S": _STAND, "D": _DRAW, "*": None}
 
+#: :func:`tableau_action` at every cell, in ``ALL_INFO_SETS`` order.
+_TABLEAU_ACTIONS = tuple(_MARKS[mark] for row in _TABLEAU_ROWS for mark in row)
+
 STARRED_CELLS: tuple[InfoSet, ...] = tuple(
     InfoSet(b, c)
     for b in range(8)
@@ -168,12 +167,6 @@ def tableau_action(info: InfoSet) -> Action | None:
     if c is not None:
         _check_card(c)
     return _MARKS[_TABLEAU_ROWS[b][10 if c is None else c]]
-
-
-@lru_cache(maxsize=1)
-def _tableau_actions() -> tuple[Action | None, ...]:
-    """:func:`tableau_action` at every cell, in ``ALL_INFO_SETS`` order."""
-    return tuple(map(tableau_action, ALL_INFO_SETS))
 
 
 #: Player's move on each two-card total 0..7 under each row: 0-4 draw,
@@ -377,7 +370,7 @@ class Variant(_Frozen):
         tableau's action elsewhere."""
         return tuple(
             (info, self.fixed_actions.get(info, action))
-            for info, action in zip(ALL_INFO_SETS, _tableau_actions())
+            for info, action in zip(ALL_INFO_SETS, _TABLEAU_ACTIONS)
             if info not in self.optional_cells
         )
 
@@ -471,7 +464,7 @@ class BankerStrategy(_Frozen):
                 f"assignment must cover the starred cells exactly; "
                 f"missing {sorted(missing)}, extra {sorted(extra)}"
             )
-        acts = list(_tableau_actions())
+        acts = list(_TABLEAU_ACTIONS)
         for cell, action in chosen.items():
             acts[_CELL_INDEX[cell]] = action
         if not label:

@@ -405,6 +405,21 @@ def test_out_writes_stdout_verbatim(cli, tmp_path):
     assert target.read_text() == out
 
 
+@pytest.mark.parametrize(
+    "out", [["--out", ""], ["--out="], ["--out", "{tmp}"]],
+    ids=["empty", "empty after =", "directory"],
+)
+def test_an_out_file_that_cannot_be_written_is_exit_2_after_the_report(
+    cli, tmp_path, out
+):
+    """The report still reaches stdout; the failed write is one line."""
+    _, report, _ = cli("punto", "--format", "json")
+    out = [arg.replace("{tmp}", str(tmp_path)) for arg in out]
+    code, stdout, err = cli("punto", "--format", "json", *out)
+    assert (code, stdout) == (2, report)
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
+
 class TestExitCodes:
     def test_unknown_variant(self, cli):
         code, _, err = cli("solve", "bogus")
@@ -419,6 +434,14 @@ class TestExitCodes:
         code, _, err = cli("alpha-star", "--tol", "0")
         assert code == 2
         assert "positive" in err
+
+    def test_a_flag_without_its_value(self, cli):
+        code, out, err = cli("solve", "classic", "--alpha")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: argument --alpha: expected one argument "
+            "(see 'baccarat solve --help')\n"
+        )
 
     def test_alpha_out_of_range(self, cli):
         code, _, err = cli("solve", "classic", "--alpha", "1/10")
@@ -545,6 +568,18 @@ def test_finest_tolerance_still_runs(cli):
     assert (code, err) == (0, "")
     results = get_json(out)["results"]
     assert F(results["hi"]) - F(results["lo"]) <= F(1, 10**1000)
+
+
+def test_an_oracle_disagreement_is_one_internal_error_line(cli, monkeypatch):
+    """Every entry the brute force reports off by one is counted."""
+    entry = cli_module.oracle_payoff_entry
+    monkeypatch.setattr(
+        cli_module, "oracle_payoff_entry",
+        lambda *args: tuple(v + 1 for v in entry(*args)),
+    )
+    code, out, err = cli("oracle", "--variant", "modern", "--alpha", "1/20")
+    assert (code, out) == (1, "")
+    assert err == "internal error: oracle disagrees with the decomposition on 8 entries\n"
 
 
 def test_rendering_failure_is_one_internal_error_line(cli, monkeypatch):

@@ -1,6 +1,7 @@
-"""Every cached value, every public module-level constant and every
-public record type of the package is deeply immutable, so no caller can
-change what later calls return.
+"""Every cached value, every value the package hands out again on each
+call, every public module-level constant and every public record type of
+the package is deeply immutable, so no caller can change what later
+calls return.
 
 The walk finds each ``lru_cache``d function in ``src/baccarat/`` by
 itself; a cache that :data:`CALLS` does not list fails the test, so a
@@ -37,7 +38,12 @@ from baccarat import (
     simulate,
     solve_variant,
 )
-from baccarat.rules import _Frozen
+from baccarat.payoff import (
+    natural_probability,
+    two_card_total_distribution,
+    value_distribution,
+)
+from baccarat.rules import _TABLEAU_ACTIONS, _Frozen
 
 MODULES = [baccarat] + [
     importlib.import_module(f"baccarat.{info.name}")
@@ -47,9 +53,6 @@ MODULES = [baccarat] + [
 
 #: The argument tuples each cached function is called with.
 CALLS = {
-    "payoff.value_distribution": [()],
-    "payoff.two_card_total_distribution": [()],
-    "payoff.natural_probability": [()],
     "payoff._card_counts": [()],
     "payoff._analytic_ledger": [()],
     "payoff._gain_table": [()],
@@ -59,9 +62,17 @@ CALLS = {
     ],
     "payoff._outcome_table": [()],
     "payoff._leaf_ledger": [()],
-    "rules._tableau_actions": [()],
     "parametric._validity_bound": [("classic",), ("modern",)],
-    "punto.punto_report": [()],
+}
+
+#: Values that are built, or held, without a cache and handed out alike
+#: on every call.
+SHARED = {
+    "payoff.value_distribution": value_distribution,
+    "payoff.two_card_total_distribution": two_card_total_distribution,
+    "payoff.natural_probability": natural_probability,
+    "punto.punto_report": punto_report,
+    "rules._TABLEAU_ACTIONS": lambda: _TABLEAU_ACTIONS,
 }
 
 def _cached_functions() -> dict:
@@ -151,6 +162,11 @@ def test_cached_values_are_deeply_immutable(name):
     cached = _cached_functions()[name]
     for args in CALLS[name]:
         assert_deeply_immutable(cached(*args), f"{name}{args}")
+
+
+@pytest.mark.parametrize("name", sorted(SHARED))
+def test_shared_values_are_deeply_immutable(name):
+    assert_deeply_immutable(SHARED[name](), name)
 
 
 @pytest.mark.parametrize("name", sorted(CONSTANTS))

@@ -126,6 +126,11 @@ def test_keys_that_are_not_cells_are_rejected(key):
         simulate(MODERN, PlayerRow.DRAW_ON_5, {**mix, key: 1}, 0, 100, 1)
 
 
+def test_a_mix_must_cover_every_optional_cell():
+    with pytest.raises(ValueError, match=re.escape(f"cells: {[InfoSet(5, 4)]}")):
+        simulate(MODERN, PlayerRow.DRAW_ON_5, {InfoSet(3, 9): 1}, 0, 100, 1)
+
+
 def test_tableau_cells_may_deviate():
     """Off-table experiments are allowed at cells the law leaves alone."""
     deviant = {InfoSet(3, 9): 1, InfoSet(5, 4): 1, InfoSet(7, 7): Action.DRAW}

@@ -37,7 +37,7 @@ from baccarat.montecarlo import simulate
 from baccarat.parametric import find_alpha_star, solve_variant
 from baccarat.payoff import best_response, build_reduced_game
 from baccarat.punto import mandated_banker_strategy, unfulfilled_demand
-from baccarat.rules import _PLAYER_MOVES, _info_set, _resolve_coup
+from baccarat.rules import _PLAYER_MOVES, _TABLEAU_ACTIONS, _info_set, _resolve_coup
 from baccarat.solver import (
     EquilibriumReport,
     MixedStrategy,
@@ -107,6 +107,10 @@ def test_tableau_spot_values():
     assert tableau_action(InfoSet(6, 5)) is S
     assert tableau_action(InfoSet(2, None)) is D
     assert tableau_action(InfoSet(6, None)) is None
+
+
+def test_the_tableau_constant_is_tableau_action_at_every_cell():
+    assert _TABLEAU_ACTIONS == tuple(map(tableau_action, ALL_INFO_SETS))
 
 
 def test_tableau_rejects_out_of_range():
@@ -367,6 +371,11 @@ class TestBankerStrategy:
         assert strat[InfoSet(4, 1)] is S
         assert strat[InfoSet(6, None)] is S
 
+    @pytest.mark.parametrize("count", [0, 87, 89])
+    def test_a_strategy_assigns_every_cell(self, count):
+        with pytest.raises(ValueError, match=f"all 88 info sets, got {count}$"):
+            BankerStrategy((S,) * count)
+
     def test_strategies_hash_by_content(self):
         a = BankerStrategy.from_assignment(
             {InfoSet(3, 9): D, InfoSet(5, 4): D}, variant=MODERN, label="x"
@@ -435,6 +444,20 @@ def test_a_strategy_holds_its_actions_as_a_tuple():
     source[0] = "junk"
     assert strat.actions == (S,) * len(ALL_INFO_SETS)
     assert strat == BankerStrategy((S,) * len(ALL_INFO_SETS))
+
+
+def test_checked_value_types_print_the_fields_they_compare():
+    """A strategy's label and a mix's support take no part in equality,
+    and are not shown."""
+    assert repr(MixedStrategy(("1/3", "2/3"))) == (
+        "MixedStrategy(weights=(Fraction(1, 3), Fraction(2, 3)))"
+    )
+    assert repr(PARLOR) == (
+        f"Variant(name='parlor', optional_cells={STARRED_CELLS!r}, "
+        "fixed_actions=mappingproxy({}), alpha_bound=Fraction(0, 1))"
+    )
+    stand = (S,) * len(ALL_INFO_SETS)
+    assert repr(BankerStrategy(stand, "all stand")) == f"BankerStrategy(actions={stand!r})"
 
 
 def test_checked_value_types_keep_their_equality_and_hash():
@@ -735,13 +758,12 @@ def _float_tests(tree):
 
 
 def test_only_the_gate_tests_for_floats():
-    """The float test exists once, in the gate; the CSV renderer writes
-    floats and reads no input."""
+    """The float test exists once, in the gate."""
     holders = []
     for path in sorted(Path(baccarat.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         holders += [f"{path.stem}.{name}" for name in _float_tests(tree)]
-    assert sorted(holders) == ["cli._render_csv", "rules._coerce_rational"]
+    assert holders == ["rules._coerce_rational"]
 
 
 def test_every_module_parses_at_the_oldest_supported_python():

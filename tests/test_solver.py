@@ -75,6 +75,11 @@ class TestGame:
         assert eq.column_strategy.weights == (F(5, 6), F(1, 6))
         assert (eq.row_value, eq.column_value) == (F(1, 2), F(-1, 2))
 
+    @pytest.mark.parametrize("A", [[], [[]], [[], []]], ids=["no rows", "1x0", "2x0"])
+    def test_rejects_empty_matrices(self, A):
+        with pytest.raises(ValueError, match="matrix must be nonempty"):
+            eliminate_strictly_dominated(A, A)
+
     def test_rejects_ragged_matrices(self):
         with pytest.raises(ValueError):
             eliminate_strictly_dominated([[1, 2], [3]], [[1, 2], [3, 4]])
@@ -449,6 +454,24 @@ def test_verify_rejects_non_equilibrium():
         kind="mixed",
     )
     assert not verify_equilibrium(A, neg(A), bad)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"row_strategy": MixedStrategy.pure(0, 3)},
+        {"column_strategy": MixedStrategy.pure(0, 3)},
+        {"row_support": (0, 1)},
+        {"column_support": (1,)},
+    ],
+    ids=["three rows", "three columns", "row support", "column support"],
+)
+def test_verify_rejects_a_report_of_another_shape_or_support(change):
+    """The pure profile (0, 0) is an equilibrium of this game, and the
+    report says so, until its shape or a support no longer matches."""
+    A = [[1, 0], [0, 1]]
+    assert verify_equilibrium(A, A, _REPORT)
+    assert not verify_equilibrium(A, A, _REPORT._replace(**change))
 
 
 # --- the integer stages against their fraction references ------------------
