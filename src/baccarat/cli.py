@@ -17,14 +17,13 @@ stderr.
 from __future__ import annotations
 
 import json
-import re
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
 from . import montecarlo, parametric, punto
 from .payoff import build_reduced_game, classify_info_sets, oracle_payoff_entry
-from .rules import _coerce_rational, CLASSIC, InfoSet, MODERN, PARLOR, PlayerRow
+from .rules import _NUMERAL, _coerce_rational, ALL_INFO_SETS, CLASSIC, MODERN, PARLOR
 
 __all__ = ["run", "main"]
 
@@ -37,10 +36,6 @@ _DEFAULT_ALPHA = {"parlor": Fraction(0), "classic": Fraction(1, 20),
 _MAX_TERM = 10**1000
 #: Most rates one ``--grid`` may list.
 _MAX_GRID = 1000
-#: A well-formed number: one that still fails to convert is too large,
-#: with more digits than an int takes, or more digits and exponent
-#: together than the number gate takes.
-_NUMERAL = re.compile(r"[+-]?(?:\d+/\d+|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)")
 
 
 def _rational(text: str) -> Fraction:
@@ -55,6 +50,7 @@ def _rational(text: str) -> Fraction:
     try:
         value = _coerce_rational(s, "number")
     except (ValueError, ArithmeticError) as exc:
+        # A numeral that the gate cannot build is too long to write out.
         if _NUMERAL.fullmatch(s) and not isinstance(exc, ZeroDivisionError):
             raise too_large
         raise ValueError(f"not a rational number: {shown}")
@@ -174,27 +170,21 @@ def _strategy_summary(sol: parametric.VariantSolution) -> dict:
         "kind": sol.report.kind,
         "unique": sol.report.unique,
     }
-    if InfoSet(6, None) in sol.variant.optional_cells:
-        out["banker_draw_at_6_stand"] = sol.banker_draw_probability(
-            InfoSet(6, None)
-        )
+    # A cell equals its (banker total, player third) tuple; None: Player stood.
+    if (6, None) in sol.variant.optional_cells:
+        out["banker_draw_at_6_stand"] = sol.banker_draw_probability((6, None))
     return out
 
 
 def _cmd_table(ns) -> dict:
     cls = classify_info_sets(ns.alpha)
-    marks = {}
-    for b in range(8):
-        row = ""
-        for c in (*range(10), None):
-            info = InfoSet(b, c)
-            row += "*" if info in cls.starred else str(cls.determined[info])
-        marks[str(b)] = row
+    # A starred cell is the one the classification leaves undetermined.
+    marks = "".join(str(cls.determined.get(info, "*")) for info in ALL_INFO_SETS)
     return {
         "inputs": {"alpha": ns.alpha},
         "results": {
             "columns": "0123456789-",
-            "grid": marks,
+            "grid": {str(b): marks[b * 11 : b * 11 + 11] for b in range(8)},
             "starred": [str(i) for i in cls.starred],
             "agrees_with_tableau": cls.agrees_with_tableau,
         },
@@ -244,17 +234,9 @@ def _cmd_punto(ns) -> dict:
 def _cmd_sweep(ns) -> dict:
     variant = _VARIANTS[ns.variant]
     sweep = parametric.equilibrium_curve(variant, ns.grid)
-    samples = []
-    for alpha, sol in sweep.samples:
-        entry = {"alpha": alpha}
-        entry.update(_strategy_summary(sol))
-        samples.append(entry)
+    samples = [{"alpha": alpha, **_strategy_summary(sol)} for alpha, sol in sweep.samples]
     return {
-        "inputs": {
-            "variant": ns.variant,
-            "grid": [str(a) for a in (ns.grid or [])]
-            or [str(a) for a, _ in sweep.samples],
-        },
+        "inputs": {"variant": ns.variant, "grid": [str(a) for a, _ in sweep.samples]},
         "results": {
             "validity_bound": sweep.validity_bound,
             "samples": samples,
@@ -305,16 +287,17 @@ def _cmd_oracle(ns) -> dict:
     variant = _VARIANTS[ns.variant]
     game = build_reduced_game(variant, ns.alpha)
     A, B = game.A, game.B  # each read builds the fractions anew
+    strategies = [game.banker_strategy(j) for j in range(len(game.columns))]
     entries = []
     mismatches = 0
     for r, row in enumerate(game.row_labels):
-        for j, label in enumerate(game.column_labels):
-            strategy = game.banker_strategy(j)
+        for j, strategy in enumerate(strategies):
             o_player, o_banker = oracle_payoff_entry(row, strategy, game.alpha)
-            match = o_player == A[r][j] and o_banker == B[r][j]
-            mismatches += not match
-            entries.append({"row": str(row), "column": label, "player_value": o_player,
-                            "banker_value": o_banker, "matches_decomposition": match})
+            mismatches += (o_player, o_banker) != (A[r][j], B[r][j])
+            # A mismatch raises below, so every entry reported matches.
+            entries.append({"row": str(row), "column": strategy.label,
+                            "player_value": o_player, "banker_value": o_banker,
+                            "matches_decomposition": True})
     if mismatches:
         raise RuntimeError(
             f"oracle disagrees with the decomposition on {mismatches} entries")

@@ -267,10 +267,8 @@ def equilibrium_profile(
     Returns Player's row mix (stand-on-5 weight first) and Banker's
     per-cell draw probabilities at the variant's optional cells.
     """
-    p = sol.player_draw_probability
-    row = MixedStrategy((1 - p, p))
     mix = {
         cell: sol.banker_draw_probability(cell)
         for cell in sol.variant.optional_cells
     }
-    return row, mix
+    return sol.report.row_strategy, mix

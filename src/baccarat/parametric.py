@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 from .payoff import (
     ReducedGame,
@@ -236,17 +236,13 @@ def _check(cond: bool, msg: str) -> None:
         raise AssertionError(msg)
 
 
-#: The stands at (4,1) and (6,None) that make a variant modern-shaped.
-_MODERN_MANDATES = MODERN.fixed_actions
-
-
 def _shape(variant: Variant) -> str | None:
     """The solved structure a variant has, read off its mandates alone:
     "classic" when every starred cell is optional, "modern" when it
     mandates the modern stands, and None otherwise."""
     if not variant.fixed_actions:
         return "classic"
-    if variant.fixed_actions == _MODERN_MANDATES:
+    if variant.fixed_actions == MODERN.fixed_actions:
         return "modern"
     return None
 
@@ -425,7 +421,7 @@ def _validity_bound(shape: str) -> Fraction:
         stands, draws = build_reduced_game(MODERN, 0).scaled[0][1]
         if not all(d > s for s, d in zip(stands, draws)):  # pragma: no cover
             raise AssertionError("drawing on 5 should dominate in the modern game")
-        optional = [c for c in STARRED_CELLS if c not in _MODERN_MANDATES]
+        optional = [c for c in STARRED_CELLS if c not in MODERN.fixed_actions]
         watched = [draw_on_5[_CELL_INDEX[c]] for c in (*optional, InfoSet(6, None))]
 
         def holds(a: Fraction) -> bool:

@@ -10,6 +10,9 @@ Everything here is exact rational arithmetic.  The central objects:
 * ``two_card_total_distribution`` -- the induced law tau of a two-card
   total: tau(0) = 25/169 and tau(t) = 16/169 for t = 1..9.
 
+  Both laws are held as integer counts, ``_NU`` out of 13 and ``_TAU``
+  out of 169; the two functions return ``Fraction`` views of them.
+
 * Per information set I = (b, c) and Player row r, the *occurrence
   probability* w_r(I) that Banker actually faces I, and the conditional
   expected Banker payoffs ``e_draw`` and ``e_stand`` of the two actions
@@ -22,8 +25,8 @@ Everything here is exact rational arithmetic.  The central objects:
   alpha enters only through the value of a Banker win, 1 - alpha, so
   the decomposition is kept alpha-free, as integer counts out of 13^6
   of Player's loss, tie and win per (row, cell, Banker action), plus
-  one slot for the naturals.  That ledger is computed from the card
-  counts of nu and tau alone and has the oracle's slot layout; alpha
+  one slot for the naturals.  That ledger is computed from the counts
+  of nu and tau alone and has the oracle's slot layout; alpha
   is applied when a quantity is read off it.  Drawing's gain over
   standing at a cell is ``(c - alpha * s) / total`` for two integers
   read off its slots (``_gain_table``), which the classification and
@@ -42,21 +45,12 @@ Everything here is exact rational arithmetic.  The central objects:
 
 * ``oracle_outcome_distribution`` / ``oracle_payoff_entry`` -- a second,
   deliberately independent route to the same numbers.  Every leaf of the
-  deal -- a row, a pair of two-card totals and the two third cards -- is
-  resolved by the coup rules behind :func:`baccarat.rules.play_coup`,
-  unchecked, once per distinct read prefix of the third cards; a result
-  holds for every unread card.  Resolved blocks are kept by the two
-  totals and their first coup, which shows a natural or Player's move,
-  so the second Player row takes again each block it plays alike:
-  5 672 coups in all.
-  The outcome table so built is folded into an integer ledger of
-  Player's loss, tie and win counts out of 13^6 for each (row, cell,
-  Banker action), plus one slot for the naturals.  An entry is the sum
-  of 89 ledger slots: the naturals and, at each of the 88 cells, the
-  action the strategy takes.  The decomposition's ledger is never
-  consulted, so agreement between the two routes, slot for slot, is a
-  real check.  The same outcome table resolves every hand of
-  :func:`baccarat.montecarlo.simulate`.
+  deal is resolved by the coup rules behind
+  :func:`baccarat.rules.play_coup` (see ``_outcome_table``), and the
+  outcomes are folded into a ledger of the decomposition's slot layout.
+  The decomposition's ledger is never consulted, so agreement between
+  the two routes, slot for slot, is a real check.  The same outcome
+  table resolves every hand of :func:`baccarat.montecarlo.simulate`.
 """
 
 from __future__ import annotations
@@ -77,10 +71,10 @@ from .rules import (
     Variant,
     _CELL_INDEX,
     _PLAYER_MOVES,
+    _TABLEAU_ACTIONS,
     _commission_rate,
     _player_row,
     _resolve_coup,
-    tableau_action,
 )
 from .solver import _Scaled, _as_weights
 
@@ -110,36 +104,25 @@ _Counts = tuple[int, int, int]
 _Ledger = tuple[tuple[tuple[_Counts, _Counts], ...], ...]
 
 
+#: The card law nu as counts out of 13: four ranks count 0.
+_NU = (4,) + (1,) * 9
+#: The law tau of a two-card total as counts of card pairs out of 169.
+_TAU = tuple(sum(_NU[a] * _NU[(t - a) % 10] for a in range(10)) for t in range(10))
+
+
 def value_distribution() -> Mapping[int, Fraction]:
     """Law of a single card value: {0: 4/13, 1..9: 1/13 each}."""
-    return MappingProxyType({v: Fraction(4 if v == 0 else 1, 13) for v in range(10)})
+    return MappingProxyType({v: Fraction(n, 13) for v, n in enumerate(_NU)})
 
 
 def two_card_total_distribution() -> Mapping[int, Fraction]:
     """Law of a two-card total mod 10 under independent card values."""
-    nu = value_distribution()
-    tau = {t: Fraction(0) for t in range(10)}
-    for a, wa in nu.items():
-        for b, wb in nu.items():
-            tau[(a + b) % 10] += wa * wb
-    return MappingProxyType(tau)
+    return MappingProxyType({t: Fraction(n, 169) for t, n in enumerate(_TAU)})
 
 
 def natural_probability() -> Fraction:
     """Probability that at least one side's two cards total 8 or 9."""
-    tau = two_card_total_distribution()
-    live = sum(tau[t] for t in range(8))
-    return 1 - live * live
-
-
-@lru_cache(maxsize=None)
-def _card_counts() -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The laws nu and tau as integer counts, out of 13 and out of 169."""
-    nu, tau = value_distribution(), two_card_total_distribution()
-    return (
-        tuple(int(nu[v] * 13) for v in range(10)),
-        tuple(int(tau[t] * 169) for t in range(10)),
-    )
+    return 1 - Fraction(sum(_TAU[:8]) ** 2, 169**2)
 
 
 def _player_final_totals(info: InfoSet, row: PlayerRow):
@@ -149,16 +132,15 @@ def _player_final_totals(info: InfoSet, row: PlayerRow):
     169 * 13 (two cards, then a third); they sum to the count of Player's
     side of the condition (drew card c, or stood).
     """
-    nu, tau = _card_counts()
     c = info.player_third
     if c is None:
         stand_totals = (6, 7) if row is PlayerRow.DRAW_ON_5 else (5, 6, 7)
         for t in stand_totals:
-            yield t, tau[t] * 13
+            yield t, _TAU[t] * 13
     else:
         draw_totals = range(6) if row is PlayerRow.DRAW_ON_5 else range(5)
         for t in draw_totals:
-            yield (t + c) % 10, tau[t] * nu[c]
+            yield (t + c) % 10, _TAU[t] * _NU[c]
 
 
 def _outcome(player_final: int, banker_final: int) -> int:
@@ -175,23 +157,22 @@ def _analytic_ledger() -> _Ledger:
     (loss, tie, win) counts over the deals in which Banker decides at
     ``ALL_INFO_SETS[k]``, first if Banker stands there, then if Banker
     draws; slot ``_NO_CELL`` holds the naturals, the same counts twice.
-    It is read off card counts alone.  At a cell with Banker total ``b``,
-    each final Player total of weight ``w`` (out of 169 * 13) adds
+    It is read off ``_NU`` and ``_TAU`` alone.  At a cell with Banker
+    total ``b``, each final Player total of weight ``w`` (out of 169 * 13) adds
     ``13 * tau(b) * w`` to standing's bin and, for each third card
     ``d``, ``tau(b) * w * nu(d)`` to drawing's; a natural with two-card
     totals ``pt`` and ``bt`` adds ``tau(pt) * tau(bt) * 169``.
     """
-    nu, tau = _card_counts()
     naturals = [0, 0, 0]
     for pt, bt in itertools.product(range(10), repeat=2):
         if pt >= 8 or bt >= 8:
-            naturals[_outcome(pt, bt)] += tau[pt] * tau[bt] * 169
+            naturals[_outcome(pt, bt)] += _TAU[pt] * _TAU[bt] * 169
     # Player's (loss, tie, win) counts out of 13 when a final total pf
     # meets Banker's total b plus one third card, keyed (pf, b).
     against_draw = {}
     for pf, b in itertools.product(range(10), range(8)):
         counts = [0, 0, 0]
-        for d, wd in enumerate(nu):
+        for d, wd in enumerate(_NU):
             counts[_outcome(pf, (b + d) % 10)] += wd
         against_draw[pf, b] = counts
     ledger = []
@@ -201,7 +182,7 @@ def _analytic_ledger() -> _Ledger:
             b = info.banker_total
             stand, draw = [0, 0, 0], [0, 0, 0]
             for pf, w in _player_final_totals(info, row):
-                weight = tau[b] * w
+                weight = _TAU[b] * w
                 stand[_outcome(pf, b)] += 13 * weight
                 loss, tie, win = against_draw[pf, b]
                 draw[0] += weight * loss
@@ -247,9 +228,9 @@ class Classification(NamedTuple):
     @property
     def agrees_with_tableau(self) -> bool:
         return self.starred == STARRED_CELLS and all(
-            self.determined[i] == tableau_action(i)
-            for i in ALL_INFO_SETS
-            if i not in self.starred
+            self.determined[i] is a
+            for i, a in zip(ALL_INFO_SETS, _TABLEAU_ACTIONS)
+            if a is not None
         )
 
 
@@ -358,11 +339,6 @@ def build_reduced_game(variant: Variant, alpha=0) -> ReducedGame:
 # Nothing here reads the decomposition above: the oracle keeps its own
 # card law (_W, _PAIRS) and takes its outcomes from the coup rules alone,
 # so agreement between the two routes, slot for slot, is a real check.
-# A coup depends on the first two cards only through their totals, and
-# the two Player rows differ only in Player's move on the Player total,
-# made once per (pt, bt) block and shown by the block's first coup; so
-# blocks with equal totals and an equal first coup play alike at every
-# leaf, and one key holds them.
 # ---------------------------------------------------------------------------
 
 _W = tuple(4 if v == 0 else 1 for v in range(10))

@@ -31,6 +31,7 @@ outcome probabilities.
 from __future__ import annotations
 
 import enum
+import re
 from decimal import Decimal
 from fractions import Fraction
 from types import MappingProxyType
@@ -144,10 +145,7 @@ _MARKS = {"S": _STAND, "D": _DRAW, "*": None}
 _TABLEAU_ACTIONS = tuple(_MARKS[mark] for row in _TABLEAU_ROWS for mark in row)
 
 STARRED_CELLS: tuple[InfoSet, ...] = tuple(
-    InfoSet(b, c)
-    for b in range(8)
-    for ci, c in enumerate((*range(10), None))
-    if _TABLEAU_ROWS[b][ci] == "*"
+    info for info, action in zip(ALL_INFO_SETS, _TABLEAU_ACTIONS) if action is None
 )
 
 
@@ -166,7 +164,7 @@ def tableau_action(info: InfoSet) -> Action | None:
         raise ValueError(f"banker two-card total must be in 0..7, got {b}")
     if c is not None:
         _check_card(c)
-    return _MARKS[_TABLEAU_ROWS[b][10 if c is None else c]]
+    return _TABLEAU_ACTIONS[b * 11 + (10 if c is None else c)]
 
 
 #: Player's move on each two-card total 0..7 under each row: 0-4 draw,
@@ -198,13 +196,23 @@ def mandated_player_action(total: int, row: PlayerRow) -> Action:
 #: Most digits plus exponent size a decimal string or ``Decimal`` may
 #: have: past that it is refused before its power of ten is built.
 _MAX_DECIMAL = 10_000
+_DIGITS = r"\d+(?:_\d+)*"
+#: A number written as a string: an optional sign, then a fraction of two
+#: integers or a decimal with an optional exponent.  Single underscores
+#: may group digits, and blanks may surround it.
+_NUMERAL = re.compile(
+    rf"\s*[+-]?(?:{_DIGITS}/{_DIGITS}|(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})"
+    rf"(?:[eE][+-]?{_DIGITS})?)\s*"
+)
+#: Words ``Decimal`` reads, in any case and with a sign, that are no numerals.
+_NOT_FINITE = ("inf", "infinity", "nan", "snan")
 
 
 def _coerce_rational(x, name: str) -> Fraction:
     """The one conversion of an outside number to an exact ``Fraction``:
     a ``Fraction`` passes as it is, a float or a bool raises
-    ``TypeError``, and an infinity, a NaN or an overlong decimal
-    ``ValueError``."""
+    ``TypeError``, and a string that is no ``_NUMERAL``, an infinity, a
+    NaN or a decimal too long to write out ``ValueError``."""
     if type(x) is Fraction:
         return x
     if isinstance(x, bool):
@@ -217,11 +225,18 @@ def _coerce_rational(x, name: str) -> Fraction:
             f"{name} must be exact (int, Fraction, Decimal or string); floats "
             f"are rejected to keep the arithmetic exact -- got {x!r}"
         )
-    if isinstance(x, Decimal) or (isinstance(x, str) and "/" not in x):
+    if isinstance(x, str) and not _NUMERAL.fullmatch(x):
+        kind = "finite" if x.strip().lstrip("+-").lower() in _NOT_FINITE else "a number"
+        raise ValueError(f"{name} must be {kind}, got {x[:40]!r}")
+    if isinstance(x, str) and "/" in x:
+        # Each term is an integer numeral, bounded as a decimal is.
+        num, _, den = x.partition("/")
+        return _coerce_rational(num, name) / _coerce_rational(den, name)
+    if isinstance(x, (str, Decimal)):
         try:
             d = Decimal(x)
-        except ArithmeticError:  # malformed, or an exponent past Decimal's
-            too_long = "e" in x.lower()
+        except ArithmeticError:  # an exponent past Decimal's
+            too_long = True
         else:
             if not d.is_finite():
                 raise ValueError(f"{name} must be finite, got {str(x)[:40]!r}")
@@ -232,6 +247,7 @@ def _coerce_rational(x, name: str) -> Fraction:
                 f"{name} must be a number written with at most "
                 f"{_MAX_DECIMAL} digits and exponent together, got {str(x)[:40]!r}"
             )
+        return Fraction(d)
     return Fraction(x)
 
 
@@ -560,10 +576,7 @@ def play_coup(
     """
     if len(player_cards) != 2 or len(banker_cards) != 2:
         raise ValueError("player_cards and banker_cards must each hold 2 cards")
-    p1, p2 = player_cards
-    b1, b2 = banker_cards
-    pt = (_check_card(p1) + _check_card(p2)) % 10
-    bt = (_check_card(b1) + _check_card(b2)) % 10
+    pt, bt = hand_total(player_cards), hand_total(banker_cards)
     # Only a decision reads the row, and a natural ends the coup first.
     moves = None if pt >= 8 or bt >= 8 else _PLAYER_MOVES[_player_row(row)]
     dealt = _Dealt(draw_cards, moves is not None and moves[pt] is _DRAW)

@@ -113,6 +113,9 @@ class MixedStrategy(_Frozen):
 
     @classmethod
     def pure(cls, index: int, n: int) -> "MixedStrategy":
+        """The unit vector at ``index``, an int in ``0..n-1``."""
+        if type(index) is not int or not 0 <= index < n:
+            raise ValueError(f"pure strategy {index!r} of {n}: not an int in 0..{n - 1}")
         return cls(_unit(index, n))
 
     def __len__(self) -> int:

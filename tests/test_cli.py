@@ -392,6 +392,22 @@ def test_oracle_command_cross_checks(cli):
     assert "mismatch" not in out.lower()
 
 
+def test_the_oracle_builds_each_column_strategy_once(cli, monkeypatch):
+    """One Banker strategy per column of the classic game, shared by its
+    two rows: 16, not one per entry."""
+    init = baccarat.BankerStrategy.__init__
+    built = []
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(baccarat.BankerStrategy, "__init__", counting)
+    code, _, _ = cli("oracle", "--variant", "classic", "--alpha", "1/20")
+    assert code == 0
+    assert len(built) == 16
+
+
 def test_global_flags_accepted_before_subcommand(cli):
     _, after, _ = cli("punto", "--format", "csv")
     _, before, _ = cli("--format", "csv", "punto")
@@ -546,13 +562,15 @@ def test_one_process_serves_many_commands(cli):
         ("solve", "classic", "--alpha", "1e-99999999"),
         ("solve", "classic", "--alpha", "1/" + "9" * 1001),
         ("sweep", "--grid", ",".join(["1/100"] * 1001)),
+        ("table", "--alpha", "1" * 20_000 + "x"),
     ],
     ids=["tol-huge", "tol-fine", "oracle-alpha", "alpha-exponent", "alpha-fraction",
-         "grid"],
+         "grid", "alpha-malformed"],
 )
 def test_unbounded_input_is_refused(cli, argv):
-    """Past 10^1000 in a numerator or denominator, or 1000 grid rates,
-    the input is refused at once with one line."""
+    """Past 10^1000 in a numerator or denominator, or 1000 grid rates, or
+    as a malformed numeral of many digits, the input is refused at once
+    with one line."""
     start = time.perf_counter()
     code, out, err = cli(*argv)
     assert time.perf_counter() - start < 2.0

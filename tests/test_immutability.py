@@ -53,7 +53,6 @@ MODULES = [baccarat] + [
 
 #: The argument tuples each cached function is called with.
 CALLS = {
-    "payoff._card_counts": [()],
     "payoff._analytic_ledger": [()],
     "payoff._gain_table": [()],
     "payoff._column_counts": [

@@ -34,8 +34,11 @@ import baccarat
 from baccarat.payoff import (
     BestResponse,
     _NO_CELL,
+    _NU,
+    _PAIRS,
+    _TAU,
+    _W,
     _analytic_ledger,
-    _card_counts,
     _column_counts,
     _gain_table,
     _leaf_ledger,
@@ -81,6 +84,26 @@ def test_two_card_total_distribution():
     assert sum(tau.values()) == 1
 
 
+def test_the_card_counts_are_the_closed_forms_and_the_oracles_own():
+    """nu and tau as counts out of 13 and 169, equal to the oracle's
+    separately written ``_W`` and ``_PAIRS``."""
+    assert _NU == (4, 1, 1, 1, 1, 1, 1, 1, 1, 1) == _W
+    assert _TAU == (25, 16, 16, 16, 16, 16, 16, 16, 16, 16) == _PAIRS
+    assert sum(_NU) == 13 and sum(_TAU) == 169
+
+
+def test_the_fraction_laws_are_fresh_read_only_views_of_the_counts():
+    for law, counts, total in (
+        (value_distribution, _NU, 13),
+        (two_card_total_distribution, _TAU, 169),
+    ):
+        first = law()
+        with pytest.raises(TypeError):
+            first[0] = F(0)
+        assert dict(first) == {k: F(n, total) for k, n in enumerate(counts)}
+        assert law() is not first and law() == first
+
+
 def test_the_card_laws_and_the_classification_are_read_only():
     for law in (value_distribution(), two_card_total_distribution()):
         with pytest.raises(TypeError):
@@ -90,8 +113,8 @@ def test_the_card_laws_and_the_classification_are_read_only():
 
 
 def test_a_mutated_card_law_cannot_reach_the_first_solve():
-    """In a fresh interpreter, before any cache holds the card counts,
-    writing to either law raises, and the solve is unchanged."""
+    """In a fresh interpreter, before any cache is filled, writing to
+    either law raises, and the solve is unchanged."""
     code = (
         "from fractions import Fraction\n"
         "from baccarat import CLASSIC, solve_variant\n"
@@ -475,7 +498,8 @@ def test_oracle_builders_never_read_the_decomposition(builder, source):
     forbidden = {
         "_analytic_ledger",
         "_cell_slot",
-        "_card_counts",
+        "_NU",
+        "_TAU",
         "_player_final_totals",
         "value_distribution",
         "two_card_total_distribution",
@@ -514,7 +538,6 @@ def test_integer_cell_data_equals_the_fraction_sums():
     [
         _analytic_ledger,
         _player_final_totals,
-        _card_counts,
         _cell_slot,
         _gain_table,
         _column_counts,

@@ -214,6 +214,26 @@ class TestVariants:
         with pytest.raises(ValueError, match=r"^alpha must be finite, got"):
             CLASSIC.check_alpha(number)
 
+    @pytest.mark.parametrize("text", ["none", "help", "abc", "1/2/3", " 1 / 2 "])
+    def test_a_string_that_is_not_a_numeral_is_named_as_such(self, text):
+        with pytest.raises(ValueError) as info:
+            CLASSIC.check_alpha(text)
+        assert str(info.value) == f"alpha must be a number, got {text!r}"
+
+    def test_a_fraction_is_read_and_bounded_term_by_term(self):
+        """A term past int()'s 4300 digits reads as a decimal does, and one
+        past the decimal bound is refused at once, by the argument's name."""
+        sevens = 7 * (10**4400 - 1) // 9  # 4400 sevens
+        assert CLASSIC.check_alpha("1/" + "7" * 4400) == Fraction(1, sevens)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^alpha must be a number written with"):
+            CLASSIC.check_alpha("1/" + "7" * 10_001)
+        assert time.perf_counter() - start < 0.01
+
+    def test_a_zero_denominator_still_divides_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            CLASSIC.check_alpha("1/0")
+
     def test_the_longest_decimal_still_reads(self):
         assert CLASSIC.check_alpha("1e-9999") == Fraction(1, 10**9999)
         assert CLASSIC.check_alpha(" 5e-2 ") == Fraction(1, 20)

@@ -47,6 +47,12 @@ class TestMixedStrategy:
         assert m.weights == (0, 1, 0)
         assert m.support == (1,)
 
+    @pytest.mark.parametrize("index, n", [(2, 2), (-1, 3), (True, 2), (1.0, 2), ("0", 2)])
+    def test_pure_refuses_an_index_outside_its_range(self, index, n):
+        with pytest.raises(ValueError) as info:
+            MixedStrategy.pure(index, n)
+        assert str(info.value) == f"pure strategy {index!r} of {n}: not an int in 0..{n - 1}"
+
     @pytest.mark.parametrize(
         "weights",
         [(F(1, 2), F(1, 3)), (F(3, 2), F(-1, 2)), ()],
