@@ -295,7 +295,7 @@ def _cmd_oracle(ns) -> dict:
             o_player, o_banker = oracle_payoff_entry(row, strategy, game.alpha)
             mismatches += (o_player, o_banker) != (A[r][j], B[r][j])
             # A mismatch raises below, so every entry reported matches.
-            entries.append({"row": str(row), "column": strategy.label,
+            entries.append({"row": str(row), "column": game.column_labels[j],
                             "player_value": o_player, "banker_value": o_banker,
                             "matches_decomposition": True})
     if mismatches:

@@ -122,15 +122,15 @@ class VariantSolution(NamedTuple):
     Banker column of the variant), and has been re-verified there;
     ``reduced`` is the 2 x n residual it was enumerated on (both rows,
     the surviving columns), and the log names strategies by their index
-    in ``game``.
+    in ``game``.  ``variant`` and ``alpha`` are read off ``game``.
     """
 
-    variant: Variant
-    alpha: Fraction
     game: ReducedGame
     reduced: ReducedGame
     elimination_log: tuple[EliminationStep, ...]
     report: EquilibriumReport
+    variant = property(lambda self: self.game.variant)
+    alpha = property(lambda self: self.game.alpha)
 
     @property
     def player_value(self) -> Fraction:
@@ -155,8 +155,13 @@ class VariantSolution(NamedTuple):
         }
 
     def banker_draw_probability(self, cell: InfoSet) -> Fraction:
-        """Marginal probability that the equilibrium draws at one cell."""
-        idx = self.variant.optional_cells.index(cell)
+        """Marginal probability that the equilibrium draws at one of the
+        variant's optional cells; any other cell raises ``ValueError``."""
+        cells = self.variant.optional_cells
+        if cell not in cells:
+            raise ValueError(f"not an optional cell of {self.variant.name}: {cell!r} "
+                             f"(its optional cells are {', '.join(map(str, cells))})")
+        idx = cells.index(cell)
         return sum(
             (self.report.column_strategy[j]
              for j in self.report.column_support
@@ -194,15 +199,13 @@ def solve_variant(variant: Variant, alpha=0) -> VariantSolution:
     (sub,) = enum.equilibria
     weights = dict(zip(cols, sub.column_strategy.weights))
     col = MixedStrategy([weights.get(j, _ZERO) for j in range(len(game.columns))])
-    report = sub._replace(column_strategy=col, column_support=col.support)
+    report = sub._replace(column_strategy=col)
     if not verify_equilibrium(*game.scaled, report):
         raise AssertionError(
             f"solved profile failed verification on the full "
             f"{variant.name} game at alpha={alpha}"
         )
     return VariantSolution(
-        variant=variant,
-        alpha=game.alpha,
         game=game,
         reduced=reduced,
         elimination_log=log,

@@ -67,7 +67,6 @@ from .rules import (
     BankerStrategy,
     InfoSet,
     PlayerRow,
-    STARRED_CELLS,
     Variant,
     _CELL_INDEX,
     _PLAYER_MOVES,
@@ -218,20 +217,22 @@ class Classification(NamedTuple):
 
     A cell is *determined* when the same action is strictly better
     against both Player rows; the rest (row-dependent cells, and exact
-    ties) are *starred*.
+    ties) are *starred*.  ``starred`` is read off ``determined``: the
+    cells it does not hold, in ``ALL_INFO_SETS`` order.
     """
 
     alpha: Fraction
     determined: Mapping[InfoSet, Action]
-    starred: tuple[InfoSet, ...]
+
+    @property
+    def starred(self) -> tuple[InfoSet, ...]:
+        return tuple(i for i in ALL_INFO_SETS if i not in self.determined)
 
     @property
     def agrees_with_tableau(self) -> bool:
-        return self.starred == STARRED_CELLS and all(
-            self.determined[i] is a
-            for i, a in zip(ALL_INFO_SETS, _TABLEAU_ACTIONS)
-            if a is not None
-        )
+        # The tableau's action is None exactly at the cells it stars.
+        return all(self.determined.get(i) is a
+                   for i, a in zip(ALL_INFO_SETS, _TABLEAU_ACTIONS))
 
 
 def classify_info_sets(alpha=0) -> Classification:
@@ -243,7 +244,6 @@ def classify_info_sets(alpha=0) -> Classification:
     a = _commission_rate(alpha)
     p, q = a.numerator, a.denominator
     determined: dict[InfoSet, Action] = {}
-    starred: list[InfoSet] = []
     gains = _gain_table()
     for k, info in enumerate(ALL_INFO_SETS):
         imps = [q * c - p * s for c, s in (row[k] for row in gains)]
@@ -251,28 +251,28 @@ def classify_info_sets(alpha=0) -> Classification:
             determined[info] = Action.DRAW
         elif all(x < 0 for x in imps):
             determined[info] = Action.STAND
-        else:
-            starred.append(info)
-    return Classification(a, MappingProxyType(determined), tuple(starred))
+    return Classification(a, MappingProxyType(determined))
 
 
 class ReducedGame(NamedTuple):
     """Strategic form of a variant after fixing all non-optional cells.
 
-    Rows are Player's two choices on a total of 5; column ``j`` is the
-    pure Banker strategy acting per ``columns[j]`` at the variant's
-    optional cells (and per tableau / variant mandate elsewhere).
-    ``A[r][j]`` is Player's expected payoff (independent of alpha);
-    ``B[r][j]`` is Banker's at this game's ``alpha``.  The solver reads
-    them in integers, ``scaled``; as fractions they are built on each read.
+    Rows are Player's two choices on a total of 5, ``row_labels``, the
+    same for every game; column ``j`` is the pure Banker strategy acting
+    per ``columns[j]`` at the variant's optional cells (and per tableau /
+    variant mandate elsewhere), labelled by those actions in the
+    variant's optional-cell order.  ``A[r][j]`` is Player's expected
+    payoff (independent of alpha); ``B[r][j]`` is Banker's at this game's
+    ``alpha``.  The solver reads them in integers, ``scaled``; as
+    fractions they are built on each read.
     """
 
     variant: Variant
     alpha: Fraction
-    row_labels: tuple[PlayerRow, ...]
     column_labels: tuple[str, ...]
     columns: tuple[tuple[Action, ...], ...]
     scaled: tuple[_Scaled, _Scaled]
+    row_labels = _ROWS
     A = property(lambda self: self.scaled[0].fractions())
     B = property(lambda self: self.scaled[1].fractions())
 
@@ -281,9 +281,7 @@ class ReducedGame(NamedTuple):
 
     def banker_strategy(self, j: int) -> BankerStrategy:
         return BankerStrategy.from_assignment(
-            self.column_assignment(j),
-            variant=self.variant,
-            label=self.column_labels[j],
+            self.column_assignment(j), variant=self.variant
         )
 
 
@@ -330,7 +328,7 @@ def build_reduced_game(variant: Variant, alpha=0) -> ReducedGame:
     B = _Scaled((q * _SCALE, tuple(
         tuple((q - p) * loss - q * win for loss, win in row) for row in counts
     )))
-    return ReducedGame(variant, a, _ROWS, labels, columns, (A, B))
+    return ReducedGame(variant, a, labels, columns, (A, B))
 
 
 # ---------------------------------------------------------------------------

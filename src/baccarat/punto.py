@@ -60,9 +60,7 @@ class PuntoReport(NamedTuple):
 def mandated_banker_strategy() -> BankerStrategy:
     """The drawing rules the fixed-rule game carves in stone."""
     return BankerStrategy.from_assignment(
-        {InfoSet(3, 9): Action.DRAW, InfoSet(5, 4): Action.DRAW},
-        variant=MODERN,
-        label="punto",
+        {InfoSet(3, 9): Action.DRAW, InfoSet(5, 4): Action.DRAW}, variant=MODERN
     )
 
 

@@ -421,17 +421,16 @@ MODERN = Variant(
 class BankerStrategy(_Frozen):
     """A pure Banker strategy: one action for each of the 88 info sets.
 
-    ``actions`` is held as a tuple of the sequence given, so instances
-    are immutable and hashable, and strategy-keyed caches work; ``label``
-    is advisory and takes no part in equality.  Use
-    :meth:`from_assignment` to fill the determined cells from the
-    tableau and specify only the starred ones.
+    ``actions``, its one field, is held as a tuple of the sequence
+    given, so instances are immutable and hashable, and strategy-keyed
+    caches work.  A strategy carries no name: a reduced game labels its
+    columns.  Use :meth:`from_assignment` to fill the determined cells
+    from the tableau and specify only the starred ones.
     """
 
-    __slots__ = ("actions", "label")
-    _fields = ("actions",)
+    __slots__ = _fields = ("actions",)
 
-    def __init__(self, actions: Sequence[Action], label: str = ""):
+    def __init__(self, actions: Sequence[Action]):
         actions = tuple(actions)
         if len(actions) != len(ALL_INFO_SETS):
             raise ValueError(
@@ -440,10 +439,7 @@ class BankerStrategy(_Frozen):
             )
         for a in actions:
             _action(a)
-        self._init(actions=actions, label=label)
-
-    def __reduce__(self):
-        return type(self), (self.actions, self.label)
+        self._init(actions=actions)
 
     def __getitem__(self, info: InfoSet) -> Action:
         return self.actions[_CELL_INDEX[info]]
@@ -456,7 +452,6 @@ class BankerStrategy(_Frozen):
         cls,
         starred: Mapping[InfoSet, Action],
         variant: Variant | None = None,
-        label: str = "",
     ) -> "BankerStrategy":
         """Tableau actions everywhere, caller-chosen actions at the stars.
 
@@ -483,9 +478,7 @@ class BankerStrategy(_Frozen):
         acts = list(_TABLEAU_ACTIONS)
         for cell, action in chosen.items():
             acts[_CELL_INDEX[cell]] = action
-        if not label:
-            label = "".join(str(chosen[c]) for c in STARRED_CELLS)
-        return cls(acts, label)
+        return cls(acts)
 
 
 class CoupOutcome(NamedTuple):

@@ -35,9 +35,12 @@ payoffs: fractions are built only for what is reported.
   exhaustive and ``complete`` is True; on a degenerate one isolated
   equilibria are still reported but continua are only flagged.
 
-* :func:`is_nondegenerate` / :func:`verify_equilibrium` -- independent
-  certificates used by the rest of the package before any equilibrium
-  claim is trusted.
+* :func:`is_nondegenerate` -- the same degeneracy check on its own.  The
+  solve path reads it as ``enumerate_nash_2xn``'s ``complete`` and
+  ``witness``, not through this function.
+
+* :func:`verify_equilibrium` -- an independent certificate: every
+  solved equilibrium is re-checked by it before it is reported.
 """
 
 from __future__ import annotations
@@ -137,21 +140,26 @@ def _as_weights(mix, n: int) -> tuple[Fraction, ...]:
 class EquilibriumReport(NamedTuple):
     """One equilibrium of a 2 x n game, with exact strategies and values.
 
-    ``kind`` is "pure" when both strategies are pure, else "mixed".
     ``unique`` is True only when the producing routine certified that no
     other equilibrium exists.  ``note`` carries caveats, e.g. that the
-    point represents a continuum in a degenerate game.
+    point represents a continuum in a degenerate game.  Read off the
+    strategies, not stored: ``row_support`` and ``column_support``, and
+    ``kind``, "pure" when both supports have one element, else "mixed".
     """
 
     row_strategy: MixedStrategy
     column_strategy: MixedStrategy
     row_value: Fraction
     column_value: Fraction
-    row_support: tuple[int, ...]
-    column_support: tuple[int, ...]
-    kind: str
     unique: bool = False
     note: str = ""
+    row_support = property(lambda self: self.row_strategy.support)
+    column_support = property(lambda self: self.column_strategy.support)
+
+    @property
+    def kind(self) -> str:
+        pure = len(self.row_support) == len(self.column_support) == 1
+        return "pure" if pure else "mixed"
 
 
 class EliminationStep(NamedTuple):
@@ -316,31 +324,37 @@ def is_nondegenerate(A, B) -> tuple[bool, DegeneracyWitness | None]:
     stretch they top.
     """
     (_, A), (_, B) = _game(A, B)
-    return _degeneracy(A, _envelope(B, range(len(A[0]))))
+    witness = _degeneracy(A, _envelope(B, range(len(A[0]))))
+    return witness is None, witness
 
 
-def _degeneracy(A, points) -> tuple[bool, DegeneracyWitness | None]:
-    """The checks of :func:`is_nondegenerate`, given the scaled ``A`` and
-    the envelope's breakpoints ``points`` of ``B``'s column lines."""
+def _degeneracy(A, points) -> DegeneracyWitness | None:
+    """The witness of the checks of :func:`is_nondegenerate`, or None,
+    given the scaled ``A`` and the envelope's breakpoints ``points`` of
+    ``B``'s column lines."""
     for c in range(len(A[0])):
         if A[0][c] == A[1][c]:
-            return False, DegeneracyWitness("column", c, (0, 1))
+            return DegeneracyWitness("column", c, (0, 1))
     for p, best in points:
         if p in (0, 1):
             if len(best) > 1:
-                return False, DegeneracyWitness("row", int(p), best)
+                return DegeneracyWitness("row", int(p), best)
         elif len(best) > 2:
-            return False, DegeneracyWitness("row mix", p, best)
-    return True, None
+            return DegeneracyWitness("row mix", p, best)
+    return None
 
 
 class NashEnumeration(NamedTuple):
-    """All equilibria found by support enumeration, plus a completeness
-    certificate (True only when the game verified as nondegenerate)."""
+    """All equilibria found by support enumeration, plus the degeneracy
+    witness of the game, None when it verified as nondegenerate.
+
+    ``complete``, the completeness certificate, is read off the witness:
+    True exactly when there is none.
+    """
 
     equilibria: tuple[EquilibriumReport, ...]
-    complete: bool
     witness: DegeneracyWitness | None = None
+    complete = property(lambda self: self.witness is None)
 
 
 def enumerate_nash_2xn(A, B) -> NashEnumeration:
@@ -354,11 +368,11 @@ def enumerate_nash_2xn(A, B) -> NashEnumeration:
     (scale_A, A), (scale_B, B) = _game(A, B)
     n = len(A[0])
     points = _envelope(B, range(n))
-    complete, witness = _degeneracy(A, points)
-    found: dict[tuple, tuple] = {}  # (row weights, col weights) -> (k, note)
+    witness = _degeneracy(A, points)
+    found: dict[tuple, str] = {}  # (row weights, col weights) -> note
 
-    def record(rw, cw, kind, note=""):
-        found.setdefault((tuple(rw), tuple(cw)), (kind, note))
+    def record(rw, cw, note=""):
+        found.setdefault((tuple(rw), tuple(cw)), note)
 
     best_to_row = (points[0][1], points[-1][1])  # p = 0 is row 0, p = 1 row 1
 
@@ -366,7 +380,7 @@ def enumerate_nash_2xn(A, B) -> NashEnumeration:
     for r in range(2):
         for c in best_to_row[r]:
             if A[r][c] >= A[1 - r][c]:
-                record(_unit(r, 2), _unit(c, n), "pure")
+                record(_unit(r, 2), _unit(c, n))
 
     # Mixed row, two-column support: two columns tied on top at an
     # interior breakpoint p, where their lines cross.
@@ -383,7 +397,7 @@ def enumerate_nash_2xn(A, B) -> NashEnumeration:
                 continue
             cw = [_ZERO] * n
             cw[c1], cw[c2] = Fraction(w, w - u), Fraction(-u, w - u)
-            record((1 - p, p), cw, "mixed")
+            record((1 - p, p), cw)
 
     # Degenerate families: row mixes against one pure column.
     for c in range(n):
@@ -395,8 +409,7 @@ def enumerate_nash_2xn(A, B) -> NashEnumeration:
         on_top = [p for p, best in points if c in best]
         if on_top:
             p = (on_top[0] + on_top[-1]) / 2
-            record((1 - p, p), _unit(c, n), "mixed",
-                   "represents a continuum of row mixes")
+            record((1 - p, p), _unit(c, n), "represents a continuum of row mixes")
 
     # Degenerate families: pure row against mixes of tied best columns.
     for r in range(2):
@@ -419,11 +432,11 @@ def enumerate_nash_2xn(A, B) -> NashEnumeration:
                 continue
             cw = [_ZERO] * n
             cw[c1], cw[c2] = q, 1 - q
-            record(_unit(r, 2), cw, "mixed", "represents a continuum of column mixes")
+            record(_unit(r, 2), cw, "represents a continuum of column mixes")
 
     reports = []
-    unique = complete and len(found) == 1
-    for (rw, cw), (kind, note) in sorted(found.items()):
+    unique = witness is None and len(found) == 1
+    for (rw, cw), note in sorted(found.items()):
         row = MixedStrategy(rw)
         col = MixedStrategy(cw)
         (row_scale, (x,)), (col_scale, (y,)) = row._scaled, col._scaled
@@ -440,33 +453,27 @@ def enumerate_nash_2xn(A, B) -> NashEnumeration:
                 column_strategy=col,
                 row_value=rv,
                 column_value=cv,
-                row_support=row.support,
-                column_support=col.support,
-                kind=kind,
                 unique=unique,
                 note=note,
             )
         )
-    return NashEnumeration(
-        equilibria=tuple(reports), complete=complete, witness=witness
-    )
+    return NashEnumeration(equilibria=tuple(reports), witness=witness)
 
 
 def verify_equilibrium(A, B, report: EquilibriumReport) -> bool:
     """Independently check a claimed equilibrium, exactly.
 
-    Confirms that the stated supports match the strategies, that every
-    support strategy is a best reply to the opponent's mix, and that the
-    stated values equal the realized expected payoffs.  The payoffs are
-    compared as integers, with the game and both mixes scaled to
-    integers; only the two realized values are built as fractions.
+    Confirms that every support strategy is a best reply to the
+    opponent's mix, and that the stated values equal the realized
+    expected payoffs.  The report's supports are read off its strategies,
+    so they need no check.  The payoffs are compared as integers, with
+    the game and both mixes scaled to integers; only the two realized
+    values are built as fractions.
     Nothing here reads the envelope or the enumeration.
     """
     (scale_A, int_A), (scale_B, int_B) = _game(A, B)
     row, col = report.row_strategy, report.column_strategy
     if len(row) != 2 or len(col) != len(int_A[0]):
-        return False
-    if row.support != report.row_support or col.support != report.column_support:
         return False
 
     # Every payoff below is scaled by the positive scales of what it is

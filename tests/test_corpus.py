@@ -21,6 +21,8 @@ def test_the_corpus_lists_every_command_line_of_the_tool():
 
 
 def test_every_report_but_the_full_size_simulations_is_as_stored():
-    entries = [e for e in corpus.load() if _FULL_HANDS not in e["argv"]]
-    assert len(entries) == 234
+    stored = corpus.load()
+    entries = [e for e in stored if _FULL_HANDS not in e["argv"]]
+    # Three seeds, three commands, three formats.
+    assert len(stored) - len(entries) == 27
     assert corpus.differences(entries) == []

@@ -20,6 +20,7 @@ import pytest
 
 import baccarat
 from baccarat import (
+    ALL_INFO_SETS,
     CLASSIC,
     MODERN,
     PARLOR,
@@ -200,3 +201,38 @@ def test_every_public_record_type_is_returned_by_a_record_call():
     }
     assert public, "no public record type found"
     assert public <= seen, sorted(cls.__name__ for cls in public - seen)
+
+
+def _derived(name):
+    """A record that reads ``name`` off its other fields, and the value
+    read from them by hand."""
+    sol = RECORDS["solve"]()
+    report, game = sol.report, sol.game
+    weights = {*report.row_strategy.weights, *report.column_strategy.weights}
+    enum = RECORDS["enumeration"]()
+    cls = RECORDS["classification"]()
+    return {
+        "row_support": (report, report.row_strategy.support),
+        "column_support": (report, report.column_strategy.support),
+        "kind": (report, "pure" if weights <= {0, 1} else "mixed"),
+        "complete": (enum, enum.witness is None),
+        "starred": (cls, tuple(i for i in ALL_INFO_SETS if i not in cls.determined)),
+        "variant": (sol, game.variant),
+        "alpha": (sol, game.alpha),
+        "row_labels": (game, (PlayerRow.STAND_ON_5, PlayerRow.DRAW_ON_5)),
+    }[name]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["row_support", "column_support", "kind", "complete", "starred", "variant",
+     "alpha", "row_labels"],
+)
+def test_a_derived_name_is_not_stored_and_cannot_be_replaced(name):
+    """A record cannot state a value that contradicts the fields it is
+    read off: the name is no field, and ``_replace`` refuses it."""
+    record, source = _derived(name)
+    assert name not in record._fields
+    with pytest.raises(ValueError):
+        record._replace(**{name: source})
+    assert getattr(record, name) == source

@@ -123,7 +123,7 @@ def _solve_on_fractions(game):
     A, B = (tuple(tuple(M[r][j] for j in cols) for r in rows) for M in (game.A, game.B))
     if len(rows) == 1 and len(cols) == 1:
         one = MixedStrategy((F(1),))
-        sub = EquilibriumReport(one, one, A[0][0], B[0][0], (0,), (0,), "pure", True)
+        sub = EquilibriumReport(one, one, A[0][0], B[0][0], True)
     else:
         enum = enumerate_nash_2xn(A, B)
         assert enum.complete
@@ -137,10 +137,7 @@ def _solve_on_fractions(game):
 
     row = expand(sub.row_strategy, rows, 2)
     col = expand(sub.column_strategy, cols, len(game.column_labels))
-    report = sub._replace(
-        row_strategy=row, column_strategy=col,
-        row_support=row.support, column_support=col.support,
-    )
+    report = sub._replace(row_strategy=row, column_strategy=col)
     assert verify_equilibrium(game.A, game.B, report)
     A, B = (tuple(tuple(line[j] for j in cols) for line in M) for M in (game.A, game.B))
     return (A, B, tuple(game.column_labels[j] for j in cols)), report, log
@@ -324,6 +321,21 @@ def test_banker_draw_probability_is_a_fraction_at_every_optional_cell(variant, a
     sol = solve_variant(variant, alpha)
     probabilities = [sol.banker_draw_probability(c) for c in variant.optional_cells]
     assert [type(q) for q in probabilities] == [Fraction] * len(probabilities)
+
+
+@pytest.mark.parametrize(
+    "cell, shown",
+    [((6, None), "(6, None)"), ((0, 0), "(0, 0)"), ("x", "'x'")],
+    ids=["mandated", "tableau", "not a cell"],
+)
+def test_banker_draw_probability_refuses_a_cell_that_is_not_optional(cell, shown):
+    sol = solve_variant(MODERN, F(1, 20))
+    with pytest.raises(ValueError) as info:
+        sol.banker_draw_probability(cell)
+    assert str(info.value) == (
+        f"not an optional cell of modern: {shown} "
+        "(its optional cells are (3,9), (5,4))"
+    )
 
 
 def _summary(sweep):

@@ -2,6 +2,7 @@
 
 import ast
 import copy
+import gc
 import inspect
 import itertools
 import pickle
@@ -158,6 +159,30 @@ def test_tableau_action_refuses_a_total_that_is_not_an_int(total, third):
     )
 
 
+def _refused_at_once(call, match: str) -> None:
+    """``call`` raises ValueError matching ``match`` in under 10 ms.
+
+    It is timed three times with the garbage collector held off, each
+    call raising alike, and the fastest counts: a collection or a pause
+    of the machine inside one call does not fail the test, while a path
+    that builds the number, or backtracks over it, fails all three.
+    """
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=match):
+                call()
+            times.append(time.perf_counter() - start)
+    finally:
+        if enabled:
+            gc.enable()
+    assert min(times) < 0.01
+
+
 class TestVariants:
     def test_builtin_shapes(self):
         assert PARLOR.optional_cells == STARRED_CELLS
@@ -188,10 +213,7 @@ class TestVariants:
     def test_a_number_too_long_to_write_out_is_refused_at_once(self, text):
         """A decimal string past 10 000 digits and exponent together is
         refused before its power of ten is built, as the CLI refuses it."""
-        start = time.perf_counter()
-        with pytest.raises(ValueError, match="digits and exponent"):
-            CLASSIC.check_alpha(text)
-        assert time.perf_counter() - start < 0.01
+        _refused_at_once(lambda: CLASSIC.check_alpha(text), "digits and exponent")
 
     @pytest.mark.parametrize(
         "text", ["1e-1000000", "1e-10000", "0e999999999", "0." + "1" * 20_000]
@@ -199,10 +221,7 @@ class TestVariants:
     def test_a_decimal_too_long_to_write_out_is_refused_at_once(self, text):
         """A ``Decimal`` is bounded as its string is."""
         number = Decimal(text)
-        start = time.perf_counter()
-        with pytest.raises(ValueError, match="digits and exponent"):
-            CLASSIC.check_alpha(number)
-        assert time.perf_counter() - start < 0.01
+        _refused_at_once(lambda: CLASSIC.check_alpha(number), "digits and exponent")
 
     @pytest.mark.parametrize(
         "number",
@@ -225,10 +244,10 @@ class TestVariants:
         past the decimal bound is refused at once, by the argument's name."""
         sevens = 7 * (10**4400 - 1) // 9  # 4400 sevens
         assert CLASSIC.check_alpha("1/" + "7" * 4400) == Fraction(1, sevens)
-        start = time.perf_counter()
-        with pytest.raises(ValueError, match=r"^alpha must be a number written with"):
-            CLASSIC.check_alpha("1/" + "7" * 10_001)
-        assert time.perf_counter() - start < 0.01
+        _refused_at_once(
+            lambda: CLASSIC.check_alpha("1/" + "7" * 10_001),
+            r"^alpha must be a number written with",
+        )
 
     def test_a_zero_denominator_still_divides_by_zero(self):
         with pytest.raises(ZeroDivisionError):
@@ -358,7 +377,6 @@ class TestBankerStrategy:
         assert strat[InfoSet(6, None)] is S
         assert strat[InfoSet(0, 4)] is D  # determined by the table
         assert strat[InfoSet(7, 0)] is S
-        assert strat.label == "DSDS"
 
     def test_from_assignment_requires_exact_cover(self):
         with pytest.raises(ValueError):
@@ -398,19 +416,25 @@ class TestBankerStrategy:
 
     def test_strategies_hash_by_content(self):
         a = BankerStrategy.from_assignment(
-            {InfoSet(3, 9): D, InfoSet(5, 4): D}, variant=MODERN, label="x"
+            {InfoSet(3, 9): D, InfoSet(5, 4): D}, variant=MODERN
         )
-        b = BankerStrategy.from_assignment(
-            {InfoSet(3, 9): D, InfoSet(5, 4): D}, variant=MODERN, label="y"
-        )
-        assert a == b and hash(a) == hash(b)  # labels are advisory only
+        b = BankerStrategy(a.actions)
+        assert a == b and hash(a) == hash(b)
+
+    def test_a_strategy_takes_no_label(self):
+        with pytest.raises(TypeError):
+            BankerStrategy((S,) * len(ALL_INFO_SETS), "x")
+        with pytest.raises(TypeError):
+            BankerStrategy.from_assignment(
+                {InfoSet(3, 9): D, InfoSet(5, 4): D}, variant=MODERN, label="x"
+            )
 
 
 @pytest.mark.parametrize(
     "value",
     [
         Variant("v", STARRED_CELLS, {}),
-        BankerStrategy((S,) * len(ALL_INFO_SETS), "all stand"),
+        BankerStrategy((S,) * len(ALL_INFO_SETS)),
         MixedStrategy((Fraction(1, 2), Fraction(1, 2))),
     ],
     ids=type,
@@ -430,7 +454,7 @@ def test_checked_value_types_are_frozen(value):
 @pytest.mark.parametrize(
     "value",
     [
-        pytest.param(BankerStrategy((S,) * len(ALL_INFO_SETS), "all stand"),
+        pytest.param(BankerStrategy((S,) * len(ALL_INFO_SETS)),
                      id="BankerStrategy"),
         pytest.param(MixedStrategy((Fraction(1, 3), Fraction(2, 3))), id="MixedStrategy"),
         pytest.param(PARLOR, id="parlor"),
@@ -440,7 +464,7 @@ def test_checked_value_types_are_frozen(value):
     ],
 )
 def test_checked_value_types_copy_and_pickle(value):
-    """Every slot comes back, the label and the support included, and a
+    """Every slot comes back, the support included, and a
     variant's mandates come back read-only; a solution, which holds a
     variant, comes back equal field by field."""
     names = getattr(type(value), "__slots__", ()) or value._fields
@@ -458,7 +482,7 @@ def test_a_strategy_holds_its_actions_as_a_tuple():
     """A list of actions is copied into a tuple: the strategy hashes, and
     a later change to the list does not reach it."""
     source = [S] * len(ALL_INFO_SETS)
-    strat = BankerStrategy(source, "all stand")
+    strat = BankerStrategy(source)
     assert type(strat.actions) is tuple
     assert hash(strat) == hash(BankerStrategy(tuple(source)))
     source[0] = "junk"
@@ -467,8 +491,7 @@ def test_a_strategy_holds_its_actions_as_a_tuple():
 
 
 def test_checked_value_types_print_the_fields_they_compare():
-    """A strategy's label and a mix's support take no part in equality,
-    and are not shown."""
+    """A mix's support takes no part in equality, and is not shown."""
     assert repr(MixedStrategy(("1/3", "2/3"))) == (
         "MixedStrategy(weights=(Fraction(1, 3), Fraction(2, 3)))"
     )
@@ -477,12 +500,12 @@ def test_checked_value_types_print_the_fields_they_compare():
         "fixed_actions=mappingproxy({}), alpha_bound=Fraction(0, 1))"
     )
     stand = (S,) * len(ALL_INFO_SETS)
-    assert repr(BankerStrategy(stand, "all stand")) == f"BankerStrategy(actions={stand!r})"
+    assert repr(BankerStrategy(stand)) == f"BankerStrategy(actions={stand!r})"
 
 
 def test_checked_value_types_keep_their_equality_and_hash():
-    """A variant compares its mandates but does not hash them; a strategy
-    ignores its label; a mix compares by weights alone."""
+    """A variant compares its mandates but does not hash them; a mix
+    compares by weights alone."""
     house = Variant("v", [(6, None)], {(3, 9): D, (4, 1): S, (5, 4): D})
     other = Variant("v", [(6, None)], {(3, 9): D, (4, 1): S, (5, 4): S})
     assert house != other and hash(house) == hash(other)
@@ -494,7 +517,7 @@ def test_checked_value_types_keep_their_equality_and_hash():
         MixedStrategy(("1/2", "1/2"))
     )
     assert half != MixedStrategy.pure(0, 2) and half != half.weights
-    assert _MANDATED == BankerStrategy(_MANDATED.actions, "other")
+    assert _MANDATED == BankerStrategy(_MANDATED.actions)
     assert _MANDATED != _MANDATED.actions
 
 
@@ -698,7 +721,7 @@ def test_every_coup_reports_consistent_fields(cards, row, picks):
 
 _B = ((0, 1), (1, 0))
 _HALF = MixedStrategy((Fraction(1, 2), Fraction(1, 2)))
-_REPORT = EquilibriumReport(_HALF, _HALF, 0, 0, (0, 1), (0, 1), "mixed")
+_REPORT = EquilibriumReport(_HALF, _HALF, 0, 0)
 _MIX = {InfoSet(3, 9): 1, InfoSet(5, 4): 1}
 _D5 = PlayerRow.DRAW_ON_5
 
@@ -730,10 +753,7 @@ def test_every_entry_refuses_an_overlong_number_at_once(entry, x):
     """A decimal too long to write out is refused before its power of
     ten is built, whether it comes as a string or as a Decimal."""
     build_reduced_game(CLASSIC, Fraction(1, 20))  # best_response builds it first
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match="digits and exponent"):
-        _ENTRIES[entry](x)
-    assert time.perf_counter() - start < 0.01
+    _refused_at_once(lambda: _ENTRIES[entry](x), "digits and exponent")
 
 
 @pytest.mark.parametrize("entry", _ENTRIES)

@@ -71,7 +71,7 @@ def replay(argv: list[str]) -> dict:
     """The corpus entry of one command line, run in this process."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.run(list(argv))
+        code = cli.run(argv)
     return {
         "argv": argv,
         "exit": code,
