@@ -42,7 +42,6 @@ from .rules import (
     InfoSet,
     MODERN,
     PlayerRow,
-    STARRED_CELLS,
     Variant,
     _CELL_INDEX,
     _coerce_rational,
@@ -424,8 +423,10 @@ def _validity_bound(shape: str) -> Fraction:
         stands, draws = build_reduced_game(MODERN, 0).scaled[0][1]
         if not all(d > s for s, d in zip(stands, draws)):  # pragma: no cover
             raise AssertionError("drawing on 5 should dominate in the modern game")
-        optional = [c for c in STARRED_CELLS if c not in MODERN.fixed_actions]
-        watched = [draw_on_5[_CELL_INDEX[c]] for c in (*optional, InfoSet(6, None))]
+        watched = [
+            draw_on_5[_CELL_INDEX[c]]
+            for c in (*MODERN.optional_cells, InfoSet(6, None))
+        ]
 
         def holds(a: Fraction) -> bool:
             return all(c > a * s for c, s in watched)

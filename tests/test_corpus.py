@@ -26,3 +26,33 @@ def test_every_report_but_the_full_size_simulations_is_as_stored():
     # Three seeds, three commands, three formats.
     assert len(stored) - len(entries) == 27
     assert corpus.differences(entries) == []
+
+
+def _interpreter(tmp_path, name, summary, code):
+    """A stand-in interpreter that prints a replay summary and exits."""
+    path = tmp_path / name
+    path.write_text(f"#!/bin/sh\necho '{summary}'\nexit {code}\n")
+    path.chmod(0o755)
+    return str(path)
+
+
+def test_python_mode_prints_a_line_per_interpreter(tmp_path, capsys):
+    clean = _interpreter(tmp_path, "clean", "261 entries, 0 differences", 0)
+    assert corpus.main(["--python", clean, clean]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"{clean}: 261 entries, 0 differences"
+    ] * 2
+
+
+def test_python_mode_fails_if_any_interpreter_differs(tmp_path, capsys):
+    clean = _interpreter(tmp_path, "clean", "261 entries, 0 differences", 0)
+    differs = _interpreter(tmp_path, "differs", "261 entries, 2 differences", 1)
+    missing = str(tmp_path / "missing")
+    assert corpus.main(["--python", clean, differs, missing]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == [
+        f"{clean}: 261 entries, 0 differences",
+        f"{differs}: 261 entries, 2 differences (exit 1)",
+    ]
+    assert out[2].startswith(f"{missing}: cannot run: ")
+    assert corpus.main(["--python"]) == 2

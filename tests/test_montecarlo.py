@@ -4,11 +4,14 @@ import itertools
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
-from math import ceil, sqrt
+from math import ceil, isqrt, sqrt
 from pathlib import Path
 
 import pytest
@@ -566,3 +569,206 @@ def test_outcome_table_is_built_lazily_once():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:3] == ["0 0", "1 1 0", "1 1"]
+
+
+# ---------------------------------------------------------------------------
+# A large run shares its hands with one forked child.  The splice relies on
+# CPython's word accounting, and every way the child can miss must fall
+# back to the sequential loop with the same counts.
+# ---------------------------------------------------------------------------
+
+
+def _advanced(seed, words):
+    rng = random.Random(seed)
+    for _ in range(words):
+        rng.getrandbits(32)
+    return rng.getstate()
+
+
+@pytest.mark.parametrize(
+    "draw, words",
+    [
+        (lambda rng: rng.random(), 2),
+        (lambda rng: rng.getrandbits(4), 1),
+        (lambda rng: rng.getrandbits(32 * 5), 5),
+        (lambda rng: rng.getrandbits(32 * 8192), 8192),
+        (lambda rng: rng.getrandbits(1 << 20), 32768),
+    ],
+)
+def test_word_accounting_of_each_draw(draw, words):
+    """The generator stands where single-word draws would leave it."""
+    rng = random.Random(7)
+    draw(rng)
+    assert rng.getstate() == _advanced(7, words)
+
+
+def test_a_hand_reads_ten_words_and_one_per_rejected_draw():
+    rng = random.Random(3)
+    counts = [0, 0, 0]
+    rejected = montecarlo._play(rng, 500, counts, 0.5, [0.5] * 89)
+    assert sum(counts) == 500 and rejected > 0
+    assert rng.getstate() == _advanced(3, 10 * 500 + rejected)
+
+
+def _forced_plan(n):
+    """A split of any run from 1 hand up, with a start well before hand
+    n1's and a window as long as the back half."""
+    n1 = n // 3
+    return n1, max(0, 148 * n1 // 13 - 1000), n - n1
+
+
+def _parent_plays(monkeypatch):
+    """Record the hands of each loop this process plays.  A split run
+    that splices the child's counts plays its front half here, and
+    nothing more."""
+    parent, play, played = os.getpid(), montecarlo._play, []
+
+    def recording(rng, n_hands, *args):
+        if os.getpid() == parent:
+            played.append(n_hands)
+        return play(rng, n_hands, *args)
+
+    monkeypatch.setattr(montecarlo, "_play", recording)
+    return played
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@fixed_seed(20261020)
+@settings(max_examples=30, deadline=None, database=None)
+@given(_simulations())
+def test_a_split_run_equals_the_sequential_one(args):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(montecarlo, "_split_plan", _forced_plan)
+        split = simulate(*args)
+    assert split == simulate(*args) == _reference_simulate(*args)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("n", [6000, 20000])
+def test_split_runs_splice_the_child_counts(monkeypatch, n):
+    """With the plan's own margins every run meets, and this process
+    plays only the front half."""
+    row, mix = equilibrium_profile(solve_variant(CLASSIC, A))
+    sequential = [simulate(CLASSIC, row, mix, A, n, seed) for seed in range(8)]
+    monkeypatch.setattr(montecarlo, "_SPLIT_MIN_HANDS", 0)
+    plan = montecarlo._split_plan(n)
+    if plan is None:
+        pytest.skip("this process cannot split a run")
+    played = _parent_plays(monkeypatch)
+    split = [simulate(CLASSIC, row, mix, A, n, seed) for seed in range(8)]
+    assert split == sequential
+    assert played == [plan[0]] * 8
+    _assert_no_child_left()
+
+
+def _exit_3(*args):
+    os._exit(3)
+
+
+@pytest.mark.parametrize(
+    "plan, back_half",
+    [
+        # The child exits non-zero before it sends anything.
+        (_forced_plan, _exit_3),
+        # A window of one hand at word 0 never holds hand n1's start.
+        (lambda n: (n // 2, 0, 1), None),
+        # The child starts past the word where hand n1 starts.
+        (lambda n: (n // 2, 12 * n, 100), None),
+    ],
+)
+def test_a_child_that_misses_falls_back_exactly(monkeypatch, plan, back_half):
+    args = (CLASSIC, (F(1, 3), F(2, 3)), _DEVIANT, A, 3000, 11)
+    sequential = simulate(*args)
+    played = _parent_plays(monkeypatch)
+    monkeypatch.setattr(montecarlo, "_split_plan", plan)
+    if back_half is not None:
+        monkeypatch.setattr(montecarlo, "_back_half", back_half)
+    assert simulate(*args) == sequential
+    n1 = plan(3000)[0]
+    assert played == [n1, 3000 - n1]
+    _assert_no_child_left()
+
+
+def test_a_failed_fork_plays_the_run_here(monkeypatch):
+    def no_fork():
+        raise OSError("no process to spare")
+
+    args = (CLASSIC, (F(1, 3), F(2, 3)), _DEVIANT, A, 3000, 12)
+    sequential = simulate(*args)
+    played = _parent_plays(monkeypatch)
+    monkeypatch.setattr(montecarlo, "_split_plan", _forced_plan)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert simulate(*args) == sequential
+    assert played == [3000]
+
+
+def test_a_child_reaped_elsewhere_falls_back_exactly(monkeypatch):
+    """With SIGCHLD ignored the kernel reaps the child, and waiting for
+    it fails; the run does not rely on its records then."""
+    args = (CLASSIC, (F(1, 3), F(2, 3)), _DEVIANT, A, 3000, 13)
+    sequential = simulate(*args)
+    played = _parent_plays(monkeypatch)
+    monkeypatch.setattr(montecarlo, "_split_plan", _forced_plan)
+    before = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        assert simulate(*args) == sequential
+    finally:
+        signal.signal(signal.SIGCHLD, before)
+    assert played == [1000, 2000]
+
+
+def test_the_child_is_killed_and_reaped_when_the_loop_here_raises(monkeypatch):
+    def stuck(*args):
+        time.sleep(60)
+        os._exit(0)
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(montecarlo, "_split_plan", _forced_plan)
+    monkeypatch.setattr(montecarlo, "_back_half", stuck)
+    monkeypatch.setattr(montecarlo, "_play", interrupted)
+    began = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_modern(3000, 1)
+    assert time.monotonic() - began < 30
+    _assert_no_child_left()
+
+
+def _refuse_fork():
+    raise AssertionError("fork called")
+
+
+def test_no_split_below_the_crossover(monkeypatch):
+    n = montecarlo._SPLIT_MIN_HANDS
+    assert montecarlo._split_plan(n - 1) is None
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    assert run_modern(n - 1, 4).n_hands == n - 1
+
+
+def test_no_split_on_one_cpu(monkeypatch):
+    n = montecarlo._SPLIT_MIN_HANDS
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert montecarlo._split_plan(n) is None
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    assert run_modern(n, 4).n_hands == n
+
+
+def test_no_split_while_another_thread_runs(monkeypatch):
+    n = montecarlo._SPLIT_MIN_HANDS
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        assert montecarlo._split_plan(n) is None
+        monkeypatch.setattr(os, "fork", _refuse_fork)
+        assert run_modern(n, 4).n_hands == n
+    finally:
+        release.set()
+        other.join(timeout=60)
+    assert not other.is_alive()

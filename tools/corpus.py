@@ -8,10 +8,14 @@ report stays byte for byte as it was.
 
     python tools/corpus.py           # write tests/corpus.json
     python tools/corpus.py --check   # replay it; list each difference
+    python tools/corpus.py --python PATH ...  # --check under each PATH
 
 The command lines are those of ``benchmarks/workloads.py`` for seeds 0-2,
 tiny and full, each in json, text and csv, then the pinned ones of
-``tests/test_cli.py``, read from its source.  Standard library only.
+``tests/test_cli.py``, read from its source.  ``--python`` runs
+``--check`` under each interpreter given, with deprecation warnings as
+errors, and prints one line for each; it needs no ``pytest``.  Standard
+library only.
 """
 
 import ast
@@ -20,6 +24,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -96,6 +101,25 @@ def differences(entries: list[dict]) -> list[str]:
     return out
 
 
+def check_under(pythons: list[str]) -> int:
+    """Replay the corpus under each interpreter; 1 if any differs."""
+    failed = 0
+    for python in pythons:
+        command = [python, "-W", "error::DeprecationWarning",
+                   str(Path(__file__).resolve()), "--check"]
+        try:
+            proc = subprocess.run(command, stdout=subprocess.PIPE, text=True)
+        except OSError as exc:
+            print(f"{python}: cannot run: {exc}")
+            failed += 1
+            continue
+        lines = proc.stdout.splitlines() or ["no output"]
+        status = "" if proc.returncode == 0 else f" (exit {proc.returncode})"
+        print(f"{python}: {lines[-1]}{status}")
+        failed += proc.returncode != 0
+    return 1 if failed else 0
+
+
 def main(args: list[str]) -> int:
     if args == ["--check"]:
         entries = load()
@@ -104,8 +128,11 @@ def main(args: list[str]) -> int:
             print(line, file=sys.stderr)
         print(f"{len(entries)} entries, {len(found)} differences")
         return 1 if found else 0
+    if args[:1] == ["--python"] and args[1:]:
+        return check_under(args[1:])
     if args:
-        print("usage: python tools/corpus.py [--check]", file=sys.stderr)
+        print("usage: python tools/corpus.py [--check | --python PATH ...]",
+              file=sys.stderr)
         return 2
     entries = [replay(argv) for argv in argvs()]
     # One entry a line, so that a change shows as the lines it changes.
