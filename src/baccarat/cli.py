@@ -227,8 +227,10 @@ def _cmd_alpha_star(ns) -> dict:
 
 def _cmd_punto(ns) -> dict:
     rep = punto.punto_report()
-    identity = rep.edge_chemin == rep.edge_player + rep.edge_banker
-    return {"inputs": {}, "results": {**rep._asdict(), "edges_sum_identity": identity}}
+    names = ("P", "B", "T", "edge_player", "edge_banker", "edge_chemin")
+    results = {name: getattr(rep, name) for name in names}
+    results["edges_sum_identity"] = rep.edge_chemin == rep.edge_player + rep.edge_banker
+    return {"inputs": {}, "results": results}
 
 
 def _cmd_sweep(ns) -> dict:

@@ -11,7 +11,7 @@ standard errors indicts the engine, not the dice.
 Sampling notes:
 
 * The RNG is Python's Mersenne Twister (``random.Random``), far beyond
-  64 bits of state; the generator identity is recorded in every result.
+  64 bits of state; every result names the generator.
 
 * Every hand consumes exactly eight variates -- one uniform for
   Player's row, one for Banker's behavioral decision, and six card
@@ -67,28 +67,43 @@ __all__ = [
     "equilibrium_profile",
 ]
 
-_RNG_IDENTITY = "python-random-mt19937"
 #: Largest run accepted: 10^7 hands take 2.7 to 3.5 s shared with a forked
 #: child, against 4.6 to 5.1 s in one process (2-vCPU Xeon, Python 3.11).
 _MAX_HANDS = 10**7
 
 
 class SimResult(NamedTuple):
-    """Outcome of one simulation run; equal seeds give equal results."""
+    """Outcome of one simulation run; equal seeds give equal results.
+
+    It stores the tallies of Player's wins, losses and ties and reads off
+    the rest: ``n_hands`` is their sum, ``rng`` names the generator, and
+    ``mean_player``, ``mean_banker``, ``std_error`` and
+    ``std_error_banker`` are each seat's mean payoff per coup and its
+    standard error (from the plug-in variance), as floats of exact sums
+    over the tallies.
+    """
 
     variant: str
     alpha: Fraction
-    n_hands: int
     seed: int
-    rng: str
     player_draw_probability: Fraction
     wins: int
     losses: int
     ties: int
-    mean_player: float
-    mean_banker: float
-    std_error: float
-    std_error_banker: float
+    rng = "python-random-mt19937"
+    n_hands = property(lambda self: self.wins + self.losses + self.ties)
+    mean_player = property(lambda self: self._summary(1, -1)[0])
+    std_error = property(lambda self: self._summary(1, -1)[1])
+    mean_banker = property(lambda self: self._summary(-1, 1 - self.alpha)[0])
+    std_error_banker = property(lambda self: self._summary(-1, 1 - self.alpha)[1])
+
+    def _summary(self, on_win, on_loss) -> tuple[float, float]:
+        """Mean and standard error of a payoff per coup that is ``on_win``
+        when Player wins, ``on_loss`` when Player loses and 0 on a tie."""
+        n = self.n_hands
+        mean = Fraction(on_win * self.wins + on_loss * self.losses, n)
+        second = Fraction(on_win**2 * self.wins + on_loss**2 * self.losses, n)
+        return float(mean), sqrt((second - mean * mean) / n)
 
 
 def _draw_probabilities(
@@ -377,8 +392,7 @@ def simulate(
     ``row_mix`` is Player's strategy (a PlayerRow, or weights over
     stand-on-5 / draw-on-5); ``banker_strategy_or_mix`` is a pure
     BankerStrategy or a mapping from optional cells to exact draw
-    probabilities.  Standard errors use the plug-in variance of the
-    per-coup payoffs.
+    probabilities.
     """
     a = variant.check_alpha(alpha)
     _check_hands(n_hands)
@@ -394,27 +408,7 @@ def simulate(
     losses, ties, wins = _tally(
         rng, n_hands, _split_plan(n_hands), row_threshold, thresholds
     )
-
-    n = n_hands
-    mean_p = Fraction(wins - losses, n)
-    mean_b = ((1 - a) * losses - wins) / Fraction(n)
-    var_p = Fraction(wins + losses, n) - mean_p * mean_p
-    var_b = ((1 - a) ** 2 * losses + wins) / Fraction(n) - mean_b * mean_b
-    return SimResult(
-        variant=variant.name,
-        alpha=a,
-        n_hands=n,
-        seed=seed,
-        rng=_RNG_IDENTITY,
-        player_draw_probability=p_draw,
-        wins=wins,
-        losses=losses,
-        ties=ties,
-        mean_player=float(mean_p),
-        mean_banker=float(mean_b),
-        std_error=sqrt(var_p / n),
-        std_error_banker=sqrt(var_b / n),
-    )
+    return SimResult(variant.name, a, seed, p_draw, wins, losses, ties)
 
 
 def equilibrium_profile(

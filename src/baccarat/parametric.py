@@ -225,12 +225,16 @@ DEFAULT_ALPHA_GRID = (
 
 
 class CommissionSweep(NamedTuple):
-    """Solutions along a grid of commission rates, plus the exact rate
-    at which the variant's fixed rules stop being justified."""
+    """Solutions along a grid of commission rates.
+
+    ``validity_bound``, the exact rate at which the variant's fixed rules
+    stop being justified, is read off ``variant``: see
+    :func:`equilibrium_curve`.
+    """
 
     variant: Variant
     samples: tuple[tuple[Fraction, VariantSolution], ...]
-    validity_bound: Fraction
+    validity_bound = property(lambda self: _sweep_bound(self.variant))
 
 
 def _check(cond: bool, msg: str) -> None:
@@ -249,6 +253,14 @@ def _shape(variant: Variant) -> str | None:
     return None
 
 
+def _sweep_bound(variant: Variant) -> Fraction:
+    """:func:`table_validity_bound` for a variant shaped like classic or
+    modern, else its ``alpha_bound``."""
+    if _shape(variant) is None:
+        return variant.alpha_bound
+    return table_validity_bound(variant)
+
+
 def equilibrium_curve(variant: Variant, alpha_grid=None) -> CommissionSweep:
     """Solve a variant across a grid of rates, asserting the closed forms.
 
@@ -258,15 +270,21 @@ def equilibrium_curve(variant: Variant, alpha_grid=None) -> CommissionSweep:
     exact formulas for Player's draw probability, Banker's unchanged mix,
     the constant Player value, and Banker's value; of a modern-shaped
     one, against the pure equilibrium and its value line.  A violation
-    raises rather than returning quietly wrong data.
+    raises rather than returning quietly wrong data.  A grid that lists
+    one rate twice, in any spelling, raises ``ValueError``.
     """
     shape = _shape(variant)
-    bound = variant.alpha_bound if shape is None else table_validity_bound(variant)
+    bound = _sweep_bound(variant)
     if alpha_grid is None:
         alpha_grid = [
             a for a in DEFAULT_ALPHA_GRID if a == 0 or a < variant.alpha_bound
         ]
     grid = [variant.check_alpha(a) for a in alpha_grid]
+    seen = set()
+    for a in grid:
+        if a in seen:
+            raise ValueError(f"the grid lists the rate {a} more than once")
+        seen.add(a)
     samples = []
     for a in grid:
         sol = solve_variant(variant, a)
@@ -304,27 +322,39 @@ def equilibrium_curve(variant: Variant, alpha_grid=None) -> CommissionSweep:
                 f"modern banker value off closed form at alpha={a}",
             )
         samples.append((a, sol))
-    return CommissionSweep(
-        variant=variant, samples=tuple(samples), validity_bound=bound
-    )
+    return CommissionSweep(variant, tuple(samples))
+
+
+def _halvings(tol: Fraction) -> int:
+    """How many halvings of ``[0, 33/500]`` first make it no wider than
+    ``tol``."""
+    return (math.ceil(Fraction(33, 500) / tol) - 1).bit_length()
 
 
 class AlphaStarBracket(NamedTuple):
     """An exact bracket around the break-even commission rate.
 
     Banker's equilibrium value exceeds Player's below the rate and falls
-    short above it; ``lo`` and ``hi`` are exact rationals with
-    ``hi - lo <= tolerance`` and a sign change between them.
-    ``iterations`` is the number of halvings of ``[0, 33/500]`` that
-    reach that width: the bracket is the cell of that dyadic grid which
-    holds the rate, the same one bisection would return.
+    short above it.  The bracket stores ``lo`` and ``tolerance`` and
+    reads off the rest: ``iterations`` is the number of halvings of
+    ``[0, 33/500]`` that first reach a width of at most ``tolerance``,
+    ``hi`` is ``lo`` plus that width, and ``player_value`` is Player's
+    constant value :data:`PARLOR_PLAYER_VALUE`.  The bracket is the cell
+    of that dyadic grid which holds the rate, the same one bisection
+    would return.
     """
 
     lo: Fraction
-    hi: Fraction
     tolerance: Fraction
-    iterations: int
-    player_value: Fraction
+    player_value = PARLOR_PLAYER_VALUE
+
+    @property
+    def iterations(self) -> int:
+        return _halvings(self.tolerance)
+
+    @property
+    def hi(self) -> Fraction:
+        return self.lo + Fraction(33, 500 << self.iterations)
 
     @property
     def midpoint(self) -> Fraction:
@@ -346,34 +376,24 @@ def find_alpha_star(tolerance=Fraction(1, 10**9)) -> AlphaStarBracket:
     tol = _coerce_rational(tolerance, "tolerance")
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    target = PARLOR_PLAYER_VALUE
     # The game is zero-sum at alpha = 0, so PARLOR_PLAYER_VALUE is
     # -8 * c0 / (11 * 13^6) and the scaled premium is qa*a^2 + qb*a + qc.
     c0, c1, c2 = _BANKER_NUM
     qa, qb, qc = 11 * c2, 11 * c1 - 6 * c0, 22 * c0
     disc = qb * qb - 4 * qa * qc
-    iterations = (math.ceil(Fraction(33, 500) / tol) - 1).bit_length()
-    scale = 500 << iterations
+    scale = 500 << _halvings(tol)
     # The root times scale/33 is (-qb*scale - sqrt(disc*scale^2)) / (66*qa).
     # disc is not a square, so that numerator lies strictly between
     # ``numerator`` and ``numerator + 1``; dividing either floors alike.
     numerator = -qb * scale - math.isqrt(disc * scale * scale) - 1
-    width = Fraction(33, scale)
-    lo = numerator // (66 * qa) * width
-    hi = lo + width
-    at_lo = solve_variant(CLASSIC, lo).banker_value
-    at_hi = solve_variant(CLASSIC, hi).banker_value
-    if not at_lo > target > at_hi:
+    bracket = AlphaStarBracket(numerator // (66 * qa) * Fraction(33, scale), tol)
+    at_lo = solve_variant(CLASSIC, bracket.lo).banker_value
+    at_hi = solve_variant(CLASSIC, bracket.hi).banker_value
+    if not at_lo > bracket.player_value > at_hi:
         raise AssertionError(
-            f"solved values do not change sign across [{lo}, {hi}]"
+            f"solved values do not change sign across [{bracket.lo}, {bracket.hi}]"
         )
-    return AlphaStarBracket(
-        lo=lo,
-        hi=hi,
-        tolerance=tol,
-        iterations=iterations,
-        player_value=target,
-    )
+    return bracket
 
 
 def table_validity_bound(variant: Variant) -> Fraction:

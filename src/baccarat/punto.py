@@ -40,21 +40,21 @@ __all__ = [
 class PuntoReport(NamedTuple):
     """Exact outcome law and per-wager house edges.
 
-    ``P``, ``B`` and ``T`` are the Player-win, Banker-win and tie
-    probabilities; they sum to one.  Edges are the house's expected
-    gain per unit staked: ``edge_player`` on a Player bet paid even
-    money, ``edge_banker`` on a Banker bet paid 19:20, and
-    ``edge_chemin`` -- one twentieth of the bank's win probability --
-    when the house instead lets a patron hold the bank and takes five
-    percent of the bank's wins.
+    It stores ``P``, ``B`` and ``T``, the Player-win, Banker-win and tie
+    probabilities, which sum to one, and reads the edges off them.  An
+    edge is the house's expected gain per unit staked: ``edge_player``
+    on a Player bet paid even money, ``edge_banker`` on a Banker bet
+    paid 19:20, and ``edge_chemin`` -- one twentieth of the bank's win
+    probability -- when the house instead lets a patron hold the bank
+    and takes five percent of the bank's wins.
     """
 
     P: Fraction
     B: Fraction
     T: Fraction
-    edge_player: Fraction
-    edge_banker: Fraction
-    edge_chemin: Fraction
+    edge_player = property(lambda self: self.B - self.P)
+    edge_banker = property(lambda self: self.P - Fraction(19, 20) * self.B)
+    edge_chemin = property(lambda self: self.B / 20)
 
 
 def mandated_banker_strategy() -> BankerStrategy:
@@ -66,16 +66,8 @@ def mandated_banker_strategy() -> BankerStrategy:
 
 def punto_report() -> PuntoReport:
     """Enumerate the fixed-rule game exactly and price all three wagers."""
-    p_win, b_win, tie = oracle_outcome_distribution(
-        PlayerRow.DRAW_ON_5, mandated_banker_strategy()
-    )
     return PuntoReport(
-        P=p_win,
-        B=b_win,
-        T=tie,
-        edge_player=b_win - p_win,
-        edge_banker=p_win - Fraction(19, 20) * b_win,
-        edge_chemin=Fraction(1, 20) * b_win,
+        *oracle_outcome_distribution(PlayerRow.DRAW_ON_5, mandated_banker_strategy())
     )
 
 

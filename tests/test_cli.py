@@ -463,6 +463,11 @@ class TestExitCodes:
         code, _, err = cli("solve", "classic", "--alpha", "1/10")
         assert code == 2
 
+    def test_a_repeated_sweep_rate_is_refused(self, cli):
+        code, out, err = cli("sweep", "--variant", "classic", "--grid", "1/20,0.05")
+        assert (code, out) == (2, "")
+        assert err == "error: the grid lists the rate 1/20 more than once\n"
+
     def test_float_like_alpha_is_parsed_exactly_not_rejected(self, cli):
         code, out, _ = cli("solve", "classic", "--alpha", "0.05", "--format", "json")
         assert code == 0

@@ -14,6 +14,7 @@ import importlib
 import inspect
 import pkgutil
 from fractions import Fraction
+from math import sqrt
 from types import MappingProxyType
 
 import pytest
@@ -203,6 +204,14 @@ def test_every_public_record_type_is_returned_by_a_record_call():
     assert public <= seen, sorted(cls.__name__ for cls in public - seen)
 
 
+def _mean_and_error(payoffs):
+    """The mean of ``payoffs``, and its standard error from their
+    centred plug-in variance."""
+    n = len(payoffs)
+    mean = sum(payoffs, Fraction(0)) / n
+    return float(mean), sqrt(sum((x - mean) ** 2 for x in payoffs) / n / n)
+
+
 def _derived(name):
     """A record that reads ``name`` off its other fields, and the value
     read from them by hand."""
@@ -211,7 +220,32 @@ def _derived(name):
     weights = {*report.row_strategy.weights, *report.column_strategy.weights}
     enum = RECORDS["enumeration"]()
     cls = RECORDS["classification"]()
+    sim = simulate(
+        MODERN, PlayerRow.DRAW_ON_5, {InfoSet(3, 9): 1, InfoSet(5, 4): 1},
+        Fraction(1, 20), 100, 1,
+    )
+    player = [1] * sim.wins + [-1] * sim.losses + [0] * sim.ties
+    # Banker pays Player's win in full and keeps 19/20 of Player's loss.
+    banker = [-x if x > 0 else -x * Fraction(19, 20) for x in player]
+    rep = RECORDS["punto"]()
+    bracket = find_alpha_star(Fraction(1, 1000))
+    # 33/500 halved 7 times is 33/64000, the first width below 1/1000.
     return {
+        "n_hands": (sim, 100),
+        "rng": (sim, "python-random-mt19937"),
+        "mean_player": (sim, _mean_and_error(player)[0]),
+        "std_error": (sim, _mean_and_error(player)[1]),
+        "mean_banker": (sim, _mean_and_error(banker)[0]),
+        "std_error_banker": (sim, _mean_and_error(banker)[1]),
+        # The house's gain per unit on a Player bet, a Banker bet at
+        # 19:20, and five percent of the bank's wins.
+        "edge_player": (rep, rep.B - rep.P),
+        "edge_banker": (rep, rep.P - rep.B * Fraction(19, 20)),
+        "edge_chemin": (rep, rep.B * Fraction(5, 100)),
+        "iterations": (bracket, 7),
+        "hi": (bracket, bracket.lo + Fraction(33, 64000)),
+        "player_value": (bracket, Fraction(-679568, 11 * 13**6)),
+        "validity_bound": (RECORDS["sweep"](), Fraction(2, 5)),
         "row_support": (report, report.row_strategy.support),
         "column_support": (report, report.column_strategy.support),
         "kind": (report, "pure" if weights <= {0, 1} else "mixed"),
@@ -226,7 +260,9 @@ def _derived(name):
 @pytest.mark.parametrize(
     "name",
     ["row_support", "column_support", "kind", "complete", "starred", "variant",
-     "alpha", "row_labels"],
+     "alpha", "row_labels", "n_hands", "rng", "mean_player", "std_error",
+     "mean_banker", "std_error_banker", "edge_player", "edge_banker",
+     "edge_chemin", "iterations", "hi", "player_value", "validity_bound"],
 )
 def test_a_derived_name_is_not_stored_and_cannot_be_replaced(name):
     """A record cannot state a value that contradicts the fields it is

@@ -303,6 +303,14 @@ class TestEquilibriumCurve:
         with pytest.raises(ValueError):
             equilibrium_curve(CLASSIC, (0, F(1, 14)))
 
+    def test_a_repeated_rate_is_refused_before_any_solve(self, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("solved a grid that repeats a rate")
+
+        monkeypatch.setattr(parametric, "solve_variant", no_solve)
+        with pytest.raises(ValueError, match="rate 1/20 more than once"):
+            equilibrium_curve(CLASSIC, (0, F(1, 20), "0.05"))
+
     def test_parlor_sweeps_zero_only(self):
         sweep = equilibrium_curve(PARLOR)
         assert [a for a, _ in sweep.samples] == [0]

@@ -14,8 +14,10 @@ The command lines are those of ``benchmarks/workloads.py`` for seeds 0-2,
 tiny and full, each in json, text and csv, then the pinned ones of
 ``tests/test_cli.py``, read from its source.  ``--python`` runs
 ``--check`` under each interpreter given, with deprecation warnings as
-errors, and prints one line for each; it needs no ``pytest``.  Standard
-library only.
+errors, and prints its summary line; then it compiles the package's
+bytecode with that interpreter and prints the best time of
+``import baccarat.cli`` under ``-S`` over fresh processes.  It needs no
+``pytest``.  Standard library only.
 """
 
 import ast
@@ -101,8 +103,29 @@ def differences(entries: list[dict]) -> list[str]:
     return out
 
 
+#: Fresh processes per interpreter whose best import time is reported.
+IMPORT_RUNS = 7
+
+
+def import_seconds(python: str) -> float:
+    """Best time of ``import baccarat.cli`` under ``python -S``, bytecode
+    compiled first, over ``IMPORT_RUNS`` fresh processes."""
+    src = str(ROOT / "src")
+    subprocess.run([python, "-S", "-m", "compileall", "-q", src],
+                   stdout=subprocess.DEVNULL, check=True)
+    timed = (f"import sys, time; sys.path.insert(0, {src!r}); "
+             f"t = time.perf_counter(); import baccarat.cli; "
+             f"print(time.perf_counter() - t)")
+    return min(
+        float(subprocess.run([python, "-S", "-c", timed], stdout=subprocess.PIPE,
+                             text=True, check=True).stdout)
+        for _ in range(IMPORT_RUNS)
+    )
+
+
 def check_under(pythons: list[str]) -> int:
-    """Replay the corpus under each interpreter; 1 if any differs."""
+    """Replay the corpus and time the import under each interpreter; 1
+    if any replay differs or any interpreter fails."""
     failed = 0
     for python in pythons:
         command = [python, "-W", "error::DeprecationWarning",
@@ -117,6 +140,14 @@ def check_under(pythons: list[str]) -> int:
         status = "" if proc.returncode == 0 else f" (exit {proc.returncode})"
         print(f"{python}: {lines[-1]}{status}")
         failed += proc.returncode != 0
+        try:
+            ms = 1e3 * import_seconds(python)
+        except (subprocess.CalledProcessError, ValueError) as exc:
+            print(f"{python}: cannot time the import: {exc}")
+            failed += 1
+            continue
+        print(f"{python}: import baccarat.cli {ms:.1f} ms "
+              f"(-S, best of {IMPORT_RUNS})")
     return 1 if failed else 0
 
 
