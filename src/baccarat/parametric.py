@@ -51,8 +51,8 @@ from .solver import (
     EquilibriumReport,
     MixedStrategy,
     _ZERO,
-    eliminate_strictly_dominated,
-    enumerate_nash_2xn,
+    _eliminate,
+    _enumerate,
     verify_equilibrium,
 )
 
@@ -183,13 +183,16 @@ def solve_variant(variant: Variant, alpha=0) -> VariantSolution:
     uniqueness is then not certified.
     """
     game = build_reduced_game(variant, alpha)
-    (_, cols), log = eliminate_strictly_dominated(*game.scaled)
+    (rows, cols), log, points = _eliminate(*game.scaled)
     reduced = game._replace(
         column_labels=tuple(game.column_labels[j] for j in cols),
         columns=tuple(game.columns[j] for j in cols),
         scaled=tuple(M.submatrix(cols) for M in game.scaled),
     )
-    enum = enumerate_nash_2xn(*reduced.scaled)
+    # With both rows alive, the one round's breakpoints are the residual's.
+    at = {j: i for i, j in enumerate(cols)}
+    points = [(p, tuple(at[j] for j in top)) for p, top in points] if len(rows) == 2 else None
+    enum = _enumerate(*reduced.scaled, points)
     if not enum.complete or len(enum.equilibria) != 1:
         raise ValueError(
             f"variant {variant.name!r} at alpha={game.alpha} has no unique "
@@ -197,7 +200,7 @@ def solve_variant(variant: Variant, alpha=0) -> VariantSolution:
         )
     (sub,) = enum.equilibria
     weights = dict(zip(cols, sub.column_strategy.weights))
-    col = MixedStrategy([weights.get(j, _ZERO) for j in range(len(game.columns))])
+    col = MixedStrategy._built(tuple(weights.get(j, _ZERO) for j in range(len(game.columns))))
     report = sub._replace(column_strategy=col)
     if not verify_equilibrium(*game.scaled, report):
         raise AssertionError(
@@ -451,12 +454,8 @@ def _validity_bound(shape: str) -> Fraction:
         def holds(a: Fraction) -> bool:
             return all(c > a * s for c, s in watched)
 
-    roots = set()
-    for c, s in (*stand_on_5, *draw_on_5):
-        if s != 0:
-            r = Fraction(c, s)
-            if 0 < r < 1:
-                roots.add(r)
+    # c / s lies in (0, 1) exactly when c lies strictly between 0 and s.
+    roots = {Fraction(c, s) for c, s in (*stand_on_5, *draw_on_5) if 0 < c < s or s < c < 0}
     prev = Fraction(0)
     for r in sorted(roots):
         if not holds((prev + r) / 2):  # pragma: no cover - strict signs

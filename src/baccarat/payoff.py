@@ -244,12 +244,12 @@ def classify_info_sets(alpha=0) -> Classification:
     a = _commission_rate(alpha)
     p, q = a.numerator, a.denominator
     determined: dict[InfoSet, Action] = {}
-    gains = _gain_table()
-    for k, info in enumerate(ALL_INFO_SETS):
-        imps = [q * c - p * s for c, s in (row[k] for row in gains)]
-        if all(x > 0 for x in imps):
+    # One gain against each of the two rows.
+    for info, ((c0, s0), (c1, s1)) in zip(ALL_INFO_SETS, zip(*_gain_table())):
+        stand_on_5, draw_on_5 = q * c0 - p * s0, q * c1 - p * s1
+        if stand_on_5 > 0 and draw_on_5 > 0:
             determined[info] = Action.DRAW
-        elif all(x < 0 for x in imps):
+        elif stand_on_5 < 0 and draw_on_5 < 0:
             determined[info] = Action.STAND
     return Classification(a, MappingProxyType(determined))
 

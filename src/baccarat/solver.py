@@ -41,6 +41,15 @@ payoffs: fractions are built only for what is reported.
 
 * :func:`verify_equilibrium` -- an independent certificate: every
   solved equilibrium is re-checked by it before it is reported.
+
+:func:`baccarat.parametric.solve_variant` reaches the first two through
+their private forms, ``_eliminate`` and ``_enumerate``, so that they share
+one hull walk: when both rows survive, the elimination's one round walked
+the survivors' envelope, and the enumeration of the residual reads its
+breakpoints instead of walking it again.  Every mix the solver builds,
+of weights it computed as fractions, goes through one private
+constructor, ``MixedStrategy._built``, which sets the fields the public
+constructor would and skips only the number gate.
 """
 
 from __future__ import annotations
@@ -104,10 +113,21 @@ class MixedStrategy(_Frozen):
     _fields = ("weights",)
 
     def __init__(self, weights):
-        weights = tuple(_coerce_rational(w, "weight") for w in weights)
+        self._set(tuple(_coerce_rational(w, "weight") for w in weights))
+
+    @classmethod
+    def _built(cls, weights: tuple[Fraction, ...]) -> "MixedStrategy":
+        """The mix of ``Fraction`` weights the solver built, with the same
+        fields and checks as the public constructor, less the number gate
+        each weight has already passed."""
+        mix = object.__new__(cls)
+        mix._set(weights)
+        return mix
+
+    def _set(self, weights: tuple[Fraction, ...]) -> None:
         scaled = _integral((weights,))
         scale, (ints,) = scaled
-        if any(x < 0 for x in ints):
+        if min(ints, default=0) < 0:
             raise ValueError("mixed-strategy weights must be nonnegative")
         if sum(ints) != scale:
             raise ValueError("mixed-strategy weights must sum to 1")
@@ -177,10 +197,10 @@ class EliminationStep(NamedTuple):
 
 def _integral(M) -> _Scaled:
     """An exact matrix scaled by the lcm of its denominators."""
-    scale = math.lcm(*(x.denominator for row in M for x in row))
-    return _Scaled((scale, tuple(
-        tuple(x.numerator * (scale // x.denominator) for x in row) for row in M
-    )))
+    scale = math.lcm(*[x.denominator for row in M for x in row])
+    return _Scaled((scale, tuple([
+        tuple([x.numerator * (scale // x.denominator) for x in row]) for row in M
+    ])))
 
 
 def _game(A, B) -> tuple[_Scaled, _Scaled]:
@@ -207,7 +227,9 @@ def _envelope(M, cols, lo=0, hi=1):
     and ``lo`` and ``hi`` are each 0 or 1.  The breakpoints are ``lo``,
     ``hi`` and the envelope's vertices between them, found by a hull
     walk: from each breakpoint follow the steepest line on top; the next
-    breakpoint is the nearest crossing to the right by a steeper line.
+    breakpoint is the nearest crossing to the right by a steeper line,
+    and the lines on top there are that line's copies and the steeper
+    lines crossing it there, so only the lines at ``lo`` are evaluated.
     The envelope is linear between consecutive breakpoints, so a column
     is a best reply somewhere in ``[lo, hi]`` exactly when it is one at
     a breakpoint; at each one the least and the steepest line on top
@@ -217,22 +239,29 @@ def _envelope(M, cols, lo=0, hi=1):
     ``_ZERO`` or ``_ONE`` at the ends.
     """
     lines = [(j, M[0][j], M[1][j] - M[0][j]) for j in cols]
+    height = max(a + s * lo for _, a, s in lines)
+    top = [line for line in lines if line[1] + line[2] * lo == height]
     points = []
     num, den = lo, 1  # the breakpoint p = num / den, with den > 0
     while True:
-        values = [a * den + s * num for _, a, s in lines]
-        height = max(values)
-        top = [line for line, v in zip(lines, values) if v == height]
         p = _ZERO if num == 0 else _ONE if num == den else Fraction(num, den)
-        points.append((p, tuple(j for j, _, _ in top)))
+        points.append((p, tuple(sorted([j for j, _, _ in top]))))
         if num == hi * den:
             return points
         _, a0, s0 = max(top, key=lambda line: line[2])
-        num, den = hi, 1
-        for _, a, s in lines:
+        # A line no steeper than s0 and not its copy lies below it from here on.
+        top = [line for line in top if line[2] == s0]
+        lines = [line for line in lines if line[2] > s0]
+        num, den, crossing = hi, 1, []
+        for line in lines:
             # A steeper line lies below the top here, so it crosses to the right.
-            if s > s0 and (a0 - a) * den < num * (s - s0):
-                num, den = a0 - a, s - s0
+            _, a, s = line
+            gap = (a0 - a) * den - num * (s - s0)
+            if gap < 0:
+                num, den, crossing = a0 - a, s - s0, [line]
+            elif gap == 0:
+                crossing.append(line)
+        top += crossing
 
 
 def eliminate_strictly_dominated(A, B):
@@ -254,45 +283,58 @@ def eliminate_strictly_dominated(A, B):
     Strict elimination never removes any equilibrium strategy, so
     solving the game the survivors span solves the game.
     """
+    return _eliminate(A, B)[:2]
+
+
+def _eliminate(A, B):
+    """:func:`eliminate_strictly_dominated`, returning also the envelope
+    breakpoints of its last round: ``(survivors, log, points)``.  When
+    both rows survive, that round was the only one, its breakpoints span
+    ``[0, 1]``, and the fallen columns were on top at none of them, so
+    they are the breakpoints of the surviving columns alone."""
     (_, A), (_, B) = _game(A, B)
     rows_alive = [0, 1]
     cols_alive = list(range(len(A[0])))
     log: list[EliminationStep] = []
-
-    def slope(j):
-        return B[1][j] - B[0][j]
+    slope = [b1 - b0 for b0, b1 in zip(*B)]
 
     while True:
         points = _envelope(B, cols_alive, rows_alive[0], rows_alive[-1])
         best = {j for _, top in points for j in top}
         survivors = [j for j in cols_alive if j in best]
+        # One alive row is compared twice, which is comparing it once.
+        first, last = B[rows_alive[0]], B[rows_alive[-1]]
+        rivals = [(k, first[k], last[k]) for k in survivors]
+        # Each breakpoint's least and steepest top line, with their slopes.
+        ends = []
+        for _, top in points:
+            lo, hi = min(top, key=slope.__getitem__), max(top, key=slope.__getitem__)
+            ends.append((slope[lo], lo, slope[hi], hi))
         for j in cols_alive:
             if j in best:
                 continue
-            k = next((k for k in survivors
-                      if all(B[r][k] > B[r][j] for r in rows_alive)), None)
-            if k is not None:
-                log.append(EliminationStep("column", j, (k,), (_ONE,)))
-                continue
-            # The envelope less j's line is convex and positive.  With no
-            # pure dominator two rows are alive, and at the first
-            # breakpoint where the envelope grows steeper than j its
-            # least and steepest top lines have s(lo) < s(j) < s(hi):
-            # at p = 0, or with s(lo) = s(j), one line would beat j alone.
-            for _, top in points:
-                hi = max(top, key=slope)
-                if slope(hi) > slope(j):
+            x, y = first[j], last[j]
+            for k, u, v in rivals:
+                if u > x and v > y:
+                    log.append(EliminationStep("column", j, (k,), (_ONE,)))
                     break
-            lo = min(top, key=slope)
-            t = Fraction(slope(j) - slope(lo), slope(hi) - slope(lo))
-            pair = sorted(((lo, 1 - t), (hi, t)))
-            log.append(EliminationStep("column", j, *zip(*pair)))
+            else:
+                # The envelope less j's line is convex and positive.  With
+                # no pure dominator two rows are alive, and at the first
+                # breakpoint where the envelope grows steeper than j its
+                # least and steepest top lines have s(lo) < s(j) < s(hi):
+                # at p = 0, or with s(lo) = s(j), one line would beat j alone.
+                s = slope[j]
+                s_lo, lo, s_hi, hi = next(end for end in ends if end[2] > s)
+                w_lo, w_hi = Fraction(s_hi - s, s_hi - s_lo), Fraction(s - s_lo, s_hi - s_lo)
+                log.append(EliminationStep("column", j, (lo, hi), (w_lo, w_hi)) if lo < hi
+                           else EliminationStep("column", j, (hi, lo), (w_hi, w_lo)))
         cols_alive = survivors
 
         fallen = [r for r in rows_alive if len(rows_alive) == 2
                   and all(A[1 - r][j] > A[r][j] for j in cols_alive)]
         if not fallen:
-            return (tuple(rows_alive), tuple(cols_alive)), tuple(log)
+            return (tuple(rows_alive), tuple(cols_alive)), tuple(log), points
         (r,) = fallen
         log.append(EliminationStep("row", r, (1 - r,), (_ONE,)))
         rows_alive.remove(r)
@@ -365,14 +407,25 @@ def enumerate_nash_2xn(A, B) -> NashEnumeration:
     games, equilibrium continua are represented by sample points with an
     explanatory note, and ``complete`` is False.
     """
+    return _enumerate(A, B)
+
+
+def _enumerate(A, B, points=None) -> NashEnumeration:
+    """:func:`enumerate_nash_2xn`, reading the envelope of ``B``'s column
+    lines over ``[0, 1]`` from ``points`` when they are given."""
     (scale_A, A), (scale_B, B) = _game(A, B)
     n = len(A[0])
-    points = _envelope(B, range(n))
+    if points is None:
+        points = _envelope(B, range(n))
     witness = _degeneracy(A, points)
-    found: dict[tuple, str] = {}  # (row weights, col weights) -> note
+    # ((row weights, col weights), note), each profile once and with the
+    # note it was first found with; a list, as a Fraction hashes slowly.
+    found: list[tuple[tuple, str]] = []
 
     def record(rw, cw, note=""):
-        found.setdefault((tuple(rw), tuple(cw)), note)
+        profile = (tuple(rw), tuple(cw))
+        if all(profile != seen for seen, _ in found):
+            found.append((profile, note))
 
     best_to_row = (points[0][1], points[-1][1])  # p = 0 is row 0, p = 1 row 1
 
@@ -436,13 +489,12 @@ def enumerate_nash_2xn(A, B) -> NashEnumeration:
 
     reports = []
     unique = witness is None and len(found) == 1
-    for (rw, cw), note in sorted(found.items()):
-        row = MixedStrategy(rw)
-        col = MixedStrategy(cw)
+    for (rw, cw), note in sorted(found):
+        row, col = MixedStrategy._built(rw), MixedStrategy._built(cw)
         (row_scale, (x,)), (col_scale, (y,)) = row._scaled, col._scaled
         rv, cv = (
             Fraction(
-                sum(a * b * m for a, line in zip(x, M) for b, m in zip(y, line)),
+                x[0] * sum(map(operator.mul, y, M[0])) + x[1] * sum(map(operator.mul, y, M[1])),
                 row_scale * col_scale * scale,
             )
             for scale, M in ((scale_A, A), (scale_B, B))
@@ -473,6 +525,9 @@ def verify_equilibrium(A, B, report: EquilibriumReport) -> bool:
     """
     (scale_A, int_A), (scale_B, int_B) = _game(A, B)
     row, col = report.row_strategy, report.column_strategy
+    for field, mix in (("row_strategy", row), ("column_strategy", col)):
+        if not isinstance(mix, MixedStrategy):
+            raise TypeError(f"report.{field} must be a MixedStrategy, not {type(mix).__name__}")
     if len(row) != 2 or len(col) != len(int_A[0]):
         return False
 

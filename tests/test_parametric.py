@@ -65,7 +65,7 @@ def _fractions_built(call) -> int:
 
 @pytest.mark.parametrize(
     "variant, alpha, most",
-    [(CLASSIC, F(37, 1234), 25), (MODERN, F(101, 700), 8)],
+    [(CLASSIC, F(37, 1234), 21), (MODERN, F(101, 700), 8)],
     ids=["classic", "modern"],
 )
 def test_a_warm_solve_builds_fractions_only_for_what_it_reports(variant, alpha, most):
@@ -74,22 +74,24 @@ def test_a_warm_solve_builds_fractions_only_for_what_it_reports(variant, alpha, 
     reported values, and no fraction of the game itself (136 and 35 when
     each stage took the game as fractions, 681 and 135 when the stages
     summed in fractions; 29 and 11 when the envelope built its two ends
-    afresh and the modern 1x1 residual skipped the enumeration)."""
+    afresh and the modern 1x1 residual skipped the enumeration; 25 for
+    classic when the enumeration walked the residual's hull again)."""
     solve_variant(variant, alpha)
     assert _fractions_built(lambda: solve_variant(variant, alpha)) <= most
 
 
 @pytest.mark.parametrize(
-    "variant, alpha",
-    [(CLASSIC, F(37, 1234)), (MODERN, F(101, 700))],
+    "variant, alpha, walks",
+    [(CLASSIC, F(37, 1234), 1), (MODERN, F(101, 700), 3)],
     ids=["classic", "modern"],
 )
-def test_a_warm_solve_runs_each_stage_once_on_one_scaled_game(monkeypatch, variant, alpha):
-    """solve_variant reaches its stages through the public names it
-    imports, once each, and checks and scales the unreduced matrices at
-    most once: the reduced game hands them over in integers.  The modern
-    game, whose residual is one column after a Player row falls, runs
-    the enumeration too."""
+def test_a_warm_solve_runs_each_stage_once_on_one_scaled_game(monkeypatch, variant, alpha, walks):
+    """solve_variant walks the hull once when both rows survive: the
+    enumeration reads the elimination's breakpoints.  The modern game,
+    whose residual is one column after a Player row falls, walks it in
+    both elimination rounds and in the enumeration.  The solve verifies
+    once, and checks and scales the unreduced matrices at most once: the
+    reduced game hands them over in integers."""
     solve_variant(variant, alpha)
     calls = collections.Counter()
 
@@ -102,14 +104,13 @@ def test_a_warm_solve_runs_each_stage_once_on_one_scaled_game(monkeypatch, varia
 
         monkeypatch.setattr(module, name, counting)
 
-    for name in ("eliminate_strictly_dominated", "enumerate_nash_2xn", "verify_equilibrium"):
-        count(parametric, name)
+    count(parametric, "verify_equilibrium")
+    count(solver, "_envelope")
     count(solver, "_matrix")
     # A matrix has two rows; a mix is scaled as a matrix of one.
     count(solver, "_integral", lambda M: len(M) == 2)
     solve_variant(variant, alpha)
-    assert calls["eliminate_strictly_dominated"] == 1
-    assert calls["enumerate_nash_2xn"] == 1
+    assert calls["_envelope"] == walks
     assert calls["verify_equilibrium"] == 1
     assert calls["_matrix"] <= 2 and calls["_integral"] <= 2
 
@@ -183,6 +184,50 @@ def test_the_integer_game_solves_as_the_fraction_matrices_do(case):
         weights[j] = w
     assert MixedStrategy(weights) == sol.report.column_strategy
     assert eq.row_strategy == sol.report.row_strategy
+
+
+def _pure(*steps):
+    return [(side, j, (k,), (F(1),)) for side, j, k in steps]
+
+
+def _pair(j, k, l, w_k, w_l):
+    return [("column", j, (k, l), (F(w_k), F(w_l)))]
+
+
+#: The classic logs differ only in the five two-point weights, listed as
+#: those of columns 1, 3, 8, 9 and 14.
+_CLASSIC_PAIRS = {
+    F(0): ("12/143", "131/143", "1/13", "12/13", "1/11", "10/11",
+           "1/143", "142/143", "136/143", "7/143"),
+    F(37, 1234): ("14623/173576", "158953/173576", "13389/173576", "160187/173576",
+                  "1234/13389", "12155/13389", "617/86788", "86171/86788",
+                  "165049/173576", "8527/173576"),
+    F(1, 16): ("11/130", "119/130", "171/2210", "2039/2210", "16/171", "155/171",
+               "8/1105", "1097/1105", "2101/2210", "109/2210"),
+}
+
+
+def _classic_log(w):
+    return [
+        *_pair(1, 10, 11, w[0], w[1]), *_pair(3, 10, 11, w[2], w[3]),
+        *_pure(("column", 4, 2), ("column", 5, 11), ("column", 6, 10), ("column", 7, 11)),
+        *_pair(8, 2, 10, w[4], w[5]), *_pair(9, 10, 11, w[6], w[7]),
+        *_pure(("column", 12, 10), ("column", 13, 11)), *_pair(14, 10, 11, w[8], w[9]),
+    ]
+
+
+@pytest.mark.parametrize(
+    "variant, alpha, log",
+    [*((CLASSIC, a, _classic_log(w)) for a, w in _CLASSIC_PAIRS.items()),
+     (PARLOR, F(0), _classic_log(_CLASSIC_PAIRS[F(0)])),
+     (MODERN, F(101, 700), [*_pair(2, 1, 3, "140/1439", "1299/1439"),
+                            *_pure(("row", 0, 1), ("column", 0, 3), ("column", 1, 3))])],
+    ids=["classic-0", "classic-37/1234", "classic-1/16", "parlor", "modern-101/700"],
+)
+def test_the_elimination_log_is_pinned(variant, alpha, log):
+    """Every removal, its dominators and their exact weights, entry for
+    entry, as the solver has always logged them."""
+    assert [tuple(s) for s in solve_variant(variant, alpha).elimination_log] == log
 
 
 class TestSolveVariant:

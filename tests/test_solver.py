@@ -490,6 +490,16 @@ def test_verify_rejects_a_report_of_another_shape_or_support(change):
     assert not verify_equilibrium(A, A, _REPORT._replace(**change))
 
 
+@pytest.mark.parametrize("field", ["row_strategy", "column_strategy"])
+def test_verify_refuses_a_strategy_that_is_no_mix(field):
+    """A report's strategies are MixedStrategy objects: a plain tuple of
+    weights raises a TypeError that names the field."""
+    A = [[1, 0], [0, 1]]
+    report = _REPORT._replace(**{field: (F(1), F(0))})
+    with pytest.raises(TypeError, match=f"report.{field} must be a MixedStrategy, not tuple"):
+        verify_equilibrium(A, A, report)
+
+
 # --- the integer stages against their fraction references ------------------
 
 
@@ -631,3 +641,33 @@ def test_enumeration_and_elimination_match_the_reference(game):
             full_y[c] = w
         expanded.add((tuple(full_x), tuple(full_y), u, v))
     assert expanded == reference
+
+
+@seed(20261020)
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.one_of(_mixed_games(), _tied_games()))
+def test_every_mix_the_solver_builds_is_the_public_constructors(game):
+    """The enumeration builds its mixes without the number gate, which
+    each weight has passed already; every such mix equals the one the
+    public constructor makes of its weights, field for field."""
+    for e in enumerate_nash_2xn(*game).equilibria:
+        for mix in (e.row_strategy, e.column_strategy):
+            public = MixedStrategy(mix.weights)
+            assert type(mix) is MixedStrategy
+            assert (mix.weights, mix.support, mix._scaled) == (
+                public.weights, public.support, public._scaled)
+
+
+@seed(20261021)
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.one_of(_mixed_games(), _tied_games()))
+def test_the_eliminations_last_breakpoints_are_the_residuals_envelope(game):
+    """When both rows survive, the elimination ran one round over [0, 1]
+    and its fallen columns were on top at no breakpoint: its breakpoints,
+    re-indexed to the surviving columns, are the residual's own envelope,
+    which is what solve_variant hands the enumeration."""
+    (rows, cols), _, points = solver._eliminate(*game)
+    assume(len(rows) == 2)
+    at = {j: i for i, j in enumerate(cols)}
+    (_, B) = _integral(sub(game[1], rows, cols))
+    assert [(p, tuple(at[j] for j in top)) for p, top in points] == _envelope(B, range(len(cols)))
