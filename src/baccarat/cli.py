@@ -22,7 +22,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from . import montecarlo, parametric, punto
-from .payoff import build_reduced_game, classify_info_sets, oracle_payoff_entry
+from .payoff import _entry_terms, _oracle_counts, build_reduced_game, classify_info_sets
 from .rules import _NUMERAL, _coerce_rational, ALL_INFO_SETS, CLASSIC, MODERN, PARLOR
 
 __all__ = ["run", "main"]
@@ -101,7 +101,11 @@ def _json(node, pad: str = "\n") -> str:
         items = [_json(item, inner) for item in node]
         return f"[{inner}{f',{inner}'.join(items)}{pad}]" if items else "[]"
     # A string, number, bool or None; json refuses anything else.
-    return _quote(node) if isinstance(node, str) else json.dumps(node)
+    if isinstance(node, str):
+        return _quote(node)
+    if isinstance(node, int):
+        return ("false", "true")[node] if isinstance(node, bool) else int.__repr__(node)
+    return "null" if node is None else json.dumps(node)
 
 
 def _render_csv(report: dict) -> str:
@@ -286,19 +290,22 @@ def _cmd_simulate(ns) -> dict:
 
 
 def _cmd_oracle(ns) -> dict:
-    variant = _VARIANTS[ns.variant]
-    game = build_reduced_game(variant, ns.alpha)
-    A, B = game.A, game.B  # each read builds the fractions anew
+    game = build_reduced_game(_VARIANTS[ns.variant], ns.alpha)
     strategies = [game.banker_strategy(j) for j in range(len(game.columns))]
+    (scale_A, A), (scale_B, B) = game.scaled
     entries = []
     mismatches = 0
     for r, row in enumerate(game.row_labels):
         for j, strategy in enumerate(strategies):
-            o_player, o_banker = oracle_payoff_entry(row, strategy, game.alpha)
-            mismatches += (o_player, o_banker) != (A[r][j], B[r][j])
+            loss, _tie, win = _oracle_counts(row, strategy)
+            (player, den_A), (banker, den_B) = _entry_terms(loss, win, game.alpha)
+            # Each value against the game's entry, cross-multiplied in integers.
+            mismatches += (player * scale_A != A[r][j] * den_A
+                           or banker * scale_B != B[r][j] * den_B)
             # A mismatch raises below, so every entry reported matches.
             entries.append({"row": str(row), "column": game.column_labels[j],
-                            "player_value": o_player, "banker_value": o_banker,
+                            "player_value": Fraction(player, den_A),
+                            "banker_value": Fraction(banker, den_B),
                             "matches_decomposition": True})
     if mismatches:
         raise RuntimeError(

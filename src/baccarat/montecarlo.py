@@ -58,6 +58,7 @@ from .rules import (
     Variant,
     _coerce_rational,
     _info_set,
+    _of_type,
 )
 from .solver import MixedStrategy, _as_weights
 
@@ -419,6 +420,7 @@ def equilibrium_profile(
     Returns Player's row mix (stand-on-5 weight first) and Banker's
     per-cell draw probabilities at the variant's optional cells.
     """
+    _of_type(sol, VariantSolution, "sol")
     mix = {
         cell: sol.banker_draw_probability(cell)
         for cell in sol.variant.optional_cells

@@ -45,6 +45,7 @@ from .rules import (
     Variant,
     _CELL_INDEX,
     _coerce_rational,
+    _of_type,
 )
 from .solver import (
     EliminationStep,
@@ -417,7 +418,7 @@ def table_validity_bound(variant: Variant) -> Fraction:
     those rates in order finds the first failure exactly.  The scan reads
     nothing of the variant but its shape, so it runs once per shape.
     """
-    shape = _shape(variant)
+    shape = _shape(_of_type(variant, Variant, "variant"))
     if shape is None:
         raise ValueError(
             "validity bound is defined for variants shaped like classic or "

@@ -48,9 +48,14 @@ Everything here is exact rational arithmetic.  The central objects:
   deal is resolved by the coup rules behind
   :func:`baccarat.rules.play_coup` (see ``_outcome_table``), and the
   outcomes are folded into a ledger of the decomposition's slot layout.
-  The decomposition's ledger is never consulted, so agreement between
-  the two routes, slot for slot, is a real check.  The same outcome
-  table resolves every hand of :func:`baccarat.montecarlo.simulate`.
+  That ledger is summed once per row into integers (``_leaf_sums``):
+  Player's counts with Banker standing everywhere, and each cell's
+  change if Banker draws there.  A profile's counts are that base plus
+  the changes at its drawing cells, in integers; fractions are built
+  only for what is returned.  The decomposition's ledger is never
+  consulted, so agreement between the two routes, slot for slot, is a
+  real check.  The same outcome table resolves every hand of
+  :func:`baccarat.montecarlo.simulate`.
 """
 
 from __future__ import annotations
@@ -69,9 +74,11 @@ from .rules import (
     PlayerRow,
     Variant,
     _CELL_INDEX,
+    _DRAW,
     _PLAYER_MOVES,
     _TABLEAU_ACTIONS,
     _commission_rate,
+    _of_type,
     _player_row,
     _resolve_coup,
 )
@@ -166,28 +173,33 @@ def _analytic_ledger() -> _Ledger:
     for pt, bt in itertools.product(range(10), repeat=2):
         if pt >= 8 or bt >= 8:
             naturals[_outcome(pt, bt)] += _TAU[pt] * _TAU[bt] * 169
-    # Player's (loss, tie, win) counts out of 13 when a final total pf
-    # meets Banker's total b plus one third card, keyed (pf, b).
-    against_draw = {}
-    for pf, b in itertools.product(range(10), range(8)):
-        counts = [0, 0, 0]
-        for d, wd in enumerate(_NU):
-            counts[_outcome(pf, (b + d) % 10)] += wd
-        against_draw[pf, b] = counts
+    # Keyed [b][pf]: the outcome of a final total pf against Banker's
+    # total b, and Player's (loss, tie, win) counts out of 13 against b
+    # plus one third card, read off that total's law and its running sums.
+    against_stand = [[_outcome(pf, b) for pf in range(10)] for b in range(8)]
+    against_draw = []
+    for b in range(8):
+        law = [_NU[(x - b) % 10] for x in range(10)]
+        below = list(itertools.accumulate(law, initial=0))
+        against_draw.append([(13 - below[pf + 1], law[pf], below[pf]) for pf in range(10)])
     ledger = []
     for row in _ROWS:
+        # The totals depend on the cell's column alone, and ALL_INFO_SETS
+        # runs through the same 11 columns for each Banker total.
+        columns = [tuple(_player_final_totals(info, row)) for info in ALL_INFO_SETS[:11]]
         slots = []
-        for info in ALL_INFO_SETS:
-            b = info.banker_total
-            stand, draw = [0, 0, 0], [0, 0, 0]
-            for pf, w in _player_final_totals(info, row):
-                weight = _TAU[b] * w
-                stand[_outcome(pf, b)] += 13 * weight
-                loss, tie, win = against_draw[pf, b]
-                draw[0] += weight * loss
-                draw[1] += weight * tie
-                draw[2] += weight * win
-            slots.append((tuple(stand), tuple(draw)))
+        for tau, stand_vs, draw_vs in zip(_TAU, against_stand, against_draw):
+            for totals in columns:
+                stand, draw = [0, 0, 0], [0, 0, 0]
+                for pf, w in totals:
+                    stand[stand_vs[pf]] += w
+                    loss, tie, win = draw_vs[pf]
+                    draw[0] += w * loss
+                    draw[1] += w * tie
+                    draw[2] += w * win
+                k = 13 * tau
+                slots.append(((k * stand[0], k * stand[1], k * stand[2]),
+                              (tau * draw[0], tau * draw[1], tau * draw[2])))
         slots.append((tuple(naturals),) * 2)
         ledger.append(tuple(slots))
     return tuple(ledger)
@@ -319,7 +331,7 @@ def build_reduced_game(variant: Variant, alpha=0) -> ReducedGame:
     them for a variant of the same structure with a wider ``alpha_bound``
     (a :class:`~baccarat.rules.Variant`'s defaults to 1).
     """
-    a = variant.check_alpha(alpha)
+    a = _of_type(variant, Variant, "variant").check_alpha(alpha)
     labels, columns, counts, A = _column_counts(
         variant.optional_cells, frozenset(variant.fixed_actions.items())
     )
@@ -414,9 +426,14 @@ def _outcome_table() -> tuple[bytes, bytes, bytes]:
                 _, _, p3, b3, _, sign = _resolve_coup(
                     pt, bt, moves, thirds[j], all_draw
                 )
-                end = ends[j][(p3 is not None) + (b3 is not None)]
-                draw_block += fill[sign + 1][: end - j]
-                j = end
+                if p3 is not None and b3 is not None:
+                    # Most coups read both cards and hold for one leaf.
+                    draw_block.append(sign + 1)
+                    j += 1
+                else:
+                    end = ends[j][(p3 is not None) + (b3 is not None)]
+                    draw_block += fill[sign + 1][: end - j]
+                    j = end
             resolved[key] = cell_block, stand_block, draw_block
         for piece, part in zip(pieces, resolved[key]):
             piece.append(part)
@@ -436,7 +453,9 @@ def _leaf_ledger() -> _Ledger:
     its weights sum to 13.  So the counts of one row, over the natural
     slot and one action per cell, sum to 13^6.
 
-    The first row is folded leaf by leaf.  The second starts from its
+    The first row is folded leaf by leaf, except that a block whose
+    bytes are each one value throughout (a natural's) folds in one step
+    with weight 13^2, the sum of its leaves'.  The second starts from its
     counts and re-folds only the blocks whose bytes differ from the
     first row's in any of the three arrays: it takes the first row's
     leaves of such a block out and puts its own in.
@@ -451,9 +470,11 @@ def _leaf_ledger() -> _Ledger:
         """Add the block at ``base`` to ``slots``, or take it out."""
         pairs = sign * _PAIRS[base // 1000 % 10] * _PAIRS[base // 100 % 10]
         block = slice(base, base + 100)
-        for cell, s, d, w in zip(
-            cells[block], stand_signs[block], draw_signs[block], third_weights
-        ):
+        leaves = zip(cells[block], stand_signs[block], draw_signs[block], third_weights)
+        if all(t.count(t[base], base, base + 100) == 100 for t in table):
+            # A block alike at every leaf folds as one of all its weight.
+            leaves = ((cells[base], stand_signs[base], draw_signs[base], 13**2),)
+        for cell, s, d, w in leaves:
             stand, draw = slots[cell]
             weight = pairs * w
             stand[s] += weight
@@ -473,17 +494,48 @@ def _leaf_ledger() -> _Ledger:
     return first, frozen()
 
 
+@lru_cache(maxsize=1)
+def _leaf_sums() -> tuple[tuple[_Counts, tuple[tuple[int, ...], ...]], ...]:
+    """The leaf ledger as a base and per-cell changes, row by row.
+
+    ``_leaf_sums()[r]`` is ``(base, changes)`` against ``_ROWS[r]``:
+    ``base`` is Player's (loss, tie, win) counts out of 13^6 when Banker
+    stands at every cell, the naturals included, and ``changes[i][k]``
+    is what drawing at ``ALL_INFO_SETS[k]`` instead adds to ``base[i]``.
+    """
+    sums = []
+    for slots in _leaf_ledger():
+        cells = slots[:_NO_CELL]
+        base = tuple(map(sum, zip(slots[_NO_CELL][0], *(stand for stand, _ in cells))))
+        changes = tuple(tuple(draw[i] - stand[i] for stand, draw in cells) for i in range(3))
+        sums.append((base, changes))
+    return tuple(sums)
+
+
+def _oracle_counts(row: PlayerRow, strategy: BankerStrategy) -> _Counts:
+    """Player's (loss, tie, win) counts out of 13^6 for one pure profile."""
+    if not isinstance(strategy, BankerStrategy):
+        raise TypeError(f"strategy must be a BankerStrategy, got {strategy!r}")
+    base, changes = _leaf_sums()[_ROWS.index(_player_row(row))]
+    draws = [action is _DRAW for action in strategy.actions]
+    return tuple(
+        n + sum(itertools.compress(change, draws)) for n, change in zip(base, changes)
+    )
+
+
+def _entry_terms(loss: int, win: int, alpha: Fraction) -> tuple[tuple[int, int], ...]:
+    """Player's and Banker's payoffs at rate ``alpha`` = p/q off Player's
+    loss and win counts out of 13^6, as (numerator, denominator) pairs:
+    ``(win - loss) / 13^6`` and ``((q - p) * loss - q * win) / (q * 13^6)``."""
+    p, q = alpha.numerator, alpha.denominator
+    return (win - loss, _SCALE), ((q - p) * loss - q * win, q * _SCALE)
+
+
 def oracle_outcome_distribution(
     row: PlayerRow, strategy: BankerStrategy
 ) -> tuple[Fraction, Fraction, Fraction]:
     """(P(player wins), P(banker wins), P(tie)) by direct enumeration."""
-    if not isinstance(strategy, BankerStrategy):
-        raise TypeError(f"strategy must be a BankerStrategy, got {strategy!r}")
-    slots = _leaf_ledger()[_ROWS.index(_player_row(row))]
-    chosen = (
-        slot[action is Action.DRAW] for slot, action in zip(slots, strategy.actions)
-    )
-    loss, tie, win = map(sum, zip(slots[_NO_CELL][0], *chosen))
+    loss, tie, win = _oracle_counts(row, strategy)
     return Fraction(win, _SCALE), Fraction(loss, _SCALE), Fraction(tie, _SCALE)
 
 
@@ -492,8 +544,9 @@ def oracle_payoff_entry(
 ) -> tuple[Fraction, Fraction]:
     """(player EV, banker EV) for one pure profile, by brute force only."""
     a = _commission_rate(alpha)
-    p_win, p_loss, _tie = oracle_outcome_distribution(row, strategy)
-    return p_win - p_loss, (1 - a) * p_loss - p_win
+    loss, _tie, win = _oracle_counts(row, strategy)
+    (player, player_den), (banker, banker_den) = _entry_terms(loss, win, a)
+    return Fraction(player, player_den), Fraction(banker, banker_den)
 
 
 class BestResponse(NamedTuple):

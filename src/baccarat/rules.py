@@ -266,6 +266,16 @@ def _player_row(row) -> PlayerRow:
     return row
 
 
+def _of_type(value, kind: type, name: str):
+    """``value`` itself when it is a ``kind``: the gate of a variant, a
+    report or a solution.  Anything else raises a ``TypeError`` that
+    names the parameter ``name``."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise TypeError(f"{name} must be {article} {kind.__name__}, not {type(value).__name__}")
+    return value
+
+
 def _action(a) -> Action:
     """``a`` itself when it is an ``Action``; anything else is refused."""
     if not isinstance(a, Action):

@@ -60,7 +60,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
-from .rules import _Frozen, _coerce_rational
+from .rules import _Frozen, _coerce_rational, _of_type
 
 __all__ = [
     "MixedStrategy",
@@ -523,11 +523,10 @@ def verify_equilibrium(A, B, report: EquilibriumReport) -> bool:
     values are built as fractions.
     Nothing here reads the envelope or the enumeration.
     """
+    _of_type(report, EquilibriumReport, "report")
     (scale_A, int_A), (scale_B, int_B) = _game(A, B)
-    row, col = report.row_strategy, report.column_strategy
-    for field, mix in (("row_strategy", row), ("column_strategy", col)):
-        if not isinstance(mix, MixedStrategy):
-            raise TypeError(f"report.{field} must be a MixedStrategy, not {type(mix).__name__}")
+    row = _of_type(report.row_strategy, MixedStrategy, "report.row_strategy")
+    col = _of_type(report.column_strategy, MixedStrategy, "report.column_strategy")
     if len(row) != 2 or len(col) != len(int_A[0]):
         return False
 

@@ -284,6 +284,48 @@ def test_decimal_str_equals_the_decimal_rendering_where_it_is_exact(x):
     assert _decimal_str(x) == _decimal_str_by_decimal(x)
 
 
+_JSON_SCALARS = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(['"', "\\", "\n\t", "\x00", "é", "\u2028", "\U0001f0a1"]),
+    st.integers(-(10**1000), 10**1000),
+    st.sampled_from([10**999, -(10**999)]),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+#: No key ends as a Fraction's decimal twin does, so no two keys clash.
+_JSON_KEYS = st.text(max_size=6).filter(lambda key: not key.endswith("_decimal"))
+_JSON_TREES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_JSON_KEYS, children | st.fractions(), max_size=4),
+    max_leaves=24,
+)
+
+
+def _expanded(node):
+    """``node`` with each Fraction value of a dict written as its string
+    and a ``<key>_decimal`` twin, as the json report shows it."""
+    if isinstance(node, list):
+        return [_expanded(item) for item in node]
+    if not isinstance(node, dict):
+        return node
+    out = {}
+    for key, value in node.items():
+        if isinstance(value, F):
+            out[key], out[key + "_decimal"] = str(value), _decimal_str(value)
+        else:
+            out[key] = _expanded(value)
+    return out
+
+
+@seed(2037)
+@settings(max_examples=300, deadline=None, database=None)
+@given(_JSON_TREES)
+def test_json_rendering_is_json_dumps_of_the_expanded_tree(tree):
+    assert cli_module._json(tree) == json.dumps(_expanded(tree), indent=2)
+
+
 #: Each numeral the CLI reads, and its value or the start of its message.
 RATIONALS = {
     "1/20": F(1, 20),
@@ -594,15 +636,19 @@ def test_finest_tolerance_still_runs(cli):
 
 
 def test_an_oracle_disagreement_is_one_internal_error_line(cli, monkeypatch):
-    """Every entry the brute force reports off by one is counted."""
-    entry = cli_module.oracle_payoff_entry
-    monkeypatch.setattr(
-        cli_module, "oracle_payoff_entry",
-        lambda *args: tuple(v + 1 for v in entry(*args)),
-    )
-    code, out, err = cli("oracle", "--variant", "modern", "--alpha", "1/20")
-    assert (code, out) == (1, "")
-    assert err == "internal error: oracle disagrees with the decomposition on 8 entries\n"
+    """Every entry whose brute-force counts are off by one deal is counted,
+    whether the shift moves Player's value or, at a nonzero rate, only
+    Banker's."""
+    counts = cli_module._oracle_counts
+    for shift in ((0, -1, 1), (1, -2, 1)):
+
+        def shifted(row, strategy, shift=shift):
+            return tuple(n + d for n, d in zip(counts(row, strategy), shift))
+
+        monkeypatch.setattr(cli_module, "_oracle_counts", shifted)
+        code, out, err = cli("oracle", "--variant", "modern", "--alpha", "1/20")
+        assert (code, out) == (1, "")
+        assert err == "internal error: oracle disagrees with the decomposition on 8 entries\n"
 
 
 def test_rendering_failure_is_one_internal_error_line(cli, monkeypatch):

@@ -63,6 +63,7 @@ CALLS = {
     ],
     "payoff._outcome_table": [()],
     "payoff._leaf_ledger": [()],
+    "payoff._leaf_sums": [()],
     "parametric._validity_bound": [("classic",), ("modern",)],
 }
 

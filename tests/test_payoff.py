@@ -40,8 +40,11 @@ from baccarat.payoff import (
     _W,
     _analytic_ledger,
     _column_counts,
+    _entry_terms,
     _gain_table,
     _leaf_ledger,
+    _leaf_sums,
+    _oracle_counts,
     _player_final_totals,
     _outcome_table,
     natural_probability,
@@ -472,6 +475,26 @@ def test_oracle_entry_conserves_money(strategy, row, alpha):
     assert player + banker + alpha * p_banker_wins == 0
 
 
+@seed(2037)
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    _STRATEGIES,
+    st.sampled_from((S5, D5)),
+    st.fractions(min_value=0, max_value=1).filter(lambda a: a < 1),
+)
+def test_oracle_counts_are_the_leaf_ledger_summed_slot_by_slot(strategy, row, alpha):
+    """The integer sums equal the fold of the chosen slots, and the entry
+    equals the payoffs computed from the outcome distribution."""
+    slots = _leaf_ledger()[(S5, D5).index(row)]
+    chosen = (slot[action is Action.DRAW] for slot, action in zip(slots, strategy.actions))
+    counts = tuple(map(sum, zip(slots[_NO_CELL][0], *chosen)))
+    assert _oracle_counts(row, strategy) == counts
+    p_win, p_loss, _tie = oracle_outcome_distribution(row, strategy)
+    entry = oracle_payoff_entry(row, strategy, alpha)
+    assert entry == (p_win - p_loss, (1 - alpha) * p_loss - p_win)
+    assert all(type(value) is F for value in entry)
+
+
 def _names_in(code):
     """Every global or attribute name a code object and its nested code use."""
     names = set(code.co_names)
@@ -481,20 +504,31 @@ def _names_in(code):
     return names
 
 
+#: The private helpers through which a builder reaches its source, in
+#: the order each calls the next.
+_ORACLE_CHAINS = {
+    "oracle_outcome_distribution": (_oracle_counts, _leaf_sums),
+    "oracle_payoff_entry": (_oracle_counts, _leaf_sums),
+}
+#: The helpers a builder calls off its chain, which must name none of
+#: the decomposition either.
+_ORACLE_SIDE_HELPERS = {"oracle_payoff_entry": (_entry_terms,)}
+
+
 @pytest.mark.parametrize(
     "builder, source",
     [
         (_outcome_table, "_resolve_coup"),
         (_leaf_ledger, "_outcome_table"),
         (oracle_outcome_distribution, "_leaf_ledger"),
+        (oracle_payoff_entry, "_leaf_ledger"),
     ],
 )
 def test_oracle_builders_never_read_the_decomposition(builder, source):
     """Nor a second copy of the rules: which third cards a coup read, and
     where Banker decided, come from the outcome of the rules play_coup
-    checks its input for."""
-    names = _names_in(getattr(builder, "__wrapped__", builder).__code__)
-    assert source in names
+    checks its input for.  Every link of a builder's chain names the next
+    and none of the decomposition."""
     forbidden = {
         "_analytic_ledger",
         "_cell_slot",
@@ -509,7 +543,14 @@ def test_oracle_builders_never_read_the_decomposition(builder, source):
         "hand_total",
         "is_natural",
     }
-    assert not names & forbidden
+    chain = (builder, *_ORACLE_CHAINS.get(builder.__name__, ()))
+    for link, target in zip(chain, [*(f.__name__ for f in chain[1:]), source]):
+        names = _names_in(getattr(link, "__wrapped__", link).__code__)
+        assert target in names, link.__name__
+        assert not names & forbidden, link.__name__
+    for helper in _ORACLE_SIDE_HELPERS.get(builder.__name__, ()):
+        assert helper.__name__ in _names_in(builder.__code__)
+        assert not _names_in(helper.__code__) & forbidden, helper.__name__
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,8 @@ from baccarat import (
     Variant,
 )
 import baccarat
-from baccarat.montecarlo import simulate
-from baccarat.parametric import find_alpha_star, solve_variant
+from baccarat.montecarlo import equilibrium_profile, simulate
+from baccarat.parametric import find_alpha_star, solve_variant, table_validity_bound
 from baccarat.payoff import best_response, build_reduced_game
 from baccarat.punto import mandated_banker_strategy, unfulfilled_demand
 from baccarat.rules import _PLAYER_MOVES, _TABLEAU_ACTIONS, _info_set, _resolve_coup
@@ -762,6 +762,30 @@ def test_every_entry_refuses_a_float(entry):
         _ENTRIES[entry](0.5)
     with pytest.raises(TypeError, match="not a bool"):
         _ENTRIES[entry](True)
+
+
+#: Each public call given a wrong kind of object where a variant, a
+#: report or a solution belongs, and the named refusal it raises.
+_WRONG_KINDS = {
+    "build_reduced_game": (lambda: build_reduced_game("classic", 0),
+                           "variant must be a Variant, not str"),
+    "solve_variant": (lambda: solve_variant(None),
+                      "variant must be a Variant, not NoneType"),
+    "table_validity_bound": (lambda: table_validity_bound(None),
+                             "variant must be a Variant, not NoneType"),
+    "verify_equilibrium": (lambda: verify_equilibrium(((1, 0), (0, 1)), _B, None),
+                           "report must be an EquilibriumReport, not NoneType"),
+    "equilibrium_profile": (lambda: equilibrium_profile(None),
+                            "sol must be a VariantSolution, not NoneType"),
+}
+
+
+@pytest.mark.parametrize("call", _WRONG_KINDS)
+def test_a_wrong_kind_of_argument_is_a_type_error_that_names_it(call):
+    make, message = _WRONG_KINDS[call]
+    with pytest.raises(TypeError) as refused:
+        make()
+    assert str(refused.value) == message
 
 
 def test_cell_keys_read_as_the_canonical_info_set():
