@@ -50,8 +50,6 @@ from .rules import (
 from .solver import (
     EliminationStep,
     EquilibriumReport,
-    MixedStrategy,
-    _ZERO,
     _eliminate,
     _enumerate,
     verify_equilibrium,
@@ -119,18 +117,29 @@ class VariantSolution(NamedTuple):
     """A fully solved variant at one commission rate.
 
     ``report`` is stated over the *unreduced* strategic form (every
-    Banker column of the variant), and has been re-verified there;
-    ``reduced`` is the 2 x n residual it was enumerated on (both rows,
-    the surviving columns), and the log names strategies by their index
-    in ``game``.  ``variant`` and ``alpha`` are read off ``game``.
+    Banker column of the variant), and has been re-verified there; the
+    log names strategies by their index in ``game``.  Read off, not
+    stored: ``variant`` and ``alpha``, from ``game``, and ``reduced``,
+    the 2 x n residual the report was enumerated on: ``game`` with both
+    rows and the columns that no step of the log removed.
     """
 
     game: ReducedGame
-    reduced: ReducedGame
     elimination_log: tuple[EliminationStep, ...]
     report: EquilibriumReport
     variant = property(lambda self: self.game.variant)
     alpha = property(lambda self: self.game.alpha)
+
+    @property
+    def reduced(self) -> ReducedGame:
+        game = self.game
+        fallen = {s.index for s in self.elimination_log if s.side == "column"}
+        cols = [j for j in range(len(game.columns)) if j not in fallen]
+        return game._replace(
+            column_labels=tuple(game.column_labels[j] for j in cols),
+            columns=tuple(game.columns[j] for j in cols),
+            scaled=tuple(M.submatrix(cols) for M in game.scaled),
+        )
 
     @property
     def player_value(self) -> Fraction:
@@ -185,35 +194,20 @@ def solve_variant(variant: Variant, alpha=0) -> VariantSolution:
     """
     game = build_reduced_game(variant, alpha)
     (rows, cols), log, points = _eliminate(*game.scaled)
-    reduced = game._replace(
-        column_labels=tuple(game.column_labels[j] for j in cols),
-        columns=tuple(game.columns[j] for j in cols),
-        scaled=tuple(M.submatrix(cols) for M in game.scaled),
-    )
     # With both rows alive, the one round's breakpoints are the residual's.
-    at = {j: i for i, j in enumerate(cols)}
-    points = [(p, tuple(at[j] for j in top)) for p, top in points] if len(rows) == 2 else None
-    enum = _enumerate(*reduced.scaled, points)
+    enum = _enumerate(*game.scaled, cols, points if len(rows) == 2 else None)
     if not enum.complete or len(enum.equilibria) != 1:
         raise ValueError(
             f"variant {variant.name!r} at alpha={game.alpha} has no unique "
             f"equilibrium (residual game 2x{len(cols)} after elimination)"
         )
-    (sub,) = enum.equilibria
-    weights = dict(zip(cols, sub.column_strategy.weights))
-    col = MixedStrategy._built(tuple(weights.get(j, _ZERO) for j in range(len(game.columns))))
-    report = sub._replace(column_strategy=col)
+    (report,) = enum.equilibria
     if not verify_equilibrium(*game.scaled, report):
         raise AssertionError(
             f"solved profile failed verification on the full "
             f"{variant.name} game at alpha={alpha}"
         )
-    return VariantSolution(
-        game=game,
-        reduced=reduced,
-        elimination_log=log,
-        report=report,
-    )
+    return VariantSolution(game=game, elimination_log=log, report=report)
 
 
 #: Commission rates swept by default, less those a variant rejects (a
@@ -241,11 +235,6 @@ class CommissionSweep(NamedTuple):
     validity_bound = property(lambda self: _sweep_bound(self.variant))
 
 
-def _check(cond: bool, msg: str) -> None:
-    if not cond:
-        raise AssertionError(msg)
-
-
 def _shape(variant: Variant) -> str | None:
     """The solved structure a variant has, read off its mandates alone:
     "classic" when every starred cell is optional, "modern" when it
@@ -265,6 +254,26 @@ def _sweep_bound(variant: Variant) -> Fraction:
     return table_validity_bound(variant)
 
 
+def _closed_forms(shape: str, sol: VariantSolution, a: Fraction):
+    """``(figure, solved value, closed form)`` for each closed form that a
+    solution of this shape meets at a rate ``a`` below its validity bound."""
+    if shape == "classic":
+        return (
+            ("draw probability", sol.player_draw_probability, classic_draw_probability(a)),
+            ("banker mix", sol.banker_draw_probability(InfoSet(6, None)),
+             BANKER_STAND_CELL_DRAW_Q),
+            ("player value", sol.player_value, PARLOR_PLAYER_VALUE),
+            ("banker value", sol.banker_value, classic_banker_value(a)),
+        )
+    # The pure profile (draw on 5; draw at both optional cells).
+    return (
+        ("modern equilibrium", (sol.report.kind, sol.player_draw_probability,
+                                sol.column_mixture), ("pure", 1, {"DD": 1})),
+        ("modern player value", sol.player_value, MODERN_PLAYER_VALUE),
+        ("modern banker value", sol.banker_value, modern_banker_value(a)),
+    )
+
+
 def equilibrium_curve(variant: Variant, alpha_grid=None) -> CommissionSweep:
     """Solve a variant across a grid of rates, asserting the closed forms.
 
@@ -275,7 +284,8 @@ def equilibrium_curve(variant: Variant, alpha_grid=None) -> CommissionSweep:
     the constant Player value, and Banker's value; of a modern-shaped
     one, against the pure equilibrium and its value line.  A violation
     raises rather than returning quietly wrong data.  A grid that lists
-    one rate twice, in any spelling, raises ``ValueError``.
+    no rate, or one rate twice in any spelling, raises ``ValueError``, and
+    a string or anything not iterable ``TypeError``, before any solve.
     """
     shape = _shape(variant)
     bound = _sweep_bound(variant)
@@ -283,7 +293,11 @@ def equilibrium_curve(variant: Variant, alpha_grid=None) -> CommissionSweep:
         alpha_grid = [
             a for a in DEFAULT_ALPHA_GRID if a == 0 or a < variant.alpha_bound
         ]
+    if isinstance(alpha_grid, (str, bytes)) or not hasattr(alpha_grid, "__iter__"):
+        raise TypeError(f"alpha_grid must list rates, not {type(alpha_grid).__name__}")
     grid = [variant.check_alpha(a) for a in alpha_grid]
+    if not grid:
+        raise ValueError("alpha_grid must list at least one rate")
     seen = set()
     for a in grid:
         if a in seen:
@@ -292,39 +306,10 @@ def equilibrium_curve(variant: Variant, alpha_grid=None) -> CommissionSweep:
     samples = []
     for a in grid:
         sol = solve_variant(variant, a)
-        if shape == "classic" and a < bound:
-            _check(
-                sol.player_draw_probability == classic_draw_probability(a),
-                f"draw probability off closed form at alpha={a}",
-            )
-            _check(
-                sol.banker_draw_probability(InfoSet(6, None))
-                == BANKER_STAND_CELL_DRAW_Q,
-                f"banker mix off 859/2288 at alpha={a}",
-            )
-            _check(
-                sol.player_value == PARLOR_PLAYER_VALUE,
-                f"player value moved with alpha at alpha={a}",
-            )
-            _check(
-                sol.banker_value == classic_banker_value(a),
-                f"banker value off closed form at alpha={a}",
-            )
-        elif shape == "modern" and a < bound:
-            _check(
-                sol.report.kind == "pure"
-                and sol.player_draw_probability == 1
-                and sol.column_mixture == {"DD": Fraction(1)},
-                f"modern equilibrium not the pure draw/draw profile at {a}",
-            )
-            _check(
-                sol.player_value == MODERN_PLAYER_VALUE,
-                f"modern player value off constant at alpha={a}",
-            )
-            _check(
-                sol.banker_value == modern_banker_value(a),
-                f"modern banker value off closed form at alpha={a}",
-            )
+        if shape is not None and a < bound:
+            for name, solved, closed in _closed_forms(shape, sol, a):
+                if solved != closed:
+                    raise AssertionError(f"{name} off its closed form at alpha={a}")
         samples.append((a, sol))
     return CommissionSweep(variant, tuple(samples))
 

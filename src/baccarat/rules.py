@@ -31,6 +31,7 @@ outcome probabilities.
 from __future__ import annotations
 
 import enum
+import numbers
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -210,9 +211,10 @@ _NOT_FINITE = ("inf", "infinity", "nan", "snan")
 
 def _coerce_rational(x, name: str) -> Fraction:
     """The one conversion of an outside number to an exact ``Fraction``:
-    a ``Fraction`` passes as it is, a float or a bool raises
-    ``TypeError``, and a string that is no ``_NUMERAL``, an infinity, a
-    NaN or a decimal too long to write out ``ValueError``."""
+    a ``Fraction`` passes as it is, a float, a bool or anything else that
+    is no rational, ``Decimal`` or string raises ``TypeError``, and a
+    string that is no ``_NUMERAL``, an infinity, a NaN or a decimal too
+    long to write out ``ValueError``."""
     if type(x) is Fraction:
         return x
     if isinstance(x, bool):
@@ -248,6 +250,9 @@ def _coerce_rational(x, name: str) -> Fraction:
                 f"{_MAX_DECIMAL} digits and exponent together, got {str(x)[:40]!r}"
             )
         return Fraction(d)
+    if not isinstance(x, numbers.Rational):
+        raise TypeError(f"{name} must be a number (int, Fraction, Decimal or string), "
+                        f"not {type(x).__name__}")
     return Fraction(x)
 
 

@@ -44,12 +44,14 @@ payoffs: fractions are built only for what is reported.
 
 :func:`baccarat.parametric.solve_variant` reaches the first two through
 their private forms, ``_eliminate`` and ``_enumerate``, so that they share
-one hull walk: when both rows survive, the elimination's one round walked
-the survivors' envelope, and the enumeration of the residual reads its
-breakpoints instead of walking it again.  Every mix the solver builds,
-of weights it computed as fractions, goes through one private
-constructor, ``MixedStrategy._built``, which sets the fields the public
-constructor would and skips only the number gate.
+one game and one hull walk: the enumeration runs on the unreduced
+matrices, over the surviving columns only, and reports in the unreduced
+game's indexing.  When both rows survive, the elimination's one round
+walked the survivors' envelope, and the enumeration reads its breakpoints
+instead of walking it again.  Every mix the solver builds, of weights it
+computed as fractions, goes through one private constructor,
+``MixedStrategy._built``, which sets the fields the public constructor
+would and skips only the number gate.
 """
 
 from __future__ import annotations
@@ -366,15 +368,16 @@ def is_nondegenerate(A, B) -> tuple[bool, DegeneracyWitness | None]:
     stretch they top.
     """
     (_, A), (_, B) = _game(A, B)
-    witness = _degeneracy(A, _envelope(B, range(len(A[0]))))
+    cols = range(len(A[0]))
+    witness = _degeneracy(A, cols, _envelope(B, cols))
     return witness is None, witness
 
 
-def _degeneracy(A, points) -> DegeneracyWitness | None:
-    """The witness of the checks of :func:`is_nondegenerate`, or None,
-    given the scaled ``A`` and the envelope's breakpoints ``points`` of
-    ``B``'s column lines."""
-    for c in range(len(A[0])):
+def _degeneracy(A, cols, points) -> DegeneracyWitness | None:
+    """The witness of the checks of :func:`is_nondegenerate` on the
+    columns ``cols``, or None, given the scaled ``A`` and the envelope's
+    breakpoints ``points`` of ``B``'s lines of those columns."""
+    for c in cols:
         if A[0][c] == A[1][c]:
             return DegeneracyWitness("column", c, (0, 1))
     for p, best in points:
@@ -410,14 +413,18 @@ def enumerate_nash_2xn(A, B) -> NashEnumeration:
     return _enumerate(A, B)
 
 
-def _enumerate(A, B, points=None) -> NashEnumeration:
-    """:func:`enumerate_nash_2xn`, reading the envelope of ``B``'s column
-    lines over ``[0, 1]`` from ``points`` when they are given."""
+def _enumerate(A, B, cols=None, points=None) -> NashEnumeration:
+    """:func:`enumerate_nash_2xn` of the subgame of both rows and the
+    columns ``cols`` (all when None), in increasing order, reported in the
+    full game's indexing.  The envelope of those columns' lines under
+    ``B`` over ``[0, 1]`` is read from ``points`` when they are given."""
     (scale_A, A), (scale_B, B) = _game(A, B)
     n = len(A[0])
+    if cols is None:
+        cols = range(n)
     if points is None:
-        points = _envelope(B, range(n))
-    witness = _degeneracy(A, points)
+        points = _envelope(B, cols)
+    witness = _degeneracy(A, cols, points)
     # ((row weights, col weights), note), each profile once and with the
     # note it was first found with; a list, as a Fraction hashes slowly.
     found: list[tuple[tuple, str]] = []
@@ -453,7 +460,7 @@ def _enumerate(A, B, points=None) -> NashEnumeration:
             record((1 - p, p), cw)
 
     # Degenerate families: row mixes against one pure column.
-    for c in range(n):
+    for c in cols:
         if A[0][c] != A[1][c]:
             continue
         # Every p keeps Player indifferent; column c is a best reply on

@@ -230,6 +230,7 @@ def _derived(name):
     banker = [-x if x > 0 else -x * Fraction(19, 20) for x in player]
     rep = RECORDS["punto"]()
     bracket = find_alpha_star(Fraction(1, 1000))
+    kept = (0, 2, 10, 11, 15)  # the classic columns that survive at 1/20
     # 33/500 halved 7 times is 33/64000, the first width below 1/1000.
     return {
         "n_hands": (sim, 100),
@@ -254,6 +255,12 @@ def _derived(name):
         "starred": (cls, tuple(i for i in ALL_INFO_SETS if i not in cls.determined)),
         "variant": (sol, game.variant),
         "alpha": (sol, game.alpha),
+        "reduced": (sol, game._replace(
+            column_labels=("SSSS", "SSDS", "DSDS", "DSDD", "DDDD"),
+            columns=tuple(game.columns[j] for j in kept),
+            scaled=tuple((s, tuple(tuple(row[j] for j in kept) for row in M))
+                         for s, M in game.scaled),
+        )),
         "row_labels": (game, (PlayerRow.STAND_ON_5, PlayerRow.DRAW_ON_5)),
     }[name]
 
@@ -261,7 +268,7 @@ def _derived(name):
 @pytest.mark.parametrize(
     "name",
     ["row_support", "column_support", "kind", "complete", "starred", "variant",
-     "alpha", "row_labels", "n_hands", "rng", "mean_player", "std_error",
+     "alpha", "reduced", "row_labels", "n_hands", "rng", "mean_player", "std_error",
      "mean_banker", "std_error_banker", "edge_player", "edge_banker",
      "edge_chemin", "iterations", "hi", "player_value", "validity_bound"],
 )

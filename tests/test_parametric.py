@@ -356,6 +356,26 @@ class TestEquilibriumCurve:
         with pytest.raises(ValueError, match="rate 1/20 more than once"):
             equilibrium_curve(CLASSIC, (0, F(1, 20), "0.05"))
 
+    @pytest.mark.parametrize(
+        "grid, error, message",
+        [("0", TypeError, "alpha_grid must list rates, not str"),
+         ("0,1/20", TypeError, "alpha_grid must list rates, not str"),
+         (b"0", TypeError, "alpha_grid must list rates, not bytes"),
+         (5, TypeError, "alpha_grid must list rates, not int"),
+         ([], ValueError, "alpha_grid must list at least one rate")],
+        ids=["str", "comma-separated", "bytes", "int", "empty"],
+    )
+    def test_a_misused_grid_is_refused_before_any_solve(self, monkeypatch, grid, error, message):
+        """As ``sweep --grid`` refuses an empty list, so does the library;
+        and a string is no list of rates, whatever it spells."""
+        def no_solve(*args):
+            raise AssertionError("solved a misused grid")
+
+        monkeypatch.setattr(parametric, "solve_variant", no_solve)
+        with pytest.raises(error) as refused:
+            equilibrium_curve(CLASSIC, grid)
+        assert str(refused.value) == message
+
     def test_parlor_sweeps_zero_only(self):
         sweep = equilibrium_curve(PARLOR)
         assert [a for a, _ in sweep.samples] == [0]
@@ -443,6 +463,42 @@ class TestVariantsByStructure:
             table_validity_bound(house)
         sweep = equilibrium_curve(house, (0,))
         assert sweep.validity_bound == F(1, 10)
+
+
+def _skewed_solve(variant, alpha):
+    """A solve whose report has Player mix evenly on 5, so that its
+    profile is no longer pure; its values stay the solved ones."""
+    sol = solve_variant(variant, alpha)
+    half = MixedStrategy((F(1, 2), F(1, 2)))
+    return sol._replace(report=sol.report._replace(row_strategy=half))
+
+
+#: Each figure a sweep checks against its closed form: the variant
+#: swept, and the module name patched to make that one figure wrong.
+_WRONG_FIGURES = [
+    ("draw probability", CLASSIC, "classic_draw_probability", lambda a: F(0)),
+    ("banker mix", CLASSIC, "BANKER_STAND_CELL_DRAW_Q", F(1, 2)),
+    ("player value", CLASSIC, "PARLOR_PLAYER_VALUE", F(0)),
+    ("banker value", CLASSIC, "classic_banker_value", lambda a: F(0)),
+    ("modern equilibrium", MODERN, "solve_variant", _skewed_solve),
+    ("modern player value", MODERN, "MODERN_PLAYER_VALUE", F(0)),
+    ("modern banker value", MODERN, "modern_banker_value", lambda a: F(0)),
+]
+
+
+@pytest.mark.parametrize(
+    "figure, variant, name, wrong", _WRONG_FIGURES,
+    ids=[figure.replace(" ", "-") for figure, *_ in _WRONG_FIGURES],
+)
+def test_a_sweep_raises_on_each_figure_off_its_closed_form(monkeypatch, figure, variant, name, wrong):
+    """Each of the seven closed forms a sweep checks is checked: with that
+    one figure made wrong, by its closed form or by the solved report,
+    the sweep raises and names it."""
+    equilibrium_curve(variant, (F(1, 20),))
+    monkeypatch.setattr(parametric, name, wrong)
+    with pytest.raises(AssertionError) as raised:
+        equilibrium_curve(variant, (F(1, 20),))
+    assert str(raised.value) == f"{figure} off its closed form at alpha=1/20"
 
 
 class TestAlphaStar:

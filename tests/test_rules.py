@@ -36,7 +36,7 @@ from baccarat import (
 import baccarat
 from baccarat.montecarlo import equilibrium_profile, simulate
 from baccarat.parametric import find_alpha_star, solve_variant, table_validity_bound
-from baccarat.payoff import best_response, build_reduced_game
+from baccarat.payoff import best_response, build_reduced_game, classify_info_sets
 from baccarat.punto import mandated_banker_strategy, unfulfilled_demand
 from baccarat.rules import _PLAYER_MOVES, _TABLEAU_ACTIONS, _info_set, _resolve_coup
 from baccarat.solver import (
@@ -762,6 +762,24 @@ def test_every_entry_refuses_a_float(entry):
         _ENTRIES[entry](0.5)
     with pytest.raises(TypeError, match="not a bool"):
         _ENTRIES[entry](True)
+
+
+@pytest.mark.parametrize("x", [None, [1], b"1", 1j], ids=lambda x: type(x).__name__)
+@pytest.mark.parametrize("entry", _ENTRIES)
+def test_every_entry_refuses_what_is_no_number_by_name(entry, x):
+    """The gate refuses anything that is no rational, Decimal or string
+    itself, naming the parameter, rather than leaving it to ``Fraction``."""
+    with pytest.raises(TypeError, match=rf"^.+ must be a number \(int, Fraction, "
+                                        rf"Decimal or string\), not {type(x).__name__}$"):
+        _ENTRIES[entry](x)
+
+
+def test_classify_info_sets_names_the_rate_it_refuses():
+    with pytest.raises(TypeError) as refused:
+        classify_info_sets(None)
+    assert str(refused.value) == (
+        "alpha must be a number (int, Fraction, Decimal or string), not NoneType"
+    )
 
 
 #: Each public call given a wrong kind of object where a variant, a

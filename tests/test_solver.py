@@ -19,6 +19,7 @@ from baccarat import CLASSIC, MODERN, PARLOR, build_reduced_game, solver
 from baccarat.solver import (
     EquilibriumReport,
     MixedStrategy,
+    NashEnumeration,
     _envelope,
     _integral,
     eliminate_strictly_dominated,
@@ -663,11 +664,48 @@ def test_every_mix_the_solver_builds_is_the_public_constructors(game):
 @given(st.one_of(_mixed_games(), _tied_games()))
 def test_the_eliminations_last_breakpoints_are_the_residuals_envelope(game):
     """When both rows survive, the elimination ran one round over [0, 1]
-    and its fallen columns were on top at no breakpoint: its breakpoints,
-    re-indexed to the surviving columns, are the residual's own envelope,
-    which is what solve_variant hands the enumeration."""
+    and its fallen columns were on top at no breakpoint: its breakpoints
+    are the surviving columns' own envelope, which is what solve_variant
+    hands the enumeration."""
     (rows, cols), _, points = solver._eliminate(*game)
     assume(len(rows) == 2)
-    at = {j: i for i, j in enumerate(cols)}
-    (_, B) = _integral(sub(game[1], rows, cols))
-    assert [(p, tuple(at[j] for j in top)) for p, top in points] == _envelope(B, range(len(cols)))
+    assert points == _envelope(_integral(game[1])[1], cols)
+
+
+def _lifted(enum, cols, n):
+    """A subgame's enumeration in the indexing of the full game of ``n``
+    columns: each column mix zero-padded, each witness index mapped back
+    through ``cols``."""
+    def pad(mix):
+        weights = [F(0)] * n
+        for j, w in zip(cols, mix.weights):
+            weights[j] = w
+        return MixedStrategy(weights)
+
+    witness = enum.witness
+    if witness is not None and witness.side == "column":
+        witness = witness._replace(strategy=cols[witness.strategy])
+    elif witness is not None:
+        witness = witness._replace(best_responses=tuple(cols[j] for j in witness.best_responses))
+    return NashEnumeration(
+        tuple(e._replace(column_strategy=pad(e.column_strategy)) for e in enum.equilibria),
+        witness,
+    )
+
+
+@seed(20261022)
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.one_of(_mixed_games(), _tied_games()), st.data())
+def test_enumerating_a_column_subset_is_enumerating_its_submatrix(game, data):
+    """The enumeration over some columns of a game, in place, is the one
+    of the submatrix those columns span, read in the game's indexing:
+    the same equilibria, ``unique`` and notes, and the same degeneracy
+    witness.  A column left out, even one that ties both rows, plays no
+    part."""
+    A, B = game
+    n = len(A[0])
+    cols = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    alone = enumerate_nash_2xn(sub(A, (0, 1), cols), sub(B, (0, 1), cols))
+    in_place = solver._enumerate(A, B, cols)
+    assert in_place == _lifted(alone, cols, n)
+    assert in_place.complete == alone.complete
