@@ -27,15 +27,19 @@ Sampling notes:
 
 * A run of at least ``_SPLIT_MIN_HANDS`` hands, in a process that may
   use two CPUs and runs no other thread, plays its back half in one
-  forked child, with the same result to the last bit.  Each hand reads
-  exactly 10 + r words of the generator's stream (two for each uniform,
-  one for each 4-bit draw, r of them rejected), so the parent knows the
-  exact word where its front half ends.  The child starts parsing hands
-  a little before that word's expected place; two parses of one stream
-  that start at different words soon land on the same hand start and
-  agree from then on (the Kruskal count).  The parent takes the child's
-  counts only from the hand that starts at that very word; if none
-  does, or the child fails, it plays the back half itself.
+  forked child, with the same result to the last bit.  The child starts
+  parsing hands a little before the expected start of the back half;
+  two parses of one stream that start at different words soon land on
+  the same hand start and agree from then on (the Kruskal count).  In
+  that window it counts the words each hand reads, and records the
+  generator's 624-word state array of each block it enters, with the
+  word where that block began.  The parent counts nothing: a Mersenne
+  Twister state is its array plus an index, no two positions of one
+  stream share an array and an index, so the parent's own array and
+  index name the word where its front half ended.  It takes the child's
+  counts only from the hand that starts at that very word; if the child
+  recorded no such array or hand, or failed, it plays the back half
+  itself.
 """
 
 from __future__ import annotations
@@ -173,18 +177,16 @@ _BANKER_KEY = tuple(
 _THIRD_KEY = tuple(tuple(x * 10 + y for y in _CARD_VALUE) for x in _CARD_VALUE)
 
 
-def _play(rng, n_hands, counts, row_threshold, thresholds) -> int:
+def _play(rng, n_hands, counts, row_threshold, thresholds) -> None:
     """Play ``n_hands`` hands from ``rng``, adding each to ``counts``.
 
-    Returns the number of rejected card draws ``r``: the hands read
-    exactly ``10 * n_hands + r`` words of the generator's stream, 2 for
-    each of the two uniforms and 1 for each 4-bit draw.
+    It reads ``rng.random`` and ``rng.getrandbits`` once, as attributes,
+    so any object that has them can stand in for the generator.
     """
     cells, stand_signs, draw_signs = _outcome_table()
     rand = rng.random
     getrandbits = rng.getrandbits
     player_key, banker_key, third_key = _PLAYER_KEY, _BANKER_KEY, _THIRD_KEY
-    rejected = 0
     for _ in range(n_hands):
         row = 10000 if rand() < row_threshold else 0
         u_banker = rand()
@@ -196,34 +198,27 @@ def _play(rng, n_hands, counts, row_threshold, thresholds) -> int:
         # hot path.
         p1 = getrandbits(4)
         while p1 >= 13:
-            rejected += 1
             p1 = getrandbits(4)
         p2 = getrandbits(4)
         while p2 >= 13:
-            rejected += 1
             p2 = getrandbits(4)
         b1 = getrandbits(4)
         while b1 >= 13:
-            rejected += 1
             b1 = getrandbits(4)
         b2 = getrandbits(4)
         while b2 >= 13:
-            rejected += 1
             b2 = getrandbits(4)
         t1 = getrandbits(4)
         while t1 >= 13:
-            rejected += 1
             t1 = getrandbits(4)
         t2 = getrandbits(4)
         while t2 >= 13:
-            rejected += 1
             t2 = getrandbits(4)
         key = row + player_key[p1][p2] + banker_key[b1][b2] + third_key[t1][t2]
         if u_banker < thresholds[cells[key]]:
             counts[draw_signs[key]] += 1
         else:
             counts[stand_signs[key]] += 1
-    return rejected
 
 
 #: Runs from this many hands up may play their back half in a forked
@@ -272,12 +267,14 @@ def _tally(rng, n_hands, plan, row_threshold, thresholds) -> list[int]:
     """Losses, ties and wins of ``n_hands`` hands played from ``rng``.
 
     With a ``plan``, this process plays hands 0 to n1 - 1 while a forked
-    child plays the back half.  Each hand read exactly ``10 + r`` words
-    (see :func:`_play`), so this process knows the word where hand n1
-    starts, and takes the child's counts from the hand that starts
-    there.  It plays the back half itself if the fork or the child
-    failed, or if no hand the child recorded starts there.  The child is
-    always reaped, and killed first if the loop here raises.
+    child plays the back half.  Then it reads its state array and index
+    off ``rng``; if the child recorded that array, its block's first
+    word plus the index is the word where hand n1 starts, and this
+    process takes the child's counts from the hand that starts there.
+    It plays the back half itself if the fork or the child failed, if
+    the child did not record that array, or if no hand it recorded
+    starts at that word.  The child is always reaped, and killed first
+    if the loop here raises.
     """
     counts = [0, 0, 0]  # losses, ties, wins: Player's payoff + 1
     if plan is None:
@@ -298,7 +295,7 @@ def _tally(rng, n_hands, plan, row_threshold, thresholds) -> list[int]:
     os.close(write_end)
     with os.fdopen(read_end, "rb") as pipe:
         try:
-            end = 10 * n1 + _play(rng, n1, counts, row_threshold, thresholds)
+            _play(rng, n1, counts, row_threshold, thresholds)
             records = pipe.read()
         except BaseException:
             import signal
@@ -311,12 +308,38 @@ def _tally(rng, n_hands, plan, row_threshold, thresholds) -> list[int]:
             except ChildProcessError:  # reaped already: SIGCHLD is ignored
                 status = None
     if status == 0:
-        offsets, deltas = marshal.loads(records)
-        if end in offsets:
-            back = deltas[offsets.index(end)]
-            return [c + b for c, b in zip(counts, back)]
+        backs, bases = marshal.loads(records)
+        array, index = _block(rng)
+        # No default base: a missing array must never alias a hand start.
+        if array in bases and bases[array] + index in backs:
+            return [c + b for c, b in zip(counts, backs[bases[array] + index])]
     _play(rng, n_hands - n1, counts, row_threshold, thresholds)
     return counts
+
+
+def _block(rng) -> tuple[bytes, int]:
+    """The generator's 624-word state array, packed, and its index.
+
+    After w words of a stream the array is the same for every w in one
+    block, w = 624k + 1 to 624k + 624, and the index is w - 624k; before
+    the first word it is the seeded array, with index 624.
+    """
+    from array import array  # loaded here, as only a split run needs it
+
+    state = rng.getstate()[1]
+    return array("I", state[:624]).tobytes(), state[624]
+
+
+class _Counted:
+    """``rng`` as :func:`_play` reads it, counting the calls of
+    ``getrandbits``: each reads one word of the stream."""
+
+    def __init__(self, rng):
+        self.random, self._getrandbits, self.calls = rng.random, rng.getrandbits, 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return self._getrandbits(k)
 
 
 def _back_half(rng, write_end, start, window, n_back, row_threshold, thresholds):
@@ -325,7 +348,10 @@ def _back_half(rng, write_end, start, window, n_back, row_threshold, thresholds)
     It seeks ``rng`` to word ``start`` of its stream, then for each of
     its first ``window`` hands j sends the word where hand j starts and
     the counts of its hands j to j + n_back - 1, the back half of the
-    run if hand j is hand n1.
+    run if hand j is hand n1.  Hand j starts at word start + 4j plus the
+    card draws before it, as each ``random()`` reads two words.  With
+    them it sends, for each block those words enter, the packed state
+    array (see :func:`_block`) and the word where the block began.
     """
     code = 1
     try:
@@ -333,19 +359,24 @@ def _back_half(rng, write_end, start, window, n_back, row_threshold, thresholds)
             rng.getrandbits(32 * min(8192, start - skipped))
         window = min(window, n_back)
         counts = [0, 0, 0]
-        offsets, heads = [], []
-        word = start
-        for _ in range(window):
+        offsets, heads, bases = [], [], {}
+        counted = _Counted(rng)
+        base = -625  # below every block: the seeded array's base is -624
+        for j in range(window):
+            word = start + 4 * j + counted.calls
+            if word > base + 624:  # the first hand to start in a new block
+                array, index = _block(rng)
+                base = bases[array] = word - index
             offsets.append(word)
             heads.append(counts[:])
-            word += 10 + _play(rng, 1, counts, row_threshold, thresholds)
+            _play(counted, 1, counts, row_threshold, thresholds)
         _play(rng, n_back - window, counts, row_threshold, thresholds)
         deltas = []
         for head in heads:
             deltas.append([c - h for c, h in zip(counts, head)])
             _play(rng, 1, counts, row_threshold, thresholds)
         with os.fdopen(write_end, "wb") as pipe:
-            pipe.write(marshal.dumps((offsets, deltas)))
+            pipe.write(marshal.dumps((dict(zip(offsets, deltas)), bases)))
         code = 0
     finally:
         os._exit(code)
@@ -395,7 +426,7 @@ def simulate(
     BankerStrategy or a mapping from optional cells to exact draw
     probabilities.
     """
-    a = variant.check_alpha(alpha)
+    a = _of_type(variant, Variant, "variant").check_alpha(alpha)
     _check_hands(n_hands)
     _check_seed(seed)
     p_draw = _row_mix_weight(row_mix)

@@ -287,7 +287,7 @@ def equilibrium_curve(variant: Variant, alpha_grid=None) -> CommissionSweep:
     no rate, or one rate twice in any spelling, raises ``ValueError``, and
     a string or anything not iterable ``TypeError``, before any solve.
     """
-    shape = _shape(variant)
+    shape = _shape(_of_type(variant, Variant, "variant"))
     bound = _sweep_bound(variant)
     if alpha_grid is None:
         alpha_grid = [

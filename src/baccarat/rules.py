@@ -452,8 +452,9 @@ class BankerStrategy(_Frozen):
                 f"a Banker strategy assigns all {len(ALL_INFO_SETS)} info "
                 f"sets, got {len(actions)}"
             )
-        for a in actions:
-            _action(a)
+        if set(map(type, actions)) != {Action}:  # one pass; then name the culprit
+            for a in actions:
+                _action(a)
         self._init(actions=actions)
 
     def __getitem__(self, info: InfoSet) -> Action:
@@ -477,7 +478,7 @@ class BankerStrategy(_Frozen):
         """
         chosen = dict(starred)
         if variant is not None:
-            for cell, action in variant.fixed_actions.items():
+            for cell, action in _of_type(variant, Variant, "variant").fixed_actions.items():
                 if chosen.setdefault(cell, action) is not action:
                     raise ValueError(
                         f"{variant.name} rules mandate {action} at {cell}, "

@@ -609,11 +609,43 @@ def test_word_accounting_of_each_draw(draw, words):
 
 
 def test_a_hand_reads_ten_words_and_one_per_rejected_draw():
+    """Four words for the two uniforms, and one per card draw: six, and
+    one more for each draw rejected.  The counting stand-in for the
+    generator sees every card draw and changes nothing."""
     rng = random.Random(3)
-    counts = [0, 0, 0]
-    rejected = montecarlo._play(rng, 500, counts, 0.5, [0.5] * 89)
-    assert sum(counts) == 500 and rejected > 0
-    assert rng.getstate() == _advanced(3, 10 * 500 + rejected)
+    counts, counted = [0, 0, 0], montecarlo._Counted(rng)
+    assert montecarlo._play(counted, 500, counts, 0.5, [0.5] * 89) is None
+    assert sum(counts) == 500 and counted.calls > 6 * 500
+    assert rng.getstate() == _advanced(3, 4 * 500 + counted.calls)
+    direct = [0, 0, 0]
+    montecarlo._play(random.Random(3), 500, direct, 0.5, [0.5] * 89)
+    assert direct == counts
+
+
+_WORDS = (0, 1, 623, 624, 625, 1248, 1249)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**40])
+def test_a_state_array_names_its_block_and_the_index_its_word(seed):
+    """What the splice reads off the generator: after w words the packed
+    array is the same exactly for the w of one block, (w - 1) // 624,
+    and w less the index is that block's first word."""
+    blocks = {}
+    for w in _WORDS:
+        rng = random.Random(seed)
+        rng.setstate(_advanced(seed, w))
+        array, index = montecarlo._block(rng)
+        assert w - index == 624 * ((w - 1) // 624)
+        blocks[w] = array
+    for v, w in itertools.product(_WORDS, repeat=2):
+        assert (blocks[v] == blocks[w]) == ((v - 1) // 624 == (w - 1) // 624)
+    # The key is the whole array: no two arrays that differ share it.
+    version, words, gauss = _advanced(seed, 625)
+    keys = set()
+    for i in range(624):
+        rng.setstate((version, words[:i] + (words[i] ^ 1,) + words[i + 1:], gauss))
+        keys.add(montecarlo._block(rng)[0])
+    assert len(keys) == 624 and blocks[625] not in keys
 
 
 def _forced_plan(n):
@@ -696,6 +728,23 @@ def test_a_child_that_misses_falls_back_exactly(monkeypatch, plan, back_half):
     assert simulate(*args) == sequential
     n1 = plan(3000)[0]
     assert played == [n1, 3000 - n1]
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("seed", range(48))
+def test_a_child_below_the_parents_block_falls_back_exactly(monkeypatch, seed):
+    """The child's window starts at word 0 and spans about 680 words;
+    the parent's half reads at least ten words a hand, so it ends past
+    word 2 000, in a block the child never entered.  The parent plays
+    both halves, whatever its index: read against a default base, the
+    index would land on one of the child's hand starts for about one
+    seed in eleven."""
+    args = (CLASSIC, (F(1, 3), F(2, 3)), _DEVIANT, A, 400, seed)
+    sequential = simulate(*args)
+    played = _parent_plays(monkeypatch)
+    monkeypatch.setattr(montecarlo, "_split_plan", lambda n: (n // 2, 0, 60))
+    assert simulate(*args) == sequential
+    assert played == [200, 200]
     _assert_no_child_left()
 
 

@@ -35,7 +35,12 @@ from baccarat import (
 )
 import baccarat
 from baccarat.montecarlo import equilibrium_profile, simulate
-from baccarat.parametric import find_alpha_star, solve_variant, table_validity_bound
+from baccarat.parametric import (
+    equilibrium_curve,
+    find_alpha_star,
+    solve_variant,
+    table_validity_bound,
+)
 from baccarat.payoff import best_response, build_reduced_game, classify_info_sets
 from baccarat.punto import mandated_banker_strategy, unfulfilled_demand
 from baccarat.rules import _PLAYER_MOVES, _TABLEAU_ACTIONS, _info_set, _resolve_coup
@@ -413,6 +418,12 @@ class TestBankerStrategy:
     def test_a_strategy_assigns_every_cell(self, count):
         with pytest.raises(ValueError, match=f"all 88 info sets, got {count}$"):
             BankerStrategy((S,) * count)
+
+    @pytest.mark.parametrize("bad", ["D", None, True, 1], ids=repr)
+    def test_a_strategy_names_its_first_action_that_is_not_one(self, bad):
+        actions = (S,) * 40 + (bad,) + (D,) * 46 + ("later",)
+        with pytest.raises(ValueError, match=re.escape(f"not an Action: {bad!r}")):
+            BankerStrategy(actions)
 
     def test_strategies_hash_by_content(self):
         a = BankerStrategy.from_assignment(
@@ -795,6 +806,12 @@ _WRONG_KINDS = {
                            "report must be an EquilibriumReport, not NoneType"),
     "equilibrium_profile": (lambda: equilibrium_profile(None),
                             "sol must be a VariantSolution, not NoneType"),
+    "equilibrium_curve": (lambda: equilibrium_curve("classic"),
+                          "variant must be a Variant, not str"),
+    "simulate": (lambda: simulate("classic", PlayerRow.DRAW_ON_5, {}, 0, 10, 0),
+                 "variant must be a Variant, not str"),
+    "from_assignment": (lambda: BankerStrategy.from_assignment({}, variant="classic"),
+                        "variant must be a Variant, not str"),
 }
 
 
