@@ -125,11 +125,10 @@ def _draw_probabilities(
         info: Fraction(int(action is Action.DRAW))
         for info, action in variant.fixed_cell_actions()
     }
-    if isinstance(banker, BankerStrategy):
-        specified = banker.items()
-    else:
-        specified = [(_info_set(key), p) for key, p in dict(banker).items()]
-    for info, given in specified:
+    if not isinstance(banker, BankerStrategy):
+        _of_type(banker, Mapping, "banker_strategy_or_mix")
+    for key, given in banker.items():
+        info = _info_set(key)
         if isinstance(given, Action):
             prob = Fraction(int(given is Action.DRAW))
         else:
@@ -408,7 +407,10 @@ def _row_mix_weight(row_mix) -> Fraction:
     """Weight on drawing-on-5, from a row, weights, or MixedStrategy."""
     if isinstance(row_mix, PlayerRow):
         return Fraction(int(row_mix is PlayerRow.DRAW_ON_5))
-    return _as_weights(row_mix, 2)[1]
+    weights = _as_weights(row_mix, "row_mix")
+    if len(weights) != 2:
+        raise ValueError(f"row_mix must have 2 weights, got {len(weights)}")
+    return weights[1]
 
 
 def simulate(
@@ -426,11 +428,12 @@ def simulate(
     BankerStrategy or a mapping from optional cells to exact draw
     probabilities.
     """
-    a = _of_type(variant, Variant, "variant").check_alpha(alpha)
-    _check_hands(n_hands)
-    _check_seed(seed)
+    _of_type(variant, Variant, "variant")
     p_draw = _row_mix_weight(row_mix)
     table = _draw_probabilities(banker_strategy_or_mix, variant)
+    a = variant.check_alpha(alpha)
+    _check_hands(n_hands)
+    _check_seed(seed)
     # A natural reaches no cell, so its extra threshold never draws.
     thresholds = [_exact_threshold(table[info]) for info in ALL_INFO_SETS]
     thresholds.append(0.0)

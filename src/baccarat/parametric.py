@@ -45,6 +45,7 @@ from .rules import (
     Variant,
     _CELL_INDEX,
     _coerce_rational,
+    _items,
     _of_type,
 )
 from .solver import (
@@ -293,9 +294,7 @@ def equilibrium_curve(variant: Variant, alpha_grid=None) -> CommissionSweep:
         alpha_grid = [
             a for a in DEFAULT_ALPHA_GRID if a == 0 or a < variant.alpha_bound
         ]
-    if isinstance(alpha_grid, (str, bytes)) or not hasattr(alpha_grid, "__iter__"):
-        raise TypeError(f"alpha_grid must list rates, not {type(alpha_grid).__name__}")
-    grid = [variant.check_alpha(a) for a in alpha_grid]
+    grid = [variant.check_alpha(a) for a in _items(alpha_grid, "alpha_grid")]
     if not grid:
         raise ValueError("alpha_grid must list at least one rate")
     seen = set()

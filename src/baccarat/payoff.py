@@ -79,7 +79,6 @@ from .rules import (
     _TABLEAU_ACTIONS,
     _commission_rate,
     _of_type,
-    _player_row,
     _resolve_coup,
 )
 from .solver import _Scaled, _as_weights
@@ -136,13 +135,14 @@ def _player_final_totals(info: InfoSet, row: PlayerRow):
 
     Yields (final_total, weight) pairs, the weights being counts out of
     169 * 13 (two cards, then a third); they sum to the count of Player's
-    side of the condition (drew card c, or stood).
+    side of the condition (drew card c, or stood).  A stand integrates
+    the unread third card out, its counts summing to those of ``_NU``.
     """
     c = info.player_third
     if c is None:
         stand_totals = (6, 7) if row is PlayerRow.DRAW_ON_5 else (5, 6, 7)
         for t in stand_totals:
-            yield t, _TAU[t] * 13
+            yield t, _TAU[t] * sum(_NU)
     else:
         draw_totals = range(6) if row is PlayerRow.DRAW_ON_5 else range(5)
         for t in draw_totals:
@@ -167,12 +167,15 @@ def _analytic_ledger() -> _Ledger:
     total ``b``, each final Player total of weight ``w`` (out of 169 * 13) adds
     ``13 * tau(b) * w`` to standing's bin and, for each third card
     ``d``, ``tau(b) * w * nu(d)`` to drawing's; a natural with two-card
-    totals ``pt`` and ``bt`` adds ``tau(pt) * tau(bt) * 169``.
+    totals ``pt`` and ``bt`` adds ``tau(pt) * tau(bt) * 169``.  Each 13
+    and 169 is the sum of the counts of ``_NU`` or ``_TAU``, so the ledger
+    follows any card law held there.
     """
+    deck = sum(_NU)
     naturals = [0, 0, 0]
     for pt, bt in itertools.product(range(10), repeat=2):
         if pt >= 8 or bt >= 8:
-            naturals[_outcome(pt, bt)] += _TAU[pt] * _TAU[bt] * 169
+            naturals[_outcome(pt, bt)] += _TAU[pt] * _TAU[bt] * deck**2
     # Keyed [b][pf]: the outcome of a final total pf against Banker's
     # total b, and Player's (loss, tie, win) counts out of 13 against b
     # plus one third card, read off that total's law and its running sums.
@@ -181,7 +184,7 @@ def _analytic_ledger() -> _Ledger:
     for b in range(8):
         law = [_NU[(x - b) % 10] for x in range(10)]
         below = list(itertools.accumulate(law, initial=0))
-        against_draw.append([(13 - below[pf + 1], law[pf], below[pf]) for pf in range(10)])
+        against_draw.append([(deck - below[pf + 1], law[pf], below[pf]) for pf in range(10)])
     ledger = []
     for row in _ROWS:
         # The totals depend on the cell's column alone, and ALL_INFO_SETS
@@ -197,7 +200,7 @@ def _analytic_ledger() -> _Ledger:
                     draw[0] += w * loss
                     draw[1] += w * tie
                     draw[2] += w * win
-                k = 13 * tau
+                k = deck * tau
                 slots.append(((k * stand[0], k * stand[1], k * stand[2]),
                               (tau * draw[0], tau * draw[1], tau * draw[2])))
         slots.append((tuple(naturals),) * 2)
@@ -455,10 +458,10 @@ def _leaf_ledger() -> _Ledger:
 
     The first row is folded leaf by leaf, except that a block whose
     bytes are each one value throughout (a natural's) folds in one step
-    with weight 13^2, the sum of its leaves'.  The second starts from its
-    counts and re-folds only the blocks whose bytes differ from the
-    first row's in any of the three arrays: it takes the first row's
-    leaves of such a block out and puts its own in.
+    with weight 13^2, the sum of its leaves', read off ``_W``.  The
+    second starts from its counts and re-folds only the blocks whose
+    bytes differ from the first row's in any of the three arrays: it
+    takes the first row's leaves of such a block out and puts its own in.
     """
     table = _outcome_table()
     cells, stand_signs, draw_signs = table
@@ -473,7 +476,7 @@ def _leaf_ledger() -> _Ledger:
         leaves = zip(cells[block], stand_signs[block], draw_signs[block], third_weights)
         if all(t.count(t[base], base, base + 100) == 100 for t in table):
             # A block alike at every leaf folds as one of all its weight.
-            leaves = ((cells[base], stand_signs[base], draw_signs[base], 13**2),)
+            leaves = ((cells[base], stand_signs[base], draw_signs[base], sum(_W) ** 2),)
         for cell, s, d, w in leaves:
             stand, draw = slots[cell]
             weight = pairs * w
@@ -514,13 +517,10 @@ def _leaf_sums() -> tuple[tuple[_Counts, tuple[tuple[int, ...], ...]], ...]:
 
 def _oracle_counts(row: PlayerRow, strategy: BankerStrategy) -> _Counts:
     """Player's (loss, tie, win) counts out of 13^6 for one pure profile."""
-    if not isinstance(strategy, BankerStrategy):
-        raise TypeError(f"strategy must be a BankerStrategy, got {strategy!r}")
-    base, changes = _leaf_sums()[_ROWS.index(_player_row(row))]
-    draws = [action is _DRAW for action in strategy.actions]
-    return tuple(
-        n + sum(itertools.compress(change, draws)) for n, change in zip(base, changes)
-    )
+    r = _ROWS.index(_of_type(row, PlayerRow, "row"))
+    draws = [action is _DRAW for action in _of_type(strategy, BankerStrategy, "strategy").actions]
+    base, changes = _leaf_sums()[r]
+    return tuple(n + sum(itertools.compress(change, draws)) for n, change in zip(base, changes))
 
 
 def _entry_terms(loss: int, win: int, alpha: Fraction) -> tuple[tuple[int, int], ...]:
@@ -543,8 +543,8 @@ def oracle_payoff_entry(
     row: PlayerRow, strategy: BankerStrategy, alpha=0
 ) -> tuple[Fraction, Fraction]:
     """(player EV, banker EV) for one pure profile, by brute force only."""
-    a = _commission_rate(alpha)
     loss, _tie, win = _oracle_counts(row, strategy)
+    a = _commission_rate(alpha)
     (player, player_den), (banker, banker_den) = _entry_terms(loss, win, a)
     return Fraction(player, player_den), Fraction(banker, banker_den)
 
@@ -578,9 +578,11 @@ def best_response(role: str, opponent_mix, variant: Variant, alpha=0) -> BestRes
     """
     if role not in ("banker", "player"):
         raise ValueError(f'role must be "player" or "banker", got {role!r}')
+    mix = _as_weights(opponent_mix, "opponent_mix")
     game = build_reduced_game(variant, alpha)
     lines = game.A if role == "player" else tuple(zip(*game.B))
-    mix = _as_weights(opponent_mix, len(lines[0]))
+    if len(mix) != len(lines[0]):
+        raise ValueError(f"opponent_mix must have {len(lines[0])} weights, got {len(mix)}")
     scores = [sum(w * x for w, x in zip(mix, line)) for line in lines]
     best = max(scores)
     winners = [i for i, v in enumerate(scores) if v == best]

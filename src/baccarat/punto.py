@@ -27,6 +27,7 @@ from .rules import (
     MODERN,
     PlayerRow,
     _coerce_rational,
+    _items,
 )
 
 __all__ = [
@@ -84,11 +85,7 @@ def unfulfilled_demand(
     amounts must be positive exact numbers; an empty table is an error,
     and so is a string, whose characters are not stakes.
     """
-    if isinstance(stakes, (str, bytes)):
-        raise TypeError(
-            f"stakes must be a sequence of amounts, not {type(stakes).__name__}"
-        )
-    stakes = tuple(stakes)
+    stakes = _items(stakes, "stakes")
     if not stakes:
         raise ValueError("stakes must be a nonempty sequence of positive amounts")
     total = Fraction(0)

@@ -36,7 +36,7 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "Action",
@@ -107,16 +107,15 @@ def _check_card(value: int) -> int:
 
 def hand_total(cards: Sequence[int]) -> int:
     """Total of a two- or three-card hand, modulo 10."""
+    cards = _items(cards, "cards")
     if len(cards) not in (2, 3):
         raise ValueError(f"a hand holds 2 or 3 cards, got {len(cards)}")
-    total = 0
-    for c in cards:
-        total += _check_card(c)
-    return total % 10
+    return sum(map(_check_card, cards)) % 10
 
 
 def is_natural(cards: Sequence[int]) -> bool:
     """True when a two-card hand totals 8 or 9."""
+    cards = _items(cards, "cards")
     return len(cards) == 2 and hand_total(cards) >= 8
 
 
@@ -154,8 +153,12 @@ def tableau_action(info: InfoSet) -> Action | None:
     """The tableau's verdict for one information set.
 
     Returns ``Action.STAND`` or ``Action.DRAW`` for the 84 determined
-    cells and ``None`` for the four starred ones.
+    cells and ``None`` for the four starred ones.  ``info`` is any pair
+    (Banker's two-card total, Player's third card or ``None``).
     """
+    info = _items(info, "info")
+    if len(info) != 2:
+        raise ValueError(f"info must be a pair, got {len(info)} items")
     b, c = info
     if type(b) is not int:
         raise ValueError(
@@ -182,7 +185,6 @@ def mandated_player_action(total: int, row: PlayerRow) -> Action:
     Totals 0-4 draw, 6-7 stand, and 5 follows the row.  Totals 8-9 are
     naturals and never reach a decision, so they are rejected.
     """
-    moves = _PLAYER_MOVES[_player_row(row)]
     if type(total) is not int:
         raise ValueError(
             f"player two-card total must be an integer 0..7, got {total!r}"
@@ -191,7 +193,7 @@ def mandated_player_action(total: int, row: PlayerRow) -> Action:
         raise ValueError(
             f"player decides only on totals 0..7 (8-9 are naturals), got {total}"
         )
-    return moves[total]
+    return _PLAYER_MOVES[_of_type(row, PlayerRow, "row")][total]
 
 
 #: Most digits plus exponent size a decimal string or ``Decimal`` may
@@ -264,28 +266,24 @@ def _info_set(key) -> InfoSet:
         raise ValueError(f"not a Banker information set: {key!r}") from None
 
 
-def _player_row(row) -> PlayerRow:
-    """``row`` itself when it is a ``PlayerRow``; anything else is refused."""
-    if not isinstance(row, PlayerRow):
-        raise ValueError(f"row must be a PlayerRow, got {row!r}")
-    return row
-
-
 def _of_type(value, kind: type, name: str):
-    """``value`` itself when it is a ``kind``: the gate of a variant, a
-    report or a solution.  Anything else raises a ``TypeError`` that
+    """``value`` itself when it is a ``kind``: the gate of a record, an
+    enum member or a mapping.  Anything else raises a ``TypeError`` that
     names the parameter ``name``."""
     if not isinstance(value, kind):
-        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        article = "an" if kind.__name__[0] in "AEIOUaeiou" else "a"
         raise TypeError(f"{name} must be {article} {kind.__name__}, not {type(value).__name__}")
     return value
 
 
-def _action(a) -> Action:
-    """``a`` itself when it is an ``Action``; anything else is refused."""
-    if not isinstance(a, Action):
-        raise ValueError(f"not an Action: {a!r}")
-    return a
+def _items(value, name: str) -> tuple:
+    """The items of ``value`` as a tuple: the gate of a collection.  A
+    string or ``bytes``, whose characters are no items, a mapping, whose
+    keys are not what it maps, and anything not iterable raise a
+    ``TypeError`` that names the parameter ``name``."""
+    if isinstance(value, (str, bytes, Mapping)) or not isinstance(value, Iterable):
+        raise TypeError(f"{name} must be a sequence, not {type(value).__name__}")
+    return tuple(value)
 
 
 def _commission_rate(alpha) -> Fraction:
@@ -355,9 +353,11 @@ class Variant(_Frozen):
     def __init__(
         self, name: str, optional_cells, fixed_actions, alpha_bound=Fraction(1)
     ):
-        cells = tuple(map(_info_set, optional_cells))
+        _of_type(name, str, "name")
+        cells = tuple(map(_info_set, _items(optional_cells, "optional_cells")))
         fixed = {
-            _info_set(cell): _action(a) for cell, a in dict(fixed_actions).items()
+            _info_set(cell): _of_type(a, Action, f"fixed_actions[{cell}]")
+            for cell, a in _of_type(fixed_actions, Mapping, "fixed_actions").items()
         }
         bound = _coerce_rational(alpha_bound, "alpha_bound")
         if not 0 <= bound <= 1:
@@ -446,19 +446,19 @@ class BankerStrategy(_Frozen):
     __slots__ = _fields = ("actions",)
 
     def __init__(self, actions: Sequence[Action]):
-        actions = tuple(actions)
+        actions = _items(actions, "actions")
         if len(actions) != len(ALL_INFO_SETS):
             raise ValueError(
                 f"a Banker strategy assigns all {len(ALL_INFO_SETS)} info "
                 f"sets, got {len(actions)}"
             )
         if set(map(type, actions)) != {Action}:  # one pass; then name the culprit
-            for a in actions:
-                _action(a)
+            for i, a in enumerate(actions):
+                _of_type(a, Action, f"actions[{i}]")
         self._init(actions=actions)
 
     def __getitem__(self, info: InfoSet) -> Action:
-        return self.actions[_CELL_INDEX[info]]
+        return self.actions[_CELL_INDEX[_info_set(info)]]
 
     def items(self) -> Iterator[tuple[InfoSet, Action]]:
         return zip(ALL_INFO_SETS, self.actions)
@@ -476,7 +476,7 @@ class BankerStrategy(_Frozen):
         conflicting action for a mandated cell is an error, and omitted
         mandated cells are filled in automatically.
         """
-        chosen = dict(starred)
+        chosen = dict(_of_type(starred, Mapping, "starred"))
         if variant is not None:
             for cell, action in _of_type(variant, Variant, "variant").fixed_actions.items():
                 if chosen.setdefault(cell, action) is not action:
@@ -557,7 +557,10 @@ class _Dealt:
 
 class _ByCell:
     """A Banker strategy read by cell index, as :func:`_resolve_coup` reads
-    one, and only at the cell it reaches."""
+    one, and only at the cell it reaches.  It may be a
+    :class:`BankerStrategy` or anything read by cell, such as a behavioral
+    strategy that draws per hand; what cannot be read by cell is refused
+    as no strategy."""
 
     __slots__ = ("strategy",)
 
@@ -565,7 +568,11 @@ class _ByCell:
         self.strategy = strategy
 
     def __getitem__(self, k):
-        return self.strategy[ALL_INFO_SETS[k]]
+        try:
+            return self.strategy[ALL_INFO_SETS[k]]
+        except (TypeError, LookupError):
+            # A BankerStrategy reads every cell, so this raises.
+            _of_type(self.strategy, BankerStrategy, "banker_strategy")
 
 
 def play_coup(
@@ -579,16 +586,18 @@ def play_coup(
 
     ``draw_cards`` supplies the third cards in the order they would be
     dealt -- Player's first, then Banker's -- and is consumed only as far
-    as the rules require.  On a natural neither strategy argument is
-    consulted.  The rules are :func:`_resolve_coup`'s; this checks the
-    input it reads.
+    as the rules require.  ``banker_strategy`` may also be anything that
+    maps each cell to an Action.  On a natural neither strategy argument
+    is consulted, so neither is checked.  The rules are
+    :func:`_resolve_coup`'s; this checks the input it reads.
     """
+    player_cards = _items(player_cards, "player_cards")
+    banker_cards = _items(banker_cards, "banker_cards")
+    draw_cards = _items(draw_cards, "draw_cards")
     if len(player_cards) != 2 or len(banker_cards) != 2:
         raise ValueError("player_cards and banker_cards must each hold 2 cards")
     pt, bt = hand_total(player_cards), hand_total(banker_cards)
-    # Only a decision reads the row, and a natural ends the coup first.
-    moves = None if pt >= 8 or bt >= 8 else _PLAYER_MOVES[_player_row(row)]
+    # Only a decision reads the strategies, and a natural ends the coup first.
+    moves = None if pt >= 8 or bt >= 8 else _PLAYER_MOVES[_of_type(row, PlayerRow, "row")]
     dealt = _Dealt(draw_cards, moves is not None and moves[pt] is _DRAW)
-    return CoupOutcome._make(
-        _resolve_coup(pt, bt, moves, dealt, _ByCell(banker_strategy))
-    )
+    return CoupOutcome._make(_resolve_coup(pt, bt, moves, dealt, _ByCell(banker_strategy)))

@@ -62,7 +62,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
-from .rules import _Frozen, _coerce_rational, _of_type
+from .rules import _Frozen, _coerce_rational, _items, _of_type
 
 __all__ = [
     "MixedStrategy",
@@ -77,8 +77,9 @@ __all__ = [
 ]
 
 
-def _matrix(M) -> tuple[tuple[Fraction, ...], ...]:
-    rows = tuple(tuple(_coerce_rational(x, "matrix entry") for x in row) for row in M)
+def _matrix(M, name: str) -> tuple[tuple[Fraction, ...], ...]:
+    rows = tuple(tuple(_coerce_rational(x, "matrix entry") for x in _items(row, f"{name}[{r}]"))
+                 for r, row in enumerate(_items(M, name)))
     if not rows or not rows[0]:
         raise ValueError("matrix must be nonempty")
     if any(len(r) != len(rows[0]) for r in rows):
@@ -115,7 +116,7 @@ class MixedStrategy(_Frozen):
     _fields = ("weights",)
 
     def __init__(self, weights):
-        self._set(tuple(_coerce_rational(w, "weight") for w in weights))
+        self._set(tuple(_coerce_rational(w, "weight") for w in _items(weights, "weights")))
 
     @classmethod
     def _built(cls, weights: tuple[Fraction, ...]) -> "MixedStrategy":
@@ -139,6 +140,7 @@ class MixedStrategy(_Frozen):
     @classmethod
     def pure(cls, index: int, n: int) -> "MixedStrategy":
         """The unit vector at ``index``, an int in ``0..n-1``."""
+        _of_type(n, int, "n")
         if type(index) is not int or not 0 <= index < n:
             raise ValueError(f"pure strategy {index!r} of {n}: not an int in 0..{n - 1}")
         return cls(_unit(index, n))
@@ -150,13 +152,10 @@ class MixedStrategy(_Frozen):
         return self.weights[i]
 
 
-def _as_weights(mix, n: int) -> tuple[Fraction, ...]:
-    """The exact weights of a mix over ``n`` pure strategies, given as a
-    weight sequence or anything with ``.weights``."""
-    ws = MixedStrategy(getattr(mix, "weights", mix)).weights
-    if len(ws) != n:
-        raise ValueError(f"mix must have {n} weights, got {len(ws)}")
-    return ws
+def _as_weights(mix, name: str) -> tuple[Fraction, ...]:
+    """The exact weights of a mix, given as a weight sequence or anything
+    with ``.weights``; a refusal of its kind names the parameter ``name``."""
+    return MixedStrategy(_items(getattr(mix, "weights", mix), name)).weights
 
 
 class EquilibriumReport(NamedTuple):
@@ -210,7 +209,7 @@ def _game(A, B) -> tuple[_Scaled, _Scaled]:
     exact and 2 x n alike; a scaled pair, as a reduced game's ``scaled``,
     is taken as it is."""
     if type(A) is not _Scaled or type(B) is not _Scaled:
-        A, B = _integral(_matrix(A)), _integral(_matrix(B))
+        A, B = _integral(_matrix(A, "A")), _integral(_matrix(B, "B"))
     (_, a), (_, b) = A, B
     if len(a) != 2:
         raise ValueError(f"this solver handles exactly 2 rows, got {len(a)}")
@@ -530,8 +529,8 @@ def verify_equilibrium(A, B, report: EquilibriumReport) -> bool:
     values are built as fractions.
     Nothing here reads the envelope or the enumeration.
     """
-    _of_type(report, EquilibriumReport, "report")
     (scale_A, int_A), (scale_B, int_B) = _game(A, B)
+    _of_type(report, EquilibriumReport, "report")
     row = _of_type(report.row_strategy, MixedStrategy, "report.row_strategy")
     col = _of_type(report.column_strategy, MixedStrategy, "report.column_strategy")
     if len(row) != 2 or len(col) != len(int_A[0]):

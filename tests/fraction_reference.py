@@ -19,7 +19,7 @@ from baccarat.payoff import (
     two_card_total_distribution,
     value_distribution,
 )
-from baccarat.rules import _CELL_INDEX, _commission_rate, _info_set, _player_row
+from baccarat.rules import _CELL_INDEX, _commission_rate, _info_set, _of_type
 
 F = Fraction
 D5 = PlayerRow.DRAW_ON_5
@@ -133,7 +133,7 @@ def info_set_stats(info, row, alpha=0) -> InfoSetStats:
     """Exact per-cell statistics read off the analytic ledger, with every
     argument through the package's gates; ``alpha`` must be exact."""
     info = _info_set(info)
-    row = _player_row(row)
+    row = _of_type(row, PlayerRow, "row")
     a = _commission_rate(alpha)
     stand, draw = _cell_slot(info, row)
     total, p, q = sum(stand), a.numerator, a.denominator

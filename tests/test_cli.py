@@ -161,6 +161,29 @@ def test_simulate_reports_are_byte_identical_to_the_pinned_ones(cli, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SIMULATE_REPORTS[argv]
 
 
+#: Bad command lines, each refused with exit code 2 and one error line.
+#: The corpus stores each one's stderr, so a change to a refusal shows.
+PINNED_REFUSALS = [
+    ("solve", "classic", "--alpha", "1/0"),
+    ("solve", "classic", "--alpha", "1/10"),
+    ("table", "--alpha", "1"),
+    ("simulate", "--variant", "classic", "--hands", "0", "--seed", "1"),
+    ("simulate", "--variant", "classic", "--hands", "10", "--seed", "-5"),
+    ("--format", "xml", "table"),
+    ("bogus",),
+    ("sweep", "--variant", "parlor", "--grid", "0,0"),
+    ("alpha-star", "--tol", "0"),
+    ("oracle", "--variant", "modern", "--alpha", "2/5"),
+]
+
+
+@pytest.mark.parametrize("argv", PINNED_REFUSALS, ids=" ".join)
+def test_a_pinned_refusal_exits_2_with_one_error_line(cli, argv):
+    code, out, err = cli(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_csv_and_json_same_content(cli):
     _, json_out, _ = cli("punto", "--format", "json")
     _, csv_out, _ = cli("punto", "--format", "csv")

@@ -348,9 +348,9 @@ def test_outcome_table_calls_play_coup_once_per_read_prefix(monkeypatch):
 
 def test_outcome_table_checks_nothing(monkeypatch):
     """The builder makes every total, card and action it resolves, so it
-    never checks a card or reads Player's move through the checked
-    ``mandated_player_action``.  The closing ``play_coup`` call shows
-    that the counters see a checked coup."""
+    never checks a card, passes a gate of ``rules`` or reads Player's move
+    through the checked ``mandated_player_action``.  The closing
+    ``play_coup`` call shows that the counters see a checked coup."""
     calls = []
 
     def counting(function):
@@ -361,13 +361,16 @@ def test_outcome_table_checks_nothing(monkeypatch):
         return counted
 
     for module in (rules, payoff):
-        for name in ("_check_card", "mandated_player_action"):
+        for name in ("_check_card", "_of_type", "_items", "mandated_player_action"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(getattr(module, name)))
     payoff._outcome_table.__wrapped__()
     assert calls == []
-    play_coup((1, 1), (2, 2), (3, 3), PlayerRow.STAND_ON_5, mandated_banker_strategy())
+    strategy = mandated_banker_strategy()
+    calls.clear()
+    play_coup((1, 1), (2, 2), (3, 3), PlayerRow.STAND_ON_5, strategy)
     assert calls.count("_check_card") == 6
+    assert calls.count("_items") == 5 and calls.count("_of_type") == 1
 
 
 def _reference_leaf_ledger(table):

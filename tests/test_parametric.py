@@ -358,10 +358,10 @@ class TestEquilibriumCurve:
 
     @pytest.mark.parametrize(
         "grid, error, message",
-        [("0", TypeError, "alpha_grid must list rates, not str"),
-         ("0,1/20", TypeError, "alpha_grid must list rates, not str"),
-         (b"0", TypeError, "alpha_grid must list rates, not bytes"),
-         (5, TypeError, "alpha_grid must list rates, not int"),
+        [("0", TypeError, "alpha_grid must be a sequence, not str"),
+         ("0,1/20", TypeError, "alpha_grid must be a sequence, not str"),
+         (b"0", TypeError, "alpha_grid must be a sequence, not bytes"),
+         (5, TypeError, "alpha_grid must be a sequence, not int"),
          ([], ValueError, "alpha_grid must list at least one rate")],
         ids=["str", "comma-separated", "bytes", "int", "empty"],
     )

@@ -95,6 +95,40 @@ def test_the_card_counts_are_the_closed_forms_and_the_oracles_own():
     assert sum(_NU) == 13 and sum(_TAU) == 169
 
 
+#: The caches that read a card law: cleared before a test swaps the laws
+#: and again after it, so that no other test reads a swapped law.
+_LAW_CACHES = (_analytic_ledger, _gain_table, _column_counts, _leaf_ledger, _leaf_sums,
+               _validity_bound)
+
+
+@seed(4101)
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(*[st.integers(1, 9)] * 10))
+def test_both_routes_agree_on_any_card_law(law):
+    """Each route reads the card law from its own counts alone: with any
+    law of ten counts swapped into both, ``_NU`` and ``_TAU`` for the
+    decomposition and ``_W`` and ``_PAIRS`` for the oracle, the two
+    ledgers agree slot for slot.  Over the naturals' slot and one action
+    per cell, a row sums to N^6, N being the law's total."""
+    pairs = tuple(sum(law[a] * law[(t - a) % 10] for a in range(10)) for t in range(10))
+    for cache in _LAW_CACHES:
+        cache.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(payoff, "_NU", law)
+            patch.setattr(payoff, "_TAU", pairs)
+            patch.setattr(payoff, "_W", law)
+            patch.setattr(payoff, "_PAIRS", pairs)
+            analytic, leaves = _analytic_ledger(), _leaf_ledger()
+    finally:
+        for cache in _LAW_CACHES:
+            cache.cache_clear()
+    assert analytic == leaves
+    for slots in analytic:
+        assert all(sum(stand) == sum(draw) for stand, draw in slots)
+        assert sum(sum(stand) for stand, _ in slots) == sum(law) ** 6
+
+
 def test_the_fraction_laws_are_fresh_read_only_views_of_the_counts():
     for law, counts, total in (
         (value_distribution, _NU, 13),
@@ -185,12 +219,12 @@ class TestInfoSetStats:
 
     @pytest.mark.parametrize("row", ["DrawOn5", 1], ids=["string", "int"])
     def test_row_must_be_a_player_row(self, row):
-        with pytest.raises(ValueError, match="row must be a PlayerRow, got"):
+        with pytest.raises(TypeError, match="row must be a PlayerRow, not"):
             info_set_stats(InfoSet(6, None), row)
 
     def test_bad_rows_add_no_cache_keys(self):
         for bad in range(1000):
-            with pytest.raises(ValueError):
+            with pytest.raises(TypeError):
                 info_set_stats(InfoSet(6, None), bad)
         assert _analytic_ledger.cache_info().currsize <= 1
 
@@ -388,7 +422,7 @@ def test_variants_of_one_structure_share_their_column_counts():
 
 
 def test_oracle_rejects_a_row_that_is_not_a_player_row():
-    with pytest.raises(ValueError, match="row must be a PlayerRow"):
+    with pytest.raises(TypeError, match="row must be a PlayerRow, not str"):
         oracle_outcome_distribution("DrawOn5", mandated_banker_strategy())
     # Nor a strategy that only looks like one: each of these used to be
     # read silently wrong, or failed on a missing attribute.

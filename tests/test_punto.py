@@ -90,7 +90,7 @@ class TestUnfulfilledDemand:
         with pytest.raises(TypeError):
             unfulfilled_demand([1], 5.0)
         for stakes in ("12", b"12"):
-            with pytest.raises(TypeError, match="sequence of amounts"):
+            with pytest.raises(TypeError, match="stakes must be a sequence"):
                 unfulfilled_demand(stakes, 5)
         with pytest.raises(ValueError, match="nonempty"):
             unfulfilled_demand(iter([]), 5)

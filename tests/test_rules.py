@@ -41,8 +41,13 @@ from baccarat.parametric import (
     solve_variant,
     table_validity_bound,
 )
-from baccarat.payoff import best_response, build_reduced_game, classify_info_sets
-from baccarat.punto import mandated_banker_strategy, unfulfilled_demand
+from baccarat.payoff import (
+    best_response,
+    build_reduced_game,
+    classify_info_sets,
+    oracle_payoff_entry,
+)
+from baccarat.punto import mandated_banker_strategy, punto_report, unfulfilled_demand
 from baccarat.rules import _PLAYER_MOVES, _TABLEAU_ACTIONS, _info_set, _resolve_coup
 from baccarat.solver import (
     EquilibriumReport,
@@ -135,7 +140,7 @@ def test_mandated_player_action():
     assert mandated_player_action(5, PlayerRow.DRAW_ON_5) is D
     with pytest.raises(ValueError):
         mandated_player_action(8, PlayerRow.DRAW_ON_5)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError, match="row must be a PlayerRow, not str"):
         mandated_player_action(5, "DrawOn5")
 
 
@@ -348,12 +353,15 @@ class TestVariants:
     def test_a_mandate_must_be_an_action(self, bad):
         """A mandate that is not an Action is refused by name, as in a
         Banker strategy, not read as stand by the engine."""
-        refused = pytest.raises(ValueError, match=re.escape(f"not an Action: {bad!r}"))
-        with refused:
+        kind = type(bad).__name__
+        with pytest.raises(TypeError, match=re.escape(
+                f"fixed_actions[(4, 1)] must be an Action, not {kind}")):
             Variant("v", [(3, 9), (5, 4)], {(4, 1): bad, (6, None): S})
-        with refused:
+        with pytest.raises(TypeError, match=re.escape(
+                f"fixed_actions[(6, None)] must be an Action, not {kind}")):
             Variant("v", [(3, 9), (5, 4)], {(4, 1): S, (6, None): bad})
-        with refused:
+        with pytest.raises(TypeError, match=re.escape(
+                f"actions[87] must be an Action, not {kind}")):
             BankerStrategy((S,) * 87 + (bad,))
 
     def test_custom_variant_must_partition_starred_cells(self):
@@ -382,6 +390,15 @@ class TestBankerStrategy:
         assert strat[InfoSet(6, None)] is S
         assert strat[InfoSet(0, 4)] is D  # determined by the table
         assert strat[InfoSet(7, 0)] is S
+
+    @pytest.mark.parametrize("key", [(9, 9), None, "x"], ids=repr)
+    def test_a_key_that_is_no_cell_is_refused_by_name(self, key):
+        with pytest.raises(ValueError) as refused:
+            _MANDATED[key]
+        assert str(refused.value) == f"not a Banker information set: {key!r}"
+
+    def test_a_key_equal_to_a_cell_reads_that_cell(self):
+        assert _MANDATED[(3, 9.0)] is _MANDATED[InfoSet(3, 9)] is D
 
     def test_from_assignment_requires_exact_cover(self):
         with pytest.raises(ValueError):
@@ -422,7 +439,8 @@ class TestBankerStrategy:
     @pytest.mark.parametrize("bad", ["D", None, True, 1], ids=repr)
     def test_a_strategy_names_its_first_action_that_is_not_one(self, bad):
         actions = (S,) * 40 + (bad,) + (D,) * 46 + ("later",)
-        with pytest.raises(ValueError, match=re.escape(f"not an Action: {bad!r}")):
+        with pytest.raises(TypeError, match=re.escape(
+                f"actions[40] must be an Action, not {type(bad).__name__}")):
             BankerStrategy(actions)
 
     def test_strategies_hash_by_content(self):
@@ -645,12 +663,12 @@ _REJECTIONS = [
     (
         "row-str",
         ([1, 1], [2, 2], [3, 3], "StandOn5", _MANDATED),
-        "row must be a PlayerRow, got 'StandOn5'",
+        "row must be a PlayerRow, not str",
     ),
     (
         "row-none",
         ([1, 1], [2, 2], [3, 3], None, _MANDATED),
-        "row must be a PlayerRow, got None",
+        "row must be a PlayerRow, not NoneType",
     ),
 ]
 
@@ -661,9 +679,11 @@ _REJECTIONS = [
     ids=[case[0] for case in _REJECTIONS],
 )
 def test_play_coup_rejections_keep_their_type_and_message(args, message):
-    with pytest.raises(ValueError) as info:
+    # A wrong kind of row is a TypeError, and every other rejection a ValueError.
+    kind = TypeError if message.startswith("row ") else ValueError
+    with pytest.raises(kind) as info:
         play_coup(*args)
-    assert type(info.value) is ValueError
+    assert type(info.value) is kind
     assert str(info.value) == message
 
 
@@ -793,33 +813,188 @@ def test_classify_info_sets_names_the_rate_it_refuses():
     )
 
 
-#: Each public call given a wrong kind of object where a variant, a
-#: report or a solution belongs, and the named refusal it raises.
+# ---------------------------------------------------------------------------
+# The misuse contract: every public callable, given the wrong kind of object
+# for any one parameter, raises a TypeError or a ValueError that names the
+# parameter -- never Python's own error, and never a wrong reading.
+# ---------------------------------------------------------------------------
+
+#: The wrong kinds tried.  An int is tried only where a collection belongs,
+#: a list only where a scalar does, and the record is a Variant, or a
+#: strategy where a Variant belongs.
+_PROBES = {
+    "None": None,
+    "str": "classic",
+    "float": 0.5,
+    "bool": True,
+    "int": 5,
+    "list": [1],
+    "record": CLASSIC,
+}
+
+#: The probes that are wrong for each kind of parameter.  A kind ending in
+#: "?" also takes None.
+_WRONG_FOR = {
+    "number": ("None", "float", "bool", "list", "record"),
+    "int": ("None", "str", "float", "bool", "list", "record"),
+    "text": ("None", "float", "bool", "int", "list", "record"),
+    "items": ("None", "str", "float", "bool", "int", "record"),
+    "record": ("None", "str", "float", "bool", "int", "list", "record"),
+    "variant": ("None", "str", "float", "bool", "int", "list", "record"),
+}
+
+_A = ((1, 0), (0, 1))
+
+#: Per public callable: the callable, a valid call's arguments, and per
+#: argument the parameter's name, as its refusal names it, and its kind.
+#: ``from_assignment`` is the public classmethod of ``BankerStrategy``.
+_CONTRACT = {
+    "hand_total": (hand_total, ([1, 2],), (("cards", "items"),)),
+    "is_natural": (is_natural, ([1, 2],), (("cards", "items"),)),
+    "tableau_action": (tableau_action, ((3, 9),), (("info", "items"),)),
+    "mandated_player_action": (
+        mandated_player_action, (5, _D5), (("total", "int"), ("row", "record"))),
+    "Variant": (
+        Variant, ("v", STARRED_CELLS, {}, 1),
+        (("name", "text"), ("optional_cells", "items"), ("fixed_actions", "record"),
+         ("alpha_bound", "number"))),
+    "BankerStrategy": (BankerStrategy, ((S,) * 88,), (("actions", "items"),)),
+    "from_assignment": (
+        BankerStrategy.from_assignment, (dict.fromkeys(STARRED_CELLS, D), None),
+        (("starred", "record"), ("variant", "variant?"))),
+    "play_coup": (
+        play_coup, ([1, 1], [2, 2], [3, 3], _D5, _MANDATED),
+        (("player_cards", "items"), ("banker_cards", "items"), ("draw_cards", "items"),
+         ("row", "record"), ("banker_strategy", "record"))),
+    "MixedStrategy": (MixedStrategy, ((1, 0),), (("weights", "items"),)),
+    "classify_info_sets": (classify_info_sets, (0,), (("alpha", "number"),)),
+    "build_reduced_game": (
+        build_reduced_game, (CLASSIC, 0), (("variant", "variant"), ("alpha", "number"))),
+    "oracle_payoff_entry": (
+        oracle_payoff_entry, (_D5, _MANDATED, 0),
+        (("row", "record"), ("strategy", "record"), ("alpha", "number"))),
+    "best_response": (
+        best_response, ("banker", (1, 0), CLASSIC, 0),
+        (("role", "text"), ("opponent_mix", "items"), ("variant", "variant"),
+         ("alpha", "number"))),
+    "eliminate_strictly_dominated": (
+        eliminate_strictly_dominated, (_A, _B), (("A", "items"), ("B", "items"))),
+    "enumerate_nash_2xn": (enumerate_nash_2xn, (_A, _B), (("A", "items"), ("B", "items"))),
+    "is_nondegenerate": (is_nondegenerate, (_A, _B), (("A", "items"), ("B", "items"))),
+    "verify_equilibrium": (
+        verify_equilibrium, (_A, _B, _REPORT),
+        (("A", "items"), ("B", "items"), ("report", "record"))),
+    "solve_variant": (solve_variant, (CLASSIC, 0), (("variant", "variant"), ("alpha", "number"))),
+    "equilibrium_curve": (
+        equilibrium_curve, (CLASSIC, None), (("variant", "variant"), ("alpha_grid", "items?"))),
+    "find_alpha_star": (find_alpha_star, ("1/1000",), (("tolerance", "number"),)),
+    "table_validity_bound": (table_validity_bound, (CLASSIC,), (("variant", "variant"),)),
+    "mandated_banker_strategy": (mandated_banker_strategy, (), ()),
+    "punto_report": (punto_report, (), ()),
+    "unfulfilled_demand": (
+        unfulfilled_demand, ([1, 2], 2), (("stakes", "items"), ("banker_offer", "number"))),
+    "simulate": (
+        simulate, (CLASSIC, _D5, dict.fromkeys(STARRED_CELLS, 1), 0, 10, 0),
+        (("variant", "variant"), ("row_mix", "items"), ("banker_strategy_or_mix", "record"),
+         ("alpha", "number"), ("n_hands", "int"), ("seed", "int"))),
+    "equilibrium_profile": (
+        equilibrium_profile, (solve_variant(CLASSIC),), (("sol", "record"),)),
+}
+
+#: The public callables outside the contract, each with its reason.
+_EXEMPT = {
+    "EquilibriumReport": "a plain record; verify_equilibrium gates what it reads of one",
+    "CoupOutcome": "a plain record, which play_coup returns",
+    "SimResult": "a plain record, which simulate returns",
+    "PuntoReport": "a plain record, which punto_report returns",
+    "InfoSet": "a plain record; every cell key is read through rules._info_set",
+    "Action": "an enum; a call looks a member up by value and raises ValueError",
+    "PlayerRow": "an enum; a call looks a member up by value and raises ValueError",
+}
+
+
+def _contract_cases():
+    for entry, (_, args, params) in _CONTRACT.items():
+        for position, (name, kind) in enumerate(params):
+            wrong = _WRONG_FOR[kind.rstrip("?")]
+            for probe in wrong if not kind.endswith("?") else wrong[1:]:
+                yield pytest.param(entry, position, probe, id=f"{entry}-{name}-{probe}")
+
+
+def _call_with(entry, position, probe):
+    function, args, _ = _CONTRACT[entry]
+    value = _PROBES[probe]
+    if probe == "record" and _CONTRACT[entry][2][position][1].startswith("variant"):
+        value = _MANDATED
+    return function(*args[:position], value, *args[position + 1:])
+
+
+def test_the_contract_covers_every_public_callable():
+    public = {name for name in baccarat.__all__ if callable(getattr(baccarat, name))}
+    assert not public & set(_EXEMPT) & set(_CONTRACT)
+    assert public - set(_EXEMPT) == set(_CONTRACT) - {"from_assignment"}
+    for entry, (function, args, params) in _CONTRACT.items():
+        signature = inspect.signature(function)
+        assert [name for name, _ in params] == list(signature.parameters), entry
+
+
+@pytest.mark.parametrize("entry", _CONTRACT)
+def test_each_contract_call_is_valid_as_given(entry):
+    function, args, _ = _CONTRACT[entry]
+    function(*args)
+
+
+@pytest.mark.parametrize("entry, position, probe", _contract_cases())
+def test_every_public_call_refuses_a_wrong_kind_by_name(entry, position, probe):
+    name = _CONTRACT[entry][2][position][0]
+    with pytest.raises(Exception) as refused:
+        _call_with(entry, position, probe)
+    assert type(refused.value) in (TypeError, ValueError), repr(refused.value)
+    assert re.search(rf"(^|\s){re.escape(name)}(\[.*\])? must ", str(refused.value)), (
+        str(refused.value))
+
+
+#: Exact refusals pinned from the contract: (parameter's position, probe,
+#: message).
 _WRONG_KINDS = {
-    "build_reduced_game": (lambda: build_reduced_game("classic", 0),
-                           "variant must be a Variant, not str"),
-    "solve_variant": (lambda: solve_variant(None),
-                      "variant must be a Variant, not NoneType"),
-    "table_validity_bound": (lambda: table_validity_bound(None),
-                             "variant must be a Variant, not NoneType"),
-    "verify_equilibrium": (lambda: verify_equilibrium(((1, 0), (0, 1)), _B, None),
-                           "report must be an EquilibriumReport, not NoneType"),
-    "equilibrium_profile": (lambda: equilibrium_profile(None),
-                            "sol must be a VariantSolution, not NoneType"),
-    "equilibrium_curve": (lambda: equilibrium_curve("classic"),
-                          "variant must be a Variant, not str"),
-    "simulate": (lambda: simulate("classic", PlayerRow.DRAW_ON_5, {}, 0, 10, 0),
-                 "variant must be a Variant, not str"),
-    "from_assignment": (lambda: BankerStrategy.from_assignment({}, variant="classic"),
-                        "variant must be a Variant, not str"),
+    "build_reduced_game": (0, "str", "variant must be a Variant, not str"),
+    "solve_variant": (0, "None", "variant must be a Variant, not NoneType"),
+    "table_validity_bound": (0, "None", "variant must be a Variant, not NoneType"),
+    "verify_equilibrium": (2, "None", "report must be an EquilibriumReport, not NoneType"),
+    "equilibrium_profile": (0, "None", "sol must be a VariantSolution, not NoneType"),
+    "equilibrium_curve": (0, "str", "variant must be a Variant, not str"),
+    "simulate": (0, "str", "variant must be a Variant, not str"),
+    "from_assignment": (1, "str", "variant must be a Variant, not str"),
 }
 
 
 @pytest.mark.parametrize("call", _WRONG_KINDS)
 def test_a_wrong_kind_of_argument_is_a_type_error_that_names_it(call):
-    make, message = _WRONG_KINDS[call]
+    position, probe, message = _WRONG_KINDS[call]
     with pytest.raises(TypeError) as refused:
-        make()
+        _call_with(call, position, probe)
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: MixedStrategy({1: "x"}), TypeError, "weights must be a sequence, not dict"),
+        (lambda: hand_total("12"), TypeError, "cards must be a sequence, not str"),
+        (lambda: tableau_action((3,)), ValueError, "info must be a pair, got 1 items"),
+        (lambda: play_coup([1, 1], [2, 2], [3, 3], _D5, {}), TypeError,
+         "banker_strategy must be a BankerStrategy, not dict"),
+    ],
+    ids=["mix-of-a-dict", "cards-of-a-str", "one-item-info", "strategy-without-a-cell"],
+)
+def test_what_used_to_be_read_wrong_is_refused(call, error, message):
+    """Each of these was once read as something it is not, a dict's keys
+    as weights or a string's characters as cards, or failed with
+    Python's own error: a pair unpacked from one item, or a missing
+    cell's ``KeyError``."""
+    with pytest.raises(error) as refused:
+        call()
+    assert type(refused.value) is error
     assert str(refused.value) == message
 
 

@@ -48,6 +48,11 @@ class TestMixedStrategy:
         assert m.weights == (0, 1, 0)
         assert m.support == (1,)
 
+    def test_pure_refuses_a_count_that_is_no_int_by_name(self):
+        with pytest.raises(TypeError) as refused:
+            MixedStrategy.pure(0, None)
+        assert str(refused.value) == "n must be an int, not NoneType"
+
     @pytest.mark.parametrize("index, n", [(2, 2), (-1, 3), (True, 2), (1.0, 2), ("0", 2)])
     def test_pure_refuses_an_index_outside_its_range(self, index, n):
         with pytest.raises(ValueError) as info:
@@ -709,3 +714,82 @@ def test_enumerating_a_column_subset_is_enumerating_its_submatrix(game, data):
     in_place = solver._enumerate(A, B, cols)
     assert in_place == _lifted(alone, cols, n)
     assert in_place.complete == alone.complete
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic relations: a game transformed in a way that must not change
+# its answers, or must change them in a known way, is solved again and the
+# two answers are compared.  Survivors are compared as sets, not through the
+# logs, since a tie between dominators breaks by index.
+# ---------------------------------------------------------------------------
+
+
+def _profiles(enum, perm=None, swap=False, values=True):
+    """The equilibria of ``enum`` as a set of (row weights, column weights,
+    note, unique, values), read back in the indexing of the game before a
+    column permutation ``perm`` (column j was column ``perm[j]``) and, with
+    ``swap``, a swap of the two rows.  Without ``values`` the payoffs are
+    left out."""
+    profiles = set()
+    for e in enum.equilibria:
+        x, y = e.row_strategy.weights, e.column_strategy.weights
+        if perm is not None:
+            y = tuple(w for _, w in sorted(zip(perm, y)))
+        if swap:
+            x = x[::-1]
+        payoffs = (e.row_value, e.column_value) if values else ()
+        profiles.add((x, y, e.note, e.unique, *payoffs))
+    return profiles
+
+
+@seed(20261023)
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.one_of(_mixed_games(), _tied_games()), st.data())
+def test_a_column_permutation_permutes_every_answer(game, data):
+    """Renumbering the columns renumbers the survivors and the
+    equilibria alike, and keeps the nondegeneracy verdict."""
+    A, B = game
+    perm = data.draw(st.permutations(range(len(A[0]))))
+    A2, B2 = ([[row[j] for j in perm] for row in M] for M in (A, B))
+    (rows, cols), _ = eliminate_strictly_dominated(A, B)
+    (rows2, cols2), _ = eliminate_strictly_dominated(A2, B2)
+    assert rows2 == rows and {perm[j] for j in cols2} == set(cols)
+    assert is_nondegenerate(A2, B2)[0] == is_nondegenerate(A, B)[0]
+    assert _profiles(enumerate_nash_2xn(A2, B2), perm) == _profiles(enumerate_nash_2xn(A, B))
+
+
+@seed(20261024)
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.one_of(_mixed_games(), _tied_games()))
+def test_swapping_the_rows_swaps_every_answer(game):
+    """Swapping the two rows swaps the surviving rows and the row
+    weights of every equilibrium, and changes nothing else."""
+    A, B = game
+    A2, B2 = A[::-1], B[::-1]
+    (rows, cols), _ = eliminate_strictly_dominated(A, B)
+    (rows2, cols2), _ = eliminate_strictly_dominated(A2, B2)
+    assert {1 - r for r in rows2} == set(rows) and cols2 == cols
+    assert is_nondegenerate(A2, B2)[0] == is_nondegenerate(A, B)[0]
+    assert _profiles(enumerate_nash_2xn(A2, B2), swap=True) == _profiles(enumerate_nash_2xn(A, B))
+
+
+_SCALES = st.fractions(min_value=F(1, 50), max_value=50, max_denominator=50)
+_SHIFTS = st.fractions(min_value=-50, max_value=50, max_denominator=50)
+
+
+@seed(20261025)
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.one_of(_mixed_games(), _tied_games()), _SCALES, _SHIFTS, st.sampled_from((0, 1)))
+def test_a_positive_affine_map_of_one_payoff_matrix_changes_no_strategy(game, a, b, which):
+    """Each side's best replies read its own matrix only up to a positive
+    scale and a shift, so mapping ``A`` alone, or ``B`` alone, by ``a * x
+    + b`` with ``a > 0`` keeps the survivors, the supports, every
+    equilibrium strategy and the nondegeneracy verdict."""
+    game2 = list(game)
+    game2[which] = [[a * x + b for x in row] for row in game[which]]
+    assert eliminate_strictly_dominated(*game2)[0] == eliminate_strictly_dominated(*game)[0]
+    assert is_nondegenerate(*game2)[0] == is_nondegenerate(*game)[0]
+    enum, enum2 = enumerate_nash_2xn(*game), enumerate_nash_2xn(*game2)
+    assert [(e.row_support, e.column_support) for e in enum2.equilibria] == [
+        (e.row_support, e.column_support) for e in enum.equilibria]
+    assert _profiles(enum2, values=False) == _profiles(enum, values=False)

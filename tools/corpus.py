@@ -12,12 +12,13 @@ report stays byte for byte as it was.
 
 The command lines are those of ``benchmarks/workloads.py`` for seeds 0-2,
 tiny and full, each in json, text and csv, then the pinned ones of
-``tests/test_cli.py``, read from its source.  ``--python`` runs
-``--check`` under each interpreter given, with deprecation warnings as
-errors, and prints its summary line; then it compiles the package's
-bytecode with that interpreter and prints the best time of
-``import baccarat.cli`` under ``-S`` over fresh processes.  It needs no
-``pytest``.  Standard library only.
+``tests/test_cli.py``, read from its source: its reports, and its
+refusals, each stored with exit code 2 and its one line of stderr.
+``--python`` runs ``--check`` under each interpreter given, with
+deprecation warnings as errors, and prints its summary line; then it
+compiles the package's bytecode with that interpreter and prints the
+best time of ``import baccarat.cli`` under ``-S`` over fresh processes.
+It needs no ``pytest``.  Standard library only.
 """
 
 import ast
@@ -48,6 +49,7 @@ _PINNED = {
     "PINNED_REPORTS": ["--format", "json"],
     "PINNED_TEXT_AND_CSV_REPORTS": [],
     "PINNED_SIMULATE_REPORTS": ["--format", "json"],
+    "PINNED_REFUSALS": [],
 }
 
 
